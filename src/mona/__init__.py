@@ -59,6 +59,7 @@ from .stepping import (
     FactorCache,
     NewtonConfig,
     NewtonStats,
+    StepOperator,
     StepRecord,
     TimeGrid,
     TransientResult,

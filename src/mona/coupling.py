@@ -19,6 +19,7 @@ is what makes the power bookkeeping exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,11 +51,11 @@ class BlockLayout:
     n_m: int
     n_a: int
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return (self.n_nodes, self.n_c, self.n_v, self.n_m, self.n_a)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         out, acc = [], 0
         for n in self.sizes:
@@ -62,13 +63,17 @@ class BlockLayout:
             acc += n
         return tuple(out)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(self.sizes)
 
+    @cached_property
+    def _slices(self) -> dict:
+        return {name: slice(off, off + n)
+                for name, off, n in zip(BLOCK_NAMES, self.offsets, self.sizes)}
+
     def block_slice(self, name: str) -> slice:
-        i = BLOCK_NAMES.index(name)
-        return slice(self.offsets[i], self.offsets[i] + self.sizes[i])
+        return self._slices[name]
 
     def split(self, vec: np.ndarray):
         """Views of the five blocks of a conforming flat vector."""
@@ -234,7 +239,6 @@ class CoupledSystem:
         g = self.graph
         lay = self.layout
         psi_dot = self.layout.split(np.asarray(ydot, dtype=float))[0]
-        _, didv = resistive_branch_current(g, g.a_r.T @ psi_dot)
 
         j_state = {}
         if g.n_inductors:
@@ -244,7 +248,7 @@ class CoupledSystem:
         if lay.n_a:
             j_state[(4, 4)] = self.stiffness
 
-        j_rate = {(0, 0): g.a_r @ (didv[:, None] * g.a_r.T)}
+        j_rate = {(0, 0): self.conductance(psi_dot)}
         if g.n_capacitors:
             j_rate[(0, 1)] = g.a_c
             j_rate[(1, 0)] = -g.a_c.T
@@ -261,6 +265,16 @@ class CoupledSystem:
                 j_rate[(4, 3)] = -self.winding_matrix
         sizes = lay.sizes
         return _block_sparse(j_state, sizes), _block_sparse(j_rate, sizes)
+
+    def conductance(self, psi_dot: np.ndarray) -> np.ndarray:
+        """Nodal conductance matrix of the resistive branches at node rates psi_dot.
+
+        The ``psi``/``psi`` block of the rate Jacobian, and the only block of
+        either Jacobian that depends on the evaluation point.
+        """
+        g = self.graph
+        _, didv = resistive_branch_current(g, g.a_r.T @ psi_dot)
+        return g.a_r @ (didv[:, None] * g.a_r.T)
 
     def energy(self, y: np.ndarray) -> float:
         """Stored energy: inductors, capacitors, and the magnetic field.

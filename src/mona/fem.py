@@ -570,9 +570,12 @@ def parse_mesh(text: str):
 
     def as_float(lineno, s):
         try:
-            return float(s)
+            value = float(s)
         except ValueError:
             raise MeshError(f"line {lineno}: expected number, got {s!r}") from None
+        if not math.isfinite(value):
+            raise MeshError(f"line {lineno}: expected a finite number, got {s!r}")
+        return value
 
     lineno, toks = take("depth")
     depth = as_float(lineno, toks[1])

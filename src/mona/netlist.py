@@ -17,6 +17,7 @@ by resistance but stored as conductance.  Branch order is file order.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -61,9 +62,12 @@ class _NodeTable:
 
 def _number(token: str, line: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise NetlistError(f"{what}: not a number: {token!r}", line=line) from None
+    if not math.isfinite(value):
+        raise NetlistError(f"{what}: not a finite number: {token!r}", line=line)
+    return value
 
 
 def _positive(value: float, line: int, what: str) -> float:
@@ -147,8 +151,8 @@ def _parse_element(kind, name, rest, table, lineno) -> NetlistElement:
     if kind in ("R", "C", "L"):
         if len(value_toks) != 1:
             raise NetlistError(f"{kind} element takes exactly one value", line=lineno)
-        value = _positive(_number(value_toks[0], lineno, kind), lineno,
-                          {"R": "resistance", "C": "capacitance", "L": "inductance"}[kind])
+        what = {"R": "resistance", "C": "capacitance", "L": "inductance"}[kind]
+        value = _positive(_number(value_toks[0], lineno, what), lineno, what)
         if kind == "R":
             value = 1.0 / value  # stored as conductance
         return NetlistElement(kind=kind, name=name, nodes=nodes, value=value)

@@ -28,6 +28,7 @@ __all__ = [
     "NewtonConfig",
     "NewtonStats",
     "FactorCache",
+    "StepOperator",
     "StepRecord",
     "TransientResult",
     "EocRow",
@@ -97,10 +98,26 @@ class NewtonStats:
 
 
 class FactorCache:
-    """Holds an LU factorization reused across Newton solves and time steps."""
+    """LU factorization of a Newton iteration matrix, reused across solves.
 
-    def __init__(self):
-        self._lu = None
+    With ``n_trailing`` > 0 the matrix is split as [[J_cc, J_ca], [J_ac, J_aa]]
+    with a trailing block J_aa of that size (the field block of a midpoint
+    step).  The first ``refactor`` factors J_aa and forms U = J_aa^-1 J_ac;
+    every ``refactor`` then factors only the Schur complement J_cc - J_ca U,
+    and ``solve`` eliminates by blocks with one back-substitution through
+    J_aa.  J_aa, J_ac and J_ca must therefore be the same in every matrix
+    passed in, as they are for one step size.  With no trailing block the
+    Schur complement is the whole matrix.
+
+    The trailing unknowns come out as J_aa^-1 b_a - U x_c, a difference of
+    terms a few times larger than the result, so their residual is a few
+    times that of one LU of the whole matrix.
+    """
+
+    def __init__(self, n_trailing: int = 0):
+        self.n_trailing = n_trailing
+        self._trailing = None  # (LU of J_aa, J_ca, U, J_ca U), built once
+        self._lu = None        # LU of the Schur complement
         self.matrix = None
 
     @property
@@ -110,7 +127,16 @@ class FactorCache:
     def refactor(self, matrix) -> None:
         try:
             matrix = sp.csc_matrix(matrix)
-            self._lu = splu(matrix)
+            schur = matrix
+            if self.n_trailing:
+                k = matrix.shape[0] - self.n_trailing
+                if self._trailing is None:
+                    lu_aa = splu(matrix[k:, k:])
+                    j_ca = matrix[:k, k:]
+                    u = lu_aa.solve(matrix[k:, :k].toarray())
+                    self._trailing = (lu_aa, j_ca, u, sp.csc_matrix(j_ca @ u))
+                schur = matrix[:k, :k] - self._trailing[3]
+            self._lu = splu(schur)
             self.matrix = matrix
         except RuntimeError as exc:
             self._lu = None
@@ -120,7 +146,52 @@ class FactorCache:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
             raise SolverError("no factorization available")
-        return self._lu.solve(rhs)
+        if self._trailing is None:
+            return self._lu.solve(rhs)
+        lu_aa, j_ca, u, _ = self._trailing
+        k = rhs.shape[0] - self.n_trailing
+        w = lu_aa.solve(rhs[k:])
+        x_c = self._lu.solve(rhs[:k] - j_ca @ w)
+        return np.concatenate([x_c, w - u @ x_c])
+
+
+class StepOperator:
+    """Iteration matrix 0.5*J_state + J_rate/tau of midpoint steps of size tau.
+
+    Built once from :meth:`CoupledSystem.jacobians`.  Only the resistive
+    conductance block (``psi``/``psi``) depends on the Newton iterate, so
+    :meth:`matrix` copies the constant matrix and overwrites that block.
+    """
+
+    def __init__(self, system: CoupledSystem, tau: float):
+        self.system = system
+        self.tau = tau
+        # J_rate is weighted by 1/tau as sparse division does, so the stamped
+        # block rounds exactly as the constant part does
+        self._rate_weight = 1.0 / tau
+        zero = system.layout.zeros()
+        j_state, j_rate = system.jacobians(zero, zero, 0.0)
+        self._psi = psi = system.layout.block_slice("psi")
+        self._inductive = 0.5 * j_state[psi, psi].toarray()
+        # conductances are positive, so the pattern of the block at rest is
+        # the pattern at every iterate
+        self._rows, self._cols = np.nonzero(
+            (system.conductance(zero[psi]) != 0.0) | (self._inductive != 0.0))
+        base = (0.5 * j_state + j_rate * self._rate_weight).tolil()
+        base[self._rows, self._cols] = 1.0  # keeps a slot for every stamped entry
+        self._base = base.tocsc()
+        position = self._base.copy()
+        position.data = np.arange(1.0, self._base.nnz + 1.0)
+        self._slots = np.asarray(position[self._rows, self._cols]).ravel().astype(int) - 1
+
+    def matrix(self, z: np.ndarray) -> sp.csc_matrix:
+        """Iteration matrix at the state increment z."""
+        block = (self._inductive + self._rate_weight
+                 * self.system.conductance(z[self._psi] / self.tau))
+        data = self._base.data.copy()
+        data[self._slots] = block[self._rows, self._cols]
+        return sp.csc_matrix((data, self._base.indices, self._base.indptr),
+                             shape=self._base.shape)
 
 
 def _scaled_norm(r: np.ndarray, scale) -> float:
@@ -179,31 +250,35 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig | None
         return x, stats
 
     fresh = False
+
+    def refresh():
+        nonlocal fresh
+        own_cache.refactor(jacobian(x))
+        stats.factorizations += 1
+        fresh = True
+        update_floor()
+
+    def limited(dx):
+        """The step after limiting, and whether the limiter changed it."""
+        if limiter is None:
+            return dx, False
+        proposal = limiter(x, x + dx)
+        return proposal - x, not np.array_equal(proposal, x + dx)
+
     stale_ok = True  # last iteration was a clean full step
     for it in range(1, config.max_iter + 1):
         if not own_cache.ready or it > config.refactor_after or not stale_ok:
-            own_cache.refactor(jacobian(x))
-            stats.factorizations += 1
-            fresh = True
-            update_floor()
+            refresh()
 
         dx = own_cache.solve(-r)
         if not np.all(np.isfinite(dx)):
             if fresh:
                 raise SolverError("singular iteration matrix (non-finite Newton step)")
-            own_cache.refactor(jacobian(x))
-            stats.factorizations += 1
-            fresh = True
-            update_floor()
+            refresh()
             dx = own_cache.solve(-r)
             if not np.all(np.isfinite(dx)):
                 raise SolverError("singular iteration matrix (non-finite Newton step)")
-
-        was_limited = False
-        if limiter is not None:
-            proposal = limiter(x, x + dx)
-            was_limited = not np.array_equal(proposal, x + dx)
-            dx = proposal - x
+        dx, was_limited = limited(dx)
 
         accepted = False
         for attempt in range(2):
@@ -225,16 +300,8 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig | None
                 break
             if attempt == 0 and not fresh:
                 # the stale Jacobian may simply point the wrong way
-                own_cache.refactor(jacobian(x))
-                stats.factorizations += 1
-                fresh = True
-                update_floor()
-                dx = own_cache.solve(-r)
-                was_limited = False
-                if limiter is not None:
-                    proposal = limiter(x, x + dx)
-                    was_limited = not np.array_equal(proposal, x + dx)
-                    dx = proposal - x
+                refresh()
+                dx, was_limited = limited(own_cache.solve(-r))
                 continue
             if not np.isfinite(n_try):
                 raise SolverError("non-finite residual after damping was exhausted")
@@ -372,7 +439,8 @@ def _block_scale(system: CoupledSystem, r0: np.ndarray, t_mid: float) -> np.ndar
 
 def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau: float,
                   config: NewtonConfig | None = None, cache: FactorCache | None = None,
-                  index: int = 0, increment_hint: np.ndarray | None = None):
+                  index: int = 0, increment_hint: np.ndarray | None = None,
+                  operator: StepOperator | None = None):
     """Advance one implicit midpoint step; returns (y_next, StepRecord).
 
     The Newton unknown is the state increment over the step rather than the
@@ -384,6 +452,9 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
     so the branch voltages seen by the diode laws are not polluted by the
     magnitude of the accumulated states.  Linear systems converge in a single
     iteration once a factorization exists.
+
+    ``operator`` supplies the iteration matrices; it must be built for this
+    system and step size, and is built here when omitted.
     """
     config = config or NewtonConfig()
     y_prev = np.asarray(y_prev, dtype=float)
@@ -391,6 +462,10 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
         raise ValueError("midpoint_step called with non-finite state")
     if not tau > 0.0:
         raise ValueError("step size must be positive")
+    if operator is None:
+        operator = StepOperator(system, tau)
+    elif operator.system is not system or operator.tau != tau:
+        raise ValueError("step operator was built for another system or step size")
     t_mid = t_prev + 0.5 * tau
 
     compact = system.compact_form()
@@ -399,10 +474,6 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
     def step_residual(z):
         return compact.rate_op(z / tau) + const_part + 0.5 * system.energy_gradient(z)
 
-    def step_jacobian(z):
-        j_state, j_rate = system.jacobians(y_prev, z / tau, t_mid)
-        return 0.5 * j_state + j_rate / tau
-
     r0 = step_residual(np.zeros_like(y_prev))
     scale = _block_scale(system, r0, t_mid)
     if increment_hint is not None and np.all(np.isfinite(increment_hint)):
@@ -410,7 +481,7 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
     else:
         z0 = np.zeros_like(y_prev)
     try:
-        z, stats = newton_solve(step_residual, step_jacobian, z0,
+        z, stats = newton_solve(step_residual, operator.matrix, z0,
                                 config=config, scale=scale, cache=cache,
                                 const_magnitude=np.abs(const_part),
                                 limiter=_diode_limiter(system, tau))
@@ -467,12 +538,14 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     r0 = system.residual(y, np.zeros_like(y), grid.t0)
     scale = _block_scale(system, np.zeros_like(r0), grid.t0)
     init_defect = _scaled_norm(r0, scale)
-    if init_defect > INIT_RESIDUAL_TOL:
+    if not init_defect <= INIT_RESIDUAL_TOL:
         raise ConsistencyError(
             f"zero initial state violates the algebraic constraints "
             f"(residual {init_defect:.3e}); sources must vanish at t0")
 
-    cache = FactorCache()
+    # one iteration matrix and one field-block factorization per run
+    operator = StepOperator(system, grid.tau)
+    cache = FactorCache(n_trailing=system.layout.n_a)
     records = []
     probe_values = {name: [] for name in probes}
     t_prev = grid.t0
@@ -481,7 +554,7 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
         try:
             y_next, record = midpoint_step(system, y, t_prev, grid.tau,
                                            config=config, cache=cache, index=n,
-                                           increment_hint=z_pred)
+                                           increment_hint=z_pred, operator=operator)
         except SolverError as exc:
             exc.partial_result = TransientResult(
                 grid=grid, records=records,

@@ -56,6 +56,21 @@ class TestCheck:
         assert run_cli(["check", "--netlist", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("card, token", [
+        ("V src 1 0 SIN(nan 60)", "nan"),
+        ("V src 1 0 SIN(1 60 nan)", "nan"),
+        ("R r 1 0 inf", "inf"),
+    ])
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, card, token, command):
+        path = tmp_path / "bad.net"
+        path.write_text(f"{card}\nR load 1 0 10\n")
+        argv = [command, "--netlist", str(path)]
+        if command == "run":
+            argv += ["--tau", "1e-3", "--t-end", "0.01", "--out", str(tmp_path)]
+        assert run_cli(argv) == 1
+        assert f"not a finite number: '{token}'" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["check", "--netlist", str(tmp_path / "nope.net")]) == 1
 

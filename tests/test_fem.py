@@ -318,6 +318,8 @@ class TestMeshFile:
             parse_mesh("vertices 0\ntriangles 0\n")
         with pytest.raises(MeshError, match="expected number"):
             parse_mesh("depth x\n")
+        with pytest.raises(MeshError, match="line 1: expected a finite number, got 'nan'"):
+            parse_mesh("depth nan\n")
         with pytest.raises(MeshError, match="undeclared regions"):
             parse_mesh("depth 1\nvertices 3\n0 0\n1 0\n0 1\n"
                        "triangles 1\n0 1 2 7\nregions 0\nwindings 0\n")

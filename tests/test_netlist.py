@@ -67,6 +67,12 @@ class TestErrors:
     @pytest.mark.parametrize("line, pattern, lineno", [
         ("R r1 1 0 ten", "not a number", 1),
         ("R r1 1 0 -5", "positive", 1),
+        ("R r1 1 0 inf", "resistance: not a finite number: 'inf'", 1),
+        ("V src 1 0 SIN(nan 60)", "amplitude: not a finite number: 'nan'", 1),
+        ("V src 1 0 SIN(inf 60)", "amplitude: not a finite number: 'inf'", 1),
+        ("V src 1 0 SIN(1 60 nan)", "phase: not a finite number: 'nan'", 1),
+        ("I bias 1 0 DC -inf", "DC value: not a finite number: '-inf'", 1),
+        ("D d1 1 0 IS=nan VT=0.025 RP=1e12", "IS: not a finite number: 'nan'", 1),
         ("Q q1 1 0 5", "unknown element kind", 1),
         ("R r1 1 0 1\nR r1 2 0 1", "duplicate", 2),
         ("V v1 1 0 160", "SIN", 1),

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+from conftest import random_state
 from mona.circuit import build_incidence
 from mona.coupling import assemble_coupled
+from mona.demo import build_demo_system
 from mona.errors import ConsistencyError, SolverError
 from mona.netlist import parse_netlist
 from mona.probes import compile_probe, default_state_probe
@@ -13,6 +16,7 @@ from mona.sources import SourceSet, Waveform
 from mona.stepping import (
     FactorCache,
     NewtonConfig,
+    StepOperator,
     TimeGrid,
     convergence_study,
     midpoint_step,
@@ -194,6 +198,66 @@ class TestMidpointStep:
         assert np.max(np.abs(y0_back - y0)) <= 1e-9 * scale
 
 
+def full_space_run(system, grid):
+    """run_transient's step loop with one LU of the whole iteration matrix."""
+    operator = StepOperator(system, grid.tau)
+    cache = FactorCache()
+    y, z_pred, records = system.layout.zeros(), None, []
+    for n in range(1, grid.n_steps + 1):
+        y_next, rec = midpoint_step(system, y, grid.time(n - 1), grid.tau, cache=cache,
+                                    index=n, increment_hint=z_pred, operator=operator)
+        z_pred, y = y_next - y, y_next
+        records.append(rec)
+    return records
+
+
+class TestBlockElimination:
+    @pytest.mark.parametrize("h", [0.025, 0.0125])
+    def test_solve_matches_full_matrix(self, h):
+        system = build_demo_system(mesh_density=h).system
+        tau = 6.25e-4
+        operator = StepOperator(system, tau)
+        cache = FactorCache(n_trailing=system.layout.n_a)
+        rng = np.random.default_rng(3)
+        for _ in range(2):  # the second refactor reuses the field factorization
+            z = 1e-3 * random_state(system, rng)
+            matrix = operator.matrix(z)
+            cache.refactor(matrix)
+            for _ in range(3):
+                rhs = rng.standard_normal(system.layout.size)
+                x_ref = spsolve(matrix, rhs)
+                err = np.max(np.abs(cache.solve(rhs) - x_ref))
+                assert err <= 1e-12 * np.max(np.abs(x_ref))
+
+    def test_stamp_reproduces_the_jacobians(self, rectifier):
+        _parsed, _graph, system = rectifier
+        tau = 6.25e-4
+        operator = StepOperator(system, tau)
+        rng = np.random.default_rng(4)
+        y, z = random_state(system, rng), 1e-3 * random_state(system, rng)
+        j_state, j_rate = system.jacobians(y, z / tau, 0.0)
+        expected = (0.5 * j_state + j_rate / tau).toarray()
+        assert np.array_equal(operator.matrix(z).toarray(), expected)
+
+    def test_transient_matches_full_space_run(self, rectifier):
+        _parsed, _graph, system = rectifier
+        grid = TimeGrid(0.0, 0.05, 6.25e-4)
+        result = run_transient(system, grid)
+        reference = full_space_run(system, grid)
+        states = result.states()
+        ref_states = np.array([rec.state for rec in reference])
+        assert np.max(np.abs(states - ref_states)) <= 1e-12 * np.max(np.abs(ref_states))
+        for field_name in ("iterations", "factorizations", "halvings"):
+            assert (sum(getattr(rec.newton, field_name) for rec in result.records)
+                    == sum(getattr(rec.newton, field_name) for rec in reference))
+
+    def test_operator_checks_its_step_size(self, rlc):
+        _parsed, _graph, system = rlc
+        operator = StepOperator(system, 1e-3)
+        with pytest.raises(ValueError, match="step size"):
+            midpoint_step(system, system.layout.zeros(), 0.0, 5e-4, operator=operator)
+
+
 class TestPowerAudit:
     def test_balance_at_newton_scale(self, linear_coupled):
         _parsed, _graph, system = linear_coupled
@@ -245,6 +309,14 @@ class TestRunTransient:
         graph = build_incidence(parsed.elements, parsed.n_nodes)
         system = assemble_coupled(graph)
         with pytest.raises(ConsistencyError, match="vanish at t0"):
+            run_transient(system, TimeGrid(0.0, 0.01, 1e-3))
+
+    def test_non_finite_source_rejected(self):
+        parsed = parse_netlist("V src 1 0 SIN(1 60)\nR r1 1 0 1")
+        graph = build_incidence(parsed.elements, parsed.n_nodes)
+        system = assemble_coupled(graph, sources=SourceSet(
+            voltage=(Waveform.sine(float("nan"), 60.0),)))
+        with pytest.raises(ConsistencyError, match="residual nan"):
             run_transient(system, TimeGrid(0.0, 0.01, 1e-3))
 
     def test_record_bookkeeping(self, rlc):

@@ -86,21 +86,9 @@ class CsvTrace:
             raise MonaError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(table, path, probe_names=None, system=None) -> None:
-    """Write a transient result or a convergence table to a CSV file."""
-    from .stepping import TransientResult
-
-    if isinstance(table, CsvTrace):
-        table.write(path)
-    elif isinstance(table, TransientResult):
-        trace_table(table, probe_names or [], system).write(path)
-    else:
-        eoc_table(table).write(path)
-
-
-def trace_table(result, probe_names, system) -> CsvTrace:
+def trace_table(result, probe_names) -> CsvTrace:
     header = ["t", *probe_names, "H", "eps_H"]
-    energies = result.energies(system)
+    energies = result.energies()
     rows = []
     for k, rec in enumerate(result.records):
         row = [rec.time]
@@ -181,7 +169,7 @@ def cmd_run(args) -> int:
     result = run_transient(system, scenario.grid, probes=probes, config=scenario.newton)
     out = scenario.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    trace_table(result, list(probes), system).write(out / "trace.csv")
+    trace_table(result, list(probes)).write(out / "trace.csv")
     audit_table(result).write(out / "audit.csv")
     print(f"wrote {out / 'trace.csv'} and {out / 'audit.csv'} "
           f"({result.grid.n_steps} steps, max |eps_H| = "
@@ -229,7 +217,7 @@ def cmd_demo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "demo.net").write_text(demo_mod.DEMO_NETLIST, encoding="utf-8")
     save_mesh(out / "transformer.mesh", bundle.mesh, bundle.materials, bundle.windings)
-    trace_table(result, list(probes), system).write(out / "trace.csv")
+    trace_table(result, list(probes)).write(out / "trace.csv")
     audit_table(result).write(out / "audit.csv")
     v_r = result.probe("v_R")
     print(f"rectifier demo: {grid.n_steps} steps, v_R peak {np.max(v_r):.2f} V, "

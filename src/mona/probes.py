@@ -43,7 +43,7 @@ def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None
     """Turn a probe expression into a callable over step contexts."""
     text = expr.strip()
     if text.upper() == "H":
-        return lambda ctx: ctx.system.energy(ctx.y_next)
+        return lambda ctx: ctx.energy
 
     match = _CALL.match(text)
     if not match:

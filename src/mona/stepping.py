@@ -102,21 +102,21 @@ class FactorCache:
 
     With ``n_trailing`` > 0 the matrix is split as [[J_cc, J_ca], [J_ac, J_aa]]
     with a trailing block J_aa of that size (the field block of a midpoint
-    step).  The first ``refactor`` factors J_aa and forms U = J_aa^-1 J_ac;
-    every ``refactor`` then factors only the Schur complement J_cc - J_ca U,
-    and ``solve`` eliminates by blocks with one back-substitution through
-    J_aa.  J_aa, J_ac and J_ca must therefore be the same in every matrix
-    passed in, as they are for one step size.  With no trailing block the
-    Schur complement is the whole matrix.
-
-    The trailing unknowns come out as J_aa^-1 b_a - U x_c, a difference of
-    terms a few times larger than the result, so their residual is a few
-    times that of one LU of the whole matrix.
+    step, 0.5*K + M/tau, symmetric positive definite because the gauged K is
+    and M is semidefinite).  The first ``refactor`` factors J_aa in a
+    symmetric fill-reducing ordering without pivoting off the diagonal and
+    forms V = J_ca J_aa^-1 from the transposed solve; every ``refactor`` then
+    factors only the Schur complement S = J_cc - V J_ac.  ``solve`` takes
+    x_c = S^-1 (b_c - V b_a) and x_a = J_aa^-1 (b_a - J_ac x_c): one
+    back-substitution through J_aa, whose result is the trailing unknowns
+    themselves rather than a difference of larger terms.  J_aa, J_ac and J_ca
+    must be the same in every matrix passed in, as they are for one step
+    size.  With no trailing block the Schur complement is the whole matrix.
     """
 
     def __init__(self, n_trailing: int = 0):
         self.n_trailing = n_trailing
-        self._trailing = None  # (LU of J_aa, J_ca, U, J_ca U), built once
+        self._trailing = None  # (LU of J_aa, J_ac, V, V J_ac), built once
         self._lu = None        # LU of the Schur complement
         self.matrix = None
 
@@ -131,10 +131,12 @@ class FactorCache:
             if self.n_trailing:
                 k = matrix.shape[0] - self.n_trailing
                 if self._trailing is None:
-                    lu_aa = splu(matrix[k:, k:])
-                    j_ca = matrix[:k, k:]
-                    u = lu_aa.solve(matrix[k:, :k].toarray())
-                    self._trailing = (lu_aa, j_ca, u, sp.csc_matrix(j_ca @ u))
+                    lu_aa = splu(matrix[k:, k:], permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+                    j_ac = matrix[k:, :k]
+                    v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
+                    self._trailing = (lu_aa, j_ac, v, sp.csc_matrix(v @ j_ac))
                 schur = matrix[:k, :k] - self._trailing[3]
             self._lu = splu(schur)
             self.matrix = matrix
@@ -148,11 +150,10 @@ class FactorCache:
             raise SolverError("no factorization available")
         if self._trailing is None:
             return self._lu.solve(rhs)
-        lu_aa, j_ca, u, _ = self._trailing
+        lu_aa, j_ac, v, _ = self._trailing
         k = rhs.shape[0] - self.n_trailing
-        w = lu_aa.solve(rhs[k:])
-        x_c = self._lu.solve(rhs[:k] - j_ca @ w)
-        return np.concatenate([x_c, w - u @ x_c])
+        x_c = self._lu.solve(rhs[:k] - v @ rhs[k:])
+        return np.concatenate([x_c, lu_aa.solve(rhs[k:] - j_ac @ x_c)])
 
 
 class StepOperator:
@@ -323,11 +324,13 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig | None
 
 @dataclass
 class StepRecord:
-    """One accepted time step: state, Newton statistics, and its power audit."""
+    """One accepted time step: state, its stored energy, Newton statistics,
+    and its power audit."""
 
     index: int
     time: float
     state: np.ndarray
+    energy: float
     newton: NewtonStats
     audit: PowerBreakdown
 
@@ -350,8 +353,8 @@ class TransientResult:
     def probe(self, name: str) -> np.ndarray:
         return self.probes[name]
 
-    def energies(self, system: CoupledSystem) -> np.ndarray:
-        return np.array([system.energy(rec.state) for rec in self.records])
+    def energies(self) -> np.ndarray:
+        return np.array([rec.energy for rec in self.records])
 
     def balance_residuals(self) -> np.ndarray:
         return np.array([rec.audit.residual for rec in self.records])
@@ -440,7 +443,7 @@ def _block_scale(system: CoupledSystem, r0: np.ndarray, t_mid: float) -> np.ndar
 def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau: float,
                   config: NewtonConfig | None = None, cache: FactorCache | None = None,
                   index: int = 0, increment_hint: np.ndarray | None = None,
-                  operator: StepOperator | None = None):
+                  operator: StepOperator | None = None, energy_prev: float | None = None):
     """Advance one implicit midpoint step; returns (y_next, StepRecord).
 
     The Newton unknown is the state increment over the step rather than the
@@ -454,7 +457,9 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
     iteration once a factorization exists.
 
     ``operator`` supplies the iteration matrices; it must be built for this
-    system and step size, and is built here when omitted.
+    system and step size, and is built here when omitted.  ``energy_prev``
+    is ``system.energy(y_prev)`` when the caller already has it (the previous
+    record's ``energy``); it is evaluated here when omitted.
     """
     config = config or NewtonConfig()
     y_prev = np.asarray(y_prev, dtype=float)
@@ -489,26 +494,34 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
     y_next = y_prev + z
-    audit = power_audit(system, y_prev, y_next, tau, t_prev)
-    record = StepRecord(index=index, time=t_prev + tau, state=y_next,
+    if energy_prev is None:
+        energy_prev = system.energy(y_prev)
+    energy = system.energy(y_next)
+    audit = power_audit(system, y_prev, y_next, tau, t_prev,
+                        energies=(energy_prev, energy))
+    record = StepRecord(index=index, time=t_prev + tau, state=y_next, energy=energy,
                         newton=stats, audit=audit)
     return y_next, record
 
 
 def power_audit(system: CoupledSystem, y_prev: np.ndarray, y_next: np.ndarray,
-                tau: float, t_prev: float) -> PowerBreakdown:
+                tau: float, t_prev: float,
+                energies: tuple[float, float] | None = None) -> PowerBreakdown:
     """Discrete power balance of one step, recomputed from the stored states.
 
     The energy rate is the difference quotient of the energies at the two
     states; losses and source pairings use the midpoint rates and midpoint
-    time.  The ``residual`` field is the balance defect.
+    time.  The ``residual`` field is the balance defect.  ``energies`` is
+    ``(system.energy(y_prev), system.energy(y_next))`` when the caller has
+    already evaluated them; they are evaluated here when omitted.
     """
     g = system.graph
     t_mid = t_prev + 0.5 * tau
     rate = (np.asarray(y_next, dtype=float) - np.asarray(y_prev, dtype=float)) / tau
     psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = system.layout.split(rate)
 
-    dh = (system.energy(y_next) - system.energy(y_prev)) / tau
+    h_prev, h_next = energies or (system.energy(y_prev), system.energy(y_next))
+    dh = (h_next - h_prev) / tau
     v_r = g.a_r.T @ psi_dot
     i_r, _ = resistive_branch_current(g, v_r)
     resistive = float(i_r @ v_r)
@@ -550,11 +563,13 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     probe_values = {name: [] for name in probes}
     t_prev = grid.t0
     z_pred = None
+    energy = system.energy(y)  # each later state's energy comes with its record
     for n in range(1, grid.n_steps + 1):
         try:
             y_next, record = midpoint_step(system, y, t_prev, grid.tau,
                                            config=config, cache=cache, index=n,
-                                           increment_hint=z_pred, operator=operator)
+                                           increment_hint=z_pred, operator=operator,
+                                           energy_prev=energy)
         except SolverError as exc:
             exc.partial_result = TransientResult(
                 grid=grid, records=records,
@@ -562,12 +577,12 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
                 completed=False)
             raise
         ctx = StepContext(system=system, index=n, t_prev=t_prev, tau=grid.tau,
-                          y_prev=y, y_next=y_next)
+                          y_prev=y, y_next=y_next, energy=record.energy)
         for name, fn in probes.items():
             probe_values[name].append(float(fn(ctx)))
         records.append(record)
         z_pred = y_next - y
-        y = y_next
+        y, energy = y_next, record.energy
         t_prev = grid.time(n)
         log.debug("step %d t=%.6g iters=%d resid=%.3e eps_H=%.3e",
                   n, t_prev, record.newton.iterations, record.newton.residual_norm,
@@ -583,7 +598,7 @@ class StepContext:
 
     State quantities refer to the step's end time; rate quantities are the
     step's difference quotients, i.e. second-order values at the interval
-    midpoint.
+    midpoint.  ``energy`` is the stored energy of ``y_next``.
     """
 
     system: CoupledSystem
@@ -592,6 +607,7 @@ class StepContext:
     tau: float
     y_prev: np.ndarray
     y_next: np.ndarray
+    energy: float
 
     @property
     def t_mid(self) -> float:

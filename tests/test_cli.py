@@ -206,9 +206,9 @@ class TestDemoRectifier:
             (via_file / "trace.csv").read_bytes()
 
 
-def test_write_csv_dispatch(tmp_path):
+def test_tables_and_their_checks(tmp_path):
     from mona.circuit import build_incidence
-    from mona.cli import CsvTrace, write_csv
+    from mona.cli import CsvTrace, eoc_table, trace_table
     from mona.coupling import assemble_coupled
     from mona.netlist import parse_netlist
     from mona.stepping import TimeGrid, convergence_study, run_transient
@@ -218,12 +218,12 @@ def test_write_csv_dispatch(tmp_path):
     graph = build_incidence(parsed.elements, parsed.n_nodes)
     system = assemble_coupled(graph)
     result = run_transient(system, TimeGrid(0.0, 0.01, 1e-3))
-    write_csv(result, tmp_path / "a.csv", probe_names=[], system=system)
+    trace_table(result, []).write(tmp_path / "a.csv")
     assert (tmp_path / "a.csv").read_text().startswith("t,H,eps_H")
 
     rows = convergence_study(system, TimeGrid(0.0, 0.02, 1e-3), halvings=1,
                              probe=compile_probe(system, "psi(3)", parsed.node_ids))
-    write_csv(rows, tmp_path / "b.csv")
+    eoc_table(rows).write(tmp_path / "b.csv")
     assert (tmp_path / "b.csv").read_text().startswith("tau,eps_tau")
 
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -5,11 +5,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from conftest import random_state
+from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state
 from mona.circuit import build_incidence
-from mona.coupling import assemble_coupled
+from mona.coupling import CoupledSystem, assemble_coupled
 from mona.demo import build_demo_system
 from mona.errors import ConsistencyError, SolverError
+from mona.fem import TransformerParams, build_field_model, generate_transformer_mesh
 from mona.netlist import parse_netlist
 from mona.probes import compile_probe, default_state_probe
 from mona.sources import SourceSet, Waveform
@@ -251,6 +252,15 @@ class TestBlockElimination:
             assert (sum(getattr(rec.newton, field_name) for rec in result.records)
                     == sum(getattr(rec.newton, field_name) for rec in reference))
 
+    def test_linear_transformer_takes_one_iteration_per_step(self):
+        # the field unknowns come from one back-substitution, not as a
+        # difference of larger terms, so a linear step lands within tol at once
+        field = build_field_model(*generate_transformer_mesh(TransformerParams(), 0.00625))
+        _parsed, _graph, system = build_from_netlist(LINEAR_COUPLED_NETLIST, field)
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert [rec.newton.iterations for rec in result.records[1:]] == [1] * 79
+        assert sum(rec.newton.factorizations for rec in result.records) == 1
+
     def test_operator_checks_its_step_size(self, rlc):
         _parsed, _graph, system = rlc
         operator = StepOperator(system, 1e-3)
@@ -280,6 +290,31 @@ class TestPowerAudit:
         tampered = y_next + 1e-6
         dirty = power_audit(system, y_prev, tampered, tau, t_prev)
         assert abs(dirty.residual) > 1e-8
+
+    def test_energy_evaluated_once_per_state(self, linear_coupled, monkeypatch):
+        parsed, _graph, system = linear_coupled
+        energy = CoupledSystem.energy
+        calls = []
+
+        def counted(self, y):
+            calls.append(1)
+            return energy(self, y)
+
+        monkeypatch.setattr(CoupledSystem, "energy", counted)
+        tau = 1e-3
+        grid = TimeGrid(0.0, 0.02, tau)
+        result = run_transient(system, grid,
+                               probes={"h": compile_probe(system, "H", parsed.node_ids)})
+        assert len(calls) == grid.n_steps + 1
+        monkeypatch.undo()
+
+        h_prev = system.energy(system.layout.zeros())
+        for rec, h_probe in zip(result.records, result.probe("h")):
+            assert rec.energy == system.energy(rec.state)
+            assert h_probe == rec.energy
+            assert rec.audit.dh_dt == (rec.energy - h_prev) / tau
+            h_prev = rec.energy
+        assert np.array_equal(result.energies(), [rec.energy for rec in result.records])
 
     def test_pure_dissipation_decays(self):
         system = rc_discharge_system()

@@ -9,7 +9,6 @@ power balance of the coupled system, which is audited at every step.
 from .circuit import (
     CircuitGraph,
     DiodeParams,
-    MagneticNodeState,
     NetlistElement,
     TopologyReport,
     build_incidence,
@@ -22,7 +21,6 @@ from .coupling import (
     CompactForm,
     CoupledSystem,
     PowerBreakdown,
-    StateVector,
     assemble_coupled,
 )
 from .errors import (

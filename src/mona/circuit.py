@@ -27,7 +27,6 @@ __all__ = [
     "DiodeParams",
     "NetlistElement",
     "CircuitGraph",
-    "MagneticNodeState",
     "TopologyIssue",
     "TopologyReport",
     "build_incidence",
@@ -192,35 +191,6 @@ class CircuitGraph:
             if name in names:
                 return kind, names.index(name)
         raise KeyError(f"no branch named {name!r}")
-
-
-@dataclass
-class MagneticNodeState:
-    """Circuit-only state: magnetic node potentials and branch charges.
-
-    Node voltages, branch voltages, and branch currents are not stored; they
-    are the time derivatives of these fields.
-    """
-
-    psi: np.ndarray
-    q_c: np.ndarray
-    q_v: np.ndarray
-    q_m: np.ndarray
-
-    def check_dimensions(self, graph: CircuitGraph) -> None:
-        expected = {
-            "psi": graph.n_nodes, "q_c": graph.n_capacitors,
-            "q_v": graph.n_vsources, "q_m": graph.n_devices,
-        }
-        for name, n in expected.items():
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have length {n}")
-
-    def branch_fluxes(self, graph: CircuitGraph) -> dict:
-        """Branch fluxes A_k^T psi per element kind (Kirchhoff voltage law)."""
-        mats = {"R": graph.a_r, "C": graph.a_c, "L": graph.a_l,
-                "V": graph.a_v, "I": graph.a_i, "M": graph.a_m}
-        return {kind: mat.T @ self.psi for kind, mat in mats.items()}
 
 
 def _stamp(columns, n_nodes: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from .sources import SourceSet
 
 __all__ = [
     "BlockLayout",
-    "StateVector",
     "PowerBreakdown",
     "CompactForm",
     "CoupledSystem",
@@ -80,7 +79,7 @@ class BlockLayout:
         vec = np.asarray(vec)
         if vec.shape != (self.size,):
             raise ValueError(f"state vector must have length {self.size}")
-        return tuple(vec[self.block_slice(name)] for name in BLOCK_NAMES)
+        return tuple(vec[blk] for blk in self._slices.values())
 
     def pack(self, psi, q_c, q_v, q_m, a) -> np.ndarray:
         return np.concatenate([np.asarray(b, dtype=float).ravel()
@@ -88,39 +87,6 @@ class BlockLayout:
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.size)
-
-
-@dataclass
-class StateVector:
-    """A flat state array with named block views."""
-
-    data: np.ndarray
-    layout: BlockLayout
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.layout.size,):
-            raise ValueError(f"state vector must have length {self.layout.size}")
-
-    @property
-    def psi(self):
-        return self.data[self.layout.block_slice("psi")]
-
-    @property
-    def q_c(self):
-        return self.data[self.layout.block_slice("q_c")]
-
-    @property
-    def q_v(self):
-        return self.data[self.layout.block_slice("q_v")]
-
-    @property
-    def q_m(self):
-        return self.data[self.layout.block_slice("q_m")]
-
-    @property
-    def a(self):
-        return self.data[self.layout.block_slice("a")]
 
 
 @dataclass(frozen=True)
@@ -195,11 +161,6 @@ class CoupledSystem:
 
     # -- inspection --------------------------------------------------------
 
-    def state(self, data=None) -> StateVector:
-        if data is None:
-            data = self.layout.zeros()
-        return StateVector(data=np.asarray(data, dtype=float), layout=self.layout)
-
     def dimension_report(self) -> str:
         lay = self.layout
         return (f"nodes={lay.n_nodes} capacitors={lay.n_c} vsources={lay.n_v} "
@@ -208,27 +169,31 @@ class CoupledSystem:
     # -- core evaluations ---------------------------------------------------
 
     def residual(self, y: np.ndarray, ydot: np.ndarray, t: float) -> np.ndarray:
-        """Stacked DAE residual at state y, rate ydot, time t."""
+        """Stacked DAE residual at state y, rate ydot, time t.
+
+        The gradient-structure split of :meth:`compact_form`:
+        rate_op(ydot) + energy_gradient(y) - source_vector(t).
+        """
         y = np.asarray(y, dtype=float)
         ydot = np.asarray(ydot, dtype=float)
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(ydot))):
             raise ValueError("residual called with non-finite state or rate")
-        g = self.graph
-        psi, q_c, _q_v, _q_m, a = self.layout.split(y)
-        psi_dot, qc_dot, qv_dot, qm_dot, a_dot = self.layout.split(ydot)
+        return self._rate_op(ydot) + self.energy_gradient(y) - self.source_vector(t)
 
+    def _rate_op(self, ydot: np.ndarray) -> np.ndarray:
+        """Resistive currents and the antisymmetric coupling blocks at rate ydot."""
+        g = self.graph
+        lay = self.layout
+        psi_dot, qc_dot, qv_dot, qm_dot, a_dot = lay.split(np.asarray(ydot, dtype=float))
         i_r, _ = resistive_branch_current(g, g.a_r.T @ psi_dot)
-        r_kcl = (g.a_r @ i_r + g.a_c @ qc_dot + g.a_v @ qv_dot + g.a_m @ qm_dot
-                 + g.a_l @ (g.inv_inductance * (g.a_l.T @ psi))
-                 + g.a_i @ self.sources.current_at(t))
-        if g.n_capacitors:
-            r_cap = -(g.a_c.T @ psi_dot) + q_c / g.capacitance
-        else:
-            r_cap = np.zeros(0)
-        r_vsrc = -(g.a_v.T @ psi_dot) + self.sources.voltage_at(t)
-        r_dev = -(g.a_m.T @ psi_dot) + self.winding_matrix.T @ a_dot
-        r_field = self.mass @ a_dot + self.stiffness @ a - self.winding_matrix @ qm_dot
-        return np.concatenate([r_kcl, r_cap, r_vsrc, r_dev, r_field])
+        out = np.empty(lay.size)
+        out[lay.block_slice("psi")] = (g.a_r @ i_r + g.a_c @ qc_dot + g.a_v @ qv_dot
+                                       + g.a_m @ qm_dot)
+        out[lay.block_slice("q_c")] = -(g.a_c.T @ psi_dot)
+        out[lay.block_slice("q_v")] = -(g.a_v.T @ psi_dot)
+        out[lay.block_slice("q_m")] = -(g.a_m.T @ psi_dot) + self.winding_matrix.T @ a_dot
+        out[lay.block_slice("a")] = self.mass @ a_dot - self.winding_matrix @ qm_dot
+        return out
 
     def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
         """(d residual / d y, d residual / d ydot) as sparse matrices.
@@ -291,45 +256,46 @@ class CoupledSystem:
         return h
 
     def energy_gradient(self, y: np.ndarray) -> np.ndarray:
+        """Gradient of the stored energy; zero on the source and device charges."""
         g = self.graph
-        psi, q_c, q_v, q_m, a = self.layout.split(np.asarray(y, dtype=float))
-        return self.layout.pack(
-            g.a_l @ (g.inv_inductance * (g.a_l.T @ psi)),
-            q_c / g.capacitance if q_c.size else q_c,
-            np.zeros_like(q_v),
-            np.zeros_like(q_m),
-            self.stiffness @ a if a.size else a,
-        )
+        lay = self.layout
+        psi, q_c, _q_v, _q_m, a = lay.split(np.asarray(y, dtype=float))
+        out = np.zeros(lay.size)
+        out[lay.block_slice("psi")] = g.a_l @ (g.inv_inductance * (g.a_l.T @ psi))
+        if q_c.size:
+            out[lay.block_slice("q_c")] = q_c / g.capacitance
+        if a.size:
+            out[lay.block_slice("a")] = self.stiffness @ a
+        return out
 
     def source_vector(self, t: float) -> np.ndarray:
         """Source block of the gradient-structure form at time t."""
         g = self.graph
         lay = self.layout
-        return self.layout.pack(
-            -(g.a_i @ self.sources.current_at(t)),
-            np.zeros(lay.n_c),
-            -self.sources.voltage_at(t),
-            np.zeros(lay.n_m),
-            np.zeros(lay.n_a),
-        )
+        out = np.zeros(lay.size)
+        out[lay.block_slice("psi")] = -(g.a_i @ self.sources.current_at(t))
+        out[lay.block_slice("q_v")] = -self.sources.voltage_at(t)
+        return out
 
     def power_breakdown(self, y: np.ndarray, ydot: np.ndarray, t: float) -> PowerBreakdown:
         """Instantaneous power bookkeeping at (y, ydot, t)."""
-        g = self.graph
         ydot = np.asarray(ydot, dtype=float)
-        psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = self.layout.split(ydot)
+        return self.power_balance(float(self.energy_gradient(y) @ ydot), ydot, t)
 
-        dh_dt = float(self.energy_gradient(y) @ ydot)
+    def power_balance(self, dh_dt: float, ydot: np.ndarray, t: float) -> PowerBreakdown:
+        """Losses and source powers of the rate ydot at time t, balanced
+        against the energy rate dh_dt."""
+        g = self.graph
+        psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = self.layout.split(ydot)
         v_r = g.a_r.T @ psi_dot
         i_r, _ = resistive_branch_current(g, v_r)
         resistive = float(i_r @ v_r)
         eddy = float(a_dot @ (self.mass @ a_dot)) if a_dot.size else 0.0
         source_i = float((g.a_i.T @ psi_dot) @ self.sources.current_at(t))
         source_v = float(self.sources.voltage_at(t) @ qv_dot)
-        residual = dh_dt + resistive + eddy + source_i + source_v
         return PowerBreakdown(dh_dt=dh_dt, resistive_loss=resistive, eddy_loss=eddy,
                               source_power_i=source_i, source_power_v=source_v,
-                              residual=residual)
+                              residual=dh_dt + resistive + eddy + source_i + source_v)
 
     def compact_form(self) -> CompactForm:
         """The system as rate_op(ydot) + energy_gradient(y) = source(y, t).
@@ -338,24 +304,11 @@ class CoupledSystem:
         blocks; pairing it with its own argument yields exactly the
         resistive plus eddy losses, hence is non-negative.
         """
-        g = self.graph
-
-        def rate_op(ydot):
-            psi_dot, qc_dot, qv_dot, qm_dot, a_dot = self.layout.split(
-                np.asarray(ydot, dtype=float))
-            i_r, _ = resistive_branch_current(g, g.a_r.T @ psi_dot)
-            return self.layout.pack(
-                g.a_r @ i_r + g.a_c @ qc_dot + g.a_v @ qv_dot + g.a_m @ qm_dot,
-                -(g.a_c.T @ psi_dot),
-                -(g.a_v.T @ psi_dot),
-                -(g.a_m.T @ psi_dot) + self.winding_matrix.T @ a_dot,
-                self.mass @ a_dot - self.winding_matrix @ qm_dot,
-            )
 
         def source(y, t):
             return self.source_vector(t)
 
-        return CompactForm(rate_op=rate_op, energy_gradient=self.energy_gradient,
+        return CompactForm(rate_op=self._rate_op, energy_gradient=self.energy_gradient,
                            source=source)
 
 

@@ -273,7 +273,7 @@ class FieldModel:
     winding_matrix: np.ndarray
     dof_map: np.ndarray
     _lu: object = field(default=None, repr=False)
-    _grads: np.ndarray = field(default=None, repr=False)
+    _gradient_op: tuple = field(default=None, repr=False)  # (B_x, B_y, coef), built on demand
 
     @property
     def n_dofs(self) -> int:
@@ -307,13 +307,32 @@ class FieldModel:
         """
         if self.n_dofs == 0 or not np.any(a):
             return 0.0
-        if self._grads is None:
-            self._grads = _gradients(self.mesh)
-        av = self.expand(a)[self.mesh.triangles]
-        gx = np.einsum("ti,ti->t", self._grads[:, :, 0], av)
-        gy = np.einsum("ti,ti->t", self._grads[:, :, 1], av)
-        coef = self.materials.reluctivity * self.mesh.depth * self.mesh.areas
+        if self._gradient_op is None:
+            self._gradient_op = self._element_gradients()
+        b_x, b_y, coef = self._gradient_op
+        gx = b_x @ a
+        gy = b_y @ a
         return 0.5 * float(coef @ (gx * gx + gy * gy))
+
+    def _element_gradients(self):
+        """(B_x, B_y, coef): per-triangle gradient components of an interior
+        solution, as CSR maps from the interior unknowns, and the per-triangle
+        energy coefficient nu * depth * area.
+
+        Each row lists its triangle's interior vertices in local vertex
+        order, so a gradient component is summed in the same order as over
+        all three vertices with zeros on the boundary.
+        """
+        mesh = self.mesh
+        grads = _gradients(mesh)
+        dofs = self.dof_map[mesh.triangles]
+        interior = dofs >= 0
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(interior, axis=1))])
+        shape = (mesh.n_triangles, self.n_dofs)
+        b_x, b_y = (sp.csr_matrix((grads[:, :, d][interior], dofs[interior], indptr),
+                                  shape=shape) for d in (0, 1))
+        coef = self.materials.reluctivity * mesh.depth * mesh.areas
+        return b_x, b_y, coef
 
 
 def apply_gauge(mesh: TriMesh, materials: MaterialMap, windings,

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .circuit import diode_voltage_limit, resistive_branch_current
-from .coupling import CoupledSystem, PowerBreakdown
+from .circuit import diode_voltage_limit
+from .coupling import BlockLayout, CoupledSystem, PowerBreakdown
 from .errors import ConsistencyError, SolverError
 
 __all__ = [
@@ -157,16 +157,21 @@ class FactorCache:
 
 
 class StepOperator:
-    """Iteration matrix 0.5*J_state + J_rate/tau of midpoint steps of size tau.
+    """The constants of midpoint steps of size tau on one system.
 
-    Built once from :meth:`CoupledSystem.jacobians`.  Only the resistive
-    conductance block (``psi``/``psi``) depends on the Newton iterate, so
-    :meth:`matrix` copies the constant matrix and overwrites that block.
+    Holds the iteration matrix 0.5*J_state + J_rate/tau, built once from
+    :meth:`CoupledSystem.jacobians`, the system's compact form
+    (:meth:`CoupledSystem.compact_form`) and the diode limiter.  Only
+    the resistive conductance block (``psi``/``psi``) of the matrix depends
+    on the Newton iterate, so :meth:`matrix` copies the constant matrix and
+    overwrites that block.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
         self.system = system
         self.tau = tau
+        self.compact = system.compact_form()
+        self.limiter = _diode_limiter(system, tau)
         # J_rate is weighted by 1/tau as sparse division does, so the stamped
         # block rounds exactly as the constant part does
         self._rate_weight = 1.0 / tau
@@ -422,21 +427,18 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     return limiter
 
 
-def _block_scale(system: CoupledSystem, r0: np.ndarray, t_mid: float) -> np.ndarray:
+def _block_scale(layout: BlockLayout, r0: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Per-component residual scaling, constant within each block.
 
-    Each block is scaled by max(1, |source block|, |initial residual block|)
+    Each block is scaled by max(1, |source block f|, |initial residual block|)
     in the max norm, so one tolerance is meaningful across the differently
     scaled current-law, voltage, and field equations.
     """
-    f = system.source_vector(t_mid)
-    scale = np.ones(system.layout.size)
-    for name in ("psi", "q_c", "q_v", "q_m", "a"):
-        blk = system.layout.block_slice(name)
-        mag = 1.0
-        if f[blk].size:
-            mag = max(mag, float(np.max(np.abs(f[blk]))), float(np.max(np.abs(r0[blk]))))
-        scale[blk] = mag
+    scale = np.ones(layout.size)
+    for scale_blk, f_blk, r0_blk in zip(layout.split(scale), layout.split(np.abs(f)),
+                                        layout.split(np.abs(r0))):
+        if f_blk.size:
+            scale_blk[:] = max(1.0, f_blk.max(), r0_blk.max())
     return scale
 
 
@@ -456,10 +458,11 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
     magnitude of the accumulated states.  Linear systems converge in a single
     iteration once a factorization exists.
 
-    ``operator`` supplies the iteration matrices; it must be built for this
-    system and step size, and is built here when omitted.  ``energy_prev``
-    is ``system.energy(y_prev)`` when the caller already has it (the previous
-    record's ``energy``); it is evaluated here when omitted.
+    ``operator`` supplies the iteration matrices, the compact form and the
+    diode limiter; it must be built for this system and step size, and is
+    built here when omitted.  ``energy_prev`` is ``system.energy(y_prev)``
+    when the caller already has it (the previous record's ``energy``); it is
+    evaluated here when omitted.
     """
     config = config or NewtonConfig()
     y_prev = np.asarray(y_prev, dtype=float)
@@ -473,14 +476,16 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
         raise ValueError("step operator was built for another system or step size")
     t_mid = t_prev + 0.5 * tau
 
-    compact = system.compact_form()
-    const_part = system.energy_gradient(y_prev) - system.source_vector(t_mid)
+    rate_op = operator.compact.rate_op
+    f_mid = system.source_vector(t_mid)
+    const_part = system.energy_gradient(y_prev) - f_mid
 
     def step_residual(z):
-        return compact.rate_op(z / tau) + const_part + 0.5 * system.energy_gradient(z)
+        return rate_op(z / tau) + const_part + 0.5 * system.energy_gradient(z)
 
-    r0 = step_residual(np.zeros_like(y_prev))
-    scale = _block_scale(system, r0, t_mid)
+    # the rate operator, the energy gradient and the diode currents all
+    # vanish at zero, so const_part is the residual of the zero increment
+    scale = _block_scale(system.layout, const_part, f_mid)
     if increment_hint is not None and np.all(np.isfinite(increment_hint)):
         z0 = np.asarray(increment_hint, dtype=float)
     else:
@@ -489,7 +494,7 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
         z, stats = newton_solve(step_residual, operator.matrix, z0,
                                 config=config, scale=scale, cache=cache,
                                 const_magnitude=np.abs(const_part),
-                                limiter=_diode_limiter(system, tau))
+                                limiter=operator.limiter)
     except SolverError as exc:
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
@@ -515,23 +520,9 @@ def power_audit(system: CoupledSystem, y_prev: np.ndarray, y_next: np.ndarray,
     ``(system.energy(y_prev), system.energy(y_next))`` when the caller has
     already evaluated them; they are evaluated here when omitted.
     """
-    g = system.graph
-    t_mid = t_prev + 0.5 * tau
     rate = (np.asarray(y_next, dtype=float) - np.asarray(y_prev, dtype=float)) / tau
-    psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = system.layout.split(rate)
-
     h_prev, h_next = energies or (system.energy(y_prev), system.energy(y_next))
-    dh = (h_next - h_prev) / tau
-    v_r = g.a_r.T @ psi_dot
-    i_r, _ = resistive_branch_current(g, v_r)
-    resistive = float(i_r @ v_r)
-    eddy = float(a_dot @ (system.mass @ a_dot)) if a_dot.size else 0.0
-    source_i = float((g.a_i.T @ psi_dot) @ system.sources.current_at(t_mid))
-    source_v = float(system.sources.voltage_at(t_mid) @ qv_dot)
-    return PowerBreakdown(
-        dh_dt=dh, resistive_loss=resistive, eddy_loss=eddy,
-        source_power_i=source_i, source_power_v=source_v,
-        residual=dh + resistive + eddy + source_i + source_v)
+    return system.power_balance((h_next - h_prev) / tau, rate, t_prev + 0.5 * tau)
 
 
 def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = None,
@@ -549,7 +540,7 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     y = system.layout.zeros()
 
     r0 = system.residual(y, np.zeros_like(y), grid.t0)
-    scale = _block_scale(system, np.zeros_like(r0), grid.t0)
+    scale = _block_scale(system.layout, np.zeros_like(r0), system.source_vector(grid.t0))
     init_defect = _scaled_norm(r0, scale)
     if not init_defect <= INIT_RESIDUAL_TOL:
         raise ConsistencyError(

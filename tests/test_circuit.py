@@ -8,7 +8,6 @@ import pytest
 from mona.circuit import (
     CircuitGraph,
     DiodeParams,
-    MagneticNodeState,
     NetlistElement,
     build_incidence,
     circuit_energy,
@@ -230,28 +229,6 @@ class TestCircuitEnergy:
         for alpha in (2.0, -3.0, 0.5):
             assert circuit_energy(graph, alpha * psi, alpha * q_c) == \
                 pytest.approx(alpha**2 * h1, rel=1e-12)
-
-
-class TestMagneticNodeState:
-    def test_dimensions_and_fluxes(self):
-        graph = build_incidence(
-            [el("V", "V1", 1, 0, waveform=Waveform.dc(0.0)),
-             el("R", "R1", 1, 2, value=1.0),
-             el("C", "C1", 2, 0, value=1e-6)], 2)
-        state = MagneticNodeState(psi=np.array([1.0, 3.0]), q_c=np.zeros(1),
-                                  q_v=np.zeros(1), q_m=np.zeros(0))
-        state.check_dimensions(graph)
-        fluxes = state.branch_fluxes(graph)
-        assert fluxes["R"][0] == pytest.approx(1.0 - 3.0)
-        assert fluxes["C"][0] == pytest.approx(3.0)
-        assert fluxes["V"][0] == pytest.approx(1.0)
-
-    def test_bad_dimensions(self):
-        graph = build_incidence([el("R", "R1", 1, 0, value=1.0)], 1)
-        state = MagneticNodeState(psi=np.zeros(2), q_c=np.zeros(0),
-                                  q_v=np.zeros(0), q_m=np.zeros(0))
-        with pytest.raises(ValueError):
-            state.check_dimensions(graph)
 
 
 def test_empty_graph_shapes():

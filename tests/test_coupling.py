@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mona.circuit import CircuitGraph, build_incidence
+from mona.circuit import CircuitGraph, build_incidence, resistive_branch_current
 from mona.coupling import BlockLayout, assemble_coupled
 from mona.errors import MeshError
 from mona.netlist import parse_netlist
@@ -79,12 +79,6 @@ class TestLayout:
         assert (lay.n_nodes, lay.n_c, lay.n_v, lay.n_m) == (4, 0, 1, 2)
         assert lay.n_a == system.field.n_dofs
         assert "devices=2" in system.dimension_report()
-
-    def test_state_vector_views(self, rectifier):
-        _parsed, _graph, system = rectifier
-        sv = system.state()
-        sv.psi[:] = 1.0
-        assert sv.data[: system.layout.n_nodes].sum() == 4.0
 
     def test_pack_split_inverse(self, rlc):
         _parsed, _graph, system = rlc
@@ -287,6 +281,44 @@ class TestPowerBreakdown:
             system = assemble_coupled(graph)
             pb = system.power_breakdown(np.array([0.0]), np.array([3.0]), 0.0)
             assert pb.resistive_loss == pytest.approx(factor * 9.0)
+
+
+class TestBlockwiseEvaluators:
+    """The evaluators fill one array block by block; each block must be
+    bit-identical to its expression evaluated on its own and packed."""
+
+    @pytest.mark.parametrize("fixture", ["rlc", "rectifier", "linear_coupled"])
+    def test_blocks_match_packed_expressions(self, fixture, request):
+        _parsed, g, system = request.getfixturevalue(fixture)
+        lay = system.layout
+        x_mat = system.winding_matrix
+        compact = system.compact_form()
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            y = random_state(system, rng)
+            ydot = random_state(system, rng)
+            t = float(rng.uniform(0.0, 0.05))
+            psi, q_c, q_v, q_m, a = lay.split(y)
+            psi_d, qc_d, qv_d, qm_d, a_d = lay.split(ydot)
+            i_r, _ = resistive_branch_current(g, g.a_r.T @ psi_d)
+            rate = lay.pack(g.a_r @ i_r + g.a_c @ qc_d + g.a_v @ qv_d + g.a_m @ qm_d,
+                            -(g.a_c.T @ psi_d),
+                            -(g.a_v.T @ psi_d),
+                            -(g.a_m.T @ psi_d) + x_mat.T @ a_d,
+                            system.mass @ a_d - x_mat @ qm_d)
+            grad = lay.pack(g.a_l @ (g.inv_inductance * (g.a_l.T @ psi)),
+                            q_c / g.capacitance if q_c.size else q_c,
+                            np.zeros_like(q_v),
+                            np.zeros_like(q_m),
+                            system.stiffness @ a if a.size else a)
+            source = lay.pack(-(g.a_i @ system.sources.current_at(t)),
+                              np.zeros(lay.n_c),
+                              -system.sources.voltage_at(t),
+                              np.zeros(lay.n_m),
+                              np.zeros(lay.n_a))
+            assert np.array_equal(compact.rate_op(ydot), rate)
+            assert np.array_equal(system.energy_gradient(y), grad)
+            assert np.array_equal(system.source_vector(t), source)
 
 
 class TestCompactForm:

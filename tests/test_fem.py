@@ -20,6 +20,7 @@ from mona.fem import (
     rect_mesh,
     save_mesh,
 )
+from mona.fem import _gradients
 
 UNIT_TRIANGLE = TriMesh(
     vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -186,6 +187,24 @@ class TestGauge:
             a = rng.standard_normal(model.n_dofs)
             dense = 0.5 * a @ (model.stiffness.toarray() @ a)
             assert model.energy(a) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("density", [0.025, 0.00625])
+    def test_field_energy_matches_element_sum(self, density):
+        # the per-element gradient sum, written directly over all three
+        # vertices of every triangle with zeros on the boundary
+        mesh, mats, winds = generate_transformer_mesh(TransformerParams(), density)
+        model = build_field_model(mesh, mats, winds)
+        grads = _gradients(mesh)
+        coef = mats.reluctivity * mesh.depth * mesh.areas
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            a = rng.standard_normal(model.n_dofs)
+            av = model.expand(a)[mesh.triangles]
+            gx = np.einsum("ti,ti->t", grads[:, :, 0], av)
+            gy = np.einsum("ti,ti->t", grads[:, :, 1], av)
+            expected = 0.5 * float(coef @ (gx * gx + gy * gy))
+            assert model.energy(a) == pytest.approx(expected, rel=1e-15)
+        assert model.energy(np.zeros(model.n_dofs)) == 0.0
 
     def test_empty_boundary_rejected(self):
         with pytest.raises(MeshError, match="boundary"):

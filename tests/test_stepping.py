@@ -1,11 +1,14 @@
 """Midpoint stepping, Newton, power audit, transient driver, order studies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state
+import mona.stepping
 from mona.circuit import build_incidence
 from mona.coupling import CoupledSystem, assemble_coupled
 from mona.demo import build_demo_system
@@ -266,6 +269,62 @@ class TestBlockElimination:
         operator = StepOperator(system, 1e-3)
         with pytest.raises(ValueError, match="step size"):
             midpoint_step(system, system.layout.zeros(), 0.0, 5e-4, operator=operator)
+
+
+class TestStepConstants:
+    """What is constant over a run is built once; a step evaluates only what
+    depends on its state."""
+
+    def test_evaluator_calls_per_step(self, linear_coupled, monkeypatch):
+        # the residual of the zero increment is the constant part itself, so a
+        # one-iteration step evaluates rate_op at the start and at the Newton
+        # iterate, and energy_gradient once more for the constant part
+        _parsed, _graph, system = linear_coupled
+        calls = {"rate_op": 0, "energy_gradient": 0}
+        per_step = []
+        compact_form = CoupledSystem.compact_form
+        energy_gradient = CoupledSystem.energy_gradient
+        step = mona.stepping.midpoint_step
+
+        def counted_compact_form(self):
+            form = compact_form(self)
+
+            def rate_op(ydot):
+                calls["rate_op"] += 1
+                return form.rate_op(ydot)
+
+            return dataclasses.replace(form, rate_op=rate_op)
+
+        def counted_gradient(self, y):
+            calls["energy_gradient"] += 1
+            return energy_gradient(self, y)
+
+        def counted_step(*args, **kwargs):
+            before = dict(calls)
+            out = step(*args, **kwargs)
+            per_step.append({k: calls[k] - before[k] for k in calls})
+            return out
+
+        monkeypatch.setattr(CoupledSystem, "compact_form", counted_compact_form)
+        monkeypatch.setattr(CoupledSystem, "energy_gradient", counted_gradient)
+        monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert [rec.newton.iterations for rec in result.records] == [1] * 80
+        assert per_step == [{"rate_op": 2, "energy_gradient": 3}] * 80
+
+    def test_limiter_built_once_per_run(self, rectifier, monkeypatch):
+        _parsed, _graph, system = rectifier
+        pinv = np.linalg.pinv
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert len(result.records) == 80
+        assert len(calls) == 1
 
 
 class TestPowerAudit:

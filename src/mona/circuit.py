@@ -251,7 +251,11 @@ def build_incidence(elements, n_nodes: int) -> CircuitGraph:
     reach = _reachable_from_ground(pairs, n_nodes)
     missing = [n for n in range(1, n_nodes + 1) if n not in reach]
     if missing:
-        raise TopologyError(f"nodes not connected to ground: {missing}")
+        touched = sorted({name for kind in ELEMENT_KINDS
+                          for name, (p, m) in zip(names[kind], pairs[kind])
+                          if p in missing or m in missing})
+        raise TopologyError(f"nodes {missing} are not connected to ground "
+                            f"(elements: {', '.join(touched)})")
 
     a_r = np.hstack([_stamp(pairs["R"], n_nodes), _stamp(pairs["D"], n_nodes)])
     return CircuitGraph(
@@ -320,28 +324,15 @@ class TopologyReport:
 def validate_topology(graph: CircuitGraph) -> TopologyReport:
     """Check the assembled graph for structural problems before stepping.
 
-    Fatal: loops made of voltage sources only (conflicting potentials),
-    cutsets made of current sources only (unsatisfiable current law), and
-    nodes unreachable from ground.  Loops that mix voltage sources with
+    Fatal: loops made of voltage sources only (conflicting potentials) and
+    cutsets made of current sources only (unsatisfiable current law); nodes
+    unreachable from ground never get this far, :func:`build_incidence`
+    rejects them.  Loops that mix voltage sources with
     field-device branches are reported as warnings only: a device winding
     behaves like an inductor, so putting a source directly across it is
     legitimate and solvable.
     """
     errors, warnings = [], []
-
-    reach = _reachable_from_ground(graph.branch_pairs, graph.n_nodes)
-    unreachable = [n for n in range(1, graph.n_nodes + 1) if n not in reach]
-    if unreachable:
-        touched = tuple(sorted({
-            name
-            for kind in ELEMENT_KINDS
-            for name, (p, m) in zip(graph.branch_names[kind], graph.branch_pairs[kind])
-            if p in unreachable or m in unreachable
-        }))
-        errors.append(TopologyIssue(
-            "unreachable", touched,
-            f"nodes {unreachable} are not connected to ground (elements: {', '.join(touched)})"))
-
     for cycle in _subgraph_cycles(graph, kinds=("V", "M")):
         names = tuple(dict.fromkeys(name for name, _kind in cycle))
         kinds = {k for _name, k in cycle}

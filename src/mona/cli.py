@@ -18,39 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import demo as demo_mod
 from .circuit import build_incidence, validate_topology
-from .coupling import assemble_coupled
-from .errors import MonaError, NetlistError, SolverError, TopologyError
-from .fem import TransformerParams, build_field_model, generate_transformer_mesh, load_mesh
+from .demo import DEMO_NETLIST, DEMO_PROBES, assemble_netlist
+from .errors import MonaError, SolverError
+from .fem import save_mesh
 from .netlist import parse_netlist
 from .probes import default_state_probe, parse_probe_spec
 from .stepping import NewtonConfig, TimeGrid, convergence_study, run_transient
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SOLVER = 2
-
-
-@dataclass
-class Scenario:
-    """One simulation job as assembled from the command line."""
-
-    netlist_path: Path | None
-    mesh_path: Path | None
-    mesh_density: float | None
-    grid: "TimeGrid"
-    probe_spec: str | None
-    newton: "NewtonConfig"
-    out_dir: Path
-
-    def __post_init__(self):
-        if self.netlist_path is not None and not Path(self.netlist_path).exists():
-            raise FileNotFoundError(f"netlist not found: {self.netlist_path}")
-        if self.mesh_path is not None and not Path(self.mesh_path).exists():
-            raise FileNotFoundError(f"mesh not found: {self.mesh_path}")
 
 
 def _fmt(x: float) -> str:
@@ -119,58 +97,38 @@ def eoc_table(rows) -> CsvTrace:
     return CsvTrace(header=header, rows=table)
 
 
-def scenario_from_args(args) -> Scenario:
-    return Scenario(
-        netlist_path=Path(args.netlist) if getattr(args, "netlist", None) else None,
-        mesh_path=Path(args.mesh) if getattr(args, "mesh", None) else None,
-        mesh_density=getattr(args, "mesh_density", None),
-        grid=TimeGrid(t0=0.0, t_end=args.t_end, tau=args.tau),
-        probe_spec=getattr(args, "probes", None),
-        newton=NewtonConfig(tol=args.newton_tol),
-        out_dir=Path(args.out),
-    )
+def _assemble(args):
+    """The ``--netlist`` (the built-in demo without one) assembled with the
+    mesh options."""
+    if args.netlist is None:
+        return assemble_netlist(DEMO_NETLIST, args.mesh, args.mesh_density)
+    path = Path(args.netlist)
+    return assemble_netlist(path.read_text(encoding="utf-8"), args.mesh,
+                            args.mesh_density, base=path.parent)
 
 
-def _assemble_scenario(scenario: Scenario):
-    """Parse the netlist, resolve the field reference, assemble the system."""
-    parsed = parse_netlist(scenario.netlist_path.read_text(encoding="utf-8"))
-    graph = build_incidence(parsed.elements, parsed.n_nodes)
-    report = validate_topology(graph)
-    for issue in report.warnings:
-        log.info("topology: %s", issue.message)
-    if not report.passed:
-        raise TopologyError(str(report))
-
-    refs = {el.field_ref for el in parsed.elements if el.kind == "M"}
-    fieldmodel = None
-    if refs:
-        if len(refs) > 1:
-            raise NetlistError(f"all devices must share one FIELD reference, got {sorted(refs)}")
-        ref = refs.pop()
-        if scenario.mesh_path is not None:
-            mesh, materials, windings = load_mesh(scenario.mesh_path)
-        elif ref.lower() == "builtin":
-            density = scenario.mesh_density or demo_mod.DEMO_MESH_DENSITY
-            mesh, materials, windings = generate_transformer_mesh(TransformerParams(), density)
-        else:
-            mesh, materials, windings = load_mesh(scenario.netlist_path.parent / ref)
-        fieldmodel = build_field_model(mesh, materials, windings)
-
-    system = assemble_coupled(graph, fieldmodel)
-    log.info("assembled system: %s", system.dimension_report())
-    return parsed, system
+def _grid_and_newton(args):
+    """The time grid and Newton settings; built first, so bad values fail
+    before any assembly."""
+    return (TimeGrid(t0=0.0, t_end=args.t_end, tau=args.tau),
+            NewtonConfig(tol=args.newton_tol))
 
 
-def cmd_run(args) -> int:
-    scenario = scenario_from_args(args)
-    parsed, system = _assemble_scenario(scenario)
-    probes = parse_probe_spec(system, scenario.probe_spec, parsed.node_ids) \
-        if scenario.probe_spec else {}
-    result = run_transient(system, scenario.grid, probes=probes, config=scenario.newton)
-    out = scenario.out_dir
+def _run(args):
+    """Assemble, run the transient and write ``trace.csv`` and ``audit.csv``."""
+    grid, newton = _grid_and_newton(args)
+    parsed, system = _assemble(args)
+    probes = parse_probe_spec(system, args.probes, parsed.node_ids) if args.probes else {}
+    result = run_transient(system, grid, probes=probes, config=newton)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_table(result, list(probes)).write(out / "trace.csv")
     audit_table(result).write(out / "audit.csv")
+    return system, result, out
+
+
+def cmd_run(args) -> int:
+    _system, result, out = _run(args)
     print(f"wrote {out / 'trace.csv'} and {out / 'audit.csv'} "
           f"({result.grid.n_steps} steps, max |eps_H| = "
           f"{result.max_balance_residual():.3e} W)")
@@ -178,21 +136,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    scenario = scenario_from_args(args)
-    if scenario.netlist_path is not None:
-        parsed, system = _assemble_scenario(scenario)
-    else:
-        bundle = demo_mod.build_demo_system(
-            mesh_density=scenario.mesh_density or demo_mod.DEMO_MESH_DENSITY)
-        parsed, system = bundle.parsed, bundle.system
-    if scenario.probe_spec:
-        probes = parse_probe_spec(system, scenario.probe_spec, parsed.node_ids)
+    grid, newton = _grid_and_newton(args)
+    parsed, system = _assemble(args)
+    if args.probes:
+        probes = parse_probe_spec(system, args.probes, parsed.node_ids)
         probe = next(iter(probes.values()))
     else:
         probe = default_state_probe(system)
-    rows = convergence_study(system, scenario.grid, args.halvings, probe,
-                             config=scenario.newton)
-    out = scenario.out_dir
+    rows = convergence_study(system, grid, args.halvings, probe, config=newton)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     eoc_table(rows).write(out / "eoc.csv")
     for r in rows:
@@ -204,23 +156,12 @@ def cmd_converge(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    from .fem import save_mesh
-
-    bundle = demo_mod.build_demo_system(
-        mesh_density=args.mesh_density or demo_mod.DEMO_MESH_DENSITY)
-    system = bundle.system
-    grid = TimeGrid(t0=0.0, t_end=args.t_end, tau=args.tau)
-    probes = demo_mod.demo_probes(bundle)
-    config = NewtonConfig(tol=args.newton_tol)
-    result = run_transient(system, grid, probes=probes, config=config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "demo.net").write_text(demo_mod.DEMO_NETLIST, encoding="utf-8")
-    save_mesh(out / "transformer.mesh", bundle.mesh, bundle.materials, bundle.windings)
-    trace_table(result, list(probes)).write(out / "trace.csv")
-    audit_table(result).write(out / "audit.csv")
+    system, result, out = _run(args)
+    (out / "demo.net").write_text(DEMO_NETLIST, encoding="utf-8")
+    field = system.field
+    save_mesh(out / "transformer.mesh", field.mesh, field.materials, field.windings)
     v_r = result.probe("v_R")
-    print(f"rectifier demo: {grid.n_steps} steps, v_R peak {np.max(v_r):.2f} V, "
+    print(f"rectifier demo: {result.grid.n_steps} steps, v_R peak {np.max(v_r):.2f} V, "
           f"max |eps_H| = {result.max_balance_residual():.3e} W")
     print(f"wrote demo.net, transformer.mesh, trace.csv, audit.csv in {out}")
     return EXIT_OK
@@ -243,37 +184,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Field-circuit transient simulation with a certified power balance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, netlist_required=True):
-        if netlist_required:
-            p.add_argument("--netlist", required=True, help="netlist file")
-        else:
-            p.add_argument("--netlist", help="netlist file (default: built-in demo)")
-        p.add_argument("--mesh", help="mesh file overriding the netlist FIELD reference")
+    def transient_options(p):
         p.add_argument("--mesh-density", type=float, default=None,
                        help="cell size for the built-in transformer [m]")
         p.add_argument("--tau", type=float, default=6.25e-4, help="time step [s]")
         p.add_argument("--t-end", type=float, default=0.05, dest="t_end",
                        help="end time [s]")
-        p.add_argument("--probes", help="comma-separated name=expr probe list")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--newton-tol", type=float, default=1e-12, dest="newton_tol")
 
+    def netlist_options(p, netlist_required=True):
+        if netlist_required:
+            p.add_argument("--netlist", required=True, help="netlist file")
+        else:
+            p.add_argument("--netlist", help="netlist file (default: built-in demo)")
+        p.add_argument("--mesh", help="mesh file overriding the netlist FIELD reference")
+        p.add_argument("--probes", help="comma-separated name=expr probe list")
+        transient_options(p)
+
     p_run = sub.add_parser("run", help="run a transient and write trace/audit CSVs")
-    common(p_run)
+    netlist_options(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_conv = sub.add_parser("converge", help="step-halving convergence study")
-    common(p_conv, netlist_required=False)
+    netlist_options(p_conv, netlist_required=False)
     p_conv.add_argument("--halvings", type=int, default=3)
     p_conv.set_defaults(func=cmd_converge)
 
     p_demo = sub.add_parser("demo-rectifier", help="run the built-in rectifier benchmark")
-    p_demo.add_argument("--mesh-density", type=float, default=None)
-    p_demo.add_argument("--tau", type=float, default=6.25e-4)
-    p_demo.add_argument("--t-end", type=float, default=0.05, dest="t_end")
-    p_demo.add_argument("--out", default=".")
-    p_demo.add_argument("--newton-tol", type=float, default=1e-12, dest="newton_tol")
-    p_demo.set_defaults(func=cmd_demo)
+    transient_options(p_demo)
+    p_demo.set_defaults(func=cmd_demo, netlist=None, mesh=None, probes=DEMO_PROBES)
 
     p_check = sub.add_parser("check", help="parse and validate a netlist")
     p_check.add_argument("--netlist", required=True)
@@ -301,7 +241,7 @@ def run_cli(argv) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (MonaError, ValueError, FileNotFoundError) as exc:
+    except (MonaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -107,11 +107,9 @@ class PowerBreakdown:
 
 @dataclass(frozen=True)
 class CompactForm:
-    """Gradient-structure split: rate_op(ydot) + energy_gradient(y) = source(y, t)."""
+    """The rate operator of the split rate_op(ydot) + energy_gradient(y) = source_vector(t)."""
 
     rate_op: object
-    energy_gradient: object
-    source: object
 
 
 class CoupledSystem:
@@ -298,18 +296,13 @@ class CoupledSystem:
                               residual=dh_dt + resistive + eddy + source_i + source_v)
 
     def compact_form(self) -> CompactForm:
-        """The system as rate_op(ydot) + energy_gradient(y) = source(y, t).
+        """The rate operator of rate_op(ydot) + energy_gradient(y) = source_vector(t).
 
         ``rate_op`` collects dissipation and the antisymmetric coupling
         blocks; pairing it with its own argument yields exactly the
         resistive plus eddy losses, hence is non-negative.
         """
-
-        def source(y, t):
-            return self.source_vector(t)
-
-        return CompactForm(rate_op=self._rate_op, energy_gradient=self.energy_gradient,
-                           source=source)
+        return CompactForm(rate_op=self._rate_op)
 
 
 def _block_sparse(blocks: dict, sizes) -> sp.csr_matrix:

@@ -1,24 +1,33 @@
-"""Built-in full-wave rectifier demo.
+"""Netlist assembly and the built-in full-wave rectifier demo.
 
-A 60 Hz, 160 V sine drives the primary of the built-in transformer; the
-secondary feeds a four-diode bridge into a 10 ohm load whose minus rail is
-ground.  Node 4 is the rectified output.  The transformer geometry is the
-parameterized core of :class:`mona.fem.TransformerParams`; turn counts give
-an open-circuit secondary amplitude of about 20 V, so the output peaks near
-20 V minus two diode drops.
+:func:`assemble_netlist` is the one chain from netlist text to a coupled
+system: parse, incidence, topology check, field model, assembly.  Every CLI
+subcommand that simulates goes through it.
+
+In the demo, a 60 Hz, 160 V sine drives the primary of the built-in
+transformer; the secondary feeds a four-diode bridge into a 10 ohm load whose
+minus rail is ground.  Node 4 is the rectified output.  The transformer
+geometry is the parameterized core of :class:`mona.fem.TransformerParams`;
+turn counts give an open-circuit secondary amplitude of about 20 V, so the
+output peaks near 20 V minus two diode drops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from pathlib import Path
+from typing import NamedTuple
 
-from .coupling import CoupledSystem, assemble_coupled
 from .circuit import build_incidence, validate_topology
-from .fem import TransformerParams, build_field_model, generate_transformer_mesh
+from .coupling import CoupledSystem, assemble_coupled
+from .errors import NetlistError, TopologyError
+from .fem import TransformerParams, build_field_model, generate_transformer_mesh, load_mesh
 from .netlist import ParsedNetlist, parse_netlist
-from .probes import compile_probe
 
-__all__ = ["DEMO_NETLIST", "DEMO_MESH_DENSITY", "build_demo_system", "demo_probes"]
+__all__ = ["DEMO_NETLIST", "DEMO_MESH_DENSITY", "DEMO_PROBES", "Assembly",
+           "assemble_netlist"]
+
+log = logging.getLogger(__name__)
 
 DEMO_NETLIST = """\
 # full-wave rectifier: source, transformer, diode bridge, resistive load
@@ -33,37 +42,47 @@ R load 4 0 10
 
 DEMO_MESH_DENSITY = 0.0125  # 32x32 cells, 2048 triangles
 
+# trace probes of the demo: source voltage, rectified output, load-node state
+DEMO_PROBES = "v_src=v(src),v_R=v(load),psi_load=psi(4)"
 
-@dataclass
-class DemoBundle:
-    system: CoupledSystem
+
+class Assembly(NamedTuple):
     parsed: ParsedNetlist
-    mesh: object
-    materials: object
-    windings: list = field(default_factory=list)
+    system: CoupledSystem
 
 
-def build_demo_system(mesh_density: float = DEMO_MESH_DENSITY,
-                      params: TransformerParams | None = None) -> DemoBundle:
-    """Assemble the rectifier system on the built-in transformer."""
-    params = params or TransformerParams()
-    parsed = parse_netlist(DEMO_NETLIST)
+def assemble_netlist(text: str, mesh=None, mesh_density: float | None = None,
+                     base=Path(".")) -> Assembly:
+    """Parse netlist text, check its topology and assemble the coupled system.
+
+    The devices' FIELD reference resolves to the mesh file ``mesh`` when one
+    is given; otherwise ``builtin`` is the built-in transformer at
+    ``mesh_density`` (default :data:`DEMO_MESH_DENSITY`) and any other value
+    is a mesh file relative to ``base``.
+    """
+    parsed = parse_netlist(text)
     graph = build_incidence(parsed.elements, parsed.n_nodes)
     report = validate_topology(graph)
+    for issue in report.warnings:
+        log.info("topology: %s", issue.message)
     if not report.passed:
-        raise AssertionError(f"demo netlist failed validation:\n{report}")
-    mesh, materials, windings = generate_transformer_mesh(params, mesh_density)
-    fieldmodel = build_field_model(mesh, materials, windings)
+        raise TopologyError(str(report))
+
+    refs = {el.field_ref for el in parsed.elements if el.kind == "M"}
+    fieldmodel = None
+    if refs:
+        if len(refs) > 1:
+            raise NetlistError(f"all devices must share one FIELD reference, got {sorted(refs)}")
+        ref = refs.pop()
+        if mesh is not None:
+            parts = load_mesh(mesh)
+        elif ref.lower() == "builtin":
+            density = DEMO_MESH_DENSITY if mesh_density is None else mesh_density
+            parts = generate_transformer_mesh(TransformerParams(), density)
+        else:
+            parts = load_mesh(Path(base) / ref)
+        fieldmodel = build_field_model(*parts)
+
     system = assemble_coupled(graph, fieldmodel)
-    return DemoBundle(system=system, parsed=parsed, mesh=mesh,
-                      materials=materials, windings=windings)
-
-
-def demo_probes(bundle: DemoBundle) -> dict:
-    """Default trace probes: source voltage, rectified output, load-node state."""
-    system, node_ids = bundle.system, bundle.parsed.node_ids
-    return {
-        "v_src": compile_probe(system, "v(src)", node_ids),
-        "v_R": compile_probe(system, "v(load)", node_ids),
-        "psi_load": compile_probe(system, "psi(4)", node_ids),
-    }
+    log.info("assembled system: %s", system.dimension_report())
+    return Assembly(parsed, system)

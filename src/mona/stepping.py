@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,6 +54,9 @@ class TimeGrid:
     tau: float
 
     def __post_init__(self):
+        for name in ("t0", "t_end", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.tau > 0.0:
             raise ValueError("step size must be positive")
         ratio = (self.t_end - self.t0) / self.tau
@@ -86,6 +90,10 @@ class NewtonConfig:
     # residual components within this many machine epsilons of their own term
     # magnitude count as solved: binary64 cannot represent anything smaller
     floor_factor: float = 4.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"Newton tolerance must be positive and finite, got {self.tol!r}")
 
 
 @dataclass
@@ -160,7 +168,7 @@ class StepOperator:
     """The constants of midpoint steps of size tau on one system.
 
     Holds the iteration matrix 0.5*J_state + J_rate/tau, built once from
-    :meth:`CoupledSystem.jacobians`, the system's compact form
+    :meth:`CoupledSystem.jacobians`, the system's rate operator
     (:meth:`CoupledSystem.compact_form`) and the diode limiter.  Only
     the resistive conductance block (``psi``/``psi``) of the matrix depends
     on the Newton iterate, so :meth:`matrix` copies the constant matrix and
@@ -608,7 +616,7 @@ class StepContext:
     def time(self) -> float:
         return self.t_prev + self.tau
 
-    @property
+    @cached_property
     def rate(self) -> np.ndarray:
         return (self.y_next - self.y_prev) / self.tau
 

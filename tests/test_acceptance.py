@@ -12,7 +12,7 @@ import pytest
 
 from mona.circuit import CircuitGraph, build_incidence
 from mona.coupling import assemble_coupled
-from mona.demo import build_demo_system, demo_probes
+from mona.demo import DEMO_NETLIST, DEMO_PROBES, assemble_netlist
 from mona.fem import (
     MaterialMap,
     TriMesh,
@@ -22,7 +22,7 @@ from mona.fem import (
     assemble_winding,
 )
 from mona.netlist import parse_netlist
-from mona.probes import compile_probe
+from mona.probes import compile_probe, parse_probe_spec
 from mona.sources import SourceSet
 from mona.stepping import NewtonConfig, TimeGrid, convergence_study, run_transient
 
@@ -36,13 +36,14 @@ NEWTON = NewtonConfig(tol=1e-12)
 
 @pytest.fixture(scope="module")
 def demo():
-    return build_demo_system()  # default density: 2048 triangles
+    return assemble_netlist(DEMO_NETLIST)  # default density: 2048 triangles
 
 
 @pytest.fixture(scope="module")
 def demo_run(demo):
     grid = TimeGrid(0.0, T_END, 6.25e-4)
-    return run_transient(demo.system, grid, probes=demo_probes(demo), config=NEWTON)
+    probes = parse_probe_spec(demo.system, DEMO_PROBES, demo.parsed.node_ids)
+    return run_transient(demo.system, grid, probes=probes, config=NEWTON)
 
 
 def report(criterion, detail):

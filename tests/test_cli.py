@@ -1,11 +1,19 @@
 """Command-line interface: subcommands, CSV outputs, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mona.cli as cli
 from mona.cli import run_cli
+from mona.demo import DEMO_PROBES
 from mona.errors import SolverError
+
+from conftest import LINEAR_COUPLED_NETLIST
 
 RLC = """
 V src 1 0 SIN(10 50)
@@ -73,6 +81,55 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["check", "--netlist", str(tmp_path / "nope.net")]) == 1
+
+    def test_floating_nodes_named(self, tmp_path, capsys):
+        path = tmp_path / "float.net"
+        path.write_text("V src 1 0 SIN(10 50)\nR load 1 0 10\nR r2 2 3 1\n")
+        assert run_cli(["check", "--netlist", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "not connected to ground" in err and "r2" in err
+
+
+class TestBadInput:
+    """Bad option values and unusable paths exit with code 1 and a cause."""
+
+    @pytest.mark.parametrize("option, value, cause", [
+        ("--newton-tol", "0", "Newton tolerance"),
+        ("--newton-tol", "-1", "Newton tolerance"),
+        ("--newton-tol", "nan", "Newton tolerance"),
+        ("--t-end", "inf", "t_end must be finite"),
+        ("--t-end", "nan", "t_end must be finite"),
+    ])
+    def test_bad_value(self, rlc_net, tmp_path, capsys, option, value, cause):
+        argv = ["run", "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.01",
+                "--out", str(tmp_path), option, value]
+        assert run_cli(argv) == 1
+        assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "demo-rectifier"])
+    def test_zero_mesh_density(self, tmp_path, capsys, command):
+        argv = [command, "--mesh-density", "0", "--tau", "1e-3", "--t-end", "2e-3",
+                "--out", str(tmp_path / "out")]
+        if command == "run":
+            path = tmp_path / "xfmr.net"
+            path.write_text(LINEAR_COUPLED_NETLIST)
+            argv += ["--netlist", str(path)]
+        assert run_cli(argv) == 1
+        assert "mesh density must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_directory_as_netlist(self, tmp_path, capsys, command):
+        argv = [command, "--netlist", str(tmp_path)]
+        if command == "run":
+            argv += ["--tau", "1e-3", "--t-end", "0.01", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 1
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_file_as_out(self, rlc_net, capsys):
+        argv = ["run", "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.01",
+                "--out", str(rlc_net)]
+        assert run_cli(argv) == 1
+        assert "File exists" in capsys.readouterr().err
 
 
 class TestRun:
@@ -192,16 +249,20 @@ class TestDemoRectifier:
         assert len(winds) == 2
 
     def test_dumped_mesh_reproduces_builtin(self, tmp_path):
+        # the demo is a run of its dumped netlist with the demo probes, and
+        # the dumped mesh stands in for the built-in one
         demo_out = tmp_path / "demo"
         run_cli(["demo-rectifier", "--mesh-density", "0.025",
                  "--tau", "1.25e-3", "--t-end", "0.0125", "--out", str(demo_out)])
         args = ["--tau", "1.25e-3", "--t-end", "0.0125",
-                "--probes", "v_R=v(load)", "--netlist", str(demo_out / "demo.net")]
+                "--probes", DEMO_PROBES, "--netlist", str(demo_out / "demo.net")]
         via_builtin = tmp_path / "builtin"
         via_file = tmp_path / "file"
         run_cli(["run", *args, "--mesh-density", "0.025", "--out", str(via_builtin)])
         run_cli(["run", *args, "--mesh", str(demo_out / "transformer.mesh"),
                  "--out", str(via_file)])
+        for name in ("trace.csv", "audit.csv"):
+            assert (via_builtin / name).read_bytes() == (demo_out / name).read_bytes()
         assert (via_builtin / "trace.csv").read_bytes() == \
             (via_file / "trace.csv").read_bytes()
 
@@ -234,6 +295,22 @@ def test_tables_and_their_checks(tmp_path):
 
 def test_unknown_subcommand_exit_code():
     assert run_cli(["frobnicate"]) == 1
+
+
+def test_console_entry_exit_status(rlc_net, tmp_path):
+    # the installed ``mona`` script calls mona.cli:main
+    loop = tmp_path / "loop.net"
+    loop.write_text(VLOOP)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for netlist, status in ((rlc_net, 0), (loop, 1), (tmp_path, 1)):
+        done = subprocess.run(
+            [sys.executable, "-c", "from mona.cli import main; main()",
+             "check", "--netlist", str(netlist)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == status, done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_log_level_from_environment(rlc_net, monkeypatch):

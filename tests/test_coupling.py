@@ -322,17 +322,6 @@ class TestBlockwiseEvaluators:
 
 
 class TestCompactForm:
-    def test_decomposition_identity(self, rectifier):
-        _parsed, _graph, system = rectifier
-        compact = system.compact_form()
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            y = random_state(system, rng)
-            ydot = random_state(system, rng)
-            t = float(rng.uniform(0.0, 0.05))
-            lhs = compact.rate_op(ydot) + compact.energy_gradient(y) - compact.source(y, t)
-            assert_close_blocks(lhs, system.residual(y, ydot, t))
-
     def test_rate_operator_monotone(self, rectifier):
         _parsed, _graph, system = rectifier
         compact = system.compact_form()

@@ -11,7 +11,7 @@ from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state
 import mona.stepping
 from mona.circuit import build_incidence
 from mona.coupling import CoupledSystem, assemble_coupled
-from mona.demo import build_demo_system
+from mona.demo import DEMO_NETLIST, assemble_netlist
 from mona.errors import ConsistencyError, SolverError
 from mona.fem import TransformerParams, build_field_model, generate_transformer_mesh
 from mona.netlist import parse_netlist
@@ -218,7 +218,7 @@ def full_space_run(system, grid):
 class TestBlockElimination:
     @pytest.mark.parametrize("h", [0.025, 0.0125])
     def test_solve_matches_full_matrix(self, h):
-        system = build_demo_system(mesh_density=h).system
+        system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
         tau = 6.25e-4
         operator = StepOperator(system, tau)
         cache = FactorCache(n_trailing=system.layout.n_a)

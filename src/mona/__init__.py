@@ -49,7 +49,7 @@ from .fem import (
     rect_mesh,
     save_mesh,
 )
-from .netlist import ParsedNetlist, parse_netlist, serialize_netlist
+from .netlist import ParsedNetlist, parse_netlist
 from .probes import compile_probe, default_state_probe, parse_probe_spec
 from .sources import SourceSet, Waveform
 from .stepping import (

@@ -32,6 +32,7 @@ __all__ = [
     "build_incidence",
     "validate_topology",
     "resistive_branch_current",
+    "diode_critical_voltage",
     "diode_voltage_limit",
     "circuit_energy",
 ]
@@ -456,6 +457,13 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray):
     return i, didv
 
 
+def diode_critical_voltage(thermal: np.ndarray, saturation: np.ndarray) -> np.ndarray:
+    """Critical voltage V_th * ln(V_th / (sqrt(2) * I_s)) of exponential diodes,
+    where the diode current's curvature is largest; voltage limiting acts
+    only above it."""
+    return thermal * np.log(thermal / (np.sqrt(2.0) * saturation))
+
+
 def diode_voltage_limit(v_new: np.ndarray, v_old: np.ndarray,
                         thermal: np.ndarray, saturation: np.ndarray) -> np.ndarray:
     """Junction-style limiting of a proposed diode voltage update.
@@ -466,7 +474,7 @@ def diode_voltage_limit(v_new: np.ndarray, v_old: np.ndarray,
     without giving up quadratic convergence near the solution (the limit is
     inactive for changes below two thermal voltages).
     """
-    v_crit = thermal * np.log(thermal / (np.sqrt(2.0) * saturation))
+    v_crit = diode_critical_voltage(thermal, saturation)
     change = v_new - v_old
     active = (v_new > v_crit) & (np.abs(change) > 2.0 * thermal)
     arg = 1.0 + change / thermal

@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuit import build_incidence, validate_topology
 from .demo import DEMO_NETLIST, DEMO_PROBES, assemble_netlist
-from .errors import MonaError, SolverError
+from .errors import MonaError, SolverError, TopologyError
 from .fem import save_mesh
 from .netlist import parse_netlist
 from .probes import default_state_probe, parse_probe_spec
@@ -115,13 +115,16 @@ def _grid_and_newton(args):
 
 
 def _run(args):
-    """Assemble, run the transient and write ``trace.csv`` and ``audit.csv``."""
+    """Assemble, run the transient and write ``trace.csv`` and ``audit.csv``.
+
+    ``--out`` is created before the transient, so an unusable path fails
+    before the work rather than after it."""
     grid, newton = _grid_and_newton(args)
     parsed, system = _assemble(args)
     probes = parse_probe_spec(system, args.probes, parsed.node_ids) if args.probes else {}
-    result = run_transient(system, grid, probes=probes, config=newton)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    result = run_transient(system, grid, probes=probes, config=newton)
     trace_table(result, list(probes)).write(out / "trace.csv")
     audit_table(result).write(out / "audit.csv")
     return system, result, out
@@ -143,9 +146,9 @@ def cmd_converge(args) -> int:
         probe = next(iter(probes.values()))
     else:
         probe = default_state_probe(system)
-    rows = convergence_study(system, grid, args.halvings, probe, config=newton)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = convergence_study(system, grid, args.halvings, probe, config=newton)
     eoc_table(rows).write(out / "eoc.csv")
     for r in rows:
         eoc = "--" if r.order is None else f"{r.order:.2f}"
@@ -168,8 +171,14 @@ def cmd_demo(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Print the topology report; every topology problem is an ``error:``
+    line of it on standard output."""
     parsed = parse_netlist(Path(args.netlist).read_text(encoding="utf-8"))
-    graph = build_incidence(parsed.elements, parsed.n_nodes)
+    try:
+        graph = build_incidence(parsed.elements, parsed.n_nodes)
+    except TopologyError as exc:
+        print(f"error: {exc}")
+        return EXIT_INVALID
     report = validate_topology(graph)
     print(report)
     if not report.passed:

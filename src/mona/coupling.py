@@ -120,23 +120,20 @@ class CoupledSystem:
     """
 
     def __init__(self, graph: CircuitGraph, field: FieldModel | None,
-                 sources: SourceSet, terminal_map=None):
+                 sources: SourceSet):
         self.graph = graph
         self.field = field
         self.sources = sources
 
         n_m = graph.n_devices
         if field is not None:
-            if terminal_map is None:
-                terminal_map = tuple(range(field.n_windings))
-            terminal_map = tuple(int(k) for k in terminal_map)
-            if n_m != field.n_windings or len(terminal_map) != n_m:
+            if n_m != field.n_windings:
                 raise MeshError(
                     f"device branch count ({n_m}) does not match winding count "
                     f"({field.n_windings})")
-            if sorted(terminal_map) != list(range(n_m)):
-                raise MeshError(f"terminal map {terminal_map} is not a permutation")
-            self.winding_matrix = field.winding_matrix[:, terminal_map]
+            # column-major: the layout fixes BLAS's summation order in
+            # ``winding_matrix.T @ a``, which every output byte depends on
+            self.winding_matrix = np.asfortranarray(field.winding_matrix)
             self.mass = field.mass
             self.stiffness = field.stiffness
             n_a = field.n_dofs
@@ -147,7 +144,6 @@ class CoupledSystem:
             self.mass = sp.csr_matrix((0, 0))
             self.stiffness = sp.csr_matrix((0, 0))
             n_a = 0
-        self.terminal_map = terminal_map if field is not None else ()
 
         if len(sources.voltage) != graph.n_vsources:
             raise ValueError("source set does not match the number of voltage sources")
@@ -242,10 +238,11 @@ class CoupledSystem:
     def energy(self, y: np.ndarray) -> float:
         """Stored energy: inductors, capacitors, and the magnetic field.
 
-        The field part is summed per mesh element so its rounding error is
-        relative to the energy itself; the audit's difference quotients would
-        otherwise drown in the cancellation noise of the assembled quadratic
-        form.
+        The field part is summed per mesh element (:meth:`FieldModel.energy`),
+        while :meth:`energy_gradient` uses the assembled ``stiffness @ a``.
+        In binary64 the two are not exactly an energy and its gradient; that
+        mismatch, not the rounding of either, sets the audit's defect on fine
+        meshes.
         """
         psi, q_c, _q_v, _q_m, a = self.layout.split(np.asarray(y, dtype=float))
         h = circuit_energy(self.graph, psi, q_c)
@@ -328,16 +325,13 @@ def _block_sparse(blocks: dict, sizes) -> sp.csr_matrix:
 
 
 def assemble_coupled(graph: CircuitGraph, field: FieldModel | None = None,
-                     sources: SourceSet | None = None,
-                     terminal_map=None) -> CoupledSystem:
+                     sources: SourceSet | None = None) -> CoupledSystem:
     """Bind a circuit graph, an optional field model, and sources together.
 
-    ``terminal_map[j]`` names the winding column driven by the j-th device
-    branch of the circuit; it defaults to the identity and must be a
-    permutation covering every winding.
+    The j-th device branch of the circuit drives the j-th winding of the
+    field model.
     """
     if sources is None:
         sources = SourceSet(voltage=graph.voltage_waveforms,
                             current=graph.current_waveforms)
-    return CoupledSystem(graph=graph, field=field, sources=sources,
-                         terminal_map=terminal_map)
+    return CoupledSystem(graph=graph, field=field, sources=sources)

@@ -56,9 +56,6 @@ __all__ = [
 
 MU_0 = 4.0e-7 * math.pi  # vacuum permeability [H/m]
 
-# Declared winding areas must match the summed triangle areas this closely.
-AREA_RTOL = 1e-12
-
 
 @dataclass
 class TriMesh:
@@ -132,15 +129,13 @@ class Winding:
     """A stranded conductor: a signed triangle region with a turn count.
 
     ``orientation`` is +1 on go-side triangles and -1 on the return side.
-    ``area`` is the summed area of the winding's triangles; if given it is
-    checked against the mesh, otherwise it is computed.
+    The cross-section area is the summed area of the winding's triangles.
     """
 
     name: str
     triangles: np.ndarray      # indices into the mesh triangle list
     orientation: np.ndarray    # +1 / -1 per listed triangle
     turns: float
-    area: float | None = None
 
     def __post_init__(self):
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
@@ -153,15 +148,6 @@ class Winding:
             raise MeshError(f"winding {self.name!r}: orientation entries must be +1 or -1")
         if not self.turns > 0:
             raise MeshError(f"winding {self.name!r}: turns must be positive")
-
-    def resolved_area(self, mesh: TriMesh) -> float:
-        total = float(mesh.areas[self.triangles].sum())
-        if self.area is not None:
-            if abs(self.area - total) > AREA_RTOL * max(abs(total), 1e-300):
-                raise MeshError(
-                    f"winding {self.name!r}: declared area {self.area} does not match "
-                    f"summed triangle area {total}")
-        return total
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -227,23 +213,24 @@ def assemble_mass(mesh: TriMesh, materials: MaterialMap) -> sp.csr_matrix:
     return mat
 
 
-def assemble_winding(mesh: TriMesh, windings, materials: MaterialMap | None = None) -> np.ndarray:
+def assemble_winding(mesh: TriMesh, windings, materials: MaterialMap) -> np.ndarray:
     """Winding matrix: one column per winding, rows over mesh vertices.
 
     Column k discretizes the winding function, which is s * N_k / A_k on the
-    winding's triangles and zero elsewhere; each triangle contributes
-    s * (N_k / A_k) * depth * area / 3 to its three vertices.  When materials
-    are given, winding regions are required to be non-conducting (stranded
-    conductors carry no eddy currents in this model).
+    winding's triangles and zero elsewhere, with A_k the summed area of those
+    triangles; each triangle contributes s * (N_k / A_k) * depth * area / 3
+    to its three vertices.  Winding regions are required to be
+    non-conducting (stranded conductors carry no eddy currents in this
+    model).
     """
     windings = list(windings)
     x = np.zeros((mesh.n_vertices, len(windings)))
     for k, w in enumerate(windings):
         if w.triangles.size and w.triangles.max() >= mesh.n_triangles:
             raise MeshError(f"winding {w.name!r}: triangle index out of range")
-        if materials is not None and np.any(materials.conductivity[w.triangles] > 0.0):
+        if np.any(materials.conductivity[w.triangles] > 0.0):
             raise MeshError(f"winding {w.name!r} overlaps conducting triangles")
-        area = w.resolved_area(mesh)
+        area = float(mesh.areas[w.triangles].sum())
         if not area > 0.0:
             raise MeshError(f"winding {w.name!r}: zero cross-section area")
         per_tri = w.orientation * (w.turns / area) * mesh.depth * mesh.areas[w.triangles] / 3.0
@@ -272,7 +259,6 @@ class FieldModel:
     mass: sp.csr_matrix
     winding_matrix: np.ndarray
     dof_map: np.ndarray
-    _lu: object = field(default=None, repr=False)
     _gradient_op: tuple = field(default=None, repr=False)  # (B_x, B_y, coef), built on demand
 
     @property
@@ -283,27 +269,17 @@ class FieldModel:
     def n_windings(self) -> int:
         return self.winding_matrix.shape[1]
 
-    def static_solve(self, currents: np.ndarray) -> np.ndarray:
-        """Solve the magnetostatic problem for fixed winding currents."""
-        currents = np.asarray(currents, dtype=float)
-        if self.n_dofs == 0:
-            return np.zeros(0)
-        return self._lu.solve(self.winding_matrix @ currents)
-
-    def expand(self, a: np.ndarray) -> np.ndarray:
-        """Interior solution padded with the boundary zeros, per vertex."""
-        full = np.zeros(self.mesh.n_vertices)
-        interior = self.dof_map >= 0
-        full[interior] = a[self.dof_map[interior]]
-        return full
-
     def energy(self, a: np.ndarray) -> float:
         """Stored magnetic energy of an interior solution vector.
 
-        Summed per element from the piecewise-constant gradients; this is the
-        stiffness quadratic form evaluated without cancellation, so the
-        result carries a relative (not absolute) rounding error, which the
-        power audit's energy difference quotients rely on.
+        Summed per element from the piecewise-constant gradients: the
+        stiffness quadratic form 0.5 a^T K a without its cancellation, so the
+        result carries a relative rounding error.  That does not make the
+        power audit exact: the step residual uses the assembled gradient
+        ``K a``, whose rounded entries make the solved states satisfy the
+        midpoint identity of a slightly different energy.  That mismatch,
+        not the summation here, limits the audit's defect on fine meshes
+        (3.5e-10 W at h=0.00625 on the built-in rectifier).
         """
         if self.n_dofs == 0 or not np.any(a):
             return 0.0
@@ -352,7 +328,6 @@ def apply_gauge(mesh: TriMesh, materials: MaterialMap, windings,
     m_g = mass[interior][:, interior].tocsr()
     x_g = np.asarray(winding_matrix)[interior]
 
-    lu = None
     if interior.size:
         try:
             lu = splu(k_g)
@@ -367,7 +342,7 @@ def apply_gauge(mesh: TriMesh, materials: MaterialMap, windings,
 
     return FieldModel(mesh=mesh, materials=materials, windings=list(windings),
                       stiffness=k_g.tocsr(), mass=m_g, winding_matrix=x_g,
-                      dof_map=dof_map, _lu=lu)
+                      dof_map=dof_map)
 
 
 def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldModel:
@@ -571,15 +546,22 @@ def parse_mesh(text: str):
             tokens.append((lineno, body.split()))
     pos = 0
 
-    def take(expect_key=None):
+    def take():
         nonlocal pos
         if pos >= len(tokens):
             raise MeshError("unexpected end of mesh file")
         lineno, toks = tokens[pos]
         pos += 1
-        if expect_key is not None and toks[0].lower() != expect_key:
-            raise MeshError(f"line {lineno}: expected '{expect_key}', got {toks[0]!r}")
         return lineno, toks
+
+    def header(key):
+        """(line number, value token) of the section header ``key <value>``."""
+        lineno, toks = take()
+        if toks[0].lower() != key:
+            raise MeshError(f"line {lineno}: expected '{key}', got {toks[0]!r}")
+        if len(toks) < 2:
+            raise MeshError(f"line {lineno}: '{key}' needs a value")
+        return lineno, toks[1]
 
     def as_int(lineno, s):
         try:
@@ -596,10 +578,8 @@ def parse_mesh(text: str):
             raise MeshError(f"line {lineno}: expected a finite number, got {s!r}")
         return value
 
-    lineno, toks = take("depth")
-    depth = as_float(lineno, toks[1])
-    lineno, toks = take("vertices")
-    n_v = as_int(lineno, toks[1])
+    depth = as_float(*header("depth"))
+    n_v = as_int(*header("vertices"))
     vertices = np.empty((n_v, 2))
     for row in range(n_v):
         lineno, toks = take()
@@ -607,8 +587,7 @@ def parse_mesh(text: str):
             raise MeshError(f"line {lineno}: vertex needs two coordinates")
         vertices[row] = [as_float(lineno, toks[0]), as_float(lineno, toks[1])]
 
-    lineno, toks = take("triangles")
-    n_t = as_int(lineno, toks[1])
+    n_t = as_int(*header("triangles"))
     triangles = np.empty((n_t, 3), dtype=np.int64)
     tri_region = np.empty(n_t, dtype=int)
     for row in range(n_t):
@@ -618,8 +597,7 @@ def parse_mesh(text: str):
         triangles[row] = [as_int(lineno, s) for s in toks[:3]]
         tri_region[row] = as_int(lineno, toks[3])
 
-    lineno, toks = take("regions")
-    n_r = as_int(lineno, toks[1])
+    n_r = as_int(*header("regions"))
     region_table = {}
     for _ in range(n_r):
         lineno, toks = take()
@@ -629,8 +607,7 @@ def parse_mesh(text: str):
         region_table[rid] = (as_float(lineno, toks[1]), as_float(lineno, toks[2]),
                              as_int(lineno, toks[3]), as_int(lineno, toks[4]))
 
-    lineno, toks = take("windings")
-    n_w = as_int(lineno, toks[1])
+    n_w = as_int(*header("windings"))
     turns = {}
     for _ in range(n_w):
         lineno, toks = take()

@@ -25,7 +25,7 @@ from .circuit import DiodeParams, NetlistElement
 from .errors import NetlistError
 from .sources import Waveform
 
-__all__ = ["ParsedNetlist", "parse_netlist", "serialize_netlist"]
+__all__ = ["ParsedNetlist", "parse_netlist"]
 
 GROUND_NAMES = ("0", "gnd")
 
@@ -179,33 +179,3 @@ def _parse_element(kind, name, rest, table, lineno) -> NetlistElement:
                         parallel_resistance=params["RP"])
     return NetlistElement(kind="D", name=name, nodes=nodes, diode=diode)
 
-
-def serialize_netlist(parsed: ParsedNetlist) -> str:
-    """Canonical netlist text; parse(serialize(parse(t))) == parse(t)."""
-    def node(n):
-        return parsed.node_names[n]
-
-    lines = []
-    for el in parsed.elements:
-        if el.kind == "R":
-            lines.append(f"R {el.name} {node(el.nodes[0])} {node(el.nodes[1])} "
-                         f"{1.0 / el.value:.17g}")
-        elif el.kind in ("C", "L"):
-            lines.append(f"{el.kind} {el.name} {node(el.nodes[0])} {node(el.nodes[1])} "
-                         f"{el.value:.17g}")
-        elif el.kind in ("V", "I"):
-            w = el.waveform
-            if w.kind == "dc":
-                value = f"DC {w.amplitude:.17g}"
-            else:
-                value = f"SIN({w.amplitude:.17g} {w.frequency:.17g} {w.phase:.17g})"
-            lines.append(f"{el.kind} {el.name} {node(el.nodes[0])} {node(el.nodes[1])} {value}")
-        elif el.kind == "D":
-            d = el.diode
-            lines.append(f"D {el.name} {node(el.nodes[0])} {node(el.nodes[1])} "
-                         f"IS={d.saturation_current:.17g} VT={d.thermal_voltage:.17g} "
-                         f"RP={d.parallel_resistance:.17g}")
-        elif el.kind == "M":
-            terminals = " ".join(node(n) for n in el.nodes)
-            lines.append(f"M {el.name} {terminals} FIELD={el.field_ref}")
-    return "\n".join(lines) + "\n"

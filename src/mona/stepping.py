@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .circuit import diode_voltage_limit
+from .circuit import diode_critical_voltage, diode_voltage_limit
 from .coupling import BlockLayout, CoupledSystem, PowerBreakdown
 from .errors import ConsistencyError, SolverError
 
@@ -165,21 +165,27 @@ class FactorCache:
 
 
 class StepOperator:
-    """The constants of midpoint steps of size tau on one system.
+    """Everything a midpoint step of size tau on one system needs besides
+    its state.
 
     Holds the iteration matrix 0.5*J_state + J_rate/tau, built once from
     :meth:`CoupledSystem.jacobians`, the system's rate operator
-    (:meth:`CoupledSystem.compact_form`) and the diode limiter.  Only
-    the resistive conductance block (``psi``/``psi``) of the matrix depends
-    on the Newton iterate, so :meth:`matrix` copies the constant matrix and
-    overwrites that block.
+    (:meth:`CoupledSystem.compact_form`), the diode limiter and the
+    :class:`FactorCache` that carries the factorization from step to step,
+    with the field block as its trailing block.  Only the resistive
+    conductance block (``psi``/``psi``) of the matrix depends on the Newton
+    iterate, so :meth:`matrix` copies the constant matrix and overwrites
+    that block.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
+        if not tau > 0.0:
+            raise ValueError("step size must be positive")
         self.system = system
         self.tau = tau
         self.compact = system.compact_form()
         self.limiter = _diode_limiter(system, tau)
+        self.cache = FactorCache(n_trailing=system.layout.n_a)
         # J_rate is weighted by 1/tau as sparse division does, so the stamped
         # block rounds exactly as the constant part does
         self._rate_weight = 1.0 / tau
@@ -208,53 +214,47 @@ class StepOperator:
                              shape=self._base.shape)
 
 
-def _scaled_norm(r: np.ndarray, scale) -> float:
-    if scale is None:
-        return float(np.max(np.abs(r))) if r.size else 0.0
+def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(np.abs(r) / scale)) if r.size else 0.0
 
 
-def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig | None = None,
-                 scale: np.ndarray | None = None, cache: FactorCache | None = None,
-                 const_magnitude: np.ndarray | None = None, limiter=None):
-    """Damped Newton iteration; returns the first iterate within tolerance.
+def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
+                 scale: np.ndarray, cache: FactorCache, const_magnitude: np.ndarray,
+                 limiter=None):
+    """Damped Newton iteration; returns ``(x, NewtonStats)`` for the first
+    iterate within tolerance.
 
-    ``jacobian(x)`` must return a matrix accepted by the sparse LU.  The
-    optional ``scale`` divides the residual componentwise before taking the
-    max norm; ``cache`` carries a factorization across calls: stale Jacobians
-    are kept while they keep converging and refreshed when an iteration count
-    exceeds ``config.refactor_after`` or a line search stalls.  Step halving
-    (at most ``max_halvings``) guards against overshoot; a step whose residual
-    stays non-finite after all halvings is a hard failure.
+    ``jacobian(x)`` must return a matrix accepted by the sparse LU.
+    ``scale`` divides the residual componentwise before taking the max norm;
+    ``cache`` carries a factorization across calls: stale Jacobians are kept
+    while they keep converging and refreshed when an iteration count exceeds
+    ``config.refactor_after`` or a line search stalls.  Step halving (at most
+    ``max_halvings``) guards against overshoot; a step whose residual stays
+    non-finite after all halvings is a hard failure.
 
     A residual component assembled from terms of magnitude m cannot come out
     below a few eps * m in binary64, so whenever a fresh factorization is
     available the componentwise scale is floored at
-    ``floor_factor * eps * (|J| |x| + const_magnitude) / tol``; this keeps the
-    tolerance meaningful on equations whose residual is a small difference of
-    large terms instead of stalling on the last unreachable bits.
+    ``floor_factor * eps * (|J| |x| + const_magnitude) / tol``, where
+    ``const_magnitude`` bounds the terms of the residual that do not depend
+    on x; this keeps the tolerance meaningful on equations whose residual is
+    a small difference of large terms instead of stalling on the last
+    unreachable bits.
 
     ``limiter(x, x_proposed) -> x_limited`` may reshape a proposed full step
     before the line search (used for junction-voltage limiting); it must be
     the identity at fixed points.
     """
-    config = config or NewtonConfig()
-    own_cache = cache if cache is not None else FactorCache()
     stats = NewtonStats()
 
     x = np.array(x0, dtype=float)
-    base_scale = np.ones_like(x) if scale is None else np.asarray(scale, dtype=float)
-    eff_scale = base_scale
+    eff_scale = scale
 
     def update_floor():
         nonlocal eff_scale
-        if own_cache.matrix is None:
-            return
-        terms = abs(own_cache.matrix) @ np.abs(x)
-        if const_magnitude is not None:
-            terms = terms + const_magnitude
+        terms = abs(cache.matrix) @ np.abs(x) + const_magnitude
         floor = (config.floor_factor * np.finfo(float).eps / config.tol) * terms
-        eff_scale = np.maximum(base_scale, floor)
+        eff_scale = np.maximum(scale, floor)
 
     r = residual(x)
     nrm = _scaled_norm(r, eff_scale)
@@ -267,7 +267,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig | None
 
     def refresh():
         nonlocal fresh
-        own_cache.refactor(jacobian(x))
+        cache.refactor(jacobian(x))
         stats.factorizations += 1
         fresh = True
         update_floor()
@@ -281,15 +281,15 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig | None
 
     stale_ok = True  # last iteration was a clean full step
     for it in range(1, config.max_iter + 1):
-        if not own_cache.ready or it > config.refactor_after or not stale_ok:
+        if not cache.ready or it > config.refactor_after or not stale_ok:
             refresh()
 
-        dx = own_cache.solve(-r)
+        dx = cache.solve(-r)
         if not np.all(np.isfinite(dx)):
             if fresh:
                 raise SolverError("singular iteration matrix (non-finite Newton step)")
             refresh()
-            dx = own_cache.solve(-r)
+            dx = cache.solve(-r)
             if not np.all(np.isfinite(dx)):
                 raise SolverError("singular iteration matrix (non-finite Newton step)")
         dx, was_limited = limited(dx)
@@ -315,7 +315,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig | None
             if attempt == 0 and not fresh:
                 # the stale Jacobian may simply point the wrong way
                 refresh()
-                dx, was_limited = limited(own_cache.solve(-r))
+                dx, was_limited = limited(cache.solve(-r))
                 continue
             if not np.isfinite(n_try):
                 raise SolverError("non-finite residual after damping was exhausted")
@@ -408,8 +408,7 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     a_dio = g.a_r[:, g.n_linear_resistive:]
     psi_sl = system.layout.block_slice("psi")
     pinv = np.linalg.pinv(a_dio.T)
-    v_crit = g.diode_thermal * np.log(g.diode_thermal
-                                      / (np.sqrt(2.0) * g.diode_saturation))
+    v_crit = diode_critical_voltage(g.diode_thermal, g.diode_saturation)
 
     def voltages(z):
         return (a_dio.T @ z[psi_sl]) / tau
@@ -450,10 +449,9 @@ def _block_scale(layout: BlockLayout, r0: np.ndarray, f: np.ndarray) -> np.ndarr
     return scale
 
 
-def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau: float,
-                  config: NewtonConfig | None = None, cache: FactorCache | None = None,
-                  index: int = 0, increment_hint: np.ndarray | None = None,
-                  operator: StepOperator | None = None, energy_prev: float | None = None):
+def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
+                  energy_prev: float, config: NewtonConfig | None = None, index: int = 0,
+                  increment_hint: np.ndarray | None = None):
     """Advance one implicit midpoint step; returns (y_next, StepRecord).
 
     The Newton unknown is the state increment over the step rather than the
@@ -466,22 +464,16 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
     magnitude of the accumulated states.  Linear systems converge in a single
     iteration once a factorization exists.
 
-    ``operator`` supplies the iteration matrices, the compact form and the
-    diode limiter; it must be built for this system and step size, and is
-    built here when omitted.  ``energy_prev`` is ``system.energy(y_prev)``
-    when the caller already has it (the previous record's ``energy``); it is
-    evaluated here when omitted.
+    The system, the step size, the iteration matrices, the diode limiter and
+    the factorization carried between steps all come from ``operator``.
+    ``energy_prev`` is ``system.energy(y_prev)``, which the caller already
+    has (the previous record's ``energy``).
     """
     config = config or NewtonConfig()
+    system, tau = operator.system, operator.tau
     y_prev = np.asarray(y_prev, dtype=float)
     if not np.all(np.isfinite(y_prev)):
         raise ValueError("midpoint_step called with non-finite state")
-    if not tau > 0.0:
-        raise ValueError("step size must be positive")
-    if operator is None:
-        operator = StepOperator(system, tau)
-    elif operator.system is not system or operator.tau != tau:
-        raise ValueError("step operator was built for another system or step size")
     t_mid = t_prev + 0.5 * tau
 
     rate_op = operator.compact.rate_op
@@ -499,37 +491,31 @@ def midpoint_step(system: CoupledSystem, y_prev: np.ndarray, t_prev: float, tau:
     else:
         z0 = np.zeros_like(y_prev)
     try:
-        z, stats = newton_solve(step_residual, operator.matrix, z0,
-                                config=config, scale=scale, cache=cache,
-                                const_magnitude=np.abs(const_part),
+        z, stats = newton_solve(step_residual, operator.matrix, z0, config, scale,
+                                operator.cache, np.abs(const_part),
                                 limiter=operator.limiter)
     except SolverError as exc:
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
     y_next = y_prev + z
-    if energy_prev is None:
-        energy_prev = system.energy(y_prev)
     energy = system.energy(y_next)
-    audit = power_audit(system, y_prev, y_next, tau, t_prev,
-                        energies=(energy_prev, energy))
+    audit = power_audit(system, y_prev, y_next, tau, t_prev, (energy_prev, energy))
     record = StepRecord(index=index, time=t_prev + tau, state=y_next, energy=energy,
                         newton=stats, audit=audit)
     return y_next, record
 
 
 def power_audit(system: CoupledSystem, y_prev: np.ndarray, y_next: np.ndarray,
-                tau: float, t_prev: float,
-                energies: tuple[float, float] | None = None) -> PowerBreakdown:
+                tau: float, t_prev: float, energies: tuple[float, float]) -> PowerBreakdown:
     """Discrete power balance of one step, recomputed from the stored states.
 
-    The energy rate is the difference quotient of the energies at the two
-    states; losses and source pairings use the midpoint rates and midpoint
-    time.  The ``residual`` field is the balance defect.  ``energies`` is
-    ``(system.energy(y_prev), system.energy(y_next))`` when the caller has
-    already evaluated them; they are evaluated here when omitted.
+    The energy rate is the difference quotient of ``energies``, which are
+    ``(system.energy(y_prev), system.energy(y_next))``; losses and source
+    pairings use the midpoint rates and midpoint time.  The ``residual``
+    field is the balance defect.
     """
     rate = (np.asarray(y_next, dtype=float) - np.asarray(y_prev, dtype=float)) / tau
-    h_prev, h_next = energies or (system.energy(y_prev), system.energy(y_next))
+    h_prev, h_next = energies
     return system.power_balance((h_next - h_prev) / tau, rate, t_prev + 0.5 * tau)
 
 
@@ -557,7 +543,6 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
 
     # one iteration matrix and one field-block factorization per run
     operator = StepOperator(system, grid.tau)
-    cache = FactorCache(n_trailing=system.layout.n_a)
     records = []
     probe_values = {name: [] for name in probes}
     t_prev = grid.t0
@@ -565,10 +550,8 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     energy = system.energy(y)  # each later state's energy comes with its record
     for n in range(1, grid.n_steps + 1):
         try:
-            y_next, record = midpoint_step(system, y, t_prev, grid.tau,
-                                           config=config, cache=cache, index=n,
-                                           increment_hint=z_pred, operator=operator,
-                                           energy_prev=energy)
+            y_next, record = midpoint_step(operator, y, t_prev, energy, config=config,
+                                           index=n, increment_hint=z_pred)
         except SolverError as exc:
             exc.partial_result = TransientResult(
                 grid=grid, records=records,
@@ -646,7 +629,7 @@ def convergence_study(system: CoupledSystem, grid: TimeGrid, halvings: int,
     refined by :data:`REFERENCE_EXTRA_HALVINGS` further halvings; the error
     per row is the max deviation of the probe from the reference over the
     row's own grid points, and the order column is the log2 ratio of
-    consecutive errors.
+    consecutive errors; it is None unless both errors are positive.
     """
     if halvings < 1:
         raise ValueError("need at least one halving")
@@ -669,7 +652,9 @@ def convergence_study(system: CoupledSystem, grid: TimeGrid, halvings: int,
         series = run.probe("probe")
         ref_at_shared = ref_series[stride - 1::stride]
         err = float(np.max(np.abs(series - ref_at_shared)))
-        order = None if prev_err is None else math.log2(prev_err / err)
+        order = None
+        if prev_err is not None and prev_err > 0.0 and err > 0.0:
+            order = math.log2(prev_err / err)
         rows.append(EocRow(tau=run.grid.tau, error=err, order=order,
                            max_balance_residual=run.max_balance_residual()))
         prev_err = err

@@ -238,9 +238,10 @@ def test_criterion_6_fem_oracles():
     mats = MaterialMap(reluctivity=np.ones(1), conductivity=np.ones(1))
     k = assemble_stiffness(mesh, mats).toarray()
     m = assemble_mass(mesh, mats).toarray()
-    x = assemble_winding(mesh, [Winding(name="w", triangles=np.array([0]),
-                                        orientation=np.array([1.0]), turns=10.0,
-                                        area=0.5)])
+    winding = Winding(name="w", triangles=np.array([0]), orientation=np.array([1.0]),
+                      turns=10.0)
+    x = assemble_winding(mesh, [winding],
+                         MaterialMap(reluctivity=np.ones(1), conductivity=np.zeros(1)))
     k_hand = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     m_hand = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
     x_hand = np.full((3, 1), 10.0 / 3.0)

@@ -83,11 +83,12 @@ class TestCheck:
         assert run_cli(["check", "--netlist", str(tmp_path / "nope.net")]) == 1
 
     def test_floating_nodes_named(self, tmp_path, capsys):
+        # reported like voltage loops: an error line of the report on stdout
         path = tmp_path / "float.net"
         path.write_text("V src 1 0 SIN(10 50)\nR load 1 0 10\nR r2 2 3 1\n")
         assert run_cli(["check", "--netlist", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "not connected to ground" in err and "r2" in err
+        out = capsys.readouterr().out
+        assert "error: nodes [2, 3] are not connected to ground" in out and "r2" in out
 
 
 class TestBadInput:
@@ -125,11 +126,40 @@ class TestBadInput:
         assert run_cli(argv) == 1
         assert "Is a directory" in capsys.readouterr().err
 
-    def test_file_as_out(self, rlc_net, capsys):
-        argv = ["run", "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.01",
-                "--out", str(rlc_net)]
+    def test_file_as_out(self, rlc_net, capsys, monkeypatch):
+        # the output directory is made before the transient starts
+        def never(*args, **kwargs):
+            raise AssertionError("the transient started")
+
+        monkeypatch.setattr(cli, "run_transient", never)
+        monkeypatch.setattr(cli, "convergence_study", never)
+        for command in ("run", "converge", "demo-rectifier"):
+            argv = [command, "--tau", "1e-3", "--t-end", "0.01", "--out", str(rlc_net)]
+            if command == "demo-rectifier":
+                argv += ["--mesh-density", "0.025"]
+            else:
+                argv += ["--netlist", str(rlc_net)]
+            assert run_cli(argv) == 1, command
+            assert "File exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["depth", "vertices", "triangles", "regions",
+                                        "windings"])
+    def test_mesh_header_without_value(self, tmp_path, capsys, header):
+        lines = ["depth 1.0", "vertices 3", "0 0", "1 0", "0 1", "triangles 1",
+                 "0 1 2 0", "regions 1", "0 1.0 0.0 0 1", "windings 1", "0 10"]
+        lineno = next(k for k, line in enumerate(lines, start=1)
+                      if line.split()[0] == header)
+        lines[lineno - 1] = header
+        mesh = tmp_path / "cut.mesh"
+        mesh.write_text("\n".join(lines) + "\n")
+        net = tmp_path / "xfmr.net"
+        net.write_text(LINEAR_COUPLED_NETLIST)
+        argv = ["run", "--netlist", str(net), "--mesh", str(mesh), "--tau", "1e-3",
+                "--t-end", "2e-3", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == 1
-        assert "File exists" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"line {lineno}: '{header}' needs a value" in err
+        assert "Traceback" not in err
 
 
 class TestRun:
@@ -216,6 +246,20 @@ class TestConverge:
         assert rows[0][2] == ""
         for row in rows[1:]:
             assert 1.9 <= float(row[2]) <= 2.1
+
+    def test_probe_that_never_moves(self, tmp_path, capsys):
+        # every error is zero, so no order can be observed
+        path = tmp_path / "still.net"
+        path.write_text("V src 1 0 SIN(0 60)\nR load 1 0 10\n")
+        out = tmp_path / "out"
+        code = run_cli(["converge", "--netlist", str(path), "--tau", "1e-3",
+                        "--t-end", "0.004", "--halvings", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        _header, rows = read_csv(out / "eoc.csv")
+        assert [(float(r[1]), r[2]) for r in rows] == [(0.0, "")] * 3
+        assert captured.out.count("eoc=--") == 3
 
     def test_demo_default_netlist(self, tmp_path, capsys):
         # no --netlist: the built-in rectifier is studied with the default

@@ -270,7 +270,8 @@ class TestPowerBreakdown:
                 return system.jacobians(y, ydot, 0.0)[1].toarray()
 
             ydot, _stats = newton_solve(resid, jac, np.zeros(lay.size),
-                                        NewtonConfig(tol=1e-12), cache=FactorCache())
+                                        NewtonConfig(tol=1e-12), np.ones(lay.size),
+                                        FactorCache(), np.zeros(lay.size))
             pb = system.power_breakdown(y, ydot, 0.0)
             assert pb.dh_dt <= 1e-10
 
@@ -415,19 +416,6 @@ class TestAssembleErrors:
         graph = build_incidence(parsed.elements, parsed.n_nodes)
         with pytest.raises(MeshError, match="does not match winding count"):
             assemble_coupled(graph, coarse_field)
-
-    def test_bad_terminal_map(self, coarse_field):
-        parsed = parse_netlist("V src 1 0 SIN(1 50)\nM dev 1 0 2 0 FIELD=x\nR r 2 0 1")
-        graph = build_incidence(parsed.elements, parsed.n_nodes)
-        with pytest.raises(MeshError, match="permutation"):
-            assemble_coupled(graph, coarse_field, terminal_map=(0, 0))
-
-    def test_terminal_map_reorders_columns(self, coarse_field):
-        parsed = parse_netlist("V src 1 0 SIN(1 50)\nM dev 1 0 2 0 FIELD=x\nR r 2 0 1")
-        graph = build_incidence(parsed.elements, parsed.n_nodes)
-        s1 = assemble_coupled(graph, coarse_field, terminal_map=(0, 1))
-        s2 = assemble_coupled(graph, coarse_field, terminal_map=(1, 0))
-        assert np.array_equal(s1.winding_matrix[:, 0], s2.winding_matrix[:, 1])
 
     def test_device_without_field_rejected(self):
         parsed = parse_netlist("V src 1 0 SIN(1 50)\nM dev 1 0 FIELD=x\nR r 1 0 1")

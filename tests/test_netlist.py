@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mona.errors import NetlistError
-from mona.netlist import parse_netlist, serialize_netlist
+from mona.netlist import parse_netlist
 
 
 class TestGrammar:
@@ -89,23 +89,3 @@ class TestErrors:
         if lineno is not None:
             assert f"line {lineno}" in str(excinfo.value)
 
-
-class TestRoundTrip:
-    REFERENCE = """
-V src 1 0 SIN(160 60 0.1)
-I inj 2 0 DC 0.25
-R load 2 0 10
-C filt 2 0 4.7e-6
-L choke 1 2 0.003
-D d1 2 3 IS=1e-14 VT=0.025 RP=1e12
-M xfmr 1 0 3 0 FIELD=core.mesh
-"""
-
-    def test_serialize_parse_identity(self):
-        first = parse_netlist(self.REFERENCE)
-        text = serialize_netlist(first)
-        second = parse_netlist(text)
-        assert serialize_netlist(second) == text
-        assert second.node_ids == first.node_ids
-        for a, b in zip(first.elements, second.elements):
-            assert a == b

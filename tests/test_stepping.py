@@ -62,6 +62,14 @@ class TestTimeGrid:
         assert grid.halved().n_steps == 80
 
 
+def solve(residual, jacobian, x0, config=NewtonConfig()):
+    """newton_solve with unit scaling, a fresh full-matrix factorization and
+    no constant residual terms."""
+    x0 = np.asarray(x0, dtype=float)
+    return newton_solve(residual, jacobian, x0, config, np.ones_like(x0), FactorCache(),
+                        np.zeros_like(x0))
+
+
 class TestNewtonSolve:
     def test_linear_single_iteration(self):
         mat = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -70,8 +78,7 @@ class TestNewtonSolve:
         def resid(x):
             return mat @ x - rhs
 
-        x, stats = newton_solve(resid, lambda x: sp.csc_matrix(mat), np.zeros(2),
-                                NewtonConfig())
+        x, stats = solve(resid, lambda x: sp.csc_matrix(mat), np.zeros(2))
         assert stats.iterations == 1
         assert stats.converged
         assert np.allclose(x, np.linalg.solve(mat, rhs))
@@ -83,14 +90,13 @@ class TestNewtonSolve:
         def jac(x):
             return sp.csc_matrix(np.array([[2.0 * x[0]]]))
 
-        x, stats = newton_solve(resid, jac, np.array([3.0]), NewtonConfig())
+        x, stats = solve(resid, jac, np.array([3.0]))
         assert stats.iterations <= 7
         assert abs(x[0] - 2.0) <= 1e-12
 
     def test_zero_initial_guess_is_converged(self):
-        x, stats = newton_solve(lambda x: np.zeros(2),
-                                lambda x: sp.identity(2, format="csc"),
-                                np.zeros(2), NewtonConfig())
+        x, stats = solve(lambda x: np.zeros(2), lambda x: sp.identity(2, format="csc"),
+                         np.zeros(2))
         assert stats.iterations == 0
 
     def test_max_iterations_exceeded(self):
@@ -102,7 +108,7 @@ class TestNewtonSolve:
             return sp.csc_matrix(np.array([[1.0 if x[0] >= 0 else -1.0]]))
 
         with pytest.raises(SolverError, match="did not converge"):
-            newton_solve(resid, jac, np.array([2.0]), NewtonConfig(max_iter=8))
+            solve(resid, jac, np.array([2.0]), NewtonConfig(max_iter=8))
 
     def test_singular_matrix(self):
         def resid(x):
@@ -112,7 +118,7 @@ class TestNewtonSolve:
             return sp.csc_matrix(np.zeros((2, 2)))
 
         with pytest.raises(SolverError):
-            newton_solve(resid, jac, np.zeros(2), NewtonConfig())
+            solve(resid, jac, np.zeros(2))
 
     def test_damping_recovers_overshoot(self):
         # atan has tiny curvature tails: full Newton from far away overshoots
@@ -122,7 +128,7 @@ class TestNewtonSolve:
         def jac(x):
             return sp.csc_matrix(np.diag(1.0 / (1.0 + x**2)))
 
-        x, stats = newton_solve(resid, jac, np.array([20.0]), NewtonConfig())
+        x, stats = solve(resid, jac, np.array([20.0]))
         assert abs(x[0]) <= 1e-12
         assert stats.halvings > 0
 
@@ -148,7 +154,7 @@ class TestMidpointStep:
         tau = 0.1
         q0 = 1.7
         y0 = system.layout.pack([0.0], [q0], [], [], [])
-        y1, record = midpoint_step(system, y0, 0.0, tau)
+        y1, record = midpoint_step(StepOperator(system, tau), y0, 0.0, system.energy(y0))
         factor = (1 - tau / 2.0) / (1 + tau / 2.0)
         assert factor == pytest.approx(0.95 / 1.05)
         q1 = y1[system.layout.block_slice("q_c")][0]
@@ -158,7 +164,7 @@ class TestMidpointStep:
     def test_zero_equilibrium_preserved(self):
         system = rc_discharge_system()
         y0 = system.layout.zeros()
-        y1, record = midpoint_step(system, y0, 0.0, 0.05)
+        y1, record = midpoint_step(StepOperator(system, 0.05), y0, 0.0, 0.0)
         assert np.array_equal(y1, y0)
         assert record.newton.iterations == 0
 
@@ -166,10 +172,10 @@ class TestMidpointStep:
         system = rc_discharge_system()
         y0 = system.layout.zeros()
         with pytest.raises(ValueError, match="positive"):
-            midpoint_step(system, y0, 0.0, -0.1)
+            StepOperator(system, -0.1)
         y0[0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            midpoint_step(system, y0, 0.0, 0.1)
+            midpoint_step(StepOperator(system, 0.1), y0, 0.0, 0.0)
 
     def test_rectifier_switching_iteration_bound(self, rectifier):
         # regression bound: diode turn-on at the demo step size stays cheap
@@ -197,7 +203,7 @@ class TestMidpointStep:
             j_state, j_rate = system.jacobians(0.5 * (z + y1), (y1 - z) / tau, t_mid)
             return 0.5 * j_state - j_rate / tau
 
-        y0_back, _stats = newton_solve(resid, jac, np.array(y1), NewtonConfig())
+        y0_back, _stats = solve(resid, jac, np.array(y1))
         scale = np.max(np.abs(y0)) + 1.0
         assert np.max(np.abs(y0_back - y0)) <= 1e-9 * scale
 
@@ -205,12 +211,13 @@ class TestMidpointStep:
 def full_space_run(system, grid):
     """run_transient's step loop with one LU of the whole iteration matrix."""
     operator = StepOperator(system, grid.tau)
-    cache = FactorCache()
+    operator.cache = FactorCache()
     y, z_pred, records = system.layout.zeros(), None, []
+    energy = system.energy(y)
     for n in range(1, grid.n_steps + 1):
-        y_next, rec = midpoint_step(system, y, grid.time(n - 1), grid.tau, cache=cache,
-                                    index=n, increment_hint=z_pred, operator=operator)
-        z_pred, y = y_next - y, y_next
+        y_next, rec = midpoint_step(operator, y, grid.time(n - 1), energy,
+                                    index=n, increment_hint=z_pred)
+        z_pred, y, energy = y_next - y, y_next, rec.energy
         records.append(rec)
     return records
 
@@ -221,7 +228,7 @@ class TestBlockElimination:
         system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
         tau = 6.25e-4
         operator = StepOperator(system, tau)
-        cache = FactorCache(n_trailing=system.layout.n_a)
+        cache = operator.cache
         rng = np.random.default_rng(3)
         for _ in range(2):  # the second refactor reuses the field factorization
             z = 1e-3 * random_state(system, rng)
@@ -263,12 +270,6 @@ class TestBlockElimination:
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert [rec.newton.iterations for rec in result.records[1:]] == [1] * 79
         assert sum(rec.newton.factorizations for rec in result.records) == 1
-
-    def test_operator_checks_its_step_size(self, rlc):
-        _parsed, _graph, system = rlc
-        operator = StepOperator(system, 1e-3)
-        with pytest.raises(ValueError, match="step size"):
-            midpoint_step(system, system.layout.zeros(), 0.0, 5e-4, operator=operator)
 
 
 class TestStepConstants:
@@ -344,10 +345,13 @@ class TestPowerAudit:
         y_prev = result.records[-2].state
         y_next = result.records[-1].state
         t_prev = result.records[-2].time
-        clean = power_audit(system, y_prev, y_next, tau, t_prev)
+        h_prev = system.energy(y_prev)
+        clean = power_audit(system, y_prev, y_next, tau, t_prev,
+                            (h_prev, system.energy(y_next)))
         assert abs(clean.residual) <= 1e-10
         tampered = y_next + 1e-6
-        dirty = power_audit(system, y_prev, tampered, tau, t_prev)
+        dirty = power_audit(system, y_prev, tampered, tau, t_prev,
+                            (h_prev, system.energy(tampered)))
         assert abs(dirty.residual) > 1e-8
 
     def test_energy_evaluated_once_per_state(self, linear_coupled, monkeypatch):
@@ -380,11 +384,12 @@ class TestPowerAudit:
         tau = 0.05
         y = system.layout.pack([0.0], [2.0], [], [], [])
         t = 0.0
-        cache = FactorCache()
+        operator = StepOperator(system, tau)
+        energy = system.energy(y)
         for n in range(1, 21):
-            y_next, rec = midpoint_step(system, y, t, tau, cache=cache, index=n)
+            y_next, rec = midpoint_step(operator, y, t, energy, index=n)
             assert rec.audit.dh_dt <= 0.0
-            y, t = y_next, n * tau
+            y, t, energy = y_next, n * tau, rec.energy
 
 
 class TestRunTransient:
@@ -433,14 +438,13 @@ class TestRunTransient:
         y = result.records[-1].state
 
         quiet = assemble_coupled(graph, sources=SourceSet(voltage=(Waveform.dc(0.0),)))
-        cache = FactorCache()
+        operator = StepOperator(quiet, 5e-4)
         t = 0.0
         h_prev = quiet.energy(y)
         for n in range(1, 41):
-            y, rec = midpoint_step(quiet, y, t, 5e-4, cache=cache, index=n)
-            h_now = quiet.energy(y)
-            assert h_now <= h_prev + 1e-12
-            h_prev = h_now
+            y, rec = midpoint_step(operator, y, t, h_prev, index=n)
+            assert rec.energy <= h_prev + 1e-12
+            h_prev = rec.energy
             t = n * 5e-4
 
     def test_partial_result_attached_on_failure(self, rectifier):

@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (transient with CSV traces), ``converge`` (step-halving
 error table), ``demo-rectifier`` (built-in benchmark), and ``check``
-(parse + topology validation only).  Exit codes: 0 success, 1 parse or
-validation failure, 2 solver failure.  The environment variable ``MONA_LOG``
-(error | info | debug) sets diagnostic verbosity.
+(parse, topology validation and assembly, no transient).  Exit codes: 0
+success, 1 parse or validation failure, 2 solver failure.  The environment
+variable ``MONA_LOG`` (error | info | debug) sets diagnostic verbosity.
 """
 
 from __future__ import annotations
@@ -171,9 +171,13 @@ def cmd_demo(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Print the topology report; every topology problem is an ``error:``
-    line of it on standard output."""
-    parsed = parse_netlist(Path(args.netlist).read_text(encoding="utf-8"))
+    """Print the topology report, then assemble the system as ``run`` does
+    (FIELD resolved with the mesh options), without a transient.  Every
+    topology or assembly problem is an ``error:`` line of the report on
+    standard output."""
+    path = Path(args.netlist)
+    text = path.read_text(encoding="utf-8")
+    parsed = parse_netlist(text)
     try:
         graph = build_incidence(parsed.elements, parsed.n_nodes)
     except TopologyError as exc:
@@ -182,6 +186,11 @@ def cmd_check(args) -> int:
     report = validate_topology(graph)
     print(report)
     if not report.passed:
+        return EXIT_INVALID
+    try:
+        assemble_netlist(text, args.mesh, args.mesh_density, base=path.parent)
+    except (MonaError, OSError) as exc:
+        print(f"error: {exc}")
         return EXIT_INVALID
     print(f"{len(parsed.elements)} elements, {parsed.n_nodes} nodes: ok")
     return EXIT_OK
@@ -193,9 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Field-circuit transient simulation with a certified power balance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def transient_options(p):
+    def density_option(p):
         p.add_argument("--mesh-density", type=float, default=None,
                        help="cell size for the built-in transformer [m]")
+
+    def mesh_options(p):
+        p.add_argument("--mesh", help="mesh file overriding the netlist FIELD reference")
+        density_option(p)
+
+    def transient_options(p):
         p.add_argument("--tau", type=float, default=6.25e-4, help="time step [s]")
         p.add_argument("--t-end", type=float, default=0.05, dest="t_end",
                        help="end time [s]")
@@ -207,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--netlist", required=True, help="netlist file")
         else:
             p.add_argument("--netlist", help="netlist file (default: built-in demo)")
-        p.add_argument("--mesh", help="mesh file overriding the netlist FIELD reference")
+        mesh_options(p)
         p.add_argument("--probes", help="comma-separated name=expr probe list")
         transient_options(p)
 
@@ -221,11 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(func=cmd_converge)
 
     p_demo = sub.add_parser("demo-rectifier", help="run the built-in rectifier benchmark")
+    density_option(p_demo)
     transient_options(p_demo)
     p_demo.set_defaults(func=cmd_demo, netlist=None, mesh=None, probes=DEMO_PROBES)
 
-    p_check = sub.add_parser("check", help="parse and validate a netlist")
+    p_check = sub.add_parser("check", help="validate a netlist and assemble its system")
     p_check.add_argument("--netlist", required=True)
+    mesh_options(p_check)
     p_check.set_defaults(func=cmd_check)
     return parser
 

@@ -19,8 +19,9 @@ Mesh file format (whitespace separated, ``#`` starts a comment)::
     windings <W>
     <winding> <turns>
 
-Winding cross-section areas are always the summed areas of the winding's
-triangles; they are not stored in the file.
+Every section header takes exactly one value, and the four entry counts
+are non-negative.  Winding cross-section areas are always the summed areas
+of the winding's triangles; they are not stored in the file.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "assemble_winding",
+    "factor_spd",
     "apply_gauge",
     "build_field_model",
     "generate_transformer_mesh",
@@ -311,6 +313,21 @@ class FieldModel:
         return b_x, b_y, coef
 
 
+def factor_spd(matrix: sp.csc_matrix):
+    """SuperLU factorization of a sparse symmetric positive definite matrix.
+
+    The ordering is minimum degree on the pattern of A^T + A and every pivot
+    is taken from the diagonal, so the factors keep the symmetric structure
+    and the fill of a Cholesky factor.  No row exchanges are needed: every
+    Schur complement of an SPD matrix is again SPD, so every diagonal pivot
+    is positive.  On a singular semidefinite matrix a pivot vanishes up to
+    rounding, which shows as a ``RuntimeError`` (an exact zero) or as a
+    solve that does not solve.
+    """
+    return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
 def apply_gauge(mesh: TriMesh, materials: MaterialMap, windings,
                 stiffness: sp.csr_matrix, mass: sp.csr_matrix,
                 winding_matrix: np.ndarray) -> FieldModel:
@@ -318,9 +335,17 @@ def apply_gauge(mesh: TriMesh, materials: MaterialMap, windings,
 
     The gauged stiffness matrix must admit a factorization that actually
     solves (checked on a random right-hand side to 1e-10 relative); failure
-    is reported as a :class:`GaugeError`.
+    is reported as a :class:`GaugeError`.  The check factors with
+    :func:`factor_spd`, the symmetric no-pivoting factorization the time
+    stepper uses for the field block.  That is valid because the gauged
+    stiffness is symmetric positive semidefinite by construction (a sum of
+    element blocks nu * depth * area * G G^T with nu > 0); it is definite
+    exactly when every connected part of the mesh touches the gauge, and a
+    part that does not makes the factorization or the solve fail.
     """
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+    gauged = np.zeros(mesh.n_vertices, dtype=bool)
+    gauged[mesh.boundary_vertices] = True
+    interior = np.flatnonzero(~gauged)
     dof_map = np.full(mesh.n_vertices, -1, dtype=np.int64)
     dof_map[interior] = np.arange(interior.size)
 
@@ -330,7 +355,7 @@ def apply_gauge(mesh: TriMesh, materials: MaterialMap, windings,
 
     if interior.size:
         try:
-            lu = splu(k_g)
+            lu = factor_spd(k_g)
         except RuntimeError as exc:
             raise GaugeError(f"gauged stiffness factorization failed: {exc}") from exc
         rng = np.random.default_rng(0)
@@ -354,18 +379,28 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
 
 
 def boundary_vertices_of(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Vertices on edges that belong to exactly one triangle."""
-    edges = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    edges.sort(axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return np.unique(uniq[counts == 1])
+    """Vertices on edges that belong to exactly one triangle.
+
+    Each edge (lo, hi), lo < hi, is counted under the one integer key
+    lo * n + hi, with n the number of vertices.
+    """
+    n = vertices.shape[0]
+    tri = np.asarray(triangles, dtype=np.int64)
+    heads = tri.ravel()
+    tails = tri[:, [1, 2, 0]].ravel()
+    keys = np.minimum(heads, tails) * n + np.maximum(heads, tails)
+    uniq, counts = np.unique(keys, return_counts=True)
+    once = uniq[counts == 1]
+    return np.unique(np.concatenate([once // n, once % n]))
 
 
 def rect_mesh(nx: int, ny: int, width: float, height: float, depth: float = 1.0) -> TriMesh:
     """Structured triangulation of [0, width] x [0, height].
 
     Each grid cell is split along its lower-left/upper-right diagonal into
-    two positively oriented triangles; vertices are numbered row-major.
+    two positively oriented triangles; vertices are numbered row-major, and
+    cell (i, j) with lower-left vertex v00 gives the triangles
+    (v00, v10, v11) and (v00, v11, v01), cells in row-major order.
     """
     if nx < 1 or ny < 1:
         raise MeshError("rect_mesh needs at least one cell per direction")
@@ -374,17 +409,10 @@ def rect_mesh(nx: int, ny: int, width: float, height: float, depth: float = 1.0)
     xg, yg = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    v00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01 = v00 + 1, v00 + (nx + 1)
+    v11 = v01 + 1
+    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     boundary = boundary_vertices_of(vertices, triangles)
     return TriMesh(vertices=vertices, triangles=triangles,
                    boundary_vertices=boundary, depth=depth)
@@ -561,6 +589,9 @@ def parse_mesh(text: str):
             raise MeshError(f"line {lineno}: expected '{key}', got {toks[0]!r}")
         if len(toks) < 2:
             raise MeshError(f"line {lineno}: '{key}' needs a value")
+        if len(toks) > 2:
+            raise MeshError(f"line {lineno}: '{key}' takes exactly one value, "
+                            f"got {len(toks) - 1}")
         return lineno, toks[1]
 
     def as_int(lineno, s):
@@ -578,8 +609,16 @@ def parse_mesh(text: str):
             raise MeshError(f"line {lineno}: expected a finite number, got {s!r}")
         return value
 
+    def count(key):
+        """The entry count of the section header ``key <count>``."""
+        lineno, token = header(key)
+        n = as_int(lineno, token)
+        if n < 0:
+            raise MeshError(f"line {lineno}: '{key}' count must be non-negative, got {n}")
+        return n
+
     depth = as_float(*header("depth"))
-    n_v = as_int(*header("vertices"))
+    n_v = count("vertices")
     vertices = np.empty((n_v, 2))
     for row in range(n_v):
         lineno, toks = take()
@@ -587,7 +626,7 @@ def parse_mesh(text: str):
             raise MeshError(f"line {lineno}: vertex needs two coordinates")
         vertices[row] = [as_float(lineno, toks[0]), as_float(lineno, toks[1])]
 
-    n_t = as_int(*header("triangles"))
+    n_t = count("triangles")
     triangles = np.empty((n_t, 3), dtype=np.int64)
     tri_region = np.empty(n_t, dtype=int)
     for row in range(n_t):
@@ -597,7 +636,7 @@ def parse_mesh(text: str):
         triangles[row] = [as_int(lineno, s) for s in toks[:3]]
         tri_region[row] = as_int(lineno, toks[3])
 
-    n_r = as_int(*header("regions"))
+    n_r = count("regions")
     region_table = {}
     for _ in range(n_r):
         lineno, toks = take()
@@ -607,7 +646,7 @@ def parse_mesh(text: str):
         region_table[rid] = (as_float(lineno, toks[1]), as_float(lineno, toks[2]),
                              as_int(lineno, toks[3]), as_int(lineno, toks[4]))
 
-    n_w = as_int(*header("windings"))
+    n_w = count("windings")
     turns = {}
     for _ in range(n_w):
         lineno, toks = take()

@@ -23,6 +23,7 @@ from scipy.sparse.linalg import splu
 from .circuit import diode_critical_voltage, diode_voltage_limit
 from .coupling import BlockLayout, CoupledSystem, PowerBreakdown
 from .errors import ConsistencyError, SolverError
+from .fem import factor_spd
 
 __all__ = [
     "TimeGrid",
@@ -139,9 +140,7 @@ class FactorCache:
             if self.n_trailing:
                 k = matrix.shape[0] - self.n_trailing
                 if self._trailing is None:
-                    lu_aa = splu(matrix[k:, k:], permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
+                    lu_aa = factor_spd(matrix[k:, k:])
                     j_ac = matrix[k:, :k]
                     v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
                     self._trailing = (lu_aa, j_ac, v, sp.csc_matrix(v @ j_ac))

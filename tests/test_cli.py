@@ -10,7 +10,7 @@ import pytest
 
 import mona.cli as cli
 from mona.cli import run_cli
-from mona.demo import DEMO_PROBES
+from mona.demo import DEMO_NETLIST, DEMO_PROBES
 from mona.errors import SolverError
 
 from conftest import LINEAR_COUPLED_NETLIST
@@ -41,6 +41,32 @@ def rlc_net(tmp_path):
     path = tmp_path / "rlc.net"
     path.write_text(RLC)
     return path
+
+
+# a valid one-triangle mesh file, one line per entry
+MESH_LINES = ("depth 1.0", "vertices 3", "0 0", "1 0", "0 1", "triangles 1",
+              "0 1 2 0", "regions 1", "0 1.0 0.0 0 1", "windings 1", "0 10")
+
+
+def header_lineno(header):
+    """1-based line number of a section header in ``MESH_LINES``."""
+    return next(k for k, line in enumerate(MESH_LINES, start=1)
+                if line.split()[0] == header)
+
+
+def run_with_mesh(tmp_path, lines, capsys):
+    """``run --mesh`` on the given mesh lines, which must fail with exit code
+    1 and no traceback; returns standard error."""
+    mesh = tmp_path / "cut.mesh"
+    mesh.write_text("\n".join(lines) + "\n")
+    net = tmp_path / "xfmr.net"
+    net.write_text(LINEAR_COUPLED_NETLIST)
+    argv = ["run", "--netlist", str(net), "--mesh", str(mesh), "--tau", "1e-3",
+            "--t-end", "2e-3", "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
 
 
 class TestCheck:
@@ -89,6 +115,30 @@ class TestCheck:
         assert run_cli(["check", "--netlist", str(path)]) == 1
         out = capsys.readouterr().out
         assert "error: nodes [2, 3] are not connected to ground" in out and "r2" in out
+
+    def test_field_winding_count_checked(self, tmp_path, capsys):
+        # one winding on the two-winding built-in mesh: run fails on it, so
+        # check must too
+        path = tmp_path / "one.net"
+        path.write_text("V src 1 0 SIN(1 60)\nM x 1 0 FIELD=builtin\n")
+        assert run_cli(["check", "--netlist", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "error: device branch count (1) does not match winding count (2)" in out
+        assert ": ok" not in out
+
+    def test_missing_mesh_named(self, tmp_path, capsys):
+        path = tmp_path / "xfmr.net"
+        path.write_text(LINEAR_COUPLED_NETLIST)
+        missing = tmp_path / "nope.mesh"
+        assert run_cli(["check", "--netlist", str(path), "--mesh", str(missing)]) == 1
+        out = capsys.readouterr().out
+        assert "error:" in out and str(missing) in out
+
+    def test_demo_netlist_passes(self, tmp_path, capsys):
+        path = tmp_path / "demo.net"
+        path.write_text(DEMO_NETLIST)
+        assert run_cli(["check", "--netlist", str(path), "--mesh-density", "0.025"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "7 elements, 4 nodes: ok"
 
 
 class TestBadInput:
@@ -145,21 +195,28 @@ class TestBadInput:
     @pytest.mark.parametrize("header", ["depth", "vertices", "triangles", "regions",
                                         "windings"])
     def test_mesh_header_without_value(self, tmp_path, capsys, header):
-        lines = ["depth 1.0", "vertices 3", "0 0", "1 0", "0 1", "triangles 1",
-                 "0 1 2 0", "regions 1", "0 1.0 0.0 0 1", "windings 1", "0 10"]
-        lineno = next(k for k, line in enumerate(lines, start=1)
-                      if line.split()[0] == header)
+        lines = list(MESH_LINES)
+        lineno = header_lineno(header)
         lines[lineno - 1] = header
-        mesh = tmp_path / "cut.mesh"
-        mesh.write_text("\n".join(lines) + "\n")
-        net = tmp_path / "xfmr.net"
-        net.write_text(LINEAR_COUPLED_NETLIST)
-        argv = ["run", "--netlist", str(net), "--mesh", str(mesh), "--tau", "1e-3",
-                "--t-end", "2e-3", "--out", str(tmp_path / "out")]
-        assert run_cli(argv) == 1
-        err = capsys.readouterr().err
+        err = run_with_mesh(tmp_path, lines, capsys)
         assert f"line {lineno}: '{header}' needs a value" in err
-        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("header", ["depth", "vertices", "triangles", "regions",
+                                        "windings"])
+    def test_mesh_header_with_extra_tokens(self, tmp_path, capsys, header):
+        lines = list(MESH_LINES)
+        lineno = header_lineno(header)
+        lines[lineno - 1] += " 7 junk"
+        err = run_with_mesh(tmp_path, lines, capsys)
+        assert f"line {lineno}: '{header}' takes exactly one value, got 3" in err
+
+    @pytest.mark.parametrize("header", ["vertices", "triangles", "regions", "windings"])
+    def test_mesh_negative_count(self, tmp_path, capsys, header):
+        lines = list(MESH_LINES)
+        lineno = header_lineno(header)
+        lines[lineno - 1] = f"{header} -1"
+        err = run_with_mesh(tmp_path, lines, capsys)
+        assert f"line {lineno}: '{header}' count must be non-negative, got -1" in err
 
 
 class TestRun:

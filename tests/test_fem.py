@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from mona.errors import MeshError
+from mona.errors import GaugeError, MeshError
 from mona.fem import (
     MU_0,
     MaterialMap,
@@ -21,7 +21,7 @@ from mona.fem import (
     rect_mesh,
     save_mesh,
 )
-from mona.fem import _gradients
+from mona.fem import _gradients, boundary_vertices_of
 
 UNIT_TRIANGLE = TriMesh(
     vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -204,6 +204,18 @@ class TestGauge:
             assert model.energy(a) == pytest.approx(expected, rel=1e-15)
         assert model.energy(np.zeros(model.n_dofs)) == 0.0
 
+    def test_ungauged_part_raises_gauge_error(self):
+        # two disjoint squares, gauged on the first only: the second keeps the
+        # constants in its kernel, so the gauged stiffness is singular
+        square = rect_mesh(3, 3, 1.0, 1.0)
+        n = square.n_vertices
+        mesh = TriMesh(vertices=np.vstack([square.vertices, square.vertices + [2.0, 0.0]]),
+                       triangles=np.vstack([square.triangles, square.triangles + n]),
+                       boundary_vertices=square.boundary_vertices, depth=1.0)
+        mats = unit_materials(sigma=0.0, n=mesh.n_triangles)
+        with pytest.raises(GaugeError, match="gauged stiffness"):
+            build_field_model(mesh, mats, [])
+
     def test_empty_boundary_rejected(self):
         with pytest.raises(MeshError, match="boundary"):
             TriMesh(vertices=UNIT_TRIANGLE.vertices,
@@ -259,6 +271,71 @@ class TestManufacturedMagnetostatics:
         errors = [self.energy_error(n) for n in (8, 16, 32)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 1.7 <= coarse / fine <= 2.3
+
+
+def loop_rect_triangles(nx, ny):
+    """The cell-by-cell definition of rect_mesh's triangles."""
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.asarray(tris, dtype=np.int64)
+
+
+def counted_boundary(triangles):
+    """Boundary vertices from the unique sorted edge rows and their counts."""
+    edges = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    edges.sort(axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    return np.unique(uniq[counts == 1])
+
+
+def holed_shuffled_mesh():
+    """A 6 x 6 grid with its central 2 x 2 cells cut out, vertices renumbered
+    and triangles reordered at random (the hole's centre vertex is unused)."""
+    grid = rect_mesh(6, 6, 1.0, 1.0)
+    cell = np.arange(grid.n_triangles) // 2
+    hole = np.isin(cell % 6, (2, 3)) & np.isin(cell // 6, (2, 3))
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(grid.n_vertices)
+    triangles = perm[grid.triangles[~hole]]
+    return grid.n_vertices, triangles[rng.permutation(len(triangles))]
+
+
+class TestMeshConstruction:
+    """rect_mesh and boundary_vertices_of against their direct definitions."""
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (7, 3), (16, 16)])
+    def test_rect_triangles_match_cell_loop(self, nx, ny):
+        mesh = rect_mesh(nx, ny, 2.0, 1.0)
+        expected = loop_rect_triangles(nx, ny)
+        assert mesh.triangles.dtype == expected.dtype
+        assert np.array_equal(mesh.triangles, expected)
+
+    def test_boundary_of_rect_mesh(self):
+        mesh = rect_mesh(7, 3, 2.0, 1.0)
+        got = boundary_vertices_of(mesh.vertices, mesh.triangles)
+        assert np.array_equal(got, counted_boundary(mesh.triangles))
+        assert np.array_equal(mesh.boundary_vertices, got)
+
+    def test_boundary_of_transformer_mesh(self):
+        mesh, _, _ = generate_transformer_mesh(TransformerParams(), 0.025)
+        got = boundary_vertices_of(mesh.vertices, mesh.triangles)
+        assert np.array_equal(got, counted_boundary(mesh.triangles))
+
+    def test_boundary_of_holed_shuffled_mesh(self):
+        n, triangles = holed_shuffled_mesh()
+        got = boundary_vertices_of(np.zeros((n, 2)), triangles)
+        expected = counted_boundary(triangles)
+        assert np.array_equal(got, expected)
+        # the outer ring (24 vertices) and the hole's ring (8) are both found
+        assert expected.size == 32
 
 
 class TestTransformerGenerator:

@@ -118,15 +118,25 @@ def _run(args):
     """Assemble, run the transient and write ``trace.csv`` and ``audit.csv``.
 
     ``--out`` is created before the transient, so an unusable path fails
-    before the work rather than after it."""
+    before the work rather than after it.  A failed transient still writes
+    both files, with the steps accepted before the failure, and re-raises."""
     grid, newton = _grid_and_newton(args)
     parsed, system = _assemble(args)
     probes = parse_probe_spec(system, args.probes, parsed.node_ids) if args.probes else {}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_transient(system, grid, probes=probes, config=newton)
-    trace_table(result, list(probes)).write(out / "trace.csv")
-    audit_table(result).write(out / "audit.csv")
+
+    def write(result):
+        trace_table(result, list(probes)).write(out / "trace.csv")
+        audit_table(result).write(out / "audit.csv")
+
+    try:
+        result = run_transient(system, grid, probes=probes, config=newton)
+    except SolverError as exc:
+        if hasattr(exc, "partial_result"):
+            write(exc.partial_result)
+        raise
+    write(result)
     return system, result, out
 
 
@@ -274,3 +284,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -109,48 +109,85 @@ class NewtonStats:
 class FactorCache:
     """LU factorization of a Newton iteration matrix, reused across solves.
 
-    With ``n_trailing`` > 0 the matrix is split as [[J_cc, J_ca], [J_ac, J_aa]]
-    with a trailing block J_aa of that size (the field block of a midpoint
-    step, 0.5*K + M/tau, symmetric positive definite because the gauged K is
-    and M is semidefinite).  The first ``refactor`` factors J_aa in a
-    symmetric fill-reducing ordering without pivoting off the diagonal and
-    forms V = J_ca J_aa^-1 from the transposed solve; every ``refactor`` then
-    factors only the Schur complement S = J_cc - V J_ac.  ``solve`` takes
+    ``matrix`` is constant except at the entries (``rows``, ``cols``) of its
+    leading block, which every :meth:`refactor` overwrites from the dense
+    block it is given.  With ``n_trailing`` > 0 the matrix is split as
+    [[J_cc, J_ca], [J_ac, J_aa]] with a trailing block J_aa of that size (the
+    field block of a midpoint step, 0.5*K + M/tau, symmetric positive
+    definite because the gauged K is and M is semidefinite).  The first
+    ``refactor`` factors J_aa in a symmetric fill-reducing ordering without
+    pivoting off the diagonal and forms V = J_ca J_aa^-1 from the transposed
+    solve and W = V J_ac.  Every ``refactor`` then writes the stamp into a
+    dense copy of J_cc and factors only the Schur complement S = J_cc - W,
+    so it touches circuit-sized arrays only.  ``solve`` takes
     x_c = S^-1 (b_c - V b_a) and x_a = J_aa^-1 (b_a - J_ac x_c): one
     back-substitution through J_aa, whose result is the trailing unknowns
-    themselves rather than a difference of larger terms.  J_aa, J_ac and J_ca
-    must be the same in every matrix passed in, as they are for one step
-    size.  With no trailing block the Schur complement is the whole matrix.
+    themselves rather than a difference of larger terms.  With no trailing
+    block the Schur complement is the whole matrix, its exact zeros dropped.
+    ``magnitude`` gives the Newton floor's |J| |x| from |J| kept in the
+    matrix's sparse structure, whose stamped entries each ``refactor``
+    overwrites in place.
     """
 
-    def __init__(self, n_trailing: int = 0):
-        self.n_trailing = n_trailing
-        self._trailing = None  # (LU of J_aa, J_ac, V, V J_ac), built once
+    def __init__(self, matrix, rows: np.ndarray, cols: np.ndarray, n_trailing: int = 0):
+        base = matrix.tolil()
+        base[rows, cols] = 1.0  # keeps a slot for every stamped entry
+        base = base.tocsc()
+        position = base.copy()
+        position.data = np.arange(1.0, base.nnz + 1.0)
+        self._slots = np.asarray(position[rows, cols]).ravel().astype(int) - 1
+        self._rows, self._cols = rows, cols
+        self._abs = abs(base)
+        k = base.shape[0] - n_trailing
+        self._leading = base[:k, :k].toarray()
+        self._field = (base[k:, k:], base[k:, :k], base[:k, k:]) if n_trailing else None
+        self._trailing = None  # (LU of J_aa, J_ac, V, W), built once
+        self._schur = None     # the last S, refilled while its pattern holds
+        self._kept = None      # that pattern, column by column
         self._lu = None        # LU of the Schur complement
-        self.matrix = None
 
     @property
     def ready(self) -> bool:
         return self._lu is not None
 
-    def refactor(self, matrix) -> None:
+    def schur_complement(self, block: np.ndarray) -> sp.csc_matrix:
+        """S = J_cc - W with the stamped entries of J_cc taken from ``block``.
+
+        Exact zeros are dropped as sparse subtraction drops them, so the LU
+        sees the pattern, the values and hence the ordering that the sparse
+        difference of the full matrix's leading block and W would give.  The
+        returned matrix is refilled in place by the next call while the
+        pattern stays the same.
+        """
+        if self._field is not None:
+            j_aa, j_ac, j_ca = self._field
+            lu_aa = factor_spd(j_aa)
+            v = lu_aa.solve(j_ca.T.toarray(), trans="T").T
+            self._trailing, self._field = (lu_aa, j_ac, v, v @ j_ac), None
+        schur = self._leading.copy()
+        schur[self._rows, self._cols] = block[self._rows, self._cols]
+        if self._trailing is not None:
+            schur -= self._trailing[3]
+        flat = schur.T.ravel()  # column by column, the order of CSC storage
+        kept = flat != 0.0
+        if self._schur is None or not np.array_equal(kept, self._kept):
+            self._schur, self._kept = sp.csc_matrix(schur), kept
+        else:
+            self._schur.data[:] = flat[kept]  # the LU keeps no reference to it
+        return self._schur
+
+    def refactor(self, block: np.ndarray) -> None:
+        """Factor the matrix with its stamped entries taken from ``block``."""
         try:
-            matrix = sp.csc_matrix(matrix)
-            schur = matrix
-            if self.n_trailing:
-                k = matrix.shape[0] - self.n_trailing
-                if self._trailing is None:
-                    lu_aa = factor_spd(matrix[k:, k:])
-                    j_ac = matrix[k:, :k]
-                    v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
-                    self._trailing = (lu_aa, j_ac, v, sp.csc_matrix(v @ j_ac))
-                schur = matrix[:k, :k] - self._trailing[3]
-            self._lu = splu(schur)
-            self.matrix = matrix
+            self._lu = splu(self.schur_complement(block))
         except RuntimeError as exc:
             self._lu = None
-            self.matrix = None
             raise SolverError(f"iteration matrix factorization failed: {exc}") from exc
+        self._abs.data[self._slots] = np.abs(block[self._rows, self._cols])
+
+    def magnitude(self, x: np.ndarray) -> np.ndarray:
+        """|J| |x| for the matrix last factored: the size of the terms of J x."""
+        return self._abs @ np.abs(x)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
@@ -158,7 +195,7 @@ class FactorCache:
         if self._trailing is None:
             return self._lu.solve(rhs)
         lu_aa, j_ac, v, _ = self._trailing
-        k = rhs.shape[0] - self.n_trailing
+        k = rhs.shape[0] - j_ac.shape[0]
         x_c = self._lu.solve(rhs[:k] - v @ rhs[k:])
         return np.concatenate([x_c, lu_aa.solve(rhs[k:] - j_ac @ x_c)])
 
@@ -167,14 +204,15 @@ class StepOperator:
     """Everything a midpoint step of size tau on one system needs besides
     its state.
 
-    Holds the iteration matrix 0.5*J_state + J_rate/tau, built once from
-    :meth:`CoupledSystem.jacobians`, the system's rate operator
-    (:meth:`CoupledSystem.compact_form`), the diode limiter and the
-    :class:`FactorCache` that carries the factorization from step to step,
-    with the field block as its trailing block.  Only the resistive
-    conductance block (``psi``/``psi``) of the matrix depends on the Newton
-    iterate, so :meth:`matrix` copies the constant matrix and overwrites
-    that block.
+    Holds the system's rate operator (:meth:`CoupledSystem.compact_form`),
+    the diode limiter and the :class:`FactorCache` that carries the
+    factorization from step to step.  The cache is built once from the
+    iteration matrix 0.5*J_state + J_rate/tau of
+    :meth:`CoupledSystem.jacobians`, with the field block as its trailing
+    block.  Only the resistive conductance block (``psi``/``psi``) of the
+    matrix depends on the Newton iterate: :meth:`stamp` evaluates it, and a
+    refactorization writes only its entries, into the circuit-sized Schur
+    complement and into the |J| of the Newton floor.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
@@ -184,7 +222,6 @@ class StepOperator:
         self.tau = tau
         self.compact = system.compact_form()
         self.limiter = _diode_limiter(system, tau)
-        self.cache = FactorCache(n_trailing=system.layout.n_a)
         # J_rate is weighted by 1/tau as sparse division does, so the stamped
         # block rounds exactly as the constant part does
         self._rate_weight = 1.0 / tau
@@ -194,23 +231,16 @@ class StepOperator:
         self._inductive = 0.5 * j_state[psi, psi].toarray()
         # conductances are positive, so the pattern of the block at rest is
         # the pattern at every iterate
-        self._rows, self._cols = np.nonzero(
+        rows, cols = np.nonzero(
             (system.conductance(zero[psi]) != 0.0) | (self._inductive != 0.0))
-        base = (0.5 * j_state + j_rate * self._rate_weight).tolil()
-        base[self._rows, self._cols] = 1.0  # keeps a slot for every stamped entry
-        self._base = base.tocsc()
-        position = self._base.copy()
-        position.data = np.arange(1.0, self._base.nnz + 1.0)
-        self._slots = np.asarray(position[self._rows, self._cols]).ravel().astype(int) - 1
+        self.cache = FactorCache(0.5 * j_state + j_rate * self._rate_weight, rows, cols,
+                                 n_trailing=system.layout.n_a)
 
-    def matrix(self, z: np.ndarray) -> sp.csc_matrix:
-        """Iteration matrix at the state increment z."""
-        block = (self._inductive + self._rate_weight
-                 * self.system.conductance(z[self._psi] / self.tau))
-        data = self._base.data.copy()
-        data[self._slots] = block[self._rows, self._cols]
-        return sp.csc_matrix((data, self._base.indices, self._base.indptr),
-                             shape=self._base.shape)
+    def stamp(self, z: np.ndarray) -> np.ndarray:
+        """The ``psi``/``psi`` block of the iteration matrix at the state
+        increment z, dense."""
+        return (self._inductive + self._rate_weight
+                * self.system.conductance(z[self._psi] / self.tau))
 
 
 def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
@@ -223,7 +253,8 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     """Damped Newton iteration; returns ``(x, NewtonStats)`` for the first
     iterate within tolerance.
 
-    ``jacobian(x)`` must return a matrix accepted by the sparse LU.
+    ``jacobian(x)`` returns the dense block of stamped entries that
+    ``cache.refactor`` takes (:meth:`StepOperator.stamp` for a midpoint step).
     ``scale`` divides the residual componentwise before taking the max norm;
     ``cache`` carries a factorization across calls: stale Jacobians are kept
     while they keep converging and refreshed when an iteration count exceeds
@@ -251,7 +282,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
 
     def update_floor():
         nonlocal eff_scale
-        terms = abs(cache.matrix) @ np.abs(x) + const_magnitude
+        terms = cache.magnitude(x) + const_magnitude
         floor = (config.floor_factor * np.finfo(float).eps / config.tol) * terms
         eff_scale = np.maximum(scale, floor)
 
@@ -490,7 +521,7 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     else:
         z0 = np.zeros_like(y_prev)
     try:
-        z, stats = newton_solve(step_residual, operator.matrix, z0, config, scale,
+        z, stats = newton_solve(step_residual, operator.stamp, z0, config, scale,
                                 operator.cache, np.abs(const_part),
                                 limiter=operator.limiter)
     except SolverError as exc:

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mona.circuit import build_incidence
 from mona.coupling import assemble_coupled
 from mona.demo import DEMO_NETLIST
 from mona.fem import TransformerParams, build_field_model, generate_transformer_mesh
 from mona.netlist import parse_netlist
+from mona.stepping import FactorCache
 
 RLC_NETLIST = """
 V src 1 0 SIN(10 50)
@@ -52,6 +54,13 @@ def rectifier(coarse_field):
 @pytest.fixture(scope="session")
 def linear_coupled(coarse_field):
     return build_from_netlist(LINEAR_COUPLED_NETLIST, field=coarse_field)
+
+
+def dense_cache(n):
+    """A FactorCache with every entry of an n x n matrix stamped: it factors
+    whatever dense matrix the Newton Jacobian returns."""
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    return FactorCache(sp.csc_matrix((n, n)), rows, cols)
 
 
 def random_state(system, rng, amplitude=0.1):

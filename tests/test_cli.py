@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mona.cli as cli
+import mona.stepping
 from mona.cli import run_cli
 from mona.demo import DEMO_NETLIST, DEMO_PROBES
 from mona.errors import SolverError
@@ -289,6 +290,28 @@ class TestRun:
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
 
+    def test_failed_run_leaves_partial_traces(self, rlc_net, tmp_path, monkeypatch,
+                                              capsys):
+        argv = ["run", "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.01",
+                "--probes", "v_r=v(r1)"]
+        assert run_cli([*argv, "--out", str(tmp_path / "full")]) == 0
+        step = mona.stepping.midpoint_step
+
+        def fail_at_step_5(*args, index, **kwargs):
+            if index == 5:
+                raise SolverError("synthetic failure")
+            return step(*args, index=index, **kwargs)
+
+        monkeypatch.setattr(mona.stepping, "midpoint_step", fail_at_step_5)
+        capsys.readouterr()
+        assert run_cli([*argv, "--out", str(tmp_path / "cut")]) == 2
+        assert "solver failure: synthetic failure" in capsys.readouterr().err
+        full = (tmp_path / "full" / "trace.csv").read_text().splitlines()
+        cut = (tmp_path / "cut" / "trace.csv").read_text().splitlines()
+        assert cut == full[:5]  # the header and the 4 accepted steps
+        _header, rows = read_csv(tmp_path / "cut" / "audit.csv")
+        assert len(rows) == 4
+
 
 class TestConverge:
     def test_rlc_eoc_table(self, rlc_net, tmp_path, capsys):
@@ -412,6 +435,26 @@ def test_console_entry_exit_status(rlc_net, tmp_path):
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == status, done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_module_entry_point(tmp_path):
+    # ``python -m mona.cli`` runs the CLI and passes its exit status on
+    one = tmp_path / "one.net"
+    one.write_text("V src 1 0 SIN(1 60)\nM x 1 0 FIELD=builtin\n")
+    demo = tmp_path / "demo.net"
+    demo.write_text(DEMO_NETLIST)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for netlist, status, line in (
+            (one, 1, "error: device branch count (1) does not match winding count (2)"),
+            (demo, 0, "7 elements, 4 nodes: ok")):
+        done = subprocess.run(
+            [sys.executable, "-m", "mona.cli", "check", "--netlist", str(netlist),
+             "--mesh-density", "0.025"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == status, done.stderr
+        assert line in done.stdout.splitlines()
 
 
 def test_log_level_from_environment(rlc_net, monkeypatch):

@@ -17,7 +17,7 @@ from mona.errors import MeshError
 from mona.netlist import parse_netlist
 from mona.sources import SourceSet, Waveform
 
-from conftest import dense_incidence, random_state
+from conftest import dense_cache, dense_incidence, random_state
 
 
 def dense_residual(system, y, ydot, t):
@@ -258,7 +258,7 @@ class TestPowerBreakdown:
         system = assemble_coupled(graph, sources=zero_sources)
         rng = np.random.default_rng(8)
         # solve the DAE instantaneously: given random psi/q_c, find rates
-        from mona.stepping import FactorCache, NewtonConfig, newton_solve
+        from mona.stepping import NewtonConfig, newton_solve
         lay = system.layout
         for _ in range(5):
             y = random_state(system, rng)
@@ -271,7 +271,7 @@ class TestPowerBreakdown:
 
             ydot, _stats = newton_solve(resid, jac, np.zeros(lay.size),
                                         NewtonConfig(tol=1e-12), np.ones(lay.size),
-                                        FactorCache(), np.zeros(lay.size))
+                                        dense_cache(lay.size), np.zeros(lay.size))
             pb = system.power_breakdown(y, ydot, 0.0)
             assert pb.dh_dt <= 1e-10
 

@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state
+from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, dense_cache, random_state
 import mona.stepping
 from mona.circuit import build_incidence
 from mona.coupling import CoupledSystem, assemble_coupled
 from mona.demo import DEMO_NETLIST, assemble_netlist
 from mona.errors import ConsistencyError, SolverError
-from mona.fem import TransformerParams, build_field_model, generate_transformer_mesh
+from mona.fem import TransformerParams, build_field_model, factor_spd, generate_transformer_mesh
 from mona.netlist import parse_netlist
 from mona.probes import compile_probe, default_state_probe
 from mona.sources import SourceSet, Waveform
@@ -63,11 +63,11 @@ class TestTimeGrid:
 
 
 def solve(residual, jacobian, x0, config=NewtonConfig()):
-    """newton_solve with unit scaling, a fresh full-matrix factorization and
-    no constant residual terms."""
+    """newton_solve with unit scaling, a fresh factorization of the whole
+    dense Jacobian and no constant residual terms."""
     x0 = np.asarray(x0, dtype=float)
-    return newton_solve(residual, jacobian, x0, config, np.ones_like(x0), FactorCache(),
-                        np.zeros_like(x0))
+    return newton_solve(residual, jacobian, x0, config, np.ones_like(x0),
+                        dense_cache(x0.size), np.zeros_like(x0))
 
 
 class TestNewtonSolve:
@@ -78,7 +78,7 @@ class TestNewtonSolve:
         def resid(x):
             return mat @ x - rhs
 
-        x, stats = solve(resid, lambda x: sp.csc_matrix(mat), np.zeros(2))
+        x, stats = solve(resid, lambda x: mat, np.zeros(2))
         assert stats.iterations == 1
         assert stats.converged
         assert np.allclose(x, np.linalg.solve(mat, rhs))
@@ -88,15 +88,14 @@ class TestNewtonSolve:
             return np.array([x[0] ** 2 - 4.0])
 
         def jac(x):
-            return sp.csc_matrix(np.array([[2.0 * x[0]]]))
+            return np.array([[2.0 * x[0]]])
 
         x, stats = solve(resid, jac, np.array([3.0]))
         assert stats.iterations <= 7
         assert abs(x[0] - 2.0) <= 1e-12
 
     def test_zero_initial_guess_is_converged(self):
-        x, stats = solve(lambda x: np.zeros(2), lambda x: sp.identity(2, format="csc"),
-                         np.zeros(2))
+        x, stats = solve(lambda x: np.zeros(2), lambda x: np.identity(2), np.zeros(2))
         assert stats.iterations == 0
 
     def test_max_iterations_exceeded(self):
@@ -105,7 +104,7 @@ class TestNewtonSolve:
             return np.array([abs(x[0]) + 1.0])
 
         def jac(x):
-            return sp.csc_matrix(np.array([[1.0 if x[0] >= 0 else -1.0]]))
+            return np.array([[1.0 if x[0] >= 0 else -1.0]])
 
         with pytest.raises(SolverError, match="did not converge"):
             solve(resid, jac, np.array([2.0]), NewtonConfig(max_iter=8))
@@ -115,7 +114,7 @@ class TestNewtonSolve:
             return np.array([1.0, 1.0])
 
         def jac(x):
-            return sp.csc_matrix(np.zeros((2, 2)))
+            return np.zeros((2, 2))
 
         with pytest.raises(SolverError):
             solve(resid, jac, np.zeros(2))
@@ -126,7 +125,7 @@ class TestNewtonSolve:
             return np.arctan(x)
 
         def jac(x):
-            return sp.csc_matrix(np.diag(1.0 / (1.0 + x**2)))
+            return np.diag(1.0 / (1.0 + x**2))
 
         x, stats = solve(resid, jac, np.array([20.0]))
         assert abs(x[0]) <= 1e-12
@@ -201,17 +200,28 @@ class TestMidpointStep:
 
         def jac(z):
             j_state, j_rate = system.jacobians(0.5 * (z + y1), (y1 - z) / tau, t_mid)
-            return 0.5 * j_state - j_rate / tau
+            return (0.5 * j_state - j_rate / tau).toarray()
 
         y0_back, _stats = solve(resid, jac, np.array(y1))
         scale = np.max(np.abs(y0)) + 1.0
         assert np.max(np.abs(y0_back - y0)) <= 1e-9 * scale
 
 
+def iteration_matrix(system, tau, z):
+    """The midpoint iteration matrix 0.5*J_state + J_rate/tau at the state
+    increment z, from ``system.jacobians``."""
+    j_state, j_rate = system.jacobians(system.layout.zeros(), z / tau, 0.0)
+    return (0.5 * j_state + j_rate / tau).tocsc()
+
+
 def full_space_run(system, grid):
-    """run_transient's step loop with one LU of the whole iteration matrix."""
+    """run_transient's step loop with one LU of the whole iteration matrix,
+    every entry of it stamped from ``system.jacobians`` at each
+    refactorization."""
     operator = StepOperator(system, grid.tau)
-    operator.cache = FactorCache()
+    matrix = iteration_matrix(system, grid.tau, system.layout.zeros())
+    operator.cache = FactorCache(matrix, *matrix.nonzero())
+    operator.stamp = lambda z: iteration_matrix(system, grid.tau, z).toarray()
     y, z_pred, records = system.layout.zeros(), None, []
     energy = system.energy(y)
     for n in range(1, grid.n_steps + 1):
@@ -232,23 +242,52 @@ class TestBlockElimination:
         rng = np.random.default_rng(3)
         for _ in range(2):  # the second refactor reuses the field factorization
             z = 1e-3 * random_state(system, rng)
-            matrix = operator.matrix(z)
-            cache.refactor(matrix)
+            matrix = iteration_matrix(system, tau, z)
+            cache.refactor(operator.stamp(z))
             for _ in range(3):
                 rhs = rng.standard_normal(system.layout.size)
                 x_ref = spsolve(matrix, rhs)
                 err = np.max(np.abs(cache.solve(rhs) - x_ref))
                 assert err <= 1e-12 * np.max(np.abs(x_ref))
 
-    def test_stamp_reproduces_the_jacobians(self, rectifier):
-        _parsed, _graph, system = rectifier
+    def test_stamp_reproduces_the_jacobians(self):
+        # the Schur complement the cache factors, and the |J| |x| of the
+        # Newton floor, equal those formed from the whole iteration matrix by
+        # sparse slicing and subtraction, bit for bit and entry for entry
         tau = 6.25e-4
-        operator = StepOperator(system, tau)
         rng = np.random.default_rng(4)
-        y, z = random_state(system, rng), 1e-3 * random_state(system, rng)
-        j_state, j_rate = system.jacobians(y, z / tau, 0.0)
-        expected = (0.5 * j_state + j_rate / tau).toarray()
-        assert np.array_equal(operator.matrix(z).toarray(), expected)
+        for h in (0.025, 0.0125):
+            system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
+            operator = StepOperator(system, tau)
+            cache = operator.cache
+            k = system.layout.size - system.layout.n_a
+            for _ in range(2):  # the second S is refilled in the first one's structure
+                z = 1e-3 * random_state(system, rng)
+                matrix = iteration_matrix(system, tau, z)
+                lu_aa = factor_spd(matrix[k:, k:])
+                v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
+                expected = matrix[:k, :k] - sp.csc_matrix(v @ matrix[k:, :k])
+                schur = cache.schur_complement(operator.stamp(z))
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(schur, part), getattr(expected, part))
+                cache.refactor(operator.stamp(z))
+                x = random_state(system, rng)
+                assert np.array_equal(cache.magnitude(x), abs(matrix) @ np.abs(x))
+
+    def test_one_refactor_call_per_factorization(self, rectifier, monkeypatch):
+        # the benchmark's tracer counts factorizations by FactorCache.refactor
+        # calls, so no factorization may happen outside it, nor a call without one
+        _parsed, _graph, system = rectifier
+        calls = []
+        refactor = FactorCache.refactor
+
+        def counted(cache, block):
+            calls.append(block)
+            return refactor(cache, block)
+
+        monkeypatch.setattr(FactorCache, "refactor", counted)
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert len(calls) == sum(rec.newton.factorizations for rec in result.records) > 0
 
     def test_transient_matches_full_space_run(self, rectifier):
         _parsed, _graph, system = rectifier

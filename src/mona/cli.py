@@ -119,7 +119,9 @@ def _run(args):
 
     ``--out`` is created before the transient, so an unusable path fails
     before the work rather than after it.  A failed transient still writes
-    both files, with the steps accepted before the failure, and re-raises."""
+    both files, with the steps accepted before the failure, and re-raises;
+    the ``eps_H_rel`` column of that partial audit is relative to the peak
+    supplied power over those steps only."""
     grid, newton = _grid_and_newton(args)
     parsed, system = _assemble(args)
     probes = parse_probe_spec(system, args.probes, parsed.node_ids) if args.probes else {}

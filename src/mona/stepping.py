@@ -156,8 +156,10 @@ class FactorCache:
         Exact zeros are dropped as sparse subtraction drops them, so the LU
         sees the pattern, the values and hence the ordering that the sparse
         difference of the full matrix's leading block and W would give.  The
-        returned matrix is refilled in place by the next call while the
-        pattern stays the same.
+        returned matrix is the cache's own: while the pattern of nonzeros
+        stays the same, the next call refills its ``data`` in place rather
+        than building a new one, which keeps the per-refresh cost at the
+        arithmetic instead of sparse construction.
         """
         if self._field is not None:
             j_aa, j_ac, j_ca = self._field

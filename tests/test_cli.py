@@ -309,8 +309,13 @@ class TestRun:
         full = (tmp_path / "full" / "trace.csv").read_text().splitlines()
         cut = (tmp_path / "cut" / "trace.csv").read_text().splitlines()
         assert cut == full[:5]  # the header and the 4 accepted steps
-        _header, rows = read_csv(tmp_path / "cut" / "audit.csv")
-        assert len(rows) == 4
+        header, rows = read_csv(tmp_path / "cut" / "audit.csv")
+        full_header, full_rows = read_csv(tmp_path / "full" / "audit.csv")
+        assert header == full_header and len(rows) == 4
+        # eps_H_rel is relative to the peak supplied power of the rows written
+        rel = header.index("eps_H_rel")
+        assert ([row[:rel] + row[rel + 1:] for row in rows]
+                == [row[:rel] + row[rel + 1:] for row in full_rows[:4]])
 
 
 class TestConverge:

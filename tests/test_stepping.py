@@ -274,6 +274,17 @@ class TestBlockElimination:
                 x = random_state(system, rng)
                 assert np.array_equal(cache.magnitude(x), abs(matrix) @ np.abs(x))
 
+    def test_schur_complement_follows_a_changed_pattern(self):
+        # an entry that turns exactly zero, and back, changes the pattern: S is
+        # then built afresh rather than refilled
+        cache = dense_cache(3)
+        block = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 5.0]])
+        for entry in (1.0, 0.0, 0.5, 0.25):
+            block[0, 1] = entry
+            schur, expected = cache.schur_complement(block), sp.csc_matrix(block)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(schur, part), getattr(expected, part))
+
     def test_one_refactor_call_per_factorization(self, rectifier, monkeypatch):
         # the benchmark's tracer counts factorizations by FactorCache.refactor
         # calls, so no factorization may happen outside it, nor a call without one

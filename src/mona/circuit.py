@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "build_incidence",
     "validate_topology",
     "resistive_branch_current",
+    "resistive_branch_slope",
     "diode_critical_voltage",
     "diode_voltage_limit",
     "circuit_energy",
@@ -166,6 +168,16 @@ class CircuitGraph:
     @property
     def n_inductors(self) -> int:
         return self.a_l.shape[1]
+
+    @cached_property
+    def diode_exp_slope(self) -> np.ndarray:
+        """I_s / V_th per diode [S]: the exponential's slope at zero."""
+        return self.diode_saturation / self.diode_thermal
+
+    @cached_property
+    def diode_parallel_conductance(self) -> np.ndarray:
+        """1 / R_par per diode [S]."""
+        return 1.0 / self.diode_parallel
 
     @classmethod
     def empty(cls, n_devices: int = 0) -> "CircuitGraph":
@@ -427,6 +439,26 @@ def _forest_component(forest, start):
     return seen
 
 
+def _checked_branch_voltages(graph: CircuitGraph, v_branch) -> np.ndarray:
+    v_branch = np.asarray(v_branch, dtype=float)
+    if v_branch.shape != (graph.n_resistive,):
+        raise ValueError(f"expected {graph.n_resistive} branch voltages")
+    return v_branch
+
+
+def _diode_exponential(graph: CircuitGraph, v: np.ndarray):
+    """(v / V_th, exp(v / V_th)) of the diode branches, the exponential taken
+    at most at :data:`DIODE_EXP_CAP`."""
+    x = v / graph.diode_thermal
+    return x, np.exp(np.minimum(x, DIODE_EXP_CAP))
+
+
+def _diode_slope(graph: CircuitGraph, e: np.ndarray) -> np.ndarray:
+    """di/dv of the diodes from their capped exponential ``e``; past the cap
+    the linear continuation keeps the slope of the cap."""
+    return graph.diode_exp_slope * e + graph.diode_parallel_conductance
+
+
 def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray):
     """Branch currents and conductances of the resistive partition.
 
@@ -435,11 +467,8 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray):
     capped at :data:`DIODE_EXP_CAP` thermal voltages, beyond which a linear
     continuation keeps values and slopes finite.  Returns ``(i, di/dv)``.
     """
-    v_branch = np.asarray(v_branch, dtype=float)
+    v_branch = _checked_branch_voltages(graph, v_branch)
     n_lin = graph.n_linear_resistive
-    if v_branch.shape != (graph.n_resistive,):
-        raise ValueError(f"expected {graph.n_resistive} branch voltages")
-
     i = np.empty_like(v_branch)
     didv = np.empty_like(v_branch)
     i[:n_lin] = graph.conductance * v_branch[:n_lin]
@@ -447,14 +476,24 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray):
 
     if graph.n_diodes:
         v = v_branch[n_lin:]
-        i_s, v_th, r_p = graph.diode_saturation, graph.diode_thermal, graph.diode_parallel
-        x = v / v_th
-        e = np.exp(np.minimum(x, DIODE_EXP_CAP))
+        x, e = _diode_exponential(graph, v)
         over = x > DIODE_EXP_CAP
-        growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e)
-        i[n_lin:] = i_s * (growth - 1.0) + v / r_p
-        didv[n_lin:] = i_s / v_th * e + 1.0 / r_p
+        growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e) if over.any() else e
+        i[n_lin:] = graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel
+        didv[n_lin:] = _diode_slope(graph, e)
     return i, didv
+
+
+def resistive_branch_slope(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:
+    """The conductances di/dv of :func:`resistive_branch_current` alone,
+    without evaluating the currents."""
+    v_branch = _checked_branch_voltages(graph, v_branch)
+    n_lin = graph.n_linear_resistive
+    didv = np.empty_like(v_branch)
+    didv[:n_lin] = graph.conductance
+    if graph.n_diodes:
+        didv[n_lin:] = _diode_slope(graph, _diode_exponential(graph, v_branch[n_lin:])[1])
+    return didv
 
 
 def diode_critical_voltage(thermal: np.ndarray, saturation: np.ndarray) -> np.ndarray:
@@ -465,23 +504,27 @@ def diode_critical_voltage(thermal: np.ndarray, saturation: np.ndarray) -> np.nd
 
 
 def diode_voltage_limit(v_new: np.ndarray, v_old: np.ndarray,
-                        thermal: np.ndarray, saturation: np.ndarray) -> np.ndarray:
+                        thermal: np.ndarray, critical: np.ndarray) -> np.ndarray:
     """Junction-style limiting of a proposed diode voltage update.
 
     Forward voltages may not jump by more than a logarithmic contraction of
-    the proposed change once past the critical voltage; this is the standard
+    the proposed change once past the critical voltage ``critical``
+    (:func:`diode_critical_voltage` of the diodes, which depends on their
+    parameters only, so a caller builds it once); this is the standard
     guard that keeps Newton iterates out of the exponential's overflow region
     without giving up quadratic convergence near the solution (the limit is
-    inactive for changes below two thermal voltages).
+    inactive for changes below two thermal voltages).  When it limits no
+    diode, ``v_new`` itself is returned.
     """
-    v_crit = diode_critical_voltage(thermal, saturation)
     change = v_new - v_old
-    active = (v_new > v_crit) & (np.abs(change) > 2.0 * thermal)
+    active = (v_new > critical) & (np.abs(change) > 2.0 * thermal)
+    if not active.any():
+        return v_new
     arg = 1.0 + change / thermal
     contracted = np.where(arg > 0.0,
                           v_old + thermal * np.log(np.maximum(arg, 1e-300)),
-                          v_crit)
-    limited = np.where(v_old > 0.0, contracted, v_crit)
+                          critical)
+    limited = np.where(v_old > 0.0, contracted, critical)
     return np.where(active, limited, v_new)
 
 

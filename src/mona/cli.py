@@ -109,7 +109,7 @@ def _assemble(args):
 
 def _grid_and_newton(args):
     """The time grid and Newton settings; built first, so bad values fail
-    before any assembly."""
+    before any assembly (``converge`` checks ``--halvings`` right after)."""
     return (TimeGrid(t0=0.0, t_end=args.t_end, tau=args.tau),
             NewtonConfig(tol=args.newton_tol))
 
@@ -152,9 +152,13 @@ def cmd_run(args) -> int:
 
 def cmd_converge(args) -> int:
     grid, newton = _grid_and_newton(args)
+    if args.halvings < 1:
+        raise ValueError(f"--halvings must be at least 1, got {args.halvings}")
     parsed, system = _assemble(args)
     if args.probes:
         probes = parse_probe_spec(system, args.probes, parsed.node_ids)
+        if not probes:
+            raise ValueError(f"--probes {args.probes!r} names no probe")
         probe = next(iter(probes.values()))
     else:
         probe = default_state_probe(system)

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .circuit import CircuitGraph, circuit_energy, resistive_branch_current
+from .circuit import (CircuitGraph, circuit_energy, resistive_branch_current,
+                      resistive_branch_slope)
 from .errors import MeshError
 from .fem import FieldModel
 from .sources import SourceSet
@@ -67,19 +68,19 @@ class BlockLayout:
         return sum(self.sizes)
 
     @cached_property
-    def _slices(self) -> dict:
-        return {name: slice(off, off + n)
-                for name, off, n in zip(BLOCK_NAMES, self.offsets, self.sizes)}
+    def slices(self) -> tuple[slice, ...]:
+        """The slices of the five blocks, in block order."""
+        return tuple(slice(off, off + n) for off, n in zip(self.offsets, self.sizes))
 
     def block_slice(self, name: str) -> slice:
-        return self._slices[name]
+        return self.slices[BLOCK_NAMES.index(name)]
 
     def split(self, vec: np.ndarray):
         """Views of the five blocks of a conforming flat vector."""
         vec = np.asarray(vec)
         if vec.shape != (self.size,):
             raise ValueError(f"state vector must have length {self.size}")
-        return tuple(vec[blk] for blk in self._slices.values())
+        return tuple(vec[blk] for blk in self.slices)
 
     def pack(self, psi, q_c, q_v, q_m, a) -> np.ndarray:
         return np.concatenate([np.asarray(b, dtype=float).ravel()
@@ -175,18 +176,29 @@ class CoupledSystem:
         return self._rate_op(ydot) + self.energy_gradient(y) - self.source_vector(t)
 
     def _rate_op(self, ydot: np.ndarray) -> np.ndarray:
-        """Resistive currents and the antisymmetric coupling blocks at rate ydot."""
+        """Resistive currents and the antisymmetric coupling blocks at rate ydot.
+
+        ``ydot`` is a float vector of the layout's size; blocks of size zero
+        contribute no terms."""
         g = self.graph
         lay = self.layout
-        psi_dot, qc_dot, qv_dot, qm_dot, a_dot = lay.split(np.asarray(ydot, dtype=float))
+        psi, q_c, q_v, q_m, a = lay.slices
+        psi_dot = ydot[psi]
         i_r, _ = resistive_branch_current(g, g.a_r.T @ psi_dot)
         out = np.empty(lay.size)
-        out[lay.block_slice("psi")] = (g.a_r @ i_r + g.a_c @ qc_dot + g.a_v @ qv_dot
-                                       + g.a_m @ qm_dot)
-        out[lay.block_slice("q_c")] = -(g.a_c.T @ psi_dot)
-        out[lay.block_slice("q_v")] = -(g.a_v.T @ psi_dot)
-        out[lay.block_slice("q_m")] = -(g.a_m.T @ psi_dot) + self.winding_matrix.T @ a_dot
-        out[lay.block_slice("a")] = self.mass @ a_dot - self.winding_matrix @ qm_dot
+        node_current = g.a_r @ i_r
+        if lay.n_c:
+            node_current += g.a_c @ ydot[q_c]
+            out[q_c] = -(g.a_c.T @ psi_dot)
+        if lay.n_v:
+            node_current += g.a_v @ ydot[q_v]
+            out[q_v] = -(g.a_v.T @ psi_dot)
+        if lay.n_m:
+            node_current += g.a_m @ ydot[q_m]
+            out[q_m] = -(g.a_m.T @ psi_dot) + self.winding_matrix.T @ ydot[a]
+        out[psi] = node_current
+        if lay.n_a:
+            out[a] = self.mass @ ydot[a] - self.winding_matrix @ ydot[q_m]
         return out
 
     def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
@@ -229,10 +241,12 @@ class CoupledSystem:
         """Nodal conductance matrix of the resistive branches at node rates psi_dot.
 
         The ``psi``/``psi`` block of the rate Jacobian, and the only block of
-        either Jacobian that depends on the evaluation point.
+        either Jacobian that depends on the evaluation point.  Only the branch
+        slopes di/dv are evaluated (:func:`resistive_branch_slope`), not the
+        branch currents.
         """
         g = self.graph
-        _, didv = resistive_branch_current(g, g.a_r.T @ psi_dot)
+        didv = resistive_branch_slope(g, g.a_r.T @ psi_dot)
         return g.a_r @ (didv[:, None] * g.a_r.T)
 
     def energy(self, y: np.ndarray) -> float:
@@ -251,16 +265,20 @@ class CoupledSystem:
         return h
 
     def energy_gradient(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of the stored energy; zero on the source and device charges."""
+        """Gradient of the stored energy; zero on the source and device charges.
+
+        ``y`` is a float vector of the layout's size; blocks without
+        inductors, capacitors or field unknowns keep their zeros."""
         g = self.graph
         lay = self.layout
-        psi, q_c, _q_v, _q_m, a = lay.split(np.asarray(y, dtype=float))
+        psi, q_c, _q_v, _q_m, a = lay.slices
         out = np.zeros(lay.size)
-        out[lay.block_slice("psi")] = g.a_l @ (g.inv_inductance * (g.a_l.T @ psi))
-        if q_c.size:
-            out[lay.block_slice("q_c")] = q_c / g.capacitance
-        if a.size:
-            out[lay.block_slice("a")] = self.stiffness @ a
+        if g.n_inductors:
+            out[psi] = g.a_l @ (g.inv_inductance * (g.a_l.T @ y[psi]))
+        if lay.n_c:
+            out[q_c] = y[q_c] / g.capacitance
+        if lay.n_a:
+            out[a] = self.stiffness @ y[a]
         return out
 
     def source_vector(self, t: float) -> np.ndarray:
@@ -274,6 +292,7 @@ class CoupledSystem:
 
     def power_breakdown(self, y: np.ndarray, ydot: np.ndarray, t: float) -> PowerBreakdown:
         """Instantaneous power bookkeeping at (y, ydot, t)."""
+        y = np.asarray(y, dtype=float)
         ydot = np.asarray(ydot, dtype=float)
         return self.power_balance(float(self.energy_gradient(y) @ ydot), ydot, t)
 

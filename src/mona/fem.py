@@ -261,7 +261,7 @@ class FieldModel:
     mass: sp.csr_matrix
     winding_matrix: np.ndarray
     dof_map: np.ndarray
-    _gradient_op: tuple = field(default=None, repr=False)  # (B_x, B_y, coef), built on demand
+    _gradient_op: tuple = field(default=None, repr=False)  # (G, coef), built on demand
 
     @property
     def n_dofs(self) -> int:
@@ -287,15 +287,17 @@ class FieldModel:
             return 0.0
         if self._gradient_op is None:
             self._gradient_op = self._element_gradients()
-        b_x, b_y, coef = self._gradient_op
-        gx = b_x @ a
-        gy = b_y @ a
+        g, coef = self._gradient_op
+        grad = g @ a
+        gx, gy = grad[:coef.size], grad[coef.size:]
         return 0.5 * float(coef @ (gx * gx + gy * gy))
 
     def _element_gradients(self):
-        """(B_x, B_y, coef): per-triangle gradient components of an interior
-        solution, as CSR maps from the interior unknowns, and the per-triangle
-        energy coefficient nu * depth * area.
+        """(G, coef): G = [B_x; B_y] stacks the x and the y component of the
+        per-triangle gradients of an interior solution as one CSR map from the
+        interior unknowns (row t of B_x is row t of G, row t of B_y is row
+        n_triangles + t), and coef is the per-triangle energy coefficient
+        nu * depth * area.
 
         Each row lists its triangle's interior vertices in local vertex
         order, so a gradient component is summed in the same order as over
@@ -305,12 +307,13 @@ class FieldModel:
         grads = _gradients(mesh)
         dofs = self.dof_map[mesh.triangles]
         interior = dofs >= 0
-        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(interior, axis=1))])
-        shape = (mesh.n_triangles, self.n_dofs)
-        b_x, b_y = (sp.csr_matrix((grads[:, :, d][interior], dofs[interior], indptr),
-                                  shape=shape) for d in (0, 1))
+        counts = np.count_nonzero(interior, axis=1)
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate([counts, counts]))])
+        data = np.concatenate([grads[:, :, d][interior] for d in (0, 1)])
+        indices = np.concatenate([dofs[interior], dofs[interior]])
+        g = sp.csr_matrix((data, indices, indptr), shape=(2 * mesh.n_triangles, self.n_dofs))
         coef = self.materials.reluctivity * mesh.depth * mesh.areas
-        return b_x, b_y, coef
+        return g, coef
 
 
 def factor_spd(matrix: sp.csc_matrix):

@@ -126,7 +126,8 @@ class FactorCache:
     block the Schur complement is the whole matrix, its exact zeros dropped.
     ``magnitude`` gives the Newton floor's |J| |x| from |J| kept in the
     matrix's sparse structure, whose stamped entries each ``refactor``
-    overwrites in place.
+    overwrites in place.  ``rows`` and ``cols`` are public: they order the
+    stamped entries that :meth:`schur_complement` takes.
     """
 
     def __init__(self, matrix, rows: np.ndarray, cols: np.ndarray, n_trailing: int = 0):
@@ -136,7 +137,7 @@ class FactorCache:
         position = base.copy()
         position.data = np.arange(1.0, base.nnz + 1.0)
         self._slots = np.asarray(position[rows, cols]).ravel().astype(int) - 1
-        self._rows, self._cols = rows, cols
+        self.rows, self.cols = rows, cols
         self._abs = abs(base)
         k = base.shape[0] - n_trailing
         self._leading = base[:k, :k].toarray()
@@ -150,8 +151,9 @@ class FactorCache:
     def ready(self) -> bool:
         return self._lu is not None
 
-    def schur_complement(self, block: np.ndarray) -> sp.csc_matrix:
-        """S = J_cc - W with the stamped entries of J_cc taken from ``block``.
+    def schur_complement(self, stamped: np.ndarray) -> sp.csc_matrix:
+        """S = J_cc - W with the stamped entries of J_cc set to ``stamped``,
+        the values at (``rows``, ``cols``) in that order.
 
         Exact zeros are dropped as sparse subtraction drops them, so the LU
         sees the pattern, the values and hence the ordering that the sparse
@@ -167,7 +169,7 @@ class FactorCache:
             v = lu_aa.solve(j_ca.T.toarray(), trans="T").T
             self._trailing, self._field = (lu_aa, j_ac, v, v @ j_ac), None
         schur = self._leading.copy()
-        schur[self._rows, self._cols] = block[self._rows, self._cols]
+        schur[self.rows, self.cols] = stamped
         if self._trailing is not None:
             schur -= self._trailing[3]
         flat = schur.T.ravel()  # column by column, the order of CSC storage
@@ -180,12 +182,13 @@ class FactorCache:
 
     def refactor(self, block: np.ndarray) -> None:
         """Factor the matrix with its stamped entries taken from ``block``."""
+        stamped = block[self.rows, self.cols]
         try:
-            self._lu = splu(self.schur_complement(block))
+            self._lu = splu(self.schur_complement(stamped))
         except RuntimeError as exc:
             self._lu = None
             raise SolverError(f"iteration matrix factorization failed: {exc}") from exc
-        self._abs.data[self._slots] = np.abs(block[self._rows, self._cols])
+        self._abs.data[self._slots] = np.abs(stamped)
 
     def magnitude(self, x: np.ndarray) -> np.ndarray:
         """|J| |x| for the matrix last factored: the size of the terms of J x."""
@@ -275,7 +278,8 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
 
     ``limiter(x, x_proposed) -> x_limited`` may reshape a proposed full step
     before the line search (used for junction-voltage limiting); it must be
-    the identity at fixed points.
+    the identity at fixed points, and it returns ``x_proposed`` itself when
+    it leaves the proposal unchanged.
     """
     stats = NewtonStats()
 
@@ -305,11 +309,16 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         update_floor()
 
     def limited(dx):
-        """The step after limiting, and whether the limiter changed it."""
+        """The step after limiting, and whether the limiter changed it.
+
+        The step is ``proposal - x`` even when the limiter returns the
+        proposal unchanged: ``(x + dx) - x`` rounds differently from ``dx``."""
         if limiter is None:
             return dx, False
-        proposal = limiter(x, x + dx)
-        return proposal - x, not np.array_equal(proposal, x + dx)
+        x_new = x + dx
+        proposal = limiter(x, x_new)
+        return proposal - x, (proposal is not x_new
+                              and not np.array_equal(proposal, x_new))
 
     stale_ok = True  # last iteration was a clean full step
     for it in range(1, config.max_iter + 1):
@@ -331,7 +340,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
             alpha = 1.0
             x_try = r_try = n_try = None
             for _ in range(config.max_halvings + 1):
-                x_try = x + alpha * dx
+                x_try = x + dx if alpha == 1.0 else x + alpha * dx
                 r_try = residual(x_try)
                 n_try = _scaled_norm(r_try, eff_scale)
                 # a limited full step is its own safeguard: take it as long as
@@ -432,7 +441,10 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     whole update so no achieved voltage exceeds the previous iterate's value
     or critical voltage by more than a fixed number of thermal voltages.
     Both stages are the identity once updates are small, so Newton fixed
-    points are untouched.
+    points are untouched, and a proposal that neither stage changes is
+    returned as the same object.  The pseudoinverse, the critical voltages
+    and the headroom of the second stage depend on the system and tau only,
+    so they are built once per run.
     """
     g = system.graph
     if g.n_diodes == 0:
@@ -440,7 +452,9 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     a_dio = g.a_r[:, g.n_linear_resistive:]
     psi_sl = system.layout.block_slice("psi")
     pinv = np.linalg.pinv(a_dio.T)
-    v_crit = diode_critical_voltage(g.diode_thermal, g.diode_saturation)
+    thermal = g.diode_thermal
+    v_crit = diode_critical_voltage(thermal, g.diode_saturation)
+    headroom = DIODE_GROWTH_LIMIT * thermal
 
     def voltages(z):
         return (a_dio.T @ z[psi_sl]) / tau
@@ -448,14 +462,14 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     def limiter(z_old, z_new):
         v_old = voltages(z_old)
         v_new = voltages(z_new)
-        v_lim = diode_voltage_limit(v_new, v_old, g.diode_thermal, g.diode_saturation)
-        z_adj = z_new
-        if not np.array_equal(v_lim, v_new):
+        v_lim = diode_voltage_limit(v_new, v_old, thermal, v_crit)
+        z_adj, v_adj = z_new, v_new
+        if v_lim is not v_new and not np.array_equal(v_lim, v_new):
             z_adj = np.array(z_new)
             z_adj[psi_sl] += pinv @ ((v_lim - v_new) * tau)
+            v_adj = voltages(z_adj)
 
-        ceiling = np.maximum(v_crit, v_old) + DIODE_GROWTH_LIMIT * g.diode_thermal
-        v_adj = voltages(z_adj)
+        ceiling = np.maximum(v_crit, v_old) + headroom
         over = v_adj > ceiling
         if np.any(over):
             beta = np.min((ceiling[over] - v_old[over])
@@ -474,10 +488,10 @@ def _block_scale(layout: BlockLayout, r0: np.ndarray, f: np.ndarray) -> np.ndarr
     scaled current-law, voltage, and field equations.
     """
     scale = np.ones(layout.size)
-    for scale_blk, f_blk, r0_blk in zip(layout.split(scale), layout.split(np.abs(f)),
-                                        layout.split(np.abs(r0))):
-        if f_blk.size:
-            scale_blk[:] = max(1.0, f_blk.max(), r0_blk.max())
+    abs_f, abs_r0 = np.abs(f), np.abs(r0)
+    for blk, n in zip(layout.slices, layout.sizes):
+        if n:
+            scale[blk] = max(1.0, abs_f[blk].max(), abs_r0[blk].max())
     return scale
 
 

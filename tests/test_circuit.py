@@ -11,6 +11,7 @@ from mona.circuit import (
     NetlistElement,
     build_incidence,
     circuit_energy,
+    diode_critical_voltage,
     diode_voltage_limit,
     resistive_branch_current,
     validate_topology,
@@ -168,20 +169,20 @@ class TestResistiveBranchLaw:
 class TestDiodeVoltageLimit:
     def test_small_updates_untouched(self):
         vth = np.array([0.025])
-        isat = np.array([1e-14])
-        v_new = diode_voltage_limit(np.array([0.61]), np.array([0.6]), vth, isat)
+        crit = diode_critical_voltage(vth, np.array([1e-14]))
+        v_new = diode_voltage_limit(np.array([0.61]), np.array([0.6]), vth, crit)
         assert v_new[0] == 0.61
 
     def test_large_jump_contracted(self):
         vth = np.array([0.025])
-        isat = np.array([1e-14])
-        v_new = diode_voltage_limit(np.array([15.0]), np.array([0.6]), vth, isat)
+        crit = diode_critical_voltage(vth, np.array([1e-14]))
+        v_new = diode_voltage_limit(np.array([15.0]), np.array([0.6]), vth, crit)
         assert 0.6 < v_new[0] < 1.0
 
     def test_reverse_voltages_free(self):
         vth = np.array([0.025])
-        isat = np.array([1e-14])
-        v_new = diode_voltage_limit(np.array([-20.0]), np.array([0.6]), vth, isat)
+        crit = diode_critical_voltage(vth, np.array([1e-14]))
+        v_new = diode_voltage_limit(np.array([-20.0]), np.array([0.6]), vth, crit)
         assert v_new[0] == -20.0
 
 

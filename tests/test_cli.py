@@ -346,6 +346,32 @@ class TestConverge:
         assert [(float(r[1]), r[2]) for r in rows] == [(0.0, "")] * 3
         assert captured.out.count("eoc=--") == 3
 
+    @pytest.mark.parametrize("spec", [",", " ", " , "])
+    def test_probe_spec_that_names_no_probe(self, rlc_net, tmp_path, capsys, spec):
+        out = tmp_path / "out"
+        code = run_cli(["converge", "--netlist", str(rlc_net), "--tau", "1e-3",
+                        "--t-end", "0.004", "--halvings", "1", "--out", str(out),
+                        "--probes", spec])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"--probes {spec!r} names no probe" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("halvings", ["0", "-2"])
+    def test_bad_halvings_fail_before_assembly(self, rlc_net, tmp_path, capsys,
+                                               monkeypatch, halvings):
+        def never(*args, **kwargs):
+            raise AssertionError("the system was assembled")
+
+        monkeypatch.setattr(cli, "assemble_netlist", never)
+        out = tmp_path / "out"
+        code = run_cli(["converge", "--netlist", str(rlc_net), "--tau", "1e-3",
+                        "--t-end", "0.004", "--halvings", halvings, "--out", str(out)])
+        assert code == 1
+        assert f"--halvings must be at least 1, got {halvings}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demo_default_netlist(self, tmp_path, capsys):
         # no --netlist: the built-in rectifier is studied with the default
         # load-node state probe

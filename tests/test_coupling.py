@@ -11,7 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from mona.circuit import CircuitGraph, build_incidence, resistive_branch_current
+from mona.circuit import (
+    DIODE_EXP_CAP,
+    CircuitGraph,
+    build_incidence,
+    resistive_branch_current,
+    resistive_branch_slope,
+)
 from mona.coupling import BlockLayout, assemble_coupled
 from mona.errors import MeshError
 from mona.netlist import parse_netlist
@@ -182,6 +188,31 @@ class TestJacobians:
         expected = a_lin @ np.diag(graph.conductance) @ a_lin.T \
             + a_dio @ (g_eq * np.eye(4)) @ a_dio.T
         assert np.allclose(block, expected, rtol=1e-12)
+
+    def test_slopes_only_stamp_matches_branch_law(self, rectifier):
+        # the conductance stamp evaluates the slopes alone; they and the stamp
+        # must equal those taken from the full branch law, bit for bit, in
+        # reverse, near zero and beyond the exponential's cap
+        _parsed, g, system = rectifier
+        rng = np.random.default_rng(23)
+        beyond = DIODE_EXP_CAP * g.diode_thermal.max()
+        n_lin = g.n_linear_resistive
+        seen = []
+        for scale in (1e-4, 0.5, 4.0 * beyond):
+            for _ in range(10):
+                v = scale * rng.standard_normal(g.n_resistive)
+                _, didv = resistive_branch_current(g, v)
+                assert np.array_equal(resistive_branch_slope(g, v), didv)
+                psi_dot = scale * rng.standard_normal(g.n_nodes)
+                v = g.a_r.T @ psi_dot
+                _, didv = resistive_branch_current(g, v)
+                assert np.array_equal(system.conductance(psi_dot),
+                                      g.a_r @ (didv[:, None] * g.a_r.T))
+                seen.append(v[n_lin:])
+        seen = np.concatenate(seen)
+        assert np.any(seen < 0.0)
+        assert np.any(np.abs(seen) < 1e-3)
+        assert np.any(seen > beyond)
 
     def test_antisymmetric_coupling_blocks(self, rectifier):
         _parsed, _graph, system = rectifier

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import spsolve
 
 from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, dense_cache, random_state
 import mona.stepping
-from mona.circuit import build_incidence
+from mona.circuit import build_incidence, diode_critical_voltage, diode_voltage_limit
 from mona.coupling import CoupledSystem, assemble_coupled
 from mona.demo import DEMO_NETLIST, assemble_netlist
 from mona.errors import ConsistencyError, SolverError
@@ -18,6 +18,7 @@ from mona.netlist import parse_netlist
 from mona.probes import compile_probe, default_state_probe
 from mona.sources import SourceSet, Waveform
 from mona.stepping import (
+    DIODE_GROWTH_LIMIT,
     FactorCache,
     NewtonConfig,
     StepOperator,
@@ -130,6 +131,33 @@ class TestNewtonSolve:
         x, stats = solve(resid, jac, np.array([20.0]))
         assert abs(x[0]) <= 1e-12
         assert stats.halvings > 0
+
+    def test_step_after_an_idle_limiter_is_a_state_difference(self):
+        # a limiter that returns the proposal x + dx as it is still yields the
+        # step (x + dx) - x, not dx; the two round differently, which a halved
+        # step shows.  The first Jacobian is a third of the true slope, so the
+        # full step overshoots; the second is exact.
+        def halved(x0, dx):
+            return x0 + 0.5 * dx
+
+        for x0 in np.linspace(0.1, 1.0, 20):
+            x0 = np.array([x0])
+            dx = -3.0 * (x0 - 0.3)  # the first Newton step
+            step = (x0 + dx) - x0
+            if halved(x0, step) != halved(x0, dx):
+                break
+        assert halved(x0, step) != halved(x0, dx)
+        tried, slopes = [], iter([1.0, 3.0])
+
+        def resid(x):
+            tried.append(x)
+            return 3.0 * (x - 0.3)
+
+        newton_solve(resid, lambda x: np.array([[next(slopes)]]), x0, NewtonConfig(),
+                     np.ones(1), dense_cache(1), np.zeros(1),
+                     limiter=lambda x, x_new: x_new)
+        assert np.array_equal(tried[1], x0 + step)
+        assert np.array_equal(tried[2], halved(x0, step))
 
     def test_half_wave_toy_needs_little_damping(self):
         # regression bound: stepping a half-wave rectifier through the source
@@ -267,7 +295,7 @@ class TestBlockElimination:
                 lu_aa = factor_spd(matrix[k:, k:])
                 v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
                 expected = matrix[:k, :k] - sp.csc_matrix(v @ matrix[k:, :k])
-                schur = cache.schur_complement(operator.stamp(z))
+                schur = cache.schur_complement(operator.stamp(z)[cache.rows, cache.cols])
                 for part in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(schur, part), getattr(expected, part))
                 cache.refactor(operator.stamp(z))
@@ -281,7 +309,8 @@ class TestBlockElimination:
         block = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 5.0]])
         for entry in (1.0, 0.0, 0.5, 0.25):
             block[0, 1] = entry
-            schur, expected = cache.schur_complement(block), sp.csc_matrix(block)
+            schur = cache.schur_complement(block[cache.rows, cache.cols])
+            expected = sp.csc_matrix(block)
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(schur, part), getattr(expected, part))
 
@@ -376,6 +405,66 @@ class TestStepConstants:
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert len(result.records) == 80
         assert len(calls) == 1
+
+
+def reference_limiter(system, tau):
+    """The two-stage diode limiter with every constant rebuilt on each call,
+    written with the four-argument ``diode_voltage_limit``; returns the
+    limited increment and which stages acted."""
+    g = system.graph
+    a_dio = g.a_r[:, g.n_linear_resistive:]
+    psi = system.layout.block_slice("psi")
+
+    def voltages(z):
+        return (a_dio.T @ z[psi]) / tau
+
+    def limiter(z_old, z_new):
+        v_old = voltages(z_old)
+        v_new = voltages(z_new)
+        v_crit = diode_critical_voltage(g.diode_thermal, g.diode_saturation)
+        v_lim = diode_voltage_limit(v_new, v_old, g.diode_thermal, v_crit)
+        z_adj = z_new
+        stage_one = not np.array_equal(v_lim, v_new)
+        if stage_one:
+            z_adj = np.array(z_new)
+            z_adj[psi] += np.linalg.pinv(a_dio.T) @ ((v_lim - v_new) * tau)
+        ceiling = np.maximum(v_crit, v_old) + DIODE_GROWTH_LIMIT * g.diode_thermal
+        v_adj = voltages(z_adj)
+        over = v_adj > ceiling
+        if np.any(over):
+            beta = np.min((ceiling[over] - v_old[over])
+                          / (v_adj[over] - v_old[over]))
+            z_adj = z_old + beta * (z_adj - z_old)
+        return z_adj, (stage_one, bool(np.any(over)))
+
+    return limiter
+
+
+class TestDiodeLimiter:
+    def test_matches_limiter_rebuilt_per_call(self, rectifier):
+        # the limiter's constants are built once per run; its results must
+        # equal the limiter that rebuilds them on every call, bit for bit
+        _parsed, _graph, system = rectifier
+        tau = 6.25e-4
+        limiter = StepOperator(system, tau).limiter
+        reference = reference_limiter(system, tau)
+        rng = np.random.default_rng(31)
+        psi = system.layout.block_slice("psi")
+        stages = set()
+        for step in (1e-4, 0.1, 1.0, 10.0, 100.0):  # volts per node, about
+            for _ in range(20):
+                z_old = random_state(system, rng)
+                z_old[psi] = tau * rng.uniform(-1.0, 1.0, psi.stop - psi.start)
+                z_new = z_old + random_state(system, rng)
+                z_new[psi] = z_old[psi] + tau * step * rng.standard_normal(psi.stop - psi.start)
+                expected, acted = reference(z_old, z_new)
+                got = limiter(z_old, z_new)
+                assert np.array_equal(got, expected)
+                if acted == (False, False):
+                    assert got is z_new
+                stages.add(acted)
+        assert {(False, False), (True, False)} <= stages
+        assert any(stage_two for _stage_one, stage_two in stages)
 
 
 class TestPowerAudit:

@@ -51,7 +51,7 @@ from .fem import (
 )
 from .netlist import ParsedNetlist, parse_netlist
 from .probes import compile_probe, default_state_probe, parse_probe_spec
-from .sources import SourceSet, Waveform
+from .sources import Waveform
 from .stepping import (
     EocRow,
     FactorCache,

@@ -135,7 +135,6 @@ class CircuitGraph:
     current_waveforms: tuple[Waveform, ...]
     branch_names: dict = field(default_factory=dict)   # kind -> tuple of names
     branch_pairs: dict = field(default_factory=dict)   # kind -> (n_k, 2) int array
-    elements: tuple[NetlistElement, ...] = ()
 
     @property
     def n_linear_resistive(self) -> int:
@@ -158,10 +157,6 @@ class CircuitGraph:
         return self.a_v.shape[1]
 
     @property
-    def n_isources(self) -> int:
-        return self.a_i.shape[1]
-
-    @property
     def n_devices(self) -> int:
         return self.a_m.shape[1]
 
@@ -178,6 +173,14 @@ class CircuitGraph:
     def diode_parallel_conductance(self) -> np.ndarray:
         """1 / R_par per diode [S]."""
         return 1.0 / self.diode_parallel
+
+    def source_voltages(self, t: float) -> np.ndarray:
+        """Voltages of the independent voltage sources at time t [V]."""
+        return np.array([w(t) for w in self.voltage_waveforms], dtype=float)
+
+    def source_currents(self, t: float) -> np.ndarray:
+        """Currents of the independent current sources at time t [A]."""
+        return np.array([w(t) for w in self.current_waveforms], dtype=float)
 
     @classmethod
     def empty(cls, n_devices: int = 0) -> "CircuitGraph":
@@ -261,8 +264,12 @@ def build_incidence(elements, n_nodes: int) -> CircuitGraph:
         elif el.kind == "I":
             i_wave.append(el.waveform)
 
-    reach = _reachable_from_ground(pairs, n_nodes)
-    missing = [n for n in range(1, n_nodes + 1) if n not in reach]
+    sets = _NodeSets(n_nodes)
+    for kind_pairs in pairs.values():
+        for plus, minus in kind_pairs:
+            sets.join(plus, minus)
+    ground = sets.find(GROUND)
+    missing = [n for n in range(1, n_nodes + 1) if sets.find(n) != ground]
     if missing:
         touched = sorted({name for kind in ELEMENT_KINDS
                           for name, (p, m) in zip(names[kind], pairs[kind])
@@ -289,25 +296,30 @@ def build_incidence(elements, n_nodes: int) -> CircuitGraph:
         current_waveforms=tuple(i_wave),
         branch_names={k: tuple(v) for k, v in names.items()},
         branch_pairs={k: np.array(v, dtype=int).reshape(-1, 2) for k, v in pairs.items()},
-        elements=elements,
     )
 
 
-def _reachable_from_ground(pairs: dict, n_nodes: int) -> set:
-    adj = {n: [] for n in range(n_nodes + 1)}
-    for kind_pairs in pairs.values():
-        for plus, minus in kind_pairs:
-            adj[plus].append(minus)
-            adj[minus].append(plus)
-    seen = {GROUND}
-    queue = deque([GROUND])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+class _NodeSets:
+    """Disjoint sets of the node ids 0..n_nodes, merged branch by branch
+    (union-find); two nodes share a set when branches join them."""
+
+    def __init__(self, n_nodes: int):
+        self._parent = list(range(n_nodes + 1))
+
+    def find(self, node: int) -> int:
+        parent = self._parent
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    def join(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were one set already."""
+        root_a, root_b = self.find(a), self.find(b)
+        if root_a == root_b:
+            return False
+        self._parent[root_a] = root_b
+        return True
 
 
 @dataclass(frozen=True)
@@ -360,22 +372,15 @@ def validate_topology(graph: CircuitGraph) -> TopologyReport:
 
     # All-current-source cutsets: contract every non-I branch; an I branch
     # still spanning two components belongs to an I-only cutset.
-    parent = list(range(graph.n_nodes + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _NodeSets(graph.n_nodes)
     for kind in ELEMENT_KINDS:
         if kind == "I":
             continue
         for p, m in graph.branch_pairs[kind]:
-            parent[find(p)] = find(m)
+            sets.join(p, m)
     offending = tuple(
         name for name, (p, m) in zip(graph.branch_names["I"], graph.branch_pairs["I"])
-        if find(p) != find(m)
+        if sets.find(p) != sets.find(m)
     )
     if offending:
         errors.append(TopologyIssue(
@@ -388,12 +393,13 @@ def validate_topology(graph: CircuitGraph) -> TopologyReport:
 def _subgraph_cycles(graph: CircuitGraph, kinds) -> list:
     """Fundamental cycles of the subgraph spanned by the given branch kinds.
 
-    A spanning forest is grown edge by edge; every edge that closes a cycle
-    is paired with the forest path between its endpoints.  Returns one list
-    of (element name, kind) per independent cycle.  Graphs here are tiny, so
-    the repeated path searches are fine.
+    A spanning forest is grown edge by edge; every edge whose endpoints the
+    forest already joins closes a cycle and is paired with the forest path
+    between them.  Returns one list of (element name, kind) per independent
+    cycle.  Graphs here are tiny, so the path searches are fine.
     """
     forest = {}
+    sets = _NodeSets(graph.n_nodes)
     cycles = []
 
     def forest_path(start, goal):
@@ -416,27 +422,12 @@ def _subgraph_cycles(graph: CircuitGraph, kinds) -> list:
 
     for kind in kinds:
         for name, (p, m) in zip(graph.branch_names[kind], graph.branch_pairs[kind]):
-            forest.setdefault(p, [])
-            forest.setdefault(m, [])
-            reachable = m in _forest_component(forest, p)
-            if reachable:
-                cycles.append(forest_path(p, m) + [(name, kind)])
+            if sets.join(p, m):
+                forest.setdefault(p, []).append((m, (name, kind)))
+                forest.setdefault(m, []).append((p, (name, kind)))
             else:
-                forest[p].append((m, (name, kind)))
-                forest[m].append((p, (name, kind)))
+                cycles.append(forest_path(p, m) + [(name, kind)])
     return cycles
-
-
-def _forest_component(forest, start):
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w, _label in forest.get(u, []):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
 
 
 def _checked_branch_voltages(graph: CircuitGraph, v_branch) -> np.ndarray:
@@ -459,20 +450,19 @@ def _diode_slope(graph: CircuitGraph, e: np.ndarray) -> np.ndarray:
     return graph.diode_exp_slope * e + graph.diode_parallel_conductance
 
 
-def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray):
-    """Branch currents and conductances of the resistive partition.
+def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:
+    """Branch currents of the resistive partition.
 
     ``v_branch`` concatenates linear branches first, diodes after.  Linear
     branches obey i = G v; diodes use the exponential law with the argument
     capped at :data:`DIODE_EXP_CAP` thermal voltages, beyond which a linear
-    continuation keeps values and slopes finite.  Returns ``(i, di/dv)``.
+    continuation keeps values and slopes finite.  The slopes di/dv are
+    :func:`resistive_branch_slope`.
     """
     v_branch = _checked_branch_voltages(graph, v_branch)
     n_lin = graph.n_linear_resistive
     i = np.empty_like(v_branch)
-    didv = np.empty_like(v_branch)
     i[:n_lin] = graph.conductance * v_branch[:n_lin]
-    didv[:n_lin] = graph.conductance
 
     if graph.n_diodes:
         v = v_branch[n_lin:]
@@ -480,13 +470,12 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray):
         over = x > DIODE_EXP_CAP
         growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e) if over.any() else e
         i[n_lin:] = graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel
-        didv[n_lin:] = _diode_slope(graph, e)
-    return i, didv
+    return i
 
 
 def resistive_branch_slope(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:
-    """The conductances di/dv of :func:`resistive_branch_current` alone,
-    without evaluating the currents."""
+    """The conductances di/dv of :func:`resistive_branch_current`, without
+    evaluating the currents."""
     v_branch = _checked_branch_voltages(graph, v_branch)
     n_lin = graph.n_linear_resistive
     didv = np.empty_like(v_branch)

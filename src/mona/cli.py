@@ -24,11 +24,14 @@ from .errors import MonaError, SolverError, TopologyError
 from .fem import save_mesh
 from .netlist import parse_netlist
 from .probes import default_state_probe, parse_probe_spec
-from .stepping import NewtonConfig, TimeGrid, convergence_study, run_transient
+from .stepping import (NewtonConfig, TimeGrid, check_zero_state, convergence_study,
+                       run_transient)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SOLVER = 2
+
+T0 = 0.0  # every transient starts at rest at this time
 
 
 def _fmt(x: float) -> str:
@@ -110,7 +113,7 @@ def _assemble(args):
 def _grid_and_newton(args):
     """The time grid and Newton settings; built first, so bad values fail
     before any assembly (``converge`` checks ``--halvings`` right after)."""
-    return (TimeGrid(t0=0.0, t_end=args.t_end, tau=args.tau),
+    return (TimeGrid(t0=T0, t_end=args.t_end, tau=args.tau),
             NewtonConfig(tol=args.newton_tol))
 
 
@@ -188,9 +191,10 @@ def cmd_demo(args) -> int:
 
 def cmd_check(args) -> int:
     """Print the topology report, then assemble the system as ``run`` does
-    (FIELD resolved with the mesh options), without a transient.  Every
-    topology or assembly problem is an ``error:`` line of the report on
-    standard output."""
+    (FIELD resolved with the mesh options) and check that the zero state is
+    at rest at t0 (:func:`check_zero_state`), without a transient.  Every
+    topology, assembly or initial-state problem is an ``error:`` line of the
+    report on standard output."""
     path = Path(args.netlist)
     text = path.read_text(encoding="utf-8")
     parsed = parse_netlist(text)
@@ -204,7 +208,9 @@ def cmd_check(args) -> int:
     if not report.passed:
         return EXIT_INVALID
     try:
-        assemble_netlist(text, args.mesh, args.mesh_density, base=path.parent)
+        _parsed, system = assemble_netlist(text, args.mesh, args.mesh_density,
+                                           base=path.parent)
+        check_zero_state(system, T0)
     except (MonaError, OSError) as exc:
         print(f"error: {exc}")
         return EXIT_INVALID

@@ -28,7 +28,6 @@ from .circuit import (CircuitGraph, circuit_energy, resistive_branch_current,
                       resistive_branch_slope)
 from .errors import MeshError
 from .fem import FieldModel
-from .sources import SourceSet
 
 __all__ = [
     "BlockLayout",
@@ -116,15 +115,17 @@ class CompactForm:
 class CoupledSystem:
     """Residual / Jacobian / energy evaluator for the coupled DAE.
 
-    Immutable after assembly; all evaluations are pure functions of their
-    arguments, so concurrent calls on distinct buffers are safe.
+    ``graph`` is the one description of the network: its incidence matrices
+    and parameters give the storage and dissipation, and its waveforms the
+    sources.  ``field`` is the device's field model, or None for a circuit
+    without devices.  Immutable after assembly; all evaluations are pure
+    functions of their arguments, so concurrent calls on distinct buffers
+    are safe.
     """
 
-    def __init__(self, graph: CircuitGraph, field: FieldModel | None,
-                 sources: SourceSet):
+    def __init__(self, graph: CircuitGraph, field: FieldModel | None):
         self.graph = graph
         self.field = field
-        self.sources = sources
 
         n_m = graph.n_devices
         if field is not None:
@@ -145,11 +146,6 @@ class CoupledSystem:
             self.mass = sp.csr_matrix((0, 0))
             self.stiffness = sp.csr_matrix((0, 0))
             n_a = 0
-
-        if len(sources.voltage) != graph.n_vsources:
-            raise ValueError("source set does not match the number of voltage sources")
-        if len(sources.current) != graph.n_isources:
-            raise ValueError("source set does not match the number of current sources")
 
         self.layout = BlockLayout(n_nodes=graph.n_nodes, n_c=graph.n_capacitors,
                                   n_v=graph.n_vsources, n_m=n_m, n_a=n_a)
@@ -184,7 +180,7 @@ class CoupledSystem:
         lay = self.layout
         psi, q_c, q_v, q_m, a = lay.slices
         psi_dot = ydot[psi]
-        i_r, _ = resistive_branch_current(g, g.a_r.T @ psi_dot)
+        i_r = resistive_branch_current(g, g.a_r.T @ psi_dot)
         out = np.empty(lay.size)
         node_current = g.a_r @ i_r
         if lay.n_c:
@@ -286,8 +282,8 @@ class CoupledSystem:
         g = self.graph
         lay = self.layout
         out = np.zeros(lay.size)
-        out[lay.block_slice("psi")] = -(g.a_i @ self.sources.current_at(t))
-        out[lay.block_slice("q_v")] = -self.sources.voltage_at(t)
+        out[lay.block_slice("psi")] = -(g.a_i @ g.source_currents(t))
+        out[lay.block_slice("q_v")] = -g.source_voltages(t)
         return out
 
     def power_breakdown(self, y: np.ndarray, ydot: np.ndarray, t: float) -> PowerBreakdown:
@@ -302,11 +298,11 @@ class CoupledSystem:
         g = self.graph
         psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = self.layout.split(ydot)
         v_r = g.a_r.T @ psi_dot
-        i_r, _ = resistive_branch_current(g, v_r)
+        i_r = resistive_branch_current(g, v_r)
         resistive = float(i_r @ v_r)
         eddy = float(a_dot @ (self.mass @ a_dot)) if a_dot.size else 0.0
-        source_i = float((g.a_i.T @ psi_dot) @ self.sources.current_at(t))
-        source_v = float(self.sources.voltage_at(t) @ qv_dot)
+        source_i = float((g.a_i.T @ psi_dot) @ g.source_currents(t))
+        source_v = float(g.source_voltages(t) @ qv_dot)
         return PowerBreakdown(dh_dt=dh_dt, resistive_loss=resistive, eddy_loss=eddy,
                               source_power_i=source_i, source_power_v=source_v,
                               residual=dh_dt + resistive + eddy + source_i + source_v)
@@ -343,14 +339,11 @@ def _block_sparse(blocks: dict, sizes) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
 
 
-def assemble_coupled(graph: CircuitGraph, field: FieldModel | None = None,
-                     sources: SourceSet | None = None) -> CoupledSystem:
-    """Bind a circuit graph, an optional field model, and sources together.
+def assemble_coupled(graph: CircuitGraph, field: FieldModel | None = None) -> CoupledSystem:
+    """Bind a circuit graph and an optional field model together.
 
     The j-th device branch of the circuit drives the j-th winding of the
-    field model.
+    field model.  The sources are the graph's own waveforms; a system with
+    other sources is assembled from a graph that carries them.
     """
-    if sources is None:
-        sources = SourceSet(voltage=graph.voltage_waveforms,
-                            current=graph.current_waveforms)
-    return CoupledSystem(graph=graph, field=field, sources=sources)
+    return CoupledSystem(graph=graph, field=field)

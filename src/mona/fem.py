@@ -646,6 +646,8 @@ def parse_mesh(text: str):
         if len(toks) != 5:
             raise MeshError(f"line {lineno}: region needs id, nu, sigma, winding, orientation")
         rid = as_int(lineno, toks[0])
+        if rid in region_table:
+            raise MeshError(f"line {lineno}: region {rid} declared twice")
         region_table[rid] = (as_float(lineno, toks[1]), as_float(lineno, toks[2]),
                              as_int(lineno, toks[3]), as_int(lineno, toks[4]))
 
@@ -655,7 +657,10 @@ def parse_mesh(text: str):
         lineno, toks = take()
         if len(toks) != 2:
             raise MeshError(f"line {lineno}: winding needs id and turns")
-        turns[as_int(lineno, toks[0])] = as_float(lineno, toks[1])
+        wid = as_int(lineno, toks[0])
+        if wid in turns:
+            raise MeshError(f"line {lineno}: winding {wid} declared twice")
+        turns[wid] = as_float(lineno, toks[1])
 
     missing = set(tri_region) - set(region_table)
     if missing:

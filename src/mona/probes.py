@@ -83,7 +83,7 @@ def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None
 
             def probe_i(ctx):
                 v_all = g.a_r.T @ ctx.rate[psi_slice]
-                i_all, _ = resistive_branch_current(g, v_all)
+                i_all = resistive_branch_current(g, v_all)
                 return float(i_all[res_col])
             return probe_i
         if kind == "L":

@@ -5,9 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["Waveform", "SourceSet"]
+__all__ = ["Waveform"]
 
 
 @dataclass(frozen=True)
@@ -40,16 +38,3 @@ class Waveform:
             return self.amplitude
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
 
-
-@dataclass(frozen=True)
-class SourceSet:
-    """The independent sources of a coupled system, one waveform per branch."""
-
-    voltage: tuple[Waveform, ...] = ()
-    current: tuple[Waveform, ...] = ()
-
-    def voltage_at(self, t: float) -> np.ndarray:
-        return np.array([w(t) for w in self.voltage], dtype=float)
-
-    def current_at(self, t: float) -> np.ndarray:
-        return np.array([w(t) for w in self.current], dtype=float)

@@ -34,6 +34,7 @@ __all__ = [
     "StepRecord",
     "TransientResult",
     "EocRow",
+    "check_zero_state",
     "newton_solve",
     "midpoint_step",
     "power_audit",
@@ -44,6 +45,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 INIT_RESIDUAL_TOL = 1e-10
+
+MAX_HALVINGS = 30  # step halvings per Newton line search
+REFACTOR_AFTER = 4  # refresh the factorization when an iteration count exceeds this
+# residual components within this many machine epsilons of their own term
+# magnitude count as solved: binary64 cannot represent anything smaller
+FLOOR_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -84,13 +91,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Convergence tolerance (scaled max norm) and iteration limit of Newton."""
+
     tol: float = 1e-12
     max_iter: int = 50
-    max_halvings: int = 30
-    refactor_after: int = 4  # refresh the factorization when an iteration count exceeds this
-    # residual components within this many machine epsilons of their own term
-    # magnitude count as solved: binary64 cannot represent anything smaller
-    floor_factor: float = 4.0
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -136,10 +140,12 @@ class FactorCache:
         base = base.tocsc()
         position = base.copy()
         position.data = np.arange(1.0, base.nnz + 1.0)
-        self._slots = np.asarray(position[rows, cols]).ravel().astype(int) - 1
+        k = base.shape[0] - n_trailing
+        # indexed dense: scipy's sparse indexing returns a sparse matrix, not
+        # an array, when the stamp is empty (no resistor, diode or inductor)
+        self._slots = position[:k, :k].toarray()[rows, cols].astype(int) - 1
         self.rows, self.cols = rows, cols
         self._abs = abs(base)
-        k = base.shape[0] - n_trailing
         self._leading = base[:k, :k].toarray()
         self._field = (base[k:, k:], base[k:, :k], base[:k, k:]) if n_trailing else None
         self._trailing = None  # (LU of J_aa, J_ac, V, W), built once
@@ -263,14 +269,16 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     ``scale`` divides the residual componentwise before taking the max norm;
     ``cache`` carries a factorization across calls: stale Jacobians are kept
     while they keep converging and refreshed when an iteration count exceeds
-    ``config.refactor_after`` or a line search stalls.  Step halving (at most
-    ``max_halvings``) guards against overshoot; a step whose residual stays
-    non-finite after all halvings is a hard failure.
+    :data:`REFACTOR_AFTER` or a line search stalls.  Step halving (at most
+    :data:`MAX_HALVINGS` per line search) guards against overshoot; a step
+    whose residual stays non-finite after all halvings is a hard failure.
+    ``config`` supplies the tolerance ``tol`` and the iteration limit
+    ``max_iter``, past which the solve fails with :class:`SolverError`.
 
     A residual component assembled from terms of magnitude m cannot come out
     below a few eps * m in binary64, so whenever a fresh factorization is
     available the componentwise scale is floored at
-    ``floor_factor * eps * (|J| |x| + const_magnitude) / tol``, where
+    ``FLOOR_FACTOR * eps * (|J| |x| + const_magnitude) / tol``, where
     ``const_magnitude`` bounds the terms of the residual that do not depend
     on x; this keeps the tolerance meaningful on equations whose residual is
     a small difference of large terms instead of stalling on the last
@@ -289,7 +297,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     def update_floor():
         nonlocal eff_scale
         terms = cache.magnitude(x) + const_magnitude
-        floor = (config.floor_factor * np.finfo(float).eps / config.tol) * terms
+        floor = (FLOOR_FACTOR * np.finfo(float).eps / config.tol) * terms
         eff_scale = np.maximum(scale, floor)
 
     r = residual(x)
@@ -322,7 +330,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
 
     stale_ok = True  # last iteration was a clean full step
     for it in range(1, config.max_iter + 1):
-        if not cache.ready or it > config.refactor_after or not stale_ok:
+        if not cache.ready or it > REFACTOR_AFTER or not stale_ok:
             refresh()
 
         dx = cache.solve(-r)
@@ -339,7 +347,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         for attempt in range(2):
             alpha = 1.0
             x_try = r_try = n_try = None
-            for _ in range(config.max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 x_try = x + dx if alpha == 1.0 else x + alpha * dx
                 r_try = residual(x_try)
                 n_try = _scaled_norm(r_try, eff_scale)
@@ -565,27 +573,34 @@ def power_audit(system: CoupledSystem, y_prev: np.ndarray, y_next: np.ndarray,
     return system.power_balance((h_next - h_prev) / tau, rate, t_prev + 0.5 * tau)
 
 
-def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = None,
-                  config: NewtonConfig | None = None) -> TransientResult:
-    """Integrate from the zero state over the grid, auditing every step.
-
-    The zero state must satisfy the system at rest: the residual of
-    (y=0, ydot=0) at t0 is required to vanish, which in particular demands
-    sources that start at zero.  A failed step aborts the run and returns the
-    partial result with ``completed=False`` via the raised error's
-    ``partial_result`` attribute.
-    """
-    config = config or NewtonConfig()
-    probes = probes or {}
+def check_zero_state(system: CoupledSystem, t0: float) -> None:
+    """Raise :class:`ConsistencyError` unless the zero state is a solution at
+    rest at t0: the residual of (y=0, ydot=0) must vanish to
+    :data:`INIT_RESIDUAL_TOL` in the scaled max norm, which in particular
+    demands sources that are zero at t0."""
     y = system.layout.zeros()
-
-    r0 = system.residual(y, np.zeros_like(y), grid.t0)
-    scale = _block_scale(system.layout, np.zeros_like(r0), system.source_vector(grid.t0))
+    r0 = system.residual(y, np.zeros_like(y), t0)
+    scale = _block_scale(system.layout, np.zeros_like(r0), system.source_vector(t0))
     init_defect = _scaled_norm(r0, scale)
     if not init_defect <= INIT_RESIDUAL_TOL:
         raise ConsistencyError(
             f"zero initial state violates the algebraic constraints "
             f"(residual {init_defect:.3e}); sources must vanish at t0")
+
+
+def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = None,
+                  config: NewtonConfig | None = None) -> TransientResult:
+    """Integrate from the zero state over the grid, auditing every step.
+
+    The zero state must satisfy the system at rest at t0
+    (:func:`check_zero_state`).  A failed step aborts the run and returns the
+    partial result with ``completed=False`` via the raised error's
+    ``partial_result`` attribute.
+    """
+    config = config or NewtonConfig()
+    probes = probes or {}
+    check_zero_state(system, grid.t0)
+    y = system.layout.zeros()
 
     # one iteration matrix and one field-block factorization per run
     operator = StepOperator(system, grid.tau)

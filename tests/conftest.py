@@ -24,6 +24,13 @@ M xfmr 1 0 2 0 FIELD=builtin
 R load 2 0 10
 """
 
+# sources and capacitors only: no resistor, diode or inductor, so the psi/psi
+# block of the midpoint iteration matrix has no entry to stamp
+SOURCE_CAPACITOR_NETLISTS = (
+    "I src 1 0 SIN(1 50)\nC c1 1 0 1e-3\n",
+    "V src 1 0 SIN(10 50)\nC c1 1 2 1e-3\nC c2 2 0 1e-3\n",
+)
+
 COARSE_MESH_DENSITY = 0.025  # 512 triangles, 225 interior dofs
 
 

@@ -23,7 +23,6 @@ from mona.fem import (
 )
 from mona.netlist import parse_netlist
 from mona.probes import compile_probe, parse_probe_spec
-from mona.sources import SourceSet
 from mona.stepping import NewtonConfig, TimeGrid, convergence_study, run_transient
 
 from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state
@@ -140,8 +139,7 @@ def test_criterion_4_reduction_equivalences(coarse_field):
         assert np.max(np.abs(r - r_dense)) <= 1e-12 * max(1.0, np.max(np.abs(r_dense)))
 
     # (b) field only with prescribed winding currents
-    field_sys = assemble_coupled(CircuitGraph.empty(n_devices=2), coarse_field,
-                                 sources=SourceSet())
+    field_sys = assemble_coupled(CircuitGraph.empty(n_devices=2), coarse_field)
     lay = field_sys.layout
     m_mat = coarse_field.mass.toarray()
     k_mat = coarse_field.stiffness.toarray()
@@ -175,7 +173,7 @@ def test_criterion_4_reduction_equivalences(coarse_field):
         y = rli_sys.layout.pack(psi, [], [], [], [])
         ydot = rli_sys.layout.pack(psi_dot, [], [], [], [])
         r = rli_sys.residual(y, ydot, t)
-        i_src = np.array([w(t) for w in rli_sys.sources.current])
+        i_src = np.array([w(t) for w in rli_sys.graph.current_waveforms])
         expected = (a_lin @ np.diag(graph.conductance) @ a_lin.T @ psi_dot
                     + a_l @ np.diag(graph.inv_inductance) @ a_l.T @ psi + a_i @ i_src)
         assert np.max(np.abs(r - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))

@@ -14,6 +14,7 @@ from mona.circuit import (
     diode_critical_voltage,
     diode_voltage_limit,
     resistive_branch_current,
+    resistive_branch_slope,
     validate_topology,
 )
 from mona.errors import TopologyError
@@ -111,6 +112,21 @@ class TestValidateTopology:
         assert report.errors[0].code == "current_cutset"
         assert report.errors[0].elements == ("I1",)
 
+    def test_report_text(self):
+        # pins the whole report: which loops and cutsets are found, the order
+        # of their members and the order of the issues
+        graph = build_incidence(
+            [el("V", "v1", 1, 0, waveform=Waveform.dc(1.0)),
+             el("V", "v2", 1, 2, waveform=Waveform.dc(1.0)),
+             el("V", "v3", 2, 0, waveform=Waveform.dc(1.0)),
+             el("I", "i1", 3, 0, waveform=Waveform.dc(1.0)),
+             el("I", "i2", 3, 1, waveform=Waveform.dc(1.0)),
+             el("M", "x", 1, 0, field_ref="builtin")], 3)
+        assert str(validate_topology(graph)) == (
+            "error: loop of ideal voltage sources: {v1, v2, v3}\n"
+            "error: current sources form a cutset: {i1, i2}\n"
+            "warning: loop of voltage sources and device windings: {v1, x}")
+
 
 class TestResistiveBranchLaw:
     def one_diode_graph(self, extra=()):
@@ -119,23 +135,23 @@ class TestResistiveBranchLaw:
 
     def test_diode_zero_voltage(self):
         graph = self.one_diode_graph()
-        i, _ = resistive_branch_current(graph, np.array([0.0]))
+        i = resistive_branch_current(graph, np.array([0.0]))
         assert i[0] == 0.0
 
     def test_diode_forward_value(self):
         # at v = V_th * ln 2 the exponential term contributes exactly I_s
         graph = self.one_diode_graph()
         v = 2.5e-2 * math.log(2.0)
-        i, _ = resistive_branch_current(graph, np.array([v]))
+        i = resistive_branch_current(graph, np.array([v]))
         expected = 1e-14 * (math.exp(v / 2.5e-2) - 1.0) + v / 1e12
         assert i[0] == pytest.approx(expected, rel=1e-15)
         assert i[0] == pytest.approx(2.733e-14, rel=1e-3)
 
     def test_linear_branch(self):
         graph = build_incidence([el("R", "load", 1, 0, value=0.1)], 1)
-        i, didv = resistive_branch_current(graph, np.array([160.0]))
+        i = resistive_branch_current(graph, np.array([160.0]))
         assert i[0] == pytest.approx(16.0)
-        assert didv[0] == 0.1
+        assert resistive_branch_slope(graph, np.array([160.0]))[0] == 0.1
 
     def test_derivative_matches_finite_differences(self):
         graph = build_incidence(
@@ -144,9 +160,9 @@ class TestResistiveBranchLaw:
         h = 1e-7
         for v in rng.uniform(-1.0, 1.0, size=100):
             vv = np.array([v, v])
-            _, didv = resistive_branch_current(graph, vv)
-            ip, _ = resistive_branch_current(graph, vv + h)
-            im, _ = resistive_branch_current(graph, vv - h)
+            didv = resistive_branch_slope(graph, vv)
+            ip = resistive_branch_current(graph, vv + h)
+            im = resistive_branch_current(graph, vv - h)
             fd = (ip - im) / (2 * h)
             assert np.allclose(didv, fd, rtol=1e-6, atol=1e-12)
 
@@ -156,12 +172,14 @@ class TestResistiveBranchLaw:
         rng = np.random.default_rng(11)
         for _ in range(200):
             v = rng.uniform(-5.0, 2.0, size=2)
-            i, _ = resistive_branch_current(graph, v)
+            i = resistive_branch_current(graph, v)
             assert i @ v >= 0.0
 
     def test_overflow_guard_finite(self):
         graph = self.one_diode_graph()
-        i, didv = resistive_branch_current(graph, np.array([50.0]))  # 2000 V_th
+        v = np.array([50.0])  # 2000 V_th
+        i = resistive_branch_current(graph, v)
+        didv = resistive_branch_slope(graph, v)
         assert np.isfinite(i[0]) and np.isfinite(didv[0])
         assert i[0] > 0
 

@@ -14,7 +14,7 @@ from mona.cli import run_cli
 from mona.demo import DEMO_NETLIST, DEMO_PROBES
 from mona.errors import SolverError
 
-from conftest import LINEAR_COUPLED_NETLIST
+from conftest import LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS
 
 RLC = """
 V src 1 0 SIN(10 50)
@@ -135,6 +135,17 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "error:" in out and str(missing) in out
 
+    @pytest.mark.parametrize("card", ["V src 1 0 DC 5", "V src 1 0 SIN(10 50 0.5)"])
+    def test_source_not_at_rest_fails(self, tmp_path, capsys, card):
+        # run rejects a source that does not vanish at t = 0, so check must too
+        path = tmp_path / "dc.net"
+        path.write_text(f"{card}\nR r 1 0 10\n")
+        assert run_cli(["check", "--netlist", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "error: zero initial state violates the algebraic constraints" in out
+        assert "sources must vanish at t0" in out
+        assert ": ok" not in out
+
     def test_demo_netlist_passes(self, tmp_path, capsys):
         path = tmp_path / "demo.net"
         path.write_text(DEMO_NETLIST)
@@ -236,6 +247,17 @@ class TestRun:
         assert header[:3] == ["t", "d_tau_H", "resistive_loss"]
         assert header[-1] == "eps_H_rel"
         assert max(abs(float(r[6])) for r in rows) <= 1e-10
+
+    @pytest.mark.parametrize("text", SOURCE_CAPACITOR_NETLISTS)
+    def test_sources_and_capacitors_only(self, tmp_path, text):
+        path = tmp_path / "c.net"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["run", "--netlist", str(path), "--t-end", "0.005",
+                        "--out", str(out)]) == 0
+        header, rows = read_csv(out / "audit.csv")
+        eps_h = [abs(float(r[header.index("eps_H")])) for r in rows]
+        assert len(rows) == 8 and max(eps_h) <= 1e-12
 
     def test_empty_probe_list_columns(self, rlc_net, tmp_path):
         out = tmp_path / "out"

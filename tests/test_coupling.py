@@ -6,6 +6,7 @@ pairs; only the assembled field matrices are shared with the production
 path (their own assembly oracle lives in test_fem).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from mona.circuit import (
 from mona.coupling import BlockLayout, assemble_coupled
 from mona.errors import MeshError
 from mona.netlist import parse_netlist
-from mona.sources import SourceSet, Waveform
+from mona.sources import Waveform
 
 from conftest import dense_cache, dense_incidence, random_state
 
@@ -48,8 +49,8 @@ def dense_residual(system, y, ydot, t):
         for v, isat, vth, rp in zip(v_dio, g.diode_saturation,
                                     g.diode_thermal, g.diode_parallel)
     ])
-    v_src = np.array([w(t) for w in system.sources.voltage])
-    i_src = np.array([w(t) for w in system.sources.current])
+    v_src = np.array([w(t) for w in g.voltage_waveforms])
+    i_src = np.array([w(t) for w in g.current_waveforms])
 
     r_kcl = (a_lin @ i_lin + a_dio @ i_dio + a_c @ qc_d + a_v @ qv_d + a_m @ qm_d
              + a_l @ np.diag(g.inv_inductance) @ a_l.T @ psi + a_i @ i_src)
@@ -190,9 +191,9 @@ class TestJacobians:
         assert np.allclose(block, expected, rtol=1e-12)
 
     def test_slopes_only_stamp_matches_branch_law(self, rectifier):
-        # the conductance stamp evaluates the slopes alone; they and the stamp
-        # must equal those taken from the full branch law, bit for bit, in
-        # reverse, near zero and beyond the exponential's cap
+        # the conductance stamp evaluates the slopes alone; it must equal the
+        # stamp of the branch slopes, bit for bit, in reverse, near zero and
+        # beyond the exponential's cap
         _parsed, g, system = rectifier
         rng = np.random.default_rng(23)
         beyond = DIODE_EXP_CAP * g.diode_thermal.max()
@@ -200,12 +201,9 @@ class TestJacobians:
         seen = []
         for scale in (1e-4, 0.5, 4.0 * beyond):
             for _ in range(10):
-                v = scale * rng.standard_normal(g.n_resistive)
-                _, didv = resistive_branch_current(g, v)
-                assert np.array_equal(resistive_branch_slope(g, v), didv)
                 psi_dot = scale * rng.standard_normal(g.n_nodes)
                 v = g.a_r.T @ psi_dot
-                _, didv = resistive_branch_current(g, v)
+                didv = resistive_branch_slope(g, v)
                 assert np.array_equal(system.conductance(psi_dot),
                                       g.a_r @ (didv[:, None] * g.a_r.T))
                 seen.append(v[n_lin:])
@@ -285,8 +283,8 @@ class TestPowerBreakdown:
 
     def test_zero_source_dissipativity(self, rlc):
         parsed, graph, _system = rlc
-        zero_sources = SourceSet(voltage=(Waveform.dc(0.0),), current=())
-        system = assemble_coupled(graph, sources=zero_sources)
+        system = assemble_coupled(
+            dataclasses.replace(graph, voltage_waveforms=(Waveform.dc(0.0),)))
         rng = np.random.default_rng(8)
         # solve the DAE instantaneously: given random psi/q_c, find rates
         from mona.stepping import NewtonConfig, newton_solve
@@ -332,7 +330,7 @@ class TestBlockwiseEvaluators:
             t = float(rng.uniform(0.0, 0.05))
             psi, q_c, q_v, q_m, a = lay.split(y)
             psi_d, qc_d, qv_d, qm_d, a_d = lay.split(ydot)
-            i_r, _ = resistive_branch_current(g, g.a_r.T @ psi_d)
+            i_r = resistive_branch_current(g, g.a_r.T @ psi_d)
             rate = lay.pack(g.a_r @ i_r + g.a_c @ qc_d + g.a_v @ qv_d + g.a_m @ qm_d,
                             -(g.a_c.T @ psi_d),
                             -(g.a_v.T @ psi_d),
@@ -343,9 +341,10 @@ class TestBlockwiseEvaluators:
                             np.zeros_like(q_v),
                             np.zeros_like(q_m),
                             system.stiffness @ a if a.size else a)
-            source = lay.pack(-(g.a_i @ system.sources.current_at(t)),
+            source = lay.pack(-(g.a_i @ np.array([w(t) for w in g.current_waveforms],
+                                                 dtype=float)),
                               np.zeros(lay.n_c),
-                              -system.sources.voltage_at(t),
+                              -np.array([w(t) for w in g.voltage_waveforms], dtype=float),
                               np.zeros(lay.n_m),
                               np.zeros(lay.n_a))
             assert np.array_equal(compact.rate_op(ydot), rate)
@@ -393,7 +392,7 @@ class TestReductions:
         # no circuit at all: the field block must reduce to the discrete
         # eddy-current equation driven by prescribed winding currents
         graph = CircuitGraph.empty(n_devices=coarse_field.n_windings)
-        system = assemble_coupled(graph, coarse_field, sources=SourceSet())
+        system = assemble_coupled(graph, coarse_field)
         lay = system.layout
         rng = np.random.default_rng(11)
         m_mat = coarse_field.mass.toarray()
@@ -412,7 +411,7 @@ class TestReductions:
     def test_field_only_power_balance(self, coarse_field):
         # consistent (a, a_dot, i_M): energy rate = -eddy loss + terminal power
         graph = CircuitGraph.empty(n_devices=coarse_field.n_windings)
-        system = assemble_coupled(graph, coarse_field, sources=SourceSet())
+        system = assemble_coupled(graph, coarse_field)
         lay = system.layout
         rng = np.random.default_rng(12)
         from scipy.sparse.linalg import spsolve
@@ -453,8 +452,3 @@ class TestAssembleErrors:
         graph = build_incidence(parsed.elements, parsed.n_nodes)
         with pytest.raises(MeshError, match="no field model"):
             assemble_coupled(graph)
-
-    def test_source_count_mismatch(self, rlc):
-        _parsed, graph, _system = rlc
-        with pytest.raises(ValueError, match="voltage sources"):
-            assemble_coupled(graph, sources=SourceSet())

@@ -418,6 +418,18 @@ class TestMeshFile:
             parse_mesh("depth 1\nvertices 3\n0 0\n1 0\n0 1\n"
                        "triangles 1\n0 1 2 7\nregions 0\nwindings 0\n")
 
+    @pytest.mark.parametrize("sections, message", [
+        ("regions 2\n0 1.0 0.0 -1 0\n0 2.0 0.0 -1 0\nwindings 0\n",
+         "line 10: region 0 declared twice"),
+        ("regions 1\n0 1.0 0.0 0 1\nwindings 2\n0 10\n0 20\n",
+         "line 12: winding 0 declared twice"),
+    ])
+    def test_repeated_id_rejected(self, sections, message):
+        # a repeat would silently replace the first declaration
+        with pytest.raises(MeshError, match=message):
+            parse_mesh("depth 1\nvertices 3\n0 0\n1 0\n0 1\n"
+                       "triangles 1\n0 1 2 0\n" + sections)
+
     def test_comments_and_blank_lines(self):
         text = """
 # a comment

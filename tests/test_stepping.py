@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, dense_cache, random_state
+from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_from_netlist,
+                      dense_cache, random_state)
 import mona.stepping
 from mona.circuit import build_incidence, diode_critical_voltage, diode_voltage_limit
 from mona.coupling import CoupledSystem, assemble_coupled
@@ -16,7 +17,7 @@ from mona.errors import ConsistencyError, SolverError
 from mona.fem import TransformerParams, build_field_model, factor_spd, generate_transformer_mesh
 from mona.netlist import parse_netlist
 from mona.probes import compile_probe, default_state_probe
-from mona.sources import SourceSet, Waveform
+from mona.sources import Waveform
 from mona.stepping import (
     DIODE_GROWTH_LIMIT,
     FactorCache,
@@ -534,13 +535,21 @@ class TestPowerAudit:
 class TestRunTransient:
     def test_zero_sources_stay_zero(self, rlc):
         parsed, graph, _system = rlc
-        system = assemble_coupled(graph, sources=SourceSet(voltage=(Waveform.dc(0.0),)))
+        system = assemble_coupled(
+            dataclasses.replace(graph, voltage_waveforms=(Waveform.dc(0.0),)))
         grid = TimeGrid(0.0, 0.01, 1e-3)
         probes = {"u2": compile_probe(system, "u(2)", parsed.node_ids),
                   "h": compile_probe(system, "H", parsed.node_ids)}
         result = run_transient(system, grid, probes=probes)
         assert np.all(result.probe("u2") == 0.0)
         assert np.all(result.probe("h") == 0.0)
+
+    @pytest.mark.parametrize("text", SOURCE_CAPACITOR_NETLISTS)
+    def test_sources_and_capacitors_only(self, text):
+        _parsed, _graph, system = build_from_netlist(text)
+        result = run_transient(system, TimeGrid(0.0, 0.005, 6.25e-4))
+        assert result.completed and len(result.records) == 8
+        assert result.max_balance_residual() <= 1e-12
 
     def test_inconsistent_start_rejected(self):
         parsed = parse_netlist("V src 1 0 DC 5\nR r1 1 0 1")
@@ -552,8 +561,8 @@ class TestRunTransient:
     def test_non_finite_source_rejected(self):
         parsed = parse_netlist("V src 1 0 SIN(1 60)\nR r1 1 0 1")
         graph = build_incidence(parsed.elements, parsed.n_nodes)
-        system = assemble_coupled(graph, sources=SourceSet(
-            voltage=(Waveform.sine(float("nan"), 60.0),)))
+        system = assemble_coupled(dataclasses.replace(
+            graph, voltage_waveforms=(Waveform.sine(float("nan"), 60.0),)))
         with pytest.raises(ConsistencyError, match="residual nan"):
             run_transient(system, TimeGrid(0.0, 0.01, 1e-3))
 
@@ -576,7 +585,8 @@ class TestRunTransient:
         result = run_transient(driven, TimeGrid(0.0, 0.02, 5e-4))
         y = result.records[-1].state
 
-        quiet = assemble_coupled(graph, sources=SourceSet(voltage=(Waveform.dc(0.0),)))
+        quiet = assemble_coupled(
+            dataclasses.replace(graph, voltage_waveforms=(Waveform.dc(0.0),)))
         operator = StepOperator(quiet, 5e-4)
         t = 0.0
         h_prev = quiet.energy(y)

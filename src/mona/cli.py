@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import build_incidence, validate_topology
-from .demo import DEMO_NETLIST, DEMO_PROBES, assemble_netlist
+from .demo import DEMO_NETLIST, DEMO_PROBES, assemble_graph, assemble_netlist
 from .errors import MonaError, SolverError, TopologyError
 from .fem import save_mesh
 from .netlist import parse_netlist
@@ -190,8 +190,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Print the topology report, then assemble the system as ``run`` does
-    (FIELD resolved with the mesh options) and check that the zero state is
+    """Print the topology report, then assemble the system from the checked
+    graph as ``run`` does (FIELD resolved with the mesh options, by
+    :func:`assemble_graph`) and check that the zero state is
     at rest at t0 (:func:`check_zero_state`), without a transient.  Every
     topology, assembly or initial-state problem is an ``error:`` line of the
     report on standard output."""
@@ -208,8 +209,7 @@ def cmd_check(args) -> int:
     if not report.passed:
         return EXIT_INVALID
     try:
-        _parsed, system = assemble_netlist(text, args.mesh, args.mesh_density,
-                                           base=path.parent)
+        system = assemble_graph(parsed, graph, args.mesh, args.mesh_density, path.parent)
         check_zero_state(system, T0)
     except (MonaError, OSError) as exc:
         print(f"error: {exc}")

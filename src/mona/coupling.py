@@ -175,26 +175,39 @@ class CoupledSystem:
         """Resistive currents and the antisymmetric coupling blocks at rate ydot.
 
         ``ydot`` is a float vector of the layout's size; blocks of size zero
-        contribute no terms."""
+        contribute no terms.  The circuit rows are :meth:`circuit_rate_op`
+        plus the flux-linkage rate of the device rows."""
+        lay = self.layout
+        k = lay.size - lay.n_a
+        out = np.empty(lay.size)
+        out[:k] = self.circuit_rate_op(ydot[:k])
+        if lay.n_a:
+            _psi, _q_c, _q_v, q_m, a = lay.slices
+            out[q_m] += self.winding_matrix.T @ ydot[a]
+            out[a] = self.mass @ ydot[a] - self.winding_matrix @ ydot[q_m]
+        return out
+
+    def circuit_rate_op(self, ydot_c: np.ndarray) -> np.ndarray:
+        """The circuit rows of the rate operator at the circuit rates ydot_c
+        (every block but ``a``), with the field rate taken as zero: the nodal
+        current law, and the capacitor, source and device-terminal voltages."""
         g = self.graph
         lay = self.layout
-        psi, q_c, q_v, q_m, a = lay.slices
-        psi_dot = ydot[psi]
+        psi, q_c, q_v, q_m, _a = lay.slices
+        psi_dot = ydot_c[psi]
         i_r = resistive_branch_current(g, g.a_r.T @ psi_dot)
-        out = np.empty(lay.size)
+        out = np.empty(lay.size - lay.n_a)
         node_current = g.a_r @ i_r
         if lay.n_c:
-            node_current += g.a_c @ ydot[q_c]
+            node_current += g.a_c @ ydot_c[q_c]
             out[q_c] = -(g.a_c.T @ psi_dot)
         if lay.n_v:
-            node_current += g.a_v @ ydot[q_v]
+            node_current += g.a_v @ ydot_c[q_v]
             out[q_v] = -(g.a_v.T @ psi_dot)
         if lay.n_m:
-            node_current += g.a_m @ ydot[q_m]
-            out[q_m] = -(g.a_m.T @ psi_dot) + self.winding_matrix.T @ ydot[a]
+            node_current += g.a_m @ ydot_c[q_m]
+            out[q_m] = -(g.a_m.T @ psi_dot)
         out[psi] = node_current
-        if lay.n_a:
-            out[a] = self.mass @ ydot[a] - self.winding_matrix @ ydot[q_m]
         return out
 
     def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
@@ -265,16 +278,26 @@ class CoupledSystem:
 
         ``y`` is a float vector of the layout's size; blocks without
         inductors, capacitors or field unknowns keep their zeros."""
+        lay = self.layout
+        k = lay.size - lay.n_a
+        out = np.empty(lay.size)
+        out[:k] = self.circuit_energy_gradient(y[:k])
+        if lay.n_a:
+            a = lay.block_slice("a")
+            out[a] = self.stiffness @ y[a]
+        return out
+
+    def circuit_energy_gradient(self, y_c: np.ndarray) -> np.ndarray:
+        """The circuit rows of :meth:`energy_gradient` at the circuit state
+        y_c (every block but ``a``), on which they alone depend."""
         g = self.graph
         lay = self.layout
-        psi, q_c, _q_v, _q_m, a = lay.slices
-        out = np.zeros(lay.size)
+        psi, q_c, _q_v, _q_m, _a = lay.slices
+        out = np.zeros(lay.size - lay.n_a)
         if g.n_inductors:
-            out[psi] = g.a_l @ (g.inv_inductance * (g.a_l.T @ y[psi]))
+            out[psi] = g.a_l @ (g.inv_inductance * (g.a_l.T @ y_c[psi]))
         if lay.n_c:
-            out[q_c] = y[q_c] / g.capacitance
-        if lay.n_a:
-            out[a] = self.stiffness @ y[a]
+            out[q_c] = y_c[q_c] / g.capacitance
         return out
 
     def source_vector(self, t: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Netlist assembly and the built-in full-wave rectifier demo.
 
 :func:`assemble_netlist` is the one chain from netlist text to a coupled
-system: parse, incidence, topology check, field model, assembly.  Every CLI
-subcommand that simulates goes through it.
+system: parse, incidence, topology check, then :func:`assemble_graph` for
+the field model and the assembly.  Every CLI subcommand that simulates goes
+through it; ``check`` runs the same links itself to print the topology
+report between them.
 
 In the demo, a 60 Hz, 160 V sine drives the primary of the built-in
 transformer; the secondary feeds a four-diode bridge into a 10 ohm load whose
@@ -18,14 +20,14 @@ import logging
 from pathlib import Path
 from typing import NamedTuple
 
-from .circuit import build_incidence, validate_topology
+from .circuit import CircuitGraph, build_incidence, validate_topology
 from .coupling import CoupledSystem, assemble_coupled
 from .errors import NetlistError, TopologyError
 from .fem import TransformerParams, build_field_model, generate_transformer_mesh, load_mesh
 from .netlist import ParsedNetlist, parse_netlist
 
 __all__ = ["DEMO_NETLIST", "DEMO_MESH_DENSITY", "DEMO_PROBES", "Assembly",
-           "assemble_netlist"]
+           "assemble_netlist", "assemble_graph"]
 
 log = logging.getLogger(__name__)
 
@@ -55,10 +57,7 @@ def assemble_netlist(text: str, mesh=None, mesh_density: float | None = None,
                      base=Path(".")) -> Assembly:
     """Parse netlist text, check its topology and assemble the coupled system.
 
-    The devices' FIELD reference resolves to the mesh file ``mesh`` when one
-    is given; otherwise ``builtin`` is the built-in transformer at
-    ``mesh_density`` (default :data:`DEMO_MESH_DENSITY`) and any other value
-    is a mesh file relative to ``base``.
+    The devices' FIELD reference resolves as :func:`assemble_graph` says.
     """
     parsed = parse_netlist(text)
     graph = build_incidence(parsed.elements, parsed.n_nodes)
@@ -67,7 +66,18 @@ def assemble_netlist(text: str, mesh=None, mesh_density: float | None = None,
         log.info("topology: %s", issue.message)
     if not report.passed:
         raise TopologyError(str(report))
+    return Assembly(parsed, assemble_graph(parsed, graph, mesh, mesh_density, base))
 
+
+def assemble_graph(parsed: ParsedNetlist, graph: CircuitGraph, mesh,
+                   mesh_density: float | None, base) -> CoupledSystem:
+    """The coupled system of a parsed netlist and its checked circuit graph.
+
+    The devices' FIELD reference resolves to the mesh file ``mesh`` when one
+    is given; otherwise ``builtin`` is the built-in transformer at
+    ``mesh_density`` (default :data:`DEMO_MESH_DENSITY`) and any other value
+    is a mesh file relative to ``base``.
+    """
     refs = {el.field_ref for el in parsed.elements if el.kind == "M"}
     fieldmodel = None
     if refs:
@@ -85,4 +95,4 @@ def assemble_netlist(text: str, mesh=None, mesh_density: float | None = None,
 
     system = assemble_coupled(graph, fieldmodel)
     log.info("assembled system: %s", system.dimension_report())
-    return Assembly(parsed, system)
+    return system

@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,11 +104,28 @@ class NewtonConfig:
 
 @dataclass
 class NewtonStats:
+    """Work and outcome of one Newton solve.  ``iterations`` includes the
+    ``polish_iterations`` of a full-space solve that finished a step whose
+    reduced solve missed the full-space tolerance."""
+
     iterations: int = 0
     residual_norm: float = math.inf
     halvings: int = 0
     factorizations: int = 0
     converged: bool = False
+    polish_iterations: int = 0
+
+
+class _Elimination(NamedTuple):
+    """The trailing block of a :class:`FactorCache` factored and its
+    coupling to the leading block formed, with the magnitudes of both."""
+
+    lu: object           # LU of J_aa
+    j_ac: sp.csr_matrix
+    v: np.ndarray        # J_ca J_aa^-1
+    w: np.ndarray        # V J_ac
+    abs_v: np.ndarray
+    abs_w: np.ndarray
 
 
 class FactorCache:
@@ -115,29 +133,32 @@ class FactorCache:
 
     ``matrix`` is constant except at the entries (``rows``, ``cols``) of its
     leading block, which every :meth:`refactor` overwrites from the dense
-    block it is given.  With ``n_trailing`` > 0 the matrix is split as
-    [[J_cc, J_ca], [J_ac, J_aa]] with a trailing block J_aa of that size (the
-    field block of a midpoint step, 0.5*K + M/tau, symmetric positive
-    definite because the gauged K is and M is semidefinite).  The first
-    ``refactor`` factors J_aa in a symmetric fill-reducing ordering without
-    pivoting off the diagonal and forms V = J_ca J_aa^-1 from the transposed
-    solve and W = V J_ac.  Every ``refactor`` then writes the stamp into a
-    dense copy of J_cc and factors only the Schur complement S = J_cc - W,
-    so it touches circuit-sized arrays only.  ``solve`` takes
-    x_c = S^-1 (b_c - V b_a) and x_a = J_aa^-1 (b_a - J_ac x_c): one
+    block it is given; each of them keeps a slot in the sparse structure,
+    also where ``matrix`` has no entry there.  With ``n_trailing`` > 0 the
+    matrix is split as [[J_cc, J_ca], [J_ac, J_aa]] with a trailing block
+    J_aa of that size (the field block of a midpoint step, 0.5*K + M/tau,
+    symmetric positive definite because the gauged K is and M is
+    semidefinite).  The first ``refactor`` factors J_aa in a symmetric
+    fill-reducing ordering without pivoting off the diagonal and forms
+    V = J_ca J_aa^-1 from the transposed solve and W = V J_ac, kept in
+    :attr:`elimination`.  Every ``refactor`` then writes the stamp into
+    a dense copy of J_cc and factors only the Schur complement S = J_cc - W,
+    so it touches circuit-sized arrays only.  With no trailing block the
+    Schur complement is the whole matrix, its exact zeros dropped.
+
+    ``solve`` takes x_c = S^-1 (b_c - V b_a) (:meth:`condense`) and
+    x_a = J_aa^-1 (b_a - J_ac x_c) (:meth:`trailing_solve`): one
     back-substitution through J_aa, whose result is the trailing unknowns
-    themselves rather than a difference of larger terms.  With no trailing
-    block the Schur complement is the whole matrix, its exact zeros dropped.
-    ``magnitude`` gives the Newton floor's |J| |x| from |J| kept in the
-    matrix's sparse structure, whose stamped entries each ``refactor``
-    overwrites in place.  ``rows`` and ``cols`` are public: they order the
-    stamped entries that :meth:`schur_complement` takes.
+    themselves rather than a difference of larger terms.  A Newton iteration
+    on the leading unknowns alone uses the same factorization through
+    :class:`_SchurView`.  ``magnitude`` gives the Newton floor's |J| |x| from
+    |J| kept in the matrix's sparse structure, whose stamped entries each
+    ``refactor`` overwrites in place.  ``rows`` and ``cols`` are public: they
+    order the stamped entries that :meth:`schur_complement` takes.
     """
 
     def __init__(self, matrix, rows: np.ndarray, cols: np.ndarray, n_trailing: int = 0):
-        base = matrix.tolil()
-        base[rows, cols] = 1.0  # keeps a slot for every stamped entry
-        base = base.tocsc()
+        base = _with_slots(matrix, rows, cols)
         position = base.copy()
         position.data = np.arange(1.0, base.nnz + 1.0)
         k = base.shape[0] - n_trailing
@@ -148,10 +169,11 @@ class FactorCache:
         self._abs = abs(base)
         self._leading = base[:k, :k].toarray()
         self._field = (base[k:, k:], base[k:, :k], base[:k, k:]) if n_trailing else None
-        self._trailing = None  # (LU of J_aa, J_ac, V, W), built once
-        self._schur = None     # the last S, refilled while its pattern holds
-        self._kept = None      # that pattern, column by column
-        self._lu = None        # LU of the Schur complement
+        self.elimination = None  # the _Elimination, built by the first refactor
+        self._abs_schur = None  # |J_cc| + |W| of the last refactor
+        self._schur = None      # the last S, refilled while its pattern holds
+        self._kept = None       # that pattern, column by column
+        self._lu = None         # LU of the Schur complement
 
     @property
     def ready(self) -> bool:
@@ -173,11 +195,14 @@ class FactorCache:
             j_aa, j_ac, j_ca = self._field
             lu_aa = factor_spd(j_aa)
             v = lu_aa.solve(j_ca.T.toarray(), trans="T").T
-            self._trailing, self._field = (lu_aa, j_ac, v, v @ j_ac), None
+            w = v @ j_ac
+            self.elimination = _Elimination(lu_aa, j_ac, v, w, np.abs(v), np.abs(w))
+            self._field = None
         schur = self._leading.copy()
         schur[self.rows, self.cols] = stamped
-        if self._trailing is not None:
-            schur -= self._trailing[3]
+        if self.elimination is not None:
+            self._abs_schur = np.abs(schur) + self.elimination.abs_w
+            schur -= self.elimination.w
         flat = schur.T.ravel()  # column by column, the order of CSC storage
         kept = flat != 0.0
         if self._schur is None or not np.array_equal(kept, self._kept):
@@ -200,15 +225,62 @@ class FactorCache:
         """|J| |x| for the matrix last factored: the size of the terms of J x."""
         return self._abs @ np.abs(x)
 
+    def condense(self, b: np.ndarray) -> np.ndarray:
+        """b_c - V b_a: the leading rows of ``b`` with the trailing block
+        eliminated."""
+        k = self._leading.shape[0]
+        return b[:k] - self.elimination.v @ b[k:]
+
+    def trailing_solve(self, b_a: np.ndarray, x_c: np.ndarray) -> np.ndarray:
+        """x_a = J_aa^-1 (b_a - J_ac x_c), the trailing unknowns that go with
+        the leading ones x_c: one back-substitution through J_aa."""
+        return self.elimination.lu.solve(b_a - self.elimination.j_ac @ x_c)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
             raise SolverError("no factorization available")
-        if self._trailing is None:
+        if self.elimination is None:
             return self._lu.solve(rhs)
-        lu_aa, j_ac, v, _ = self._trailing
-        k = rhs.shape[0] - j_ac.shape[0]
-        x_c = self._lu.solve(rhs[:k] - v @ rhs[k:])
-        return np.concatenate([x_c, lu_aa.solve(rhs[k:] - j_ac @ x_c)])
+        x_c = self._lu.solve(self.condense(rhs))
+        return np.concatenate([x_c, self.trailing_solve(rhs[x_c.shape[0]:], x_c)])
+
+
+class _SchurView:
+    """An eliminated :class:`FactorCache` as the cache of a Newton iteration
+    on the leading unknowns alone, whose matrix is the Schur complement
+    S = J_cc - W."""
+
+    def __init__(self, cache: FactorCache):
+        self._cache = cache
+
+    @property
+    def ready(self) -> bool:
+        return self._cache.ready
+
+    def refactor(self, block: np.ndarray) -> None:
+        self._cache.refactor(block)
+
+    def magnitude(self, x: np.ndarray) -> np.ndarray:
+        """(|J_cc| + |W|) |x|: the size of the terms of J_cc x - W x."""
+        return self._cache._abs_schur @ np.abs(x)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._cache._lu.solve(rhs)
+
+
+def _with_slots(matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
+    """``matrix`` in CSC form with its entries at (rows, cols) set to 1.0.
+
+    Built from coordinates rather than by adding a matrix of slots, which
+    would drop an entry where the two cancel exactly."""
+    coo = matrix.tocoo()
+    n = matrix.shape[0]
+    keys = coo.row.astype(np.int64) * n + coo.col
+    kept = ~np.isin(keys, np.asarray(rows, dtype=np.int64) * n + cols)
+    return sp.csc_matrix(
+        (np.concatenate([coo.data[kept], np.ones(len(rows))]),
+         (np.concatenate([coo.row[kept], rows]), np.concatenate([coo.col[kept], cols]))),
+        shape=matrix.shape)
 
 
 class StepOperator:
@@ -220,8 +292,11 @@ class StepOperator:
     factorization from step to step.  The cache is built once from the
     iteration matrix 0.5*J_state + J_rate/tau of
     :meth:`CoupledSystem.jacobians`, with the field block as its trailing
-    block.  Only the resistive conductance block (``psi``/``psi``) of the
-    matrix depends on the Newton iterate: :meth:`stamp` evaluates it, and a
+    block; its first factorization eliminates that block, after which the
+    steps iterate on the circuit unknowns alone (:func:`midpoint_step`).
+    Only the resistive conductance block (``psi``/``psi``) of the matrix
+    depends on the Newton iterate: :meth:`stamp` evaluates it from the
+    leading ``psi`` block of a full or a circuit-sized increment, and a
     refactorization writes only its entries, into the circuit-sized Schur
     complement and into the |J| of the Newton floor.
     """
@@ -258,6 +333,12 @@ def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(np.abs(r) / scale)) if r.size else 0.0
 
 
+def _floored(scale: np.ndarray, terms: np.ndarray, tol: float) -> np.ndarray:
+    """``scale`` floored where a residual assembled from terms of size
+    ``terms`` cannot reach ``tol`` in binary64 (see :func:`newton_solve`)."""
+    return np.maximum(scale, (FLOOR_FACTOR * np.finfo(float).eps / tol) * terms)
+
+
 def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
                  scale: np.ndarray, cache: FactorCache, const_magnitude: np.ndarray,
                  limiter=None):
@@ -269,9 +350,13 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     ``scale`` divides the residual componentwise before taking the max norm;
     ``cache`` carries a factorization across calls: stale Jacobians are kept
     while they keep converging and refreshed when an iteration count exceeds
-    :data:`REFACTOR_AFTER` or a line search stalls.  Step halving (at most
-    :data:`MAX_HALVINGS` per line search) guards against overshoot; a step
-    whose residual stays non-finite after all halvings is a hard failure.
+    :data:`REFACTOR_AFTER` or a line search stalls.  It is a
+    :class:`FactorCache` for Newton on all unknowns, or a :class:`_SchurView`
+    of one for Newton on the circuit unknowns with the field eliminated; the
+    loop uses only its ``ready``, ``refactor``, ``magnitude`` and ``solve``.
+    Step halving (at most :data:`MAX_HALVINGS` per line search) guards
+    against overshoot; a step whose residual stays non-finite after all
+    halvings is a hard failure.
     ``config`` supplies the tolerance ``tol`` and the iteration limit
     ``max_iter``, past which the solve fails with :class:`SolverError`.
 
@@ -296,9 +381,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
 
     def update_floor():
         nonlocal eff_scale
-        terms = cache.magnitude(x) + const_magnitude
-        floor = (FLOOR_FACTOR * np.finfo(float).eps / config.tol) * terms
-        eff_scale = np.maximum(scale, floor)
+        eff_scale = _floored(scale, cache.magnitude(x) + const_magnitude, config.tol)
 
     r = residual(x)
     nrm = _scaled_norm(r, eff_scale)
@@ -515,8 +598,16 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     arithmetic this is the textbook midpoint system; in floating point it
     keeps every state-dependent quantity conditioned on the small increment,
     so the branch voltages seen by the diode laws are not polluted by the
-    magnitude of the accumulated states.  Linear systems converge in a single
-    iteration once a factorization exists.
+    magnitude of the accumulated states.
+
+    Once the operator's cache holds the elimination of the field block
+    (from a run's first factorization on), Newton runs on the circuit
+    unknowns alone (:func:`_circuit_newton`).  Its result is accepted only
+    if the full-space residual meets the tolerance under the full-space
+    scale and floor; otherwise full-space Newton polishes it from there.
+    Before that, and for a circuit without a field block, the step is solved
+    in full space.  Linear systems converge in a single iteration once a
+    factorization exists.
 
     The system, the step size, the iteration matrices, the diode limiter and
     the factorization carried between steps all come from ``operator``.
@@ -524,7 +615,7 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     has (the previous record's ``energy``).
     """
     config = config or NewtonConfig()
-    system, tau = operator.system, operator.tau
+    system, tau, cache = operator.system, operator.tau, operator.cache
     y_prev = np.asarray(y_prev, dtype=float)
     if not np.all(np.isfinite(y_prev)):
         raise ValueError("midpoint_step called with non-finite state")
@@ -544,10 +635,25 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
         z0 = np.asarray(increment_hint, dtype=float)
     else:
         z0 = np.zeros_like(y_prev)
+    const_magnitude = np.abs(const_part)
     try:
-        z, stats = newton_solve(step_residual, operator.stamp, z0, config, scale,
-                                operator.cache, np.abs(const_part),
-                                limiter=operator.limiter)
+        z, stats = z0, None
+        if cache.elimination is not None:
+            z, stats = _circuit_newton(operator, const_part, z0, config, scale)
+            r = step_residual(z)
+            stats.residual_norm = _scaled_norm(r, scale)
+            if stats.residual_norm > config.tol:  # the floor can only lower it
+                stats.residual_norm = _scaled_norm(
+                    r, _floored(scale, cache.magnitude(z) + const_magnitude, config.tol))
+        if stats is None or stats.residual_norm > config.tol:
+            z, full = newton_solve(step_residual, operator.stamp, z, config, scale,
+                                   cache, const_magnitude, limiter=operator.limiter)
+            if stats is not None:  # a polish, whose work the step's counts include
+                full = replace(full, iterations=stats.iterations + full.iterations,
+                               halvings=stats.halvings + full.halvings,
+                               factorizations=stats.factorizations + full.factorizations,
+                               polish_iterations=full.iterations)
+            stats = full
     except SolverError as exc:
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
@@ -557,6 +663,33 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     record = StepRecord(index=index, time=t_prev + tau, state=y_next, energy=energy,
                         newton=stats, audit=audit)
     return y_next, record
+
+
+def _circuit_newton(operator: StepOperator, const_part: np.ndarray, z0: np.ndarray,
+                    config: NewtonConfig, scale: np.ndarray):
+    """Newton on the circuit unknowns of a midpoint step with the field
+    eliminated; returns the whole increment and the Newton statistics.
+
+    The field rows J_aa z_a + J_ac z_c + c_a of the step residual are linear,
+    so their root is z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows
+    there are those at z_a = 0 with c_c - V c_a in place of c_c and -W z_c
+    added, and their Jacobian is the Schur complement S = J_cc - W that the
+    cache factors.  The stamp and the limiter read only the leading ``psi``
+    block, so they serve as they are; z_a takes one back-substitution.
+    """
+    system, tau, cache = operator.system, operator.tau, operator.cache
+    elim = cache.elimination
+    k = system.layout.size - system.layout.n_a
+    c_hat = cache.condense(const_part)
+    c_hat_terms = np.abs(const_part[:k]) + elim.abs_v @ np.abs(const_part[k:])
+
+    def reduced_residual(z_c):
+        return (system.circuit_rate_op(z_c / tau) + c_hat
+                + 0.5 * system.circuit_energy_gradient(z_c) - elim.w @ z_c)
+
+    z_c, stats = newton_solve(reduced_residual, operator.stamp, z0[:k], config, scale[:k],
+                              _SchurView(cache), c_hat_terms, limiter=operator.limiter)
+    return np.concatenate([z_c, cache.trailing_solve(-const_part[k:], z_c)]), stats
 
 
 def power_audit(system: CoupledSystem, y_prev: np.ndarray, y_next: np.ndarray,
@@ -627,9 +760,9 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
         z_pred = y_next - y
         y, energy = y_next, record.energy
         t_prev = grid.time(n)
-        log.debug("step %d t=%.6g iters=%d resid=%.3e eps_H=%.3e",
-                  n, t_prev, record.newton.iterations, record.newton.residual_norm,
-                  record.audit.residual)
+        log.debug("step %d t=%.6g iters=%d polish=%d resid=%.3e eps_H=%.3e",
+                  n, t_prev, record.newton.iterations, record.newton.polish_iterations,
+                  record.newton.residual_norm, record.audit.residual)
 
     return TransientResult(grid=grid, records=records,
                            probes={k: np.array(v) for k, v in probe_values.items()})

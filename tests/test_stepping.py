@@ -1,6 +1,7 @@
 """Midpoint stepping, Newton, power audit, transient driver, order studies."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -330,17 +331,66 @@ class TestBlockElimination:
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert len(calls) == sum(rec.newton.factorizations for rec in result.records) > 0
 
-    def test_transient_matches_full_space_run(self, rectifier):
-        _parsed, _graph, system = rectifier
+    @pytest.mark.parametrize("h", [0.025, 0.0125])
+    def test_transient_matches_full_space_run(self, h):
+        system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
         grid = TimeGrid(0.0, 0.05, 6.25e-4)
         result = run_transient(system, grid)
         reference = full_space_run(system, grid)
         states = result.states()
         ref_states = np.array([rec.state for rec in reference])
         assert np.max(np.abs(states - ref_states)) <= 1e-12 * np.max(np.abs(ref_states))
-        for field_name in ("iterations", "factorizations", "halvings"):
-            assert (sum(getattr(rec.newton, field_name) for rec in result.records)
-                    == sum(getattr(rec.newton, field_name) for rec in reference))
+
+    def test_failed_full_space_check_is_polished(self, rectifier, monkeypatch, caplog):
+        # a reduced solution whose field part misses the full-space tolerance
+        # is finished by full-space Newton, to the state of an unforced run
+        _parsed, _graph, system = rectifier
+        grid = TimeGrid(0.0, 0.05, 6.25e-4)
+        reference = run_transient(system, grid)
+        circuit_newton = mona.stepping._circuit_newton
+        k = system.layout.size - system.layout.n_a
+        forced = []
+
+        def perturbed(operator, const_part, z0, config, scale):
+            z, stats = circuit_newton(operator, const_part, z0, config, scale)
+            if not forced:
+                forced.append(True)
+                z = np.array(z)
+                z[k:] *= 1.0 + 1e-6
+            return z, stats
+
+        monkeypatch.setattr(mona.stepping, "_circuit_newton", perturbed)
+        with caplog.at_level(logging.DEBUG, logger="mona.stepping"):
+            result = run_transient(system, grid)
+        polished = [rec for rec in result.records if rec.newton.polish_iterations]
+        assert len(polished) == 1 and polished[0].newton.converged
+        assert polished[0].newton.iterations > polished[0].newton.polish_iterations
+        # MONA_LOG=debug shows the polish on the step's line
+        line = next(r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith(f"step {polished[0].index} "))
+        assert f" polish={polished[0].newton.polish_iterations} " in line
+        ref_states = reference.states()
+        assert (np.max(np.abs(result.states() - ref_states))
+                <= 1e-12 * np.max(np.abs(ref_states)))
+
+    def test_slots_survive_a_cancelling_entry(self):
+        # at tau = 6.25e-4 the 1600 ohm resistor puts -1.0 at two stamped
+        # entries of the constant matrix, which a slot of 1.0 added to it
+        # would cancel and sparse addition drop
+        system = build_from_netlist(
+            "V src 1 0 SIN(1 50)\nR r1 1 2 1600\nR r2 2 0 10\n")[2]
+        tau = 6.25e-4
+        operator = StepOperator(system, tau)
+        cache = operator.cache
+        assert np.count_nonzero(iteration_matrix(system, tau, system.layout.zeros())
+                                .toarray()[cache.rows, cache.cols] == -1.0) == 2
+        rng = np.random.default_rng(5)
+        z = random_state(system, rng)
+        cache.refactor(operator.stamp(z))
+        matrix = iteration_matrix(system, tau, z)
+        x = random_state(system, rng)
+        assert np.array_equal(cache.magnitude(x), abs(matrix) @ np.abs(x))
+        assert np.allclose(cache.solve(x), spsolve(matrix, x), rtol=1e-14, atol=0.0)
 
     def test_linear_transformer_takes_one_iteration_per_step(self):
         # the field unknowns come from one back-substitution, not as a
@@ -351,15 +401,34 @@ class TestBlockElimination:
         assert [rec.newton.iterations for rec in result.records[1:]] == [1] * 79
         assert sum(rec.newton.factorizations for rec in result.records) == 1
 
+    def test_linear_transformer_back_substitutes_once_per_step(self, linear_coupled,
+                                                                monkeypatch):
+        # the first step solves in full space, every later one on the circuit
+        # unknowns; each takes one back-substitution through the field block
+        _parsed, _graph, system = linear_coupled
+        calls = []
+        trailing_solve = FactorCache.trailing_solve
+
+        def counted(cache, b_a, x_c):
+            calls.append(1)
+            return trailing_solve(cache, b_a, x_c)
+
+        monkeypatch.setattr(FactorCache, "trailing_solve", counted)
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert len(calls) == len(result.records) == 80
+        assert not any(rec.newton.polish_iterations for rec in result.records)
+
 
 class TestStepConstants:
     """What is constant over a run is built once; a step evaluates only what
     depends on its state."""
 
     def test_evaluator_calls_per_step(self, linear_coupled, monkeypatch):
-        # the residual of the zero increment is the constant part itself, so a
-        # one-iteration step evaluates rate_op at the start and at the Newton
-        # iterate, and energy_gradient once more for the constant part
+        # the residual of the zero increment is the constant part itself, so
+        # the first step, solved in full space in one iteration, evaluates
+        # rate_op at the start and at the Newton iterate, and energy_gradient
+        # once more for the constant part; every later step iterates on the
+        # circuit rows and evaluates the full residual once, to accept
         _parsed, _graph, system = linear_coupled
         calls = {"rate_op": 0, "energy_gradient": 0}
         per_step = []
@@ -391,7 +460,8 @@ class TestStepConstants:
         monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert [rec.newton.iterations for rec in result.records] == [1] * 80
-        assert per_step == [{"rate_op": 2, "energy_gradient": 3}] * 80
+        assert per_step == ([{"rate_op": 2, "energy_gradient": 3}]
+                            + [{"rate_op": 1, "energy_gradient": 2}] * 79)
 
     def test_limiter_built_once_per_run(self, rectifier, monkeypatch):
         _parsed, _graph, system = rectifier

@@ -38,7 +38,6 @@ from .fem import (
     TransformerParams,
     TriMesh,
     Winding,
-    apply_gauge,
     assemble_mass,
     assemble_stiffness,
     assemble_winding,

@@ -262,10 +262,8 @@ class CoupledSystem:
         """Stored energy: inductors, capacitors, and the magnetic field.
 
         The field part is summed per mesh element (:meth:`FieldModel.energy`),
-        while :meth:`energy_gradient` uses the assembled ``stiffness @ a``.
-        In binary64 the two are not exactly an energy and its gradient; that
-        mismatch, not the rounding of either, sets the audit's defect on fine
-        meshes.
+        and :meth:`energy_gradient` is the gradient of that same sum, so the
+        audit and the residual share one definition of the field energy.
         """
         psi, q_c, _q_v, _q_m, a = self.layout.split(np.asarray(y, dtype=float))
         h = circuit_energy(self.graph, psi, q_c)
@@ -277,14 +275,23 @@ class CoupledSystem:
         """Gradient of the stored energy; zero on the source and device charges.
 
         ``y`` is a float vector of the layout's size; blocks without
-        inductors, capacitors or field unknowns keep their zeros."""
+        inductors, capacitors or field unknowns keep their zeros.  The field
+        rows are :meth:`FieldModel.energy_gradient`, (G^T C)(G a)."""
+        return self._gradient_rows(y, lambda a: self.field.energy_gradient(a))
+
+    def hessian_product(self, z: np.ndarray) -> np.ndarray:
+        """The energy's constant Hessian times z: :meth:`energy_gradient` in
+        exact arithmetic, with K z, the field block of ``J_state``, in the
+        field rows."""
+        return self._gradient_rows(z, lambda a: self.stiffness @ a)
+
+    def _gradient_rows(self, y: np.ndarray, field_rows) -> np.ndarray:
         lay = self.layout
         k = lay.size - lay.n_a
         out = np.empty(lay.size)
         out[:k] = self.circuit_energy_gradient(y[:k])
         if lay.n_a:
-            a = lay.block_slice("a")
-            out[a] = self.stiffness @ y[a]
+            out[k:] = field_rows(y[k:])
         return out
 
     def circuit_energy_gradient(self, y_c: np.ndarray) -> np.ndarray:

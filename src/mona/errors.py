@@ -24,7 +24,7 @@ class MeshError(MonaError):
 
 
 class GaugeError(MeshError):
-    """Gauged stiffness matrix could not be factorized / verified."""
+    """Gauged stiffness matrix is singular or not finite (see build_field_model)."""
 
 
 class SolverError(MonaError):

@@ -27,10 +27,11 @@ of the winding's triangles; they are not stored in the file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import GaugeError, MeshError
@@ -48,7 +49,6 @@ __all__ = [
     "assemble_mass",
     "assemble_winding",
     "factor_spd",
-    "apply_gauge",
     "build_field_model",
     "generate_transformer_mesh",
     "parse_mesh",
@@ -185,17 +185,44 @@ def _scatter(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
     return mat.tocsr()
 
 
+def _element_map(mesh: TriMesh, materials: MaterialMap, dof_map: np.ndarray):
+    """(G, coef): the CSR map G = [B_x; B_y] from the unknowns to the x (row
+    t) and y (row n_triangles + t) component of triangle t's gradient, each
+    row in local vertex order, and coef = nu * depth * area per triangle.
+    ``dof_map[v]`` is vertex v's unknown, or -1 where the gauge fixes it.
+    Overflow is left as values that are not finite, for the caller to reject.
+    """
+    _check_counts(mesh, materials)
+    with np.errstate(over="ignore"):
+        grads = _gradients(mesh)
+        coef = materials.reluctivity * mesh.depth * mesh.areas
+    dofs = dof_map[mesh.triangles]
+    kept = dofs >= 0
+    counts = np.count_nonzero(kept, axis=1)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate([counts, counts]))])
+    data = np.concatenate([grads[:, :, d][kept] for d in (0, 1)])
+    indices = np.concatenate([dofs[kept], dofs[kept]])
+    g = sp.csr_matrix((data, indices, indptr),
+                      shape=(2 * mesh.n_triangles, int(np.count_nonzero(dof_map >= 0))))
+    return g, coef
+
+
+def _gradient_and_stiffness(g: sp.csr_matrix, coef: np.ndarray):
+    """(G^T C, K): the energy's gradient map G^T C with C = diag([coef; coef])
+    folded in, as one CSR matrix, and the stiffness K = (G^T C) G."""
+    weighted = (sp.diags(np.concatenate([coef, coef])) @ g).T.tocsr()
+    return weighted, (weighted @ g).tocsr()
+
+
 def assemble_stiffness(mesh: TriMesh, materials: MaterialMap) -> sp.csr_matrix:
     """Ungauged reluctivity stiffness matrix.
 
-    Entries are sums over triangles of nu * depth * area * (grad_i . grad_j);
-    constants lie in the kernel until the gauge removes them.
+    Entries are sums over triangles of nu * depth * area * (grad_i . grad_j),
+    formed as the product K = (G^T C) G of :func:`build_field_model` over all
+    vertices; constants lie in the kernel until the gauge removes them.
     """
-    _check_counts(mesh, materials)
-    g = _gradients(mesh)
-    coef = materials.reluctivity * mesh.depth * mesh.areas
-    local = np.einsum("tad,tbd->tab", g, g) * coef[:, None, None]
-    return _scatter(mesh, local)
+    g, coef = _element_map(mesh, materials, np.arange(mesh.n_vertices))
+    return _gradient_and_stiffness(g, coef)[1]
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -249,6 +276,9 @@ def _check_counts(mesh: TriMesh, materials: MaterialMap) -> None:
 class FieldModel:
     """Gauged finite-element device model.
 
+    One field operator: the energy 0.5 (G a)^T C (G a) with ``element_map`` G
+    and C = diag([coef; coef]), its gradient ``gradient_map`` (G a) with
+    ``gradient_map`` = G^T C, and its Hessian ``stiffness`` K = (G^T C) G.
     ``stiffness`` and ``mass`` act on interior (gauged) unknowns;
     ``winding_matrix`` maps winding currents to interior load contributions.
     ``dof_map[v]`` is the interior index of vertex v, or -1 on the boundary.
@@ -257,11 +287,13 @@ class FieldModel:
     mesh: TriMesh
     materials: MaterialMap
     windings: list
+    element_map: sp.csr_matrix
+    coef: np.ndarray
+    gradient_map: sp.csr_matrix
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     winding_matrix: np.ndarray
     dof_map: np.ndarray
-    _gradient_op: tuple = field(default=None, repr=False)  # (G, coef), built on demand
 
     @property
     def n_dofs(self) -> int:
@@ -272,48 +304,19 @@ class FieldModel:
         return self.winding_matrix.shape[1]
 
     def energy(self, a: np.ndarray) -> float:
-        """Stored magnetic energy of an interior solution vector.
-
-        Summed per element from the piecewise-constant gradients: the
-        stiffness quadratic form 0.5 a^T K a without its cancellation, so the
-        result carries a relative rounding error.  That does not make the
-        power audit exact: the step residual uses the assembled gradient
-        ``K a``, whose rounded entries make the solved states satisfy the
-        midpoint identity of a slightly different energy.  That mismatch,
-        not the summation here, limits the audit's defect on fine meshes
-        (3.5e-10 W at h=0.00625 on the built-in rectifier).
-        """
+        """Stored magnetic energy of an interior solution vector, summed per
+        element: 0.5 a^T K a without its cancellation.  The residual takes the
+        gradient of this same sum, :meth:`energy_gradient`, at a state."""
         if self.n_dofs == 0 or not np.any(a):
             return 0.0
-        if self._gradient_op is None:
-            self._gradient_op = self._element_gradients()
-        g, coef = self._gradient_op
-        grad = g @ a
-        gx, gy = grad[:coef.size], grad[coef.size:]
-        return 0.5 * float(coef @ (gx * gx + gy * gy))
+        grad = self.element_map @ a
+        gx, gy = grad[:self.coef.size], grad[self.coef.size:]
+        return 0.5 * float(self.coef @ (gx * gx + gy * gy))
 
-    def _element_gradients(self):
-        """(G, coef): G = [B_x; B_y] stacks the x and the y component of the
-        per-triangle gradients of an interior solution as one CSR map from the
-        interior unknowns (row t of B_x is row t of G, row t of B_y is row
-        n_triangles + t), and coef is the per-triangle energy coefficient
-        nu * depth * area.
-
-        Each row lists its triangle's interior vertices in local vertex
-        order, so a gradient component is summed in the same order as over
-        all three vertices with zeros on the boundary.
-        """
-        mesh = self.mesh
-        grads = _gradients(mesh)
-        dofs = self.dof_map[mesh.triangles]
-        interior = dofs >= 0
-        counts = np.count_nonzero(interior, axis=1)
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate([counts, counts]))])
-        data = np.concatenate([grads[:, :, d][interior] for d in (0, 1)])
-        indices = np.concatenate([dofs[interior], dofs[interior]])
-        g = sp.csr_matrix((data, indices, indptr), shape=(2 * mesh.n_triangles, self.n_dofs))
-        coef = self.materials.reluctivity * mesh.depth * mesh.areas
-        return g, coef
+    def energy_gradient(self, a: np.ndarray) -> np.ndarray:
+        """Gradient (G^T C)(G a) of :meth:`energy`: K a without K's
+        cancellation."""
+        return self.gradient_map @ (self.element_map @ a)
 
 
 def factor_spd(matrix: sp.csc_matrix):
@@ -323,62 +326,49 @@ def factor_spd(matrix: sp.csc_matrix):
     is taken from the diagonal, so the factors keep the symmetric structure
     and the fill of a Cholesky factor.  No row exchanges are needed: every
     Schur complement of an SPD matrix is again SPD, so every diagonal pivot
-    is positive.  On a singular semidefinite matrix a pivot vanishes up to
-    rounding, which shows as a ``RuntimeError`` (an exact zero) or as a
-    solve that does not solve.
+    is positive.
     """
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 
-def apply_gauge(mesh: TriMesh, materials: MaterialMap, windings,
-                stiffness: sp.csr_matrix, mass: sp.csr_matrix,
-                winding_matrix: np.ndarray) -> FieldModel:
-    """Eliminate boundary rows/columns and verify the result is solvable.
+def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldModel:
+    """The device model gauged to a = 0 on the boundary vertices.
 
-    The gauged stiffness matrix must admit a factorization that actually
-    solves (checked on a random right-hand side to 1e-10 relative); failure
-    is reported as a :class:`GaugeError`.  The check factors with
-    :func:`factor_spd`, the symmetric no-pivoting factorization the time
-    stepper uses for the field block.  That is valid because the gauged
-    stiffness is symmetric positive semidefinite by construction (a sum of
-    element blocks nu * depth * area * G G^T with nu > 0); it is definite
-    exactly when every connected part of the mesh touches the gauge, and a
-    part that does not makes the factorization or the solve fail.
+    K = (G^T C) G is definite exactly when every coef is positive and every
+    interior vertex is connected to the gauge, which is decided from the
+    inputs, not by a solve.  :class:`GaugeError` rejects a part of the
+    triangles' vertex graph (or a vertex in no triangle) with no gauge
+    vertex, a coef = nu * depth * area that is 0 or not finite in binary64,
+    and a G or K that is not finite; a badly conditioned mesh is accepted.
     """
-    gauged = np.zeros(mesh.n_vertices, dtype=bool)
-    gauged[mesh.boundary_vertices] = True
-    interior = np.flatnonzero(~gauged)
+    interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
     dof_map = np.full(mesh.n_vertices, -1, dtype=np.int64)
     dof_map[interior] = np.arange(interior.size)
 
-    k_g = stiffness[interior][:, interior].tocsc()
-    m_g = mass[interior][:, interior].tocsr()
-    x_g = np.asarray(winding_matrix)[interior]
-
-    if interior.size:
-        try:
-            lu = factor_spd(k_g)
-        except RuntimeError as exc:
-            raise GaugeError(f"gauged stiffness factorization failed: {exc}") from exc
-        rng = np.random.default_rng(0)
-        rhs = rng.standard_normal(interior.size)
-        sol = lu.solve(rhs)
-        resid = np.linalg.norm(k_g @ sol - rhs)
-        if not np.isfinite(resid) or resid > 1e-10 * max(np.linalg.norm(rhs), 1.0):
-            raise GaugeError("gauged stiffness matrix is numerically singular")
-
+    tri = mesh.triangles  # edges 0-1 and 1-2 link each triangle's vertices
+    links = sp.coo_matrix((np.ones(2 * mesh.n_triangles), (tri[:, :2].ravel(), tri[:, 1:].ravel())),
+                          shape=(mesh.n_vertices,) * 2)
+    part = connected_components(links, directed=False)[1]
+    loose = np.flatnonzero(~np.isin(part, part[mesh.boundary_vertices]))
+    if loose.size:
+        raise GaugeError(f"gauged stiffness matrix is singular: {loose.size} interior vertices "
+                         f"share no triangle path with the gauge, e.g. {loose[:10].tolist()}")
+    g, coef = _element_map(mesh, materials, dof_map)
+    bad = np.flatnonzero(~(np.isfinite(coef) & (coef > 0.0)))
+    if bad.size:
+        raise GaugeError(f"gauged stiffness matrix is singular in binary64: nu * depth * area "
+                         f"is zero or not finite on {bad.size} triangles, e.g. {bad[:10].tolist()}")
+    gradient_map, stiffness = _gradient_and_stiffness(g, coef)
+    if not (np.all(np.isfinite(g.data)) and np.all(np.isfinite(stiffness.data))):
+        raise GaugeError("gauged stiffness matrix is not finite in binary64: "
+                         "basis gradients or their products overflow")
+    mass = assemble_mass(mesh, materials)[interior][:, interior].tocsr()
+    winding_matrix = assemble_winding(mesh, windings, materials)[interior]
     return FieldModel(mesh=mesh, materials=materials, windings=list(windings),
-                      stiffness=k_g.tocsr(), mass=m_g, winding_matrix=x_g,
+                      element_map=g, coef=coef, gradient_map=gradient_map,
+                      stiffness=stiffness, mass=mass, winding_matrix=winding_matrix,
                       dof_map=dof_map)
-
-
-def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldModel:
-    """Assemble all device matrices and apply the gauge in one call."""
-    k = assemble_stiffness(mesh, materials)
-    m = assemble_mass(mesh, materials)
-    x = assemble_winding(mesh, windings, materials)
-    return apply_gauge(mesh, materials, windings, k, m, x)
 
 
 def boundary_vertices_of(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:

@@ -598,7 +598,9 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     arithmetic this is the textbook midpoint system; in floating point it
     keeps every state-dependent quantity conditioned on the small increment,
     so the branch voltages seen by the diode laws are not polluted by the
-    magnitude of the accumulated states.
+    magnitude of the accumulated states.  The constant part is the gradient
+    of the audited energy, the half-increment part the constant Hessian
+    times the increment (:meth:`CoupledSystem.hessian_product`).
 
     Once the operator's cache holds the elimination of the field block
     (from a run's first factorization on), Newton runs on the circuit
@@ -626,7 +628,7 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     const_part = system.energy_gradient(y_prev) - f_mid
 
     def step_residual(z):
-        return rate_op(z / tau) + const_part + 0.5 * system.energy_gradient(z)
+        return rate_op(z / tau) + const_part + 0.5 * system.hessian_product(z)
 
     # the rate operator, the energy gradient and the diode currents all
     # vanish at zero, so const_part is the residual of the zero increment

@@ -12,7 +12,7 @@ import pytest
 
 from mona.circuit import CircuitGraph, build_incidence
 from mona.coupling import assemble_coupled
-from mona.demo import DEMO_NETLIST, DEMO_PROBES, assemble_netlist
+from mona.demo import DEMO_MESH_DENSITY, DEMO_NETLIST, DEMO_PROBES, assemble_netlist
 from mona.fem import (
     MaterialMap,
     TriMesh,
@@ -29,6 +29,7 @@ from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state
 from test_coupling import dense_residual
 
 RECTIFIER_TAUS = (5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
+FINE_DENSITIES = (0.00625, 0.003125)  # mesh h [m] of the finer criterion-1 runs
 T_END = 0.05
 NEWTON = NewtonConfig(tol=1e-12)
 
@@ -50,17 +51,22 @@ def report(criterion, detail):
 
 
 def test_criterion_1_discrete_power_balance(demo):
-    """Per-step balance defect small in absolute and relative terms."""
+    """Per-step balance defect small in absolute and relative terms, over
+    the step sizes at the default mesh and over two finer meshes."""
+    runs = [(DEMO_MESH_DENSITY, demo.system, tau) for tau in RECTIFIER_TAUS]
+    runs += [(h, assemble_netlist(DEMO_NETLIST, mesh_density=h).system, 6.25e-4)
+             for h in FINE_DENSITIES]
     worst_abs = worst_rel = 0.0
-    for tau in RECTIFIER_TAUS:
+    for h, system, tau in runs:
         start = time.perf_counter()
-        result = run_transient(demo.system, TimeGrid(0.0, T_END, tau), config=NEWTON)
+        result = run_transient(system, TimeGrid(0.0, T_END, tau), config=NEWTON)
         elapsed = time.perf_counter() - start
         eps = result.max_balance_residual()
         rel = eps / result.peak_supplied_power()
-        assert eps <= 1e-10, f"tau={tau}: |eps_H| = {eps:.3e} exceeds 1e-10 W"
-        assert rel <= 1e-12, f"tau={tau}: relative eps_H = {rel:.3e} exceeds 1e-12"
-        assert elapsed < 60.0, f"tau={tau}: run took {elapsed:.1f}s"
+        where = f"h={h}, tau={tau}"
+        assert eps <= 1e-10, f"{where}: |eps_H| = {eps:.3e} exceeds 1e-10 W"
+        assert rel <= 1e-12, f"{where}: relative eps_H = {rel:.3e} exceeds 1e-12"
+        assert elapsed < 60.0, f"{where}: run took {elapsed:.1f}s"
         worst_abs = max(worst_abs, eps)
         worst_rel = max(worst_rel, rel)
     report(1, f"max |eps_H| = {worst_abs:.2e} W, relative {worst_rel:.2e}")

@@ -260,6 +260,19 @@ class TestEnergy:
             fd[j] = (system.energy(y + e) - system.energy(y - e)) / (2 * h)
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
 
+    @pytest.mark.parametrize("fixture", ["rlc", "rectifier"])
+    def test_hessian_product_is_the_gradient(self, fixture, request):
+        # the energy is quadratic, so J_state y is its gradient at y; the two
+        # forms differ only by rounding, bounded by the terms |J_state| |y|
+        _parsed, _graph, system = request.getfixturevalue(fixture)
+        j_state, _j_rate = system.jacobians(system.layout.zeros(), system.layout.zeros(), 0.0)
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            y = random_state(system, rng)
+            terms = abs(j_state) @ np.abs(y)
+            assert np.all(np.abs(system.hessian_product(y) - j_state @ y) <= 1e-14 * terms)
+            assert np.all(np.abs(system.energy_gradient(y) - j_state @ y) <= 1e-14 * terms)
+
 
 class TestPowerBreakdown:
     def test_rl_decay_exact_point(self):
@@ -340,7 +353,8 @@ class TestBlockwiseEvaluators:
                             q_c / g.capacitance if q_c.size else q_c,
                             np.zeros_like(q_v),
                             np.zeros_like(q_m),
-                            system.stiffness @ a if a.size else a)
+                            (system.field.gradient_map @ (system.field.element_map @ a)
+                             if a.size else a))
             source = lay.pack(-(g.a_i @ np.array([w(t) for w in g.current_waveforms],
                                                  dtype=float)),
                               np.zeros(lay.n_c),

@@ -1,9 +1,12 @@
 """Finite-element assembly, gauge, transformer generator, mesh file format."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from mona.cli import run_cli
 from mona.errors import GaugeError, MeshError
 from mona.fem import (
     MU_0,
@@ -22,6 +25,8 @@ from mona.fem import (
     save_mesh,
 )
 from mona.fem import _gradients, boundary_vertices_of
+
+from conftest import LINEAR_COUPLED_NETLIST
 
 UNIT_TRIANGLE = TriMesh(
     vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -215,6 +220,60 @@ class TestGauge:
         mats = unit_materials(sigma=0.0, n=mesh.n_triangles)
         with pytest.raises(GaugeError, match="gauged stiffness"):
             build_field_model(mesh, mats, [])
+
+    def test_interior_vertex_in_no_triangle_raises_gauge_error(self):
+        # a vertex that no triangle holds is its own connected part: no gauge
+        # vertex fixes it, and its row of the stiffness is empty
+        square = rect_mesh(3, 3, 1.0, 1.0)
+        mesh = TriMesh(vertices=np.vstack([square.vertices, [[2.0, 2.0]]]),
+                       triangles=square.triangles,
+                       boundary_vertices=square.boundary_vertices, depth=1.0)
+        mats = unit_materials(sigma=0.0, n=mesh.n_triangles)
+        with pytest.raises(GaugeError, match="gauged stiffness"):
+            build_field_model(mesh, mats, [])
+
+    def test_squares_glued_at_a_gauged_vertex_accepted(self):
+        # the second square shares one corner with the first and is gauged
+        # there only: that one vertex removes the constants from its kernel
+        square = rect_mesh(3, 3, 1.0, 1.0)
+        n = square.n_vertices
+        corner = n - 1  # (1, 1), the second square's vertex 0
+        second = np.concatenate([[corner], np.arange(n, 2 * n - 1)])
+        mesh = TriMesh(vertices=np.vstack([square.vertices, square.vertices[1:] + [1.0, 1.0]]),
+                       triangles=np.vstack([square.triangles, second[square.triangles]]),
+                       boundary_vertices=square.boundary_vertices, depth=1.0)
+        assert corner in mesh.boundary_vertices
+        mats = unit_materials(sigma=0.0, n=mesh.n_triangles)
+        model = build_field_model(mesh, mats, [])
+        assert model.n_dofs == 2 * n - 1 - square.boundary_vertices.size
+        assert np.linalg.eigvalsh(model.stiffness.toarray()).min() > 0.0
+
+    @pytest.mark.parametrize("size, depth, nu", [(4.0, 1e-200, 1e-200),
+                                                 (4e150, 1e10, 1e300)],
+                             ids=["coef_underflows", "coef_overflows"])
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_coefficient_out_of_range_exits_1(self, tmp_path, capsys, size, depth, nu,
+                                               command):
+        # nu * depth * area is 0 or inf in binary64 on every triangle, though
+        # every value in the file is finite and positive and every interior
+        # vertex is connected to the gauge
+        mesh = rect_mesh(4, 4, size, size, depth=depth)
+        mats = unit_materials(nu=nu, sigma=0.0, n=mesh.n_triangles)
+        windings = [Winding(name=f"w{k}", triangles=np.array([2 * k, 2 * k + 1]),
+                            orientation=np.ones(2), turns=10.0) for k in (0, 1)]
+        save_mesh(tmp_path / "square.mesh", mesh, mats, windings)
+        net = tmp_path / "xfmr.net"
+        net.write_text(LINEAR_COUPLED_NETLIST)
+        argv = [command, "--netlist", str(net), "--mesh", str(tmp_path / "square.mesh")]
+        if command == "run":
+            argv += ["--tau", "1e-3", "--t-end", "2e-3", "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert "nu * depth * area is zero or not finite on 32 triangles" in (
+            captured.out + captured.err)
 
     def test_empty_boundary_rejected(self):
         with pytest.raises(MeshError, match="boundary"):

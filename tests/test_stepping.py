@@ -426,14 +426,14 @@ class TestStepConstants:
     def test_evaluator_calls_per_step(self, linear_coupled, monkeypatch):
         # the residual of the zero increment is the constant part itself, so
         # the first step, solved in full space in one iteration, evaluates
-        # rate_op at the start and at the Newton iterate, and energy_gradient
-        # once more for the constant part; every later step iterates on the
-        # circuit rows and evaluates the full residual once, to accept
+        # rate_op and hessian_product at the start and at the Newton iterate;
+        # every later step iterates on the circuit rows and evaluates the
+        # full residual once, to accept.  energy_gradient, the element-form
+        # field gradient, is evaluated once per step, for the constant part
         _parsed, _graph, system = linear_coupled
-        calls = {"rate_op": 0, "energy_gradient": 0}
+        calls = {"rate_op": 0, "energy_gradient": 0, "hessian_product": 0}
         per_step = []
         compact_form = CoupledSystem.compact_form
-        energy_gradient = CoupledSystem.energy_gradient
         step = mona.stepping.midpoint_step
 
         def counted_compact_form(self):
@@ -445,9 +445,14 @@ class TestStepConstants:
 
             return dataclasses.replace(form, rate_op=rate_op)
 
-        def counted_gradient(self, y):
-            calls["energy_gradient"] += 1
-            return energy_gradient(self, y)
+        def counted(name):
+            method = getattr(CoupledSystem, name)
+
+            def counted_method(self, y):
+                calls[name] += 1
+                return method(self, y)
+
+            return counted_method
 
         def counted_step(*args, **kwargs):
             before = dict(calls)
@@ -456,12 +461,14 @@ class TestStepConstants:
             return out
 
         monkeypatch.setattr(CoupledSystem, "compact_form", counted_compact_form)
-        monkeypatch.setattr(CoupledSystem, "energy_gradient", counted_gradient)
+        for name in ("energy_gradient", "hessian_product"):
+            monkeypatch.setattr(CoupledSystem, name, counted(name))
         monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert [rec.newton.iterations for rec in result.records] == [1] * 80
-        assert per_step == ([{"rate_op": 2, "energy_gradient": 3}]
-                            + [{"rate_op": 1, "energy_gradient": 2}] * 79)
+        assert per_step == (
+            [{"rate_op": 2, "energy_gradient": 1, "hessian_product": 2}]
+            + [{"rate_op": 1, "energy_gradient": 1, "hessian_product": 1}] * 79)
 
     def test_limiter_built_once_per_run(self, rectifier, monkeypatch):
         _parsed, _graph, system = rectifier

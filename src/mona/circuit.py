@@ -34,6 +34,7 @@ __all__ = [
     "validate_topology",
     "resistive_branch_current",
     "resistive_branch_slope",
+    "diode_current",
     "diode_critical_voltage",
     "diode_voltage_limit",
     "circuit_energy",
@@ -159,10 +160,6 @@ class CircuitGraph:
     @property
     def n_devices(self) -> int:
         return self.a_m.shape[1]
-
-    @property
-    def n_inductors(self) -> int:
-        return self.a_l.shape[1]
 
     @cached_property
     def diode_exp_slope(self) -> np.ndarray:
@@ -454,23 +451,26 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray) -> np.nd
     """Branch currents of the resistive partition.
 
     ``v_branch`` concatenates linear branches first, diodes after.  Linear
-    branches obey i = G v; diodes use the exponential law with the argument
-    capped at :data:`DIODE_EXP_CAP` thermal voltages, beyond which a linear
-    continuation keeps values and slopes finite.  The slopes di/dv are
-    :func:`resistive_branch_slope`.
+    branches obey i = G v, diodes :func:`diode_current`.  The slopes di/dv
+    are :func:`resistive_branch_slope`.
     """
     v_branch = _checked_branch_voltages(graph, v_branch)
     n_lin = graph.n_linear_resistive
     i = np.empty_like(v_branch)
     i[:n_lin] = graph.conductance * v_branch[:n_lin]
-
     if graph.n_diodes:
-        v = v_branch[n_lin:]
-        x, e = _diode_exponential(graph, v)
-        over = x > DIODE_EXP_CAP
-        growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e) if over.any() else e
-        i[n_lin:] = graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel
+        i[n_lin:] = diode_current(graph, v_branch[n_lin:])
     return i
+
+
+def diode_current(graph: CircuitGraph, v: np.ndarray) -> np.ndarray:
+    """The diode law: currents I_s*(exp(v/V_th) - 1) + v/R_par of the diode
+    branches at their voltages v, the exponential continued linearly past
+    :data:`DIODE_EXP_CAP` thermal voltages to keep values and slopes finite."""
+    x, e = _diode_exponential(graph, v)
+    over = x > DIODE_EXP_CAP
+    growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e) if over.any() else e
+    return graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel
 
 
 def resistive_branch_slope(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .circuit import (CircuitGraph, circuit_energy, resistive_branch_current,
-                      resistive_branch_slope)
+from .circuit import (CircuitGraph, circuit_energy, diode_current,
+                      resistive_branch_current, resistive_branch_slope)
 from .errors import MeshError
 from .fem import FieldModel
 
@@ -172,79 +172,76 @@ class CoupledSystem:
         return self._rate_op(ydot) + self.energy_gradient(y) - self.source_vector(t)
 
     def _rate_op(self, ydot: np.ndarray) -> np.ndarray:
-        """Resistive currents and the antisymmetric coupling blocks at rate ydot.
-
-        ``ydot`` is a float vector of the layout's size; blocks of size zero
-        contribute no terms.  The circuit rows are :meth:`circuit_rate_op`
-        plus the flux-linkage rate of the device rows."""
+        """Resistive currents and the antisymmetric coupling blocks at rate
+        ydot: :attr:`circuit_rate_matrix` plus :meth:`diode_rows` in the
+        circuit rows (every block but ``a``), plus the flux-linkage rate."""
         lay = self.layout
         k = lay.size - lay.n_a
         out = np.empty(lay.size)
-        out[:k] = self.circuit_rate_op(ydot[:k])
+        out[:k] = self.circuit_rate_matrix @ ydot[:k] + self.diode_rows(ydot[:k])
         if lay.n_a:
             _psi, _q_c, _q_v, q_m, a = lay.slices
             out[q_m] += self.winding_matrix.T @ ydot[a]
             out[a] = self.mass @ ydot[a] - self.winding_matrix @ ydot[q_m]
         return out
 
-    def circuit_rate_op(self, ydot_c: np.ndarray) -> np.ndarray:
-        """The circuit rows of the rate operator at the circuit rates ydot_c
-        (every block but ``a``), with the field rate taken as zero: the nodal
-        current law, and the capacitor, source and device-terminal voltages."""
+    @cached_property
+    def circuit_rate_matrix(self) -> np.ndarray:
+        """The linear part of the rate operator's circuit rows, dense k x k
+        (k = size - n_a): the linear resistors' nodal conductance and the
+        charge-rate incidences in the current law, minus their transposes in
+        the capacitor, source and device-terminal voltages."""
         g = self.graph
-        lay = self.layout
-        psi, q_c, q_v, q_m, _a = lay.slices
-        psi_dot = ydot_c[psi]
-        i_r = resistive_branch_current(g, g.a_r.T @ psi_dot)
-        out = np.empty(lay.size - lay.n_a)
-        node_current = g.a_r @ i_r
-        if lay.n_c:
-            node_current += g.a_c @ ydot_c[q_c]
-            out[q_c] = -(g.a_c.T @ psi_dot)
-        if lay.n_v:
-            node_current += g.a_v @ ydot_c[q_v]
-            out[q_v] = -(g.a_v.T @ psi_dot)
-        if lay.n_m:
-            node_current += g.a_m @ ydot_c[q_m]
-            out[q_m] = -(g.a_m.T @ psi_dot)
-        out[psi] = node_current
+        psi, *charges, _a = self.layout.slices
+        k = self.layout.size - self.layout.n_a
+        out = np.zeros((k, k))
+        a_lin = g.a_r[:, :g.n_linear_resistive]
+        out[psi, psi] = a_lin @ (g.conductance[:, None] * a_lin.T)
+        for blk, incidence in zip(charges, (g.a_c, g.a_v, g.a_m)):
+            out[psi, blk] = incidence
+            out[blk, psi] = -incidence.T
         return out
 
-    def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
-        """(d residual / d y, d residual / d ydot) as sparse matrices.
-
-        Only the diode conductances depend on the evaluation point; every
-        other block is constant.
-        """
+    @cached_property
+    def circuit_hessian(self) -> np.ndarray:
+        """The circuit block of the energy's constant Hessian, dense k x k:
+        the inductors' nodal block and the inverse capacitances."""
         g = self.graph
+        psi, q_c = self.layout.slices[:2]
+        out = np.zeros_like(self.circuit_rate_matrix)
+        out[psi, psi] = g.a_l @ (g.inv_inductance[:, None] * g.a_l.T)
+        out[q_c, q_c] = np.diag(1.0 / g.capacitance)
+        return out
+
+    @cached_property
+    def diode_incidence(self) -> np.ndarray:
+        """A_d: the diodes' node incidence as rows of the k circuit unknowns."""
+        g = self.graph
+        out = np.zeros((self.circuit_rate_matrix.shape[0], g.n_diodes))
+        out[:g.n_nodes] = g.a_r[:, g.n_linear_resistive:]
+        return out
+
+    def diode_rows(self, ydot_c: np.ndarray) -> np.ndarray:
+        """A_d i_d(A_d^T ydot_c): the diode currents in the circuit rows of
+        the rate operator at the circuit rates ydot_c, the nonlinear rest of
+        :attr:`circuit_rate_matrix`."""
+        a_d = self.diode_incidence
+        return a_d @ diode_current(self.graph, a_d.T @ ydot_c)
+
+    def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
+        """(d residual / d y, d residual / d ydot) as CSR matrices.
+
+        Only the resistive conductances (:meth:`conductance`) depend on the
+        evaluation point; every other block is constant.
+        """
         lay = self.layout
-        psi_dot = self.layout.split(np.asarray(ydot, dtype=float))[0]
-
-        j_state = {}
-        if g.n_inductors:
-            j_state[(0, 0)] = g.a_l @ np.diag(g.inv_inductance) @ g.a_l.T
-        if g.n_capacitors:
-            j_state[(1, 1)] = np.diag(1.0 / g.capacitance)
-        if lay.n_a:
-            j_state[(4, 4)] = self.stiffness
-
-        j_rate = {(0, 0): self.conductance(psi_dot)}
-        if g.n_capacitors:
-            j_rate[(0, 1)] = g.a_c
-            j_rate[(1, 0)] = -g.a_c.T
-        if g.n_vsources:
-            j_rate[(0, 2)] = g.a_v
-            j_rate[(2, 0)] = -g.a_v.T
-        if lay.n_m:
-            j_rate[(0, 3)] = g.a_m
-            j_rate[(3, 0)] = -g.a_m.T
-        if lay.n_a:
-            j_rate[(4, 4)] = self.mass
-            if lay.n_m:
-                j_rate[(3, 4)] = self.winding_matrix.T
-                j_rate[(4, 3)] = -self.winding_matrix
-        sizes = lay.sizes
-        return _block_sparse(j_state, sizes), _block_sparse(j_rate, sizes)
+        psi, _q_c, _q_v, q_m, _a = lay.slices
+        rate = self.circuit_rate_matrix.copy()
+        rate[psi, psi] = self.conductance(np.asarray(ydot, dtype=float)[psi])
+        coupling = np.zeros((rate.shape[0], lay.n_a))
+        coupling[q_m] = self.winding_matrix.T
+        return (sp.bmat([[self.circuit_hessian, None], [None, self.stiffness]]).tocsr(),
+                sp.bmat([[rate, coupling], [-coupling.T, self.mass]]).tocsr())
 
     def conductance(self, psi_dot: np.ndarray) -> np.ndarray:
         """Nodal conductance matrix of the resistive branches at node rates psi_dot.
@@ -258,26 +255,34 @@ class CoupledSystem:
         didv = resistive_branch_slope(g, g.a_r.T @ psi_dot)
         return g.a_r @ (didv[:, None] * g.a_r.T)
 
-    def energy(self, y: np.ndarray) -> float:
+    def element_values(self, y: np.ndarray):
+        """G a of y's field block a, which :meth:`energy` and
+        :meth:`energy_gradient` take; None without a field."""
+        if self.field is None:
+            return None
+        return self.field.element_map @ y[self.layout.size - self.layout.n_a:]
+
+    def energy(self, y: np.ndarray, element_values=None) -> float:
         """Stored energy: inductors, capacitors, and the magnetic field.
 
         The field part is summed per mesh element (:meth:`FieldModel.energy`),
         and :meth:`energy_gradient` is the gradient of that same sum, so the
         audit and the residual share one definition of the field energy.
+        ``element_values`` is :meth:`element_values` of y, if the caller has it.
         """
         psi, q_c, _q_v, _q_m, a = self.layout.split(np.asarray(y, dtype=float))
         h = circuit_energy(self.graph, psi, q_c)
         if a.size:
-            h += self.field.energy(a)
+            h += self.field.energy(a, element_values)
         return h
 
-    def energy_gradient(self, y: np.ndarray) -> np.ndarray:
+    def energy_gradient(self, y: np.ndarray, element_values=None) -> np.ndarray:
         """Gradient of the stored energy; zero on the source and device charges.
 
-        ``y`` is a float vector of the layout's size; blocks without
-        inductors, capacitors or field unknowns keep their zeros.  The field
-        rows are :meth:`FieldModel.energy_gradient`, (G^T C)(G a)."""
-        return self._gradient_rows(y, lambda a: self.field.energy_gradient(a))
+        The circuit rows are :attr:`circuit_hessian` times the circuit state,
+        the field rows :meth:`FieldModel.energy_gradient`, (G^T C)(G a), with
+        G a from ``element_values`` if the caller has it."""
+        return self._gradient_rows(y, lambda a: self.field.energy_gradient(a, element_values))
 
     def hessian_product(self, z: np.ndarray) -> np.ndarray:
         """The energy's constant Hessian times z: :meth:`energy_gradient` in
@@ -289,22 +294,9 @@ class CoupledSystem:
         lay = self.layout
         k = lay.size - lay.n_a
         out = np.empty(lay.size)
-        out[:k] = self.circuit_energy_gradient(y[:k])
+        out[:k] = self.circuit_hessian @ y[:k]
         if lay.n_a:
             out[k:] = field_rows(y[k:])
-        return out
-
-    def circuit_energy_gradient(self, y_c: np.ndarray) -> np.ndarray:
-        """The circuit rows of :meth:`energy_gradient` at the circuit state
-        y_c (every block but ``a``), on which they alone depend."""
-        g = self.graph
-        lay = self.layout
-        psi, q_c, _q_v, _q_m, _a = lay.slices
-        out = np.zeros(lay.size - lay.n_a)
-        if g.n_inductors:
-            out[psi] = g.a_l @ (g.inv_inductance * (g.a_l.T @ y_c[psi]))
-        if lay.n_c:
-            out[q_c] = y_c[q_c] / g.capacitance
         return out
 
     def source_vector(self, t: float) -> np.ndarray:
@@ -345,28 +337,6 @@ class CoupledSystem:
         resistive plus eddy losses, hence is non-negative.
         """
         return CompactForm(rate_op=self._rate_op)
-
-
-def _block_sparse(blocks: dict, sizes) -> sp.csr_matrix:
-    """Assemble a square block matrix from {(i, j): dense-or-sparse} blocks."""
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rows, cols, vals = [], [], []
-    for (bi, bj), block in blocks.items():
-        block = sp.coo_matrix(block)
-        if block.shape != (sizes[bi], sizes[bj]):
-            raise ValueError(f"block ({bi},{bj}) has shape {block.shape}, "
-                             f"expected {(sizes[bi], sizes[bj])}")
-        rows.append(block.row + offsets[bi])
-        cols.append(block.col + offsets[bj])
-        vals.append(block.data)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = cols = vals = np.zeros(0)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(total, total)).tocsr()
 
 
 def assemble_coupled(graph: CircuitGraph, field: FieldModel | None = None) -> CoupledSystem:

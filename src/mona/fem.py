@@ -303,20 +303,21 @@ class FieldModel:
     def n_windings(self) -> int:
         return self.winding_matrix.shape[1]
 
-    def energy(self, a: np.ndarray) -> float:
+    def energy(self, a: np.ndarray, grad: np.ndarray | None = None) -> float:
         """Stored magnetic energy of an interior solution vector, summed per
         element: 0.5 a^T K a without its cancellation.  The residual takes the
-        gradient of this same sum, :meth:`energy_gradient`, at a state."""
+        gradient of this same sum, :meth:`energy_gradient`, at a state.
+        ``grad`` is G a where the caller has it."""
         if self.n_dofs == 0 or not np.any(a):
             return 0.0
-        grad = self.element_map @ a
+        grad = self.element_map @ a if grad is None else grad
         gx, gy = grad[:self.coef.size], grad[self.coef.size:]
         return 0.5 * float(self.coef @ (gx * gx + gy * gy))
 
-    def energy_gradient(self, a: np.ndarray) -> np.ndarray:
+    def energy_gradient(self, a: np.ndarray, grad: np.ndarray | None = None) -> np.ndarray:
         """Gradient (G^T C)(G a) of :meth:`energy`: K a without K's
-        cancellation."""
-        return self.gradient_map @ (self.element_map @ a)
+        cancellation; ``grad`` is G a where the caller has it."""
+        return self.gradient_map @ (self.element_map @ a if grad is None else grad)
 
 
 def factor_spd(matrix: sp.csc_matrix):
@@ -341,6 +342,7 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
     triangles' vertex graph (or a vertex in no triangle) with no gauge
     vertex, a coef = nu * depth * area that is 0 or not finite in binary64,
     and a G or K that is not finite; a badly conditioned mesh is accepted.
+    :class:`MeshError` rejects a sigma * depth * area that is not finite.
     """
     interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
     dof_map = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -363,6 +365,11 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
     if not (np.all(np.isfinite(g.data)) and np.all(np.isfinite(stiffness.data))):
         raise GaugeError("gauged stiffness matrix is not finite in binary64: "
                          "basis gradients or their products overflow")
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(materials.conductivity * mesh.depth * mesh.areas))
+    if bad.size:
+        raise MeshError(f"conductivity mass matrix is not finite in binary64: sigma * depth * "
+                        f"area overflows on {bad.size} triangles, e.g. {bad[:10].tolist()}")
     mass = assemble_mass(mesh, materials)[interior][:, interior].tocsr()
     winding_matrix = assemble_winding(mesh, windings, materials)[interior]
     return FieldModel(mesh=mesh, materials=materials, windings=list(windings),

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .circuit import diode_critical_voltage, diode_voltage_limit
 from .coupling import BlockLayout, CoupledSystem, PowerBreakdown
@@ -128,6 +128,30 @@ class _Elimination(NamedTuple):
     abs_w: np.ndarray
 
 
+class _DenseLU:
+    """LAPACK's LU with partial pivoting (getrf) of a dense square matrix.
+    ``shape``, ``L`` (with its unit diagonal) and ``U`` read as a SuperLU
+    object's do; the sparse factors are formed on each read."""
+
+    def __init__(self, matrix: np.ndarray):
+        self._lu, self._piv, info = dgetrf(matrix)
+        if info != 0:
+            raise SolverError(f"iteration matrix factorization failed: "
+                              f"matrix is exactly singular (getrf info {info})")
+        self.shape = matrix.shape
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return sp.csc_matrix(np.tril(self._lu, -1) + np.eye(self.shape[0]))
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return sp.csc_matrix(np.triu(self._lu))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dgetrs(self._lu, self._piv, rhs)[0]
+
+
 class FactorCache:
     """LU factorization of a Newton iteration matrix, reused across solves.
 
@@ -142,9 +166,9 @@ class FactorCache:
     fill-reducing ordering without pivoting off the diagonal and forms
     V = J_ca J_aa^-1 from the transposed solve and W = V J_ac, kept in
     :attr:`elimination`.  Every ``refactor`` then writes the stamp into
-    a dense copy of J_cc and factors only the Schur complement S = J_cc - W,
-    so it touches circuit-sized arrays only.  With no trailing block the
-    Schur complement is the whole matrix, its exact zeros dropped.
+    a dense copy of J_cc and factors only the Schur complement S = J_cc - W
+    by dense LU, so it touches circuit-sized arrays only; a singular S raises
+    :class:`SolverError`.  With no trailing block S is the whole matrix.
 
     ``solve`` takes x_c = S^-1 (b_c - V b_a) (:meth:`condense`) and
     x_a = J_aa^-1 (b_a - J_ac x_c) (:meth:`trailing_solve`): one
@@ -171,26 +195,15 @@ class FactorCache:
         self._field = (base[k:, k:], base[k:, :k], base[:k, k:]) if n_trailing else None
         self.elimination = None  # the _Elimination, built by the first refactor
         self._abs_schur = None  # |J_cc| + |W| of the last refactor
-        self._schur = None      # the last S, refilled while its pattern holds
-        self._kept = None       # that pattern, column by column
-        self._lu = None         # LU of the Schur complement
+        self._lu = None         # _DenseLU of the Schur complement
 
     @property
     def ready(self) -> bool:
         return self._lu is not None
 
-    def schur_complement(self, stamped: np.ndarray) -> sp.csc_matrix:
-        """S = J_cc - W with the stamped entries of J_cc set to ``stamped``,
-        the values at (``rows``, ``cols``) in that order.
-
-        Exact zeros are dropped as sparse subtraction drops them, so the LU
-        sees the pattern, the values and hence the ordering that the sparse
-        difference of the full matrix's leading block and W would give.  The
-        returned matrix is the cache's own: while the pattern of nonzeros
-        stays the same, the next call refills its ``data`` in place rather
-        than building a new one, which keeps the per-refresh cost at the
-        arithmetic instead of sparse construction.
-        """
+    def schur_complement(self, stamped: np.ndarray) -> np.ndarray:
+        """S = J_cc - W, dense, with the stamped entries of J_cc set to
+        ``stamped``, the values at (``rows``, ``cols``) in that order."""
         if self._field is not None:
             j_aa, j_ac, j_ca = self._field
             lu_aa = factor_spd(j_aa)
@@ -203,22 +216,13 @@ class FactorCache:
         if self.elimination is not None:
             self._abs_schur = np.abs(schur) + self.elimination.abs_w
             schur -= self.elimination.w
-        flat = schur.T.ravel()  # column by column, the order of CSC storage
-        kept = flat != 0.0
-        if self._schur is None or not np.array_equal(kept, self._kept):
-            self._schur, self._kept = sp.csc_matrix(schur), kept
-        else:
-            self._schur.data[:] = flat[kept]  # the LU keeps no reference to it
-        return self._schur
+        return schur
 
     def refactor(self, block: np.ndarray) -> None:
         """Factor the matrix with its stamped entries taken from ``block``."""
         stamped = block[self.rows, self.cols]
-        try:
-            self._lu = splu(self.schur_complement(stamped))
-        except RuntimeError as exc:
-            self._lu = None
-            raise SolverError(f"iteration matrix factorization failed: {exc}") from exc
+        self._lu = None
+        self._lu = _DenseLU(self.schur_complement(stamped))  # SolverError if singular
         self._abs.data[self._slots] = np.abs(stamped)
 
     def magnitude(self, x: np.ndarray) -> np.ndarray:
@@ -314,13 +318,24 @@ class StepOperator:
         zero = system.layout.zeros()
         j_state, j_rate = system.jacobians(zero, zero, 0.0)
         self._psi = psi = system.layout.block_slice("psi")
-        self._inductive = 0.5 * j_state[psi, psi].toarray()
+        self._inductive = 0.5 * system.circuit_hessian[psi, psi]
         # conductances are positive, so the pattern of the block at rest is
         # the pattern at every iterate
         rows, cols = np.nonzero(
             (system.conductance(zero[psi]) != 0.0) | (self._inductive != 0.0))
         self.cache = FactorCache(0.5 * j_state + j_rate * self._rate_weight, rows, cols,
                                  n_trailing=system.layout.n_a)
+        # the last state a step returned and its G a, for the next step
+        self._element_values = (None, None)
+
+    @cached_property
+    def reduced_matrix(self) -> np.ndarray:
+        """L = J_cc,lin - W: the circuit block of the iteration matrix without
+        the diode conductances, 0.5*H_c + J_lin/tau, with the field
+        eliminated; formed on first use, after the cache's elimination."""
+        system = self.system
+        return (0.5 * system.circuit_hessian + system.circuit_rate_matrix * self._rate_weight
+                - self.cache.elimination.w)
 
     def stamp(self, z: np.ndarray) -> np.ndarray:
         """The ``psi``/``psi`` block of the iteration matrix at the state
@@ -614,7 +629,9 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     The system, the step size, the iteration matrices, the diode limiter and
     the factorization carried between steps all come from ``operator``.
     ``energy_prev`` is ``system.energy(y_prev)``, which the caller already
-    has (the previous record's ``energy``).
+    has (the previous record's ``energy``).  The operator keeps the G a of
+    the state a step returns, and the next step reuses it if its ``y_prev``
+    is that same array.
     """
     config = config or NewtonConfig()
     system, tau, cache = operator.system, operator.tau, operator.cache
@@ -625,7 +642,8 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
 
     rate_op = operator.compact.rate_op
     f_mid = system.source_vector(t_mid)
-    const_part = system.energy_gradient(y_prev) - f_mid
+    state, values = operator._element_values
+    const_part = system.energy_gradient(y_prev, values if state is y_prev else None) - f_mid
 
     def step_residual(z):
         return rate_op(z / tau) + const_part + 0.5 * system.hessian_product(z)
@@ -660,7 +678,9 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
     y_next = y_prev + z
-    energy = system.energy(y_next)
+    values = system.element_values(y_next)
+    energy = system.energy(y_next, values)
+    operator._element_values = (y_next, values)
     audit = power_audit(system, y_prev, y_next, tau, t_prev, (energy_prev, energy))
     record = StepRecord(index=index, time=t_prev + tau, state=y_next, energy=energy,
                         newton=stats, audit=audit)
@@ -674,20 +694,21 @@ def _circuit_newton(operator: StepOperator, const_part: np.ndarray, z0: np.ndarr
 
     The field rows J_aa z_a + J_ac z_c + c_a of the step residual are linear,
     so their root is z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows
-    there are those at z_a = 0 with c_c - V c_a in place of c_c and -W z_c
-    added, and their Jacobian is the Schur complement S = J_cc - W that the
-    cache factors.  The stamp and the limiter read only the leading ``psi``
-    block, so they serve as they are; z_a takes one back-substitution.
+    there are L z_c + c_hat + A_d i_d(A_d^T z_c / tau) with L the operator's
+    :attr:`~StepOperator.reduced_matrix`, c_hat = c_c - V c_a (once per
+    step) and :meth:`CoupledSystem.diode_rows`; their Jacobian, L plus the
+    diode stamp, is the Schur complement S = J_cc - W that the cache
+    factors.  The stamp and the limiter read only the leading ``psi`` block,
+    so they serve as they are; z_a takes one back-substitution.
     """
     system, tau, cache = operator.system, operator.tau, operator.cache
-    elim = cache.elimination
     k = system.layout.size - system.layout.n_a
     c_hat = cache.condense(const_part)
-    c_hat_terms = np.abs(const_part[:k]) + elim.abs_v @ np.abs(const_part[k:])
+    c_hat_terms = np.abs(const_part[:k]) + cache.elimination.abs_v @ np.abs(const_part[k:])
+    reduced = operator.reduced_matrix
 
     def reduced_residual(z_c):
-        return (system.circuit_rate_op(z_c / tau) + c_hat
-                + 0.5 * system.circuit_energy_gradient(z_c) - elim.w @ z_c)
+        return reduced @ z_c + c_hat + system.diode_rows(z_c / tau)
 
     z_c, stats = newton_solve(reduced_residual, operator.stamp, z0[:k], config, scale[:k],
                               _SchurView(cache), c_hat_terms, limiter=operator.limiter)

@@ -328,33 +328,43 @@ class TestPowerBreakdown:
 
 class TestBlockwiseEvaluators:
     """The evaluators fill one array block by block; each block must be
-    bit-identical to its expression evaluated on its own and packed."""
+    bit-identical to its expression evaluated on its own and packed.  The
+    circuit rows are the dense circuit operator, whose matrices are stamped
+    here from the incidence blocks."""
 
     @pytest.mark.parametrize("fixture", ["rlc", "rectifier", "linear_coupled"])
     def test_blocks_match_packed_expressions(self, fixture, request):
         _parsed, g, system = request.getfixturevalue(fixture)
         lay = system.layout
+        k = lay.size - lay.n_a
         x_mat = system.winding_matrix
         compact = system.compact_form()
+        a_lin = g.a_r[:, :g.n_linear_resistive]
+        charges = np.hstack([g.a_c, g.a_v, g.a_m])
+        rate_matrix = np.block([[a_lin @ np.diag(g.conductance) @ a_lin.T, charges],
+                                [-charges.T, np.zeros((k - lay.n_nodes,) * 2)]])
+        hessian = np.zeros((k, k))
+        hessian[:lay.n_nodes, :lay.n_nodes] = g.a_l @ np.diag(g.inv_inductance) @ g.a_l.T
+        hessian[lay.block_slice("q_c"), lay.block_slice("q_c")] = np.diag(1.0 / g.capacitance)
+        a_dio = np.vstack([g.a_r[:, g.n_linear_resistive:],
+                           np.zeros((k - lay.n_nodes, g.n_diodes))])
+        assert np.array_equal(system.circuit_rate_matrix, rate_matrix)
+        assert np.array_equal(system.circuit_hessian, hessian)
+        assert np.array_equal(system.diode_incidence, a_dio)
         rng = np.random.default_rng(12)
         for _ in range(20):
             y = random_state(system, rng)
             ydot = random_state(system, rng)
             t = float(rng.uniform(0.0, 0.05))
-            psi, q_c, q_v, q_m, a = lay.split(y)
-            psi_d, qc_d, qv_d, qm_d, a_d = lay.split(ydot)
-            i_r = resistive_branch_current(g, g.a_r.T @ psi_d)
-            rate = lay.pack(g.a_r @ i_r + g.a_c @ qc_d + g.a_v @ qv_d + g.a_m @ qm_d,
-                            -(g.a_c.T @ psi_d),
-                            -(g.a_v.T @ psi_d),
-                            -(g.a_m.T @ psi_d) + x_mat.T @ a_d,
-                            system.mass @ a_d - x_mat @ qm_d)
-            grad = lay.pack(g.a_l @ (g.inv_inductance * (g.a_l.T @ psi)),
-                            q_c / g.capacitance if q_c.size else q_c,
-                            np.zeros_like(q_v),
-                            np.zeros_like(q_m),
-                            (system.field.gradient_map @ (system.field.element_map @ a)
-                             if a.size else a))
+            a = y[k:]
+            psi_d, _qc_d, _qv_d, qm_d, a_d = lay.split(ydot)
+            i_d = resistive_branch_current(g, g.a_r.T @ psi_d)[g.n_linear_resistive:]
+            circuit_rate = rate_matrix @ ydot[:k] + a_dio @ i_d
+            circuit_rate[lay.block_slice("q_m")] += x_mat.T @ a_d
+            rate = np.concatenate([circuit_rate, system.mass @ a_d - x_mat @ qm_d])
+            grad = np.concatenate([
+                hessian @ y[:k],
+                system.field.gradient_map @ (system.field.element_map @ a) if a.size else a])
             source = lay.pack(-(g.a_i @ np.array([w(t) for w in g.current_waveforms],
                                                  dtype=float)),
                               np.zeros(lay.n_c),

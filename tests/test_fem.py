@@ -275,6 +275,29 @@ class TestGauge:
         assert "nu * depth * area is zero or not finite on 32 triangles" in (
             captured.out + captured.err)
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_conductivity_coefficient_overflow_exits_1(self, tmp_path, capsys, command):
+        # nu * depth * area = 1e-300 * 1e10 * 5e299 is fine, but sigma * depth
+        # * area overflows on the 16 conducting triangles: a named cause, not
+        # the non-finite mass surfacing as a zero-state defect
+        mesh = rect_mesh(4, 4, 4e150, 4e150, depth=1e10)
+        sigma = np.where(np.arange(mesh.n_triangles) >= 16, 1e300, 0.0)
+        mats = MaterialMap(reluctivity=np.full(mesh.n_triangles, 1e-300), conductivity=sigma)
+        windings = [Winding(name=f"w{k}", triangles=np.array([2 * k, 2 * k + 1]),
+                            orientation=np.ones(2), turns=10.0) for k in (0, 1)]
+        save_mesh(tmp_path / "square.mesh", mesh, mats, windings)
+        net = tmp_path / "xfmr.net"
+        net.write_text(LINEAR_COUPLED_NETLIST)
+        argv = [command, "--netlist", str(net), "--mesh", str(tmp_path / "square.mesh")]
+        if command == "run":
+            argv += ["--tau", "1e-3", "--t-end", "2e-3", "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert ("sigma * depth * area overflows on 16 triangles, e.g. [16, 17, 18"
+                in captured.out + captured.err)
+
     def test_empty_boundary_rejected(self):
         with pytest.raises(MeshError, match="boundary"):
             TriMesh(vertices=UNIT_TRIANGLE.vertices,

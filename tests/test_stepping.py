@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_from_netlist,
                       dense_cache, random_state)
@@ -244,14 +244,37 @@ def iteration_matrix(system, tau, z):
     return (0.5 * j_state + j_rate / tau).tocsc()
 
 
+class SparseCache:
+    """A cache with the protocol newton_solve uses (``ready``, ``refactor``,
+    ``magnitude``, ``solve``) that holds one sparse LU of the whole matrix
+    it is given: the full-space oracle's, on matrices too large for the
+    dense LU of FactorCache.  It eliminates nothing."""
+
+    elimination = None
+
+    def __init__(self):
+        self._lu = self._abs = None
+
+    @property
+    def ready(self):
+        return self._lu is not None
+
+    def refactor(self, matrix):
+        self._lu, self._abs = splu(matrix), abs(matrix)
+
+    def magnitude(self, x):
+        return self._abs @ np.abs(x)
+
+    def solve(self, rhs):
+        return self._lu.solve(rhs)
+
+
 def full_space_run(system, grid):
-    """run_transient's step loop with one LU of the whole iteration matrix,
-    every entry of it stamped from ``system.jacobians`` at each
-    refactorization."""
+    """run_transient's step loop with one sparse LU of the whole iteration
+    matrix, formed from ``system.jacobians`` at each refactorization."""
     operator = StepOperator(system, grid.tau)
-    matrix = iteration_matrix(system, grid.tau, system.layout.zeros())
-    operator.cache = FactorCache(matrix, *matrix.nonzero())
-    operator.stamp = lambda z: iteration_matrix(system, grid.tau, z).toarray()
+    operator.cache = SparseCache()
+    operator.stamp = lambda z: iteration_matrix(system, grid.tau, z)
     y, z_pred, records = system.layout.zeros(), None, []
     energy = system.energy(y)
     for n in range(1, grid.n_steps + 1):
@@ -281,9 +304,9 @@ class TestBlockElimination:
                 assert err <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_stamp_reproduces_the_jacobians(self):
-        # the Schur complement the cache factors, and the |J| |x| of the
-        # Newton floor, equal those formed from the whole iteration matrix by
-        # sparse slicing and subtraction, bit for bit and entry for entry
+        # the dense Schur complement the cache factors, and the |J| |x| of the
+        # Newton floor, equal those formed from the whole iteration matrix,
+        # bit for bit
         tau = 6.25e-4
         rng = np.random.default_rng(4)
         for h in (0.025, 0.0125):
@@ -291,30 +314,56 @@ class TestBlockElimination:
             operator = StepOperator(system, tau)
             cache = operator.cache
             k = system.layout.size - system.layout.n_a
-            for _ in range(2):  # the second S is refilled in the first one's structure
+            for _ in range(2):  # the second S reuses the field elimination
                 z = 1e-3 * random_state(system, rng)
                 matrix = iteration_matrix(system, tau, z)
                 lu_aa = factor_spd(matrix[k:, k:])
                 v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
-                expected = matrix[:k, :k] - sp.csc_matrix(v @ matrix[k:, :k])
+                expected = matrix[:k, :k].toarray() - v @ matrix[k:, :k]
                 schur = cache.schur_complement(operator.stamp(z)[cache.rows, cache.cols])
-                for part in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(schur, part), getattr(expected, part))
+                assert np.array_equal(schur, expected)
                 cache.refactor(operator.stamp(z))
                 x = random_state(system, rng)
                 assert np.array_equal(cache.magnitude(x), abs(matrix) @ np.abs(x))
 
-    def test_schur_complement_follows_a_changed_pattern(self):
-        # an entry that turns exactly zero, and back, changes the pattern: S is
-        # then built afresh rather than refilled
-        cache = dense_cache(3)
-        block = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 5.0]])
-        for entry in (1.0, 0.0, 0.5, 0.25):
-            block[0, 1] = entry
-            schur = cache.schur_complement(block[cache.rows, cache.cols])
-            expected = sp.csc_matrix(block)
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(schur, part), getattr(expected, part))
+    def test_reduced_residual_is_the_eliminated_step_residual(self, rectifier):
+        # the circuit rows of the step residual, at the field increment that
+        # zeroes its field rows, are L z_c + c_hat + A_d i_d(A_d^T z_c / tau)
+        _parsed, _graph, system = rectifier
+        tau = 6.25e-4
+        operator = StepOperator(system, tau)
+        cache = operator.cache
+        k = system.layout.size - system.layout.n_a
+        rng = np.random.default_rng(6)
+        cache.refactor(operator.stamp(system.layout.zeros()))
+        const_part = system.energy_gradient(random_state(system, rng)) - system.source_vector(0.01)
+        c_hat = cache.condense(const_part)
+        for amplitude in (1e-6, 1e-4, 1e-3):
+            z = amplitude * random_state(system, rng)
+            z[k:] = cache.trailing_solve(-const_part[k:], z[:k])
+            full = (system.compact_form().rate_op(z / tau) + const_part
+                    + 0.5 * system.hessian_product(z))
+            reduced = operator.reduced_matrix @ z[:k] + c_hat + system.diode_rows(z[:k] / tau)
+            terms = np.max(np.abs(const_part)) + np.max(np.abs(full))
+            assert np.max(np.abs(reduced - full[:k])) <= 1e-12 * terms
+            # the field rows are solved, to rounding
+            assert np.max(np.abs(full[k:])) <= 1e-12 * terms
+
+    @pytest.mark.parametrize("n_trailing", [0, 1])
+    def test_singular_circuit_block_raises(self, n_trailing):
+        # S = [[1.5, 2], [0.5, 1]] - W is exactly singular: with the trailing
+        # block [[2]] coupled to the first unknown W = [[0.5, 0], [0, 0]]
+        matrix = sp.csc_matrix(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]]))
+        block = np.array([[1.5, 2.0], [0.5, 1.0]])
+        if not n_trailing:
+            matrix, block = sp.csc_matrix((2, 2)), block - [[0.5, 0.0], [0.0, 0.0]]
+        rows, cols = np.indices((2, 2)).reshape(2, -1)
+        cache = FactorCache(matrix, rows, cols, n_trailing=n_trailing)
+        with pytest.raises(SolverError, match="factorization failed: matrix is exactly singular"):
+            cache.refactor(block)
+        assert not cache.ready
+        cache.refactor(block + np.eye(2))
+        assert cache.ready
 
     def test_one_refactor_call_per_factorization(self, rectifier, monkeypatch):
         # the benchmark's tracer counts factorizations by FactorCache.refactor
@@ -429,10 +478,19 @@ class TestStepConstants:
         # rate_op and hessian_product at the start and at the Newton iterate;
         # every later step iterates on the circuit rows and evaluates the
         # full residual once, to accept.  energy_gradient, the element-form
-        # field gradient, is evaluated once per step, for the constant part
+        # field gradient, is evaluated once per step, for the constant part.
+        # The element map G a of a state is formed once: for the new state's
+        # energy, and that G a serves the next step's energy_gradient
         _parsed, _graph, system = linear_coupled
-        calls = {"rate_op": 0, "energy_gradient": 0, "hessian_product": 0}
+        calls = {"rate_op": 0, "energy_gradient": 0, "hessian_product": 0, "G a": 0}
         per_step = []
+        element_map = system.field.element_map
+
+        class CountedMap:
+            def __matmul__(self, a):
+                calls["G a"] += 1
+                return element_map @ a
+
         compact_form = CoupledSystem.compact_form
         step = mona.stepping.midpoint_step
 
@@ -448,9 +506,9 @@ class TestStepConstants:
         def counted(name):
             method = getattr(CoupledSystem, name)
 
-            def counted_method(self, y):
+            def counted_method(self, y, *args):
                 calls[name] += 1
-                return method(self, y)
+                return method(self, y, *args)
 
             return counted_method
 
@@ -464,11 +522,23 @@ class TestStepConstants:
         for name in ("energy_gradient", "hessian_product"):
             monkeypatch.setattr(CoupledSystem, name, counted(name))
         monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
+        monkeypatch.setattr(system.field, "element_map", CountedMap())
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert [rec.newton.iterations for rec in result.records] == [1] * 80
         assert per_step == (
-            [{"rate_op": 2, "energy_gradient": 1, "hessian_product": 2}]
-            + [{"rate_op": 1, "energy_gradient": 1, "hessian_product": 1}] * 79)
+            [{"rate_op": 2, "energy_gradient": 1, "hessian_product": 2, "G a": 2}]
+            + [{"rate_op": 1, "energy_gradient": 1, "hessian_product": 1, "G a": 1}] * 79)
+        monkeypatch.undo()
+        # handing G a on changes no bit: a step given a copy of the previous
+        # state forms G a afresh and lands on the same state and audit
+        grid = result.grid
+        operator = StepOperator(system, grid.tau)
+        y, energy, z_pred = system.layout.zeros(), 0.0, None
+        for n, rec in enumerate(result.records, start=1):
+            y_next, fresh = midpoint_step(operator, y.copy(), grid.time(n - 1), energy,
+                                          index=n, increment_hint=z_pred)
+            assert np.array_equal(y_next, rec.state) and fresh.audit == rec.audit
+            z_pred, y, energy = y_next - y, y_next, fresh.energy
 
     def test_limiter_built_once_per_run(self, rectifier, monkeypatch):
         _parsed, _graph, system = rectifier
@@ -576,9 +646,9 @@ class TestPowerAudit:
         energy = CoupledSystem.energy
         calls = []
 
-        def counted(self, y):
+        def counted(self, y, *args):
             calls.append(1)
-            return energy(self, y)
+            return energy(self, y, *args)
 
         monkeypatch.setattr(CoupledSystem, "energy", counted)
         tau = 1e-3

@@ -34,7 +34,7 @@ __all__ = [
     "validate_topology",
     "resistive_branch_current",
     "resistive_branch_slope",
-    "diode_current",
+    "diode_law",
     "diode_critical_voltage",
     "diode_voltage_limit",
     "circuit_energy",
@@ -434,24 +434,23 @@ def _checked_branch_voltages(graph: CircuitGraph, v_branch) -> np.ndarray:
     return v_branch
 
 
-def _diode_exponential(graph: CircuitGraph, v: np.ndarray):
-    """(v / V_th, exp(v / V_th)) of the diode branches, the exponential taken
-    at most at :data:`DIODE_EXP_CAP`."""
+def diode_law(graph: CircuitGraph, v: np.ndarray):
+    """Currents I_s*(exp(v/V_th) - 1) + v/R_par of the diodes at voltages v and
+    their slopes di/dv, from one exponential, continued linearly (with the
+    cap's slope) past :data:`DIODE_EXP_CAP` thermal voltages to stay finite."""
     x = v / graph.diode_thermal
-    return x, np.exp(np.minimum(x, DIODE_EXP_CAP))
-
-
-def _diode_slope(graph: CircuitGraph, e: np.ndarray) -> np.ndarray:
-    """di/dv of the diodes from their capped exponential ``e``; past the cap
-    the linear continuation keeps the slope of the cap."""
-    return graph.diode_exp_slope * e + graph.diode_parallel_conductance
+    e = np.exp(np.minimum(x, DIODE_EXP_CAP))
+    over = x > DIODE_EXP_CAP
+    growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e) if over.any() else e
+    return (graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel,
+            graph.diode_exp_slope * e + graph.diode_parallel_conductance)
 
 
 def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:
     """Branch currents of the resistive partition.
 
     ``v_branch`` concatenates linear branches first, diodes after.  Linear
-    branches obey i = G v, diodes :func:`diode_current`.  The slopes di/dv
+    branches obey i = G v, diodes :func:`diode_law`.  The slopes di/dv
     are :func:`resistive_branch_slope`.
     """
     v_branch = _checked_branch_voltages(graph, v_branch)
@@ -459,29 +458,18 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray) -> np.nd
     i = np.empty_like(v_branch)
     i[:n_lin] = graph.conductance * v_branch[:n_lin]
     if graph.n_diodes:
-        i[n_lin:] = diode_current(graph, v_branch[n_lin:])
+        i[n_lin:] = diode_law(graph, v_branch[n_lin:])[0]
     return i
 
 
-def diode_current(graph: CircuitGraph, v: np.ndarray) -> np.ndarray:
-    """The diode law: currents I_s*(exp(v/V_th) - 1) + v/R_par of the diode
-    branches at their voltages v, the exponential continued linearly past
-    :data:`DIODE_EXP_CAP` thermal voltages to keep values and slopes finite."""
-    x, e = _diode_exponential(graph, v)
-    over = x > DIODE_EXP_CAP
-    growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e) if over.any() else e
-    return graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel
-
-
 def resistive_branch_slope(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:
-    """The conductances di/dv of :func:`resistive_branch_current`, without
-    evaluating the currents."""
+    """The conductances di/dv of :func:`resistive_branch_current`."""
     v_branch = _checked_branch_voltages(graph, v_branch)
     n_lin = graph.n_linear_resistive
     didv = np.empty_like(v_branch)
     didv[:n_lin] = graph.conductance
     if graph.n_diodes:
-        didv[n_lin:] = _diode_slope(graph, _diode_exponential(graph, v_branch[n_lin:])[1])
+        didv[n_lin:] = diode_law(graph, v_branch[n_lin:])[1]
     return didv
 
 

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .circuit import (CircuitGraph, circuit_energy, diode_current,
-                      resistive_branch_current, resistive_branch_slope)
+from .circuit import (CircuitGraph, circuit_energy, diode_law, resistive_branch_current,
+                      resistive_branch_slope)
 from .errors import MeshError
 from .fem import FieldModel
 
@@ -70,6 +70,13 @@ class BlockLayout:
     def slices(self) -> tuple[slice, ...]:
         """The slices of the five blocks, in block order."""
         return tuple(slice(off, off + n) for off, n in zip(self.offsets, self.sizes))
+
+    @cached_property
+    def nonempty_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets and lengths of the blocks that are not empty, in block
+        order: the indices and counts of a ``reduceat`` over the blocks."""
+        sizes = np.array(self.sizes, dtype=np.intp)
+        return np.array(self.offsets, dtype=np.intp)[sizes > 0], sizes[sizes > 0]
 
     def block_slice(self, name: str) -> slice:
         return self.slices[BLOCK_NAMES.index(name)]
@@ -178,7 +185,7 @@ class CoupledSystem:
         lay = self.layout
         k = lay.size - lay.n_a
         out = np.empty(lay.size)
-        out[:k] = self.circuit_rate_matrix @ ydot[:k] + self.diode_rows(ydot[:k])
+        out[:k] = self.circuit_rate_matrix @ ydot[:k] + self.diode_rows(ydot[:k])[0]
         if lay.n_a:
             _psi, _q_c, _q_v, q_m, a = lay.slices
             out[q_m] += self.winding_matrix.T @ ydot[a]
@@ -221,12 +228,16 @@ class CoupledSystem:
         out[:g.n_nodes] = g.a_r[:, g.n_linear_resistive:]
         return out
 
-    def diode_rows(self, ydot_c: np.ndarray) -> np.ndarray:
-        """A_d i_d(A_d^T ydot_c): the diode currents in the circuit rows of
-        the rate operator at the circuit rates ydot_c, the nonlinear rest of
-        :attr:`circuit_rate_matrix`."""
+    def diode_rows(self, ydot_c: np.ndarray):
+        """(A_d i_d(A_d^T ydot_c), di_d/dv): the diode currents in the circuit
+        rows of the rate operator at the circuit rates ydot_c, the nonlinear
+        rest of :attr:`circuit_rate_matrix`, and the diode slopes there, both
+        from one :func:`~mona.circuit.diode_law`; (0.0, []) without diodes."""
+        if not self.graph.n_diodes:
+            return 0.0, np.zeros(0)
         a_d = self.diode_incidence
-        return a_d @ diode_current(self.graph, a_d.T @ ydot_c)
+        currents, slopes = diode_law(self.graph, a_d.T @ ydot_c)
+        return a_d @ currents, slopes
 
     def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
         """(d residual / d y, d residual / d ydot) as CSR matrices.

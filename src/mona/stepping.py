@@ -48,7 +48,6 @@ log = logging.getLogger(__name__)
 INIT_RESIDUAL_TOL = 1e-10
 
 MAX_HALVINGS = 30  # step halvings per Newton line search
-REFACTOR_AFTER = 4  # refresh the factorization when an iteration count exceeds this
 # residual components within this many machine epsilons of their own term
 # magnitude count as solved: binary64 cannot represent anything smaller
 FLOOR_FACTOR = 4.0
@@ -153,7 +152,8 @@ class _DenseLU:
 
 
 class FactorCache:
-    """LU factorization of a Newton iteration matrix, reused across solves.
+    """LU factorization of a Newton iteration matrix, carried from one Newton
+    solve to the first iteration of the next (:func:`newton_solve`).
 
     ``matrix`` is constant except at the entries (``rows``, ``cols``) of its
     leading block, which every :meth:`refactor` overwrites from the dense
@@ -299,9 +299,8 @@ class StepOperator:
     block; its first factorization eliminates that block, after which the
     steps iterate on the circuit unknowns alone (:func:`midpoint_step`).
     Only the resistive conductance block (``psi``/``psi``) of the matrix
-    depends on the Newton iterate: :meth:`stamp` evaluates it from the
-    leading ``psi`` block of a full or a circuit-sized increment, and a
-    refactorization writes only its entries, into the circuit-sized Schur
+    depends on the Newton iterate: :meth:`stamp` forms it at an iterate, and
+    a refactorization writes only its entries, into the circuit-sized Schur
     complement and into the |J| of the Newton floor.
     """
 
@@ -325,6 +324,9 @@ class StepOperator:
             (system.conductance(zero[psi]) != 0.0) | (self._inductive != 0.0))
         self.cache = FactorCache(0.5 * j_state + j_rate * self._rate_weight, rows, cols,
                                  n_trailing=system.layout.n_a)
+        self._diode_incidence = system.diode_incidence[psi]
+        self._linear_stamp = (self._inductive
+                              + self._rate_weight * system.circuit_rate_matrix[psi, psi])
         # the last state a step returned and its G a, for the next step
         self._element_values = (None, None)
 
@@ -337,15 +339,20 @@ class StepOperator:
         return (0.5 * system.circuit_hessian + system.circuit_rate_matrix * self._rate_weight
                 - self.cache.elimination.w)
 
-    def stamp(self, z: np.ndarray) -> np.ndarray:
+    def stamp(self, z: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
         """The ``psi``/``psi`` block of the iteration matrix at the state
-        increment z, dense."""
-        return (self._inductive + self._rate_weight
-                * self.system.conductance(z[self._psi] / self.tau))
+        increment z, dense.  From ``slopes``, the diode slopes at z that
+        :meth:`CoupledSystem.diode_rows` gave with the currents, if given;
+        else from every resistive branch law (:meth:`CoupledSystem.conductance`)."""
+        if slopes is None:
+            return (self._inductive + self._rate_weight
+                    * self.system.conductance(z[self._psi] / self.tau))
+        a_d = self._diode_incidence
+        return self._linear_stamp + (a_d * (self._rate_weight * slopes)) @ a_d.T
 
 
 def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.max(np.abs(r) / scale)) if r.size else 0.0
+    return float((np.abs(r) / scale).max()) if r.size else 0.0
 
 
 def _floored(scale: np.ndarray, terms: np.ndarray, tol: float) -> np.ndarray:
@@ -361,11 +368,14 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     iterate within tolerance.
 
     ``jacobian(x)`` returns the dense block of stamped entries that
-    ``cache.refactor`` takes (:meth:`StepOperator.stamp` for a midpoint step).
+    ``cache.refactor`` takes (:meth:`StepOperator.stamp` for a midpoint step);
+    it is asked at the iterate ``residual`` last saw, unless a line search
+    from the carried factorization failed.
     ``scale`` divides the residual componentwise before taking the max norm;
-    ``cache`` carries a factorization across calls: stale Jacobians are kept
-    while they keep converging and refreshed when an iteration count exceeds
-    :data:`REFACTOR_AFTER` or a line search stalls.  It is a
+    ``cache`` carries a factorization across calls.  The first iteration
+    reuses it (a linear problem factors once over all calls) and refactors
+    only if that step is non-finite or its line search fails; every later
+    iteration refactors at its iterate: exact Newton.  The cache is a
     :class:`FactorCache` for Newton on all unknowns, or a :class:`_SchurView`
     of one for Newton on the circuit unknowns with the field eliminated; the
     loop uses only its ``ready``, ``refactor``, ``magnitude`` and ``solve``.
@@ -405,7 +415,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         stats.converged = True
         return x, stats
 
-    fresh = False
+    fresh = False  # the factorization is of an iterate of this solve
 
     def refresh():
         nonlocal fresh
@@ -426,18 +436,17 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         return proposal - x, (proposal is not x_new
                               and not np.array_equal(proposal, x_new))
 
-    stale_ok = True  # last iteration was a clean full step
     for it in range(1, config.max_iter + 1):
-        if not cache.ready or it > REFACTOR_AFTER or not stale_ok:
+        if it > 1 or not cache.ready:
             refresh()
 
         dx = cache.solve(-r)
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             if fresh:
                 raise SolverError("singular iteration matrix (non-finite Newton step)")
             refresh()
             dx = cache.solve(-r)
-            if not np.all(np.isfinite(dx)):
+            if not np.isfinite(dx).all():
                 raise SolverError("singular iteration matrix (non-finite Newton step)")
         dx, was_limited = limited(dx)
 
@@ -449,10 +458,11 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
                 x_try = x + dx if alpha == 1.0 else x + alpha * dx
                 r_try = residual(x_try)
                 n_try = _scaled_norm(r_try, eff_scale)
-                # a limited full step is its own safeguard: take it as long as
-                # it is finite, even uphill, to get off switching plateaus
+                # a limited full step from a fresh factorization is its own
+                # safeguard: take it as long as it is finite, even uphill, to
+                # get off switching plateaus
                 if np.isfinite(n_try) and (n_try < nrm or n_try <= config.tol
-                                           or (was_limited and alpha == 1.0)):
+                                           or (was_limited and fresh and alpha == 1.0)):
                     accepted = True
                     break
                 alpha *= 0.5
@@ -460,7 +470,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
             if accepted:
                 break
             if attempt == 0 and not fresh:
-                # the stale Jacobian may simply point the wrong way
+                # the carried factorization may simply point the wrong way
                 refresh()
                 dx, was_limited = limited(cache.solve(-r))
                 continue
@@ -474,8 +484,6 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         if nrm <= config.tol:
             stats.converged = True
             return x, stats
-        stale_ok = not was_limited and alpha == 1.0
-        fresh = False
 
     raise SolverError(
         f"Newton did not converge in {config.max_iter} iterations "
@@ -577,7 +585,7 @@ def _diode_limiter(system: CoupledSystem, tau: float):
 
         ceiling = np.maximum(v_crit, v_old) + headroom
         over = v_adj > ceiling
-        if np.any(over):
+        if over.any():
             beta = np.min((ceiling[over] - v_old[over])
                           / (v_adj[over] - v_old[over]))
             z_adj = z_old + beta * (z_adj - z_old)
@@ -593,12 +601,9 @@ def _block_scale(layout: BlockLayout, r0: np.ndarray, f: np.ndarray) -> np.ndarr
     in the max norm, so one tolerance is meaningful across the differently
     scaled current-law, voltage, and field equations.
     """
-    scale = np.ones(layout.size)
-    abs_f, abs_r0 = np.abs(f), np.abs(r0)
-    for blk, n in zip(layout.slices, layout.sizes):
-        if n:
-            scale[blk] = max(1.0, abs_f[blk].max(), abs_r0[blk].max())
-    return scale
+    starts, sizes = layout.nonempty_blocks
+    peaks = np.maximum.reduceat(np.maximum(np.abs(f), np.abs(r0)), starts)
+    return np.repeat(np.maximum(peaks, 1.0), sizes)
 
 
 def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
@@ -698,19 +703,29 @@ def _circuit_newton(operator: StepOperator, const_part: np.ndarray, z0: np.ndarr
     :attr:`~StepOperator.reduced_matrix`, c_hat = c_c - V c_a (once per
     step) and :meth:`CoupledSystem.diode_rows`; their Jacobian, L plus the
     diode stamp, is the Schur complement S = J_cc - W that the cache
-    factors.  The stamp and the limiter read only the leading ``psi`` block,
-    so they serve as they are; z_a takes one back-substitution.
+    factors; its stamp at an iterate comes from the diode slopes that the
+    residual there evaluated with the currents.  The limiter reads only the
+    leading ``psi`` block, so it serves as it is; z_a takes one
+    back-substitution.
     """
     system, tau, cache = operator.system, operator.tau, operator.cache
     k = system.layout.size - system.layout.n_a
     c_hat = cache.condense(const_part)
     c_hat_terms = np.abs(const_part[:k]) + cache.elimination.abs_v @ np.abs(const_part[k:])
     reduced = operator.reduced_matrix
+    seen = [None, None]  # the iterate the residual last saw and its diode slopes
 
     def reduced_residual(z_c):
-        return reduced @ z_c + c_hat + system.diode_rows(z_c / tau)
+        rows, seen[1] = system.diode_rows(z_c / tau)
+        seen[0] = z_c
+        return reduced @ z_c + c_hat + rows
 
-    z_c, stats = newton_solve(reduced_residual, operator.stamp, z0[:k], config, scale[:k],
+    def stamp(z_c):
+        if z_c is not seen[0]:
+            reduced_residual(z_c)
+        return operator.stamp(z_c, seen[1])
+
+    z_c, stats = newton_solve(reduced_residual, stamp, z0[:k], config, scale[:k],
                               _SchurView(cache), c_hat_terms, limiter=operator.limiter)
     return np.concatenate([z_c, cache.trailing_solve(-const_part[k:], z_c)]), stats
 
@@ -783,9 +798,10 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
         z_pred = y_next - y
         y, energy = y_next, record.energy
         t_prev = grid.time(n)
-        log.debug("step %d t=%.6g iters=%d polish=%d resid=%.3e eps_H=%.3e",
-                  n, t_prev, record.newton.iterations, record.newton.polish_iterations,
-                  record.newton.residual_norm, record.audit.residual)
+        stats = record.newton
+        log.debug("step %d t=%.6g iters=%d fact=%d halv=%d polish=%d resid=%.3e eps_H=%.3e",
+                  n, t_prev, stats.iterations, stats.factorizations, stats.halvings,
+                  stats.polish_iterations, stats.residual_norm, record.audit.residual)
 
     return TransientResult(grid=grid, records=records,
                            probes={k: np.array(v) for k, v in probe_values.items()})

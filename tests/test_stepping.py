@@ -10,6 +10,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_from_netlist,
                       dense_cache, random_state)
+import mona.coupling
 import mona.stepping
 from mona.circuit import build_incidence, diode_critical_voltage, diode_voltage_limit
 from mona.coupling import CoupledSystem, assemble_coupled
@@ -160,6 +161,27 @@ class TestNewtonSolve:
                      limiter=lambda x, x_new: x_new)
         assert np.array_equal(tried[1], x0 + step)
         assert np.array_equal(tried[2], halved(x0, step))
+
+    def test_exact_newton_after_the_first_iteration(self):
+        # the first iteration reuses the carried factorization; every later
+        # one refactors at its own iterate, the one the residual last saw
+        cache, seen, asked = dense_cache(1), [], []
+        cache.refactor(np.array([[7.0]]))
+
+        def resid(x):
+            seen.append(x)
+            return np.array([x[0] ** 2 - 4.0])
+
+        def jac(x):
+            asked.append(x)
+            return np.array([[2.0 * x[0]]])
+
+        x, stats = newton_solve(resid, jac, np.array([3.0]), NewtonConfig(), np.ones(1),
+                                cache, np.zeros(1))
+        assert abs(x[0] - 2.0) <= 1e-12
+        assert stats.halvings == 0
+        assert stats.factorizations == len(asked) == stats.iterations - 1 > 0
+        assert all(any(a is b for b in seen) for a in asked)
 
     def test_half_wave_toy_needs_little_damping(self):
         # regression bound: stepping a half-wave rectifier through the source
@@ -343,11 +365,17 @@ class TestBlockElimination:
             z[k:] = cache.trailing_solve(-const_part[k:], z[:k])
             full = (system.compact_form().rate_op(z / tau) + const_part
                     + 0.5 * system.hessian_product(z))
-            reduced = operator.reduced_matrix @ z[:k] + c_hat + system.diode_rows(z[:k] / tau)
+            rows, slopes = system.diode_rows(z[:k] / tau)
+            reduced = operator.reduced_matrix @ z[:k] + c_hat + rows
             terms = np.max(np.abs(const_part)) + np.max(np.abs(full))
             assert np.max(np.abs(reduced - full[:k])) <= 1e-12 * terms
             # the field rows are solved, to rounding
             assert np.max(np.abs(full[k:])) <= 1e-12 * terms
+            # the stamp from the slopes that came with the diode currents is
+            # the stamp from every branch law, to rounding
+            stamp = operator.stamp(z)
+            assert np.allclose(operator.stamp(z, slopes), stamp,
+                               rtol=0.0, atol=1e-14 * np.max(np.abs(stamp)))
 
     @pytest.mark.parametrize("n_trailing", [0, 1])
     def test_singular_circuit_block_raises(self, n_trailing):
@@ -742,6 +770,57 @@ class TestRunTransient:
             assert rec.energy <= h_prev + 1e-12
             h_prev = rec.energy
             t = n * 5e-4
+
+    def test_diode_switching_steps_do_not_stall(self, rectifier):
+        # regression bound: at tau = 7.8125e-5 the diode-switching steps once
+        # took 36 iterations and the run 911 halvings, from limited steps
+        # taken uphill with a stale Jacobian.  Each iteration after a step's
+        # first now refactors at its iterate
+        _parsed, _graph, system = rectifier
+        result = run_transient(system, TimeGrid(0.0, 0.05, 7.8125e-5))
+        stats = [rec.newton for rec in result.records]
+        assert len(stats) == 640
+        assert max(s.iterations for s in stats) <= 12
+        assert sum(s.halvings for s in stats) <= 20
+        assert all(s.iterations - 1 <= s.factorizations <= s.iterations for s in stats)
+
+    def test_debug_step_line_shows_the_work(self, rectifier, caplog):
+        # MONA_LOG=debug prints each step's iterations, factorizations and
+        # halvings
+        _parsed, _graph, system = rectifier
+        with caplog.at_level(logging.DEBUG, logger="mona.stepping"):
+            result = run_transient(system, TimeGrid(0.0, 0.005, 6.25e-4))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")]
+        assert len(lines) == len(result.records) == 8
+        for line, rec in zip(lines, result.records):
+            stats = rec.newton
+            assert (f" iters={stats.iterations} fact={stats.factorizations} "
+                    f"halv={stats.halvings} ") in line
+
+    def test_no_diode_law_without_diodes(self, linear_coupled, monkeypatch):
+        _parsed, _graph, system = linear_coupled
+
+        def forbidden(*_args):
+            raise AssertionError("diode law evaluated on a diode-free circuit")
+
+        monkeypatch.setattr(mona.coupling, "diode_law", forbidden)
+        result = run_transient(system, TimeGrid(0.0, 0.005, 6.25e-4))
+        assert result.completed and len(result.records) == 8
+
+    def test_block_scale_is_the_blockwise_maximum(self, rectifier):
+        # one reduceat over the non-empty blocks gives, bit for bit, each
+        # block's max(1, |f|, |r0|); the rectifier has no capacitor block
+        _parsed, _graph, system = rectifier
+        layout = system.layout
+        assert 0 in layout.sizes
+        rng = np.random.default_rng(8)
+        for amplitude in (1e-3, 1.0, 1e3):
+            r0, f = amplitude * rng.standard_normal((2, layout.size))
+            expected = np.ones(layout.size)
+            for blk, n in zip(layout.slices, layout.sizes):
+                if n:
+                    expected[blk] = max(1.0, np.abs(f[blk]).max(), np.abs(r0[blk]).max())
+            assert np.array_equal(mona.stepping._block_scale(layout, r0, f), expected)
 
     def test_partial_result_attached_on_failure(self, rectifier):
         _parsed, _graph, system = rectifier

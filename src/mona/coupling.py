@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,7 @@ from .fem import FieldModel
 __all__ = [
     "BlockLayout",
     "PowerBreakdown",
+    "SourceValues",
     "CompactForm",
     "CoupledSystem",
     "assemble_coupled",
@@ -110,6 +112,16 @@ class PowerBreakdown:
     source_power_i: float
     source_power_v: float
     residual: float
+
+
+class SourceValues(NamedTuple):
+    """The source waveforms at one time, each evaluated once: the currents
+    of the current sources, the voltages of the voltage sources, and the
+    source vector built from them."""
+
+    currents: np.ndarray
+    voltages: np.ndarray
+    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -293,49 +305,48 @@ class CoupledSystem:
         The circuit rows are :attr:`circuit_hessian` times the circuit state,
         the field rows :meth:`FieldModel.energy_gradient`, (G^T C)(G a), with
         G a from ``element_values`` if the caller has it."""
-        return self._gradient_rows(y, lambda a: self.field.energy_gradient(a, element_values))
-
-    def hessian_product(self, z: np.ndarray) -> np.ndarray:
-        """The energy's constant Hessian times z: :meth:`energy_gradient` in
-        exact arithmetic, with K z, the field block of ``J_state``, in the
-        field rows."""
-        return self._gradient_rows(z, lambda a: self.stiffness @ a)
-
-    def _gradient_rows(self, y: np.ndarray, field_rows) -> np.ndarray:
         lay = self.layout
         k = lay.size - lay.n_a
         out = np.empty(lay.size)
         out[:k] = self.circuit_hessian @ y[:k]
         if lay.n_a:
-            out[k:] = field_rows(y[k:])
+            out[k:] = self.field.energy_gradient(y[k:], element_values)
         return out
+
+    def sources(self, t: float) -> SourceValues:
+        """The source waveforms at time t and the source vector of the
+        gradient-structure form, which :meth:`power_balance` pairs with the
+        same values."""
+        g = self.graph
+        lay = self.layout
+        currents, voltages = g.source_currents(t), g.source_voltages(t)
+        out = np.zeros(lay.size)
+        out[lay.block_slice("psi")] = -(g.a_i @ currents)
+        out[lay.block_slice("q_v")] = -voltages
+        return SourceValues(currents, voltages, out)
 
     def source_vector(self, t: float) -> np.ndarray:
         """Source block of the gradient-structure form at time t."""
-        g = self.graph
-        lay = self.layout
-        out = np.zeros(lay.size)
-        out[lay.block_slice("psi")] = -(g.a_i @ g.source_currents(t))
-        out[lay.block_slice("q_v")] = -g.source_voltages(t)
-        return out
+        return self.sources(t).vector
 
     def power_breakdown(self, y: np.ndarray, ydot: np.ndarray, t: float) -> PowerBreakdown:
         """Instantaneous power bookkeeping at (y, ydot, t)."""
         y = np.asarray(y, dtype=float)
         ydot = np.asarray(ydot, dtype=float)
-        return self.power_balance(float(self.energy_gradient(y) @ ydot), ydot, t)
+        return self.power_balance(float(self.energy_gradient(y) @ ydot), ydot, self.sources(t))
 
-    def power_balance(self, dh_dt: float, ydot: np.ndarray, t: float) -> PowerBreakdown:
-        """Losses and source powers of the rate ydot at time t, balanced
-        against the energy rate dh_dt."""
+    def power_balance(self, dh_dt: float, ydot: np.ndarray,
+                      sources: SourceValues) -> PowerBreakdown:
+        """Losses and source powers of the rate ydot with the source values
+        ``sources`` (:meth:`sources`), balanced against the energy rate dh_dt."""
         g = self.graph
         psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = self.layout.split(ydot)
         v_r = g.a_r.T @ psi_dot
         i_r = resistive_branch_current(g, v_r)
         resistive = float(i_r @ v_r)
         eddy = float(a_dot @ (self.mass @ a_dot)) if a_dot.size else 0.0
-        source_i = float((g.a_i.T @ psi_dot) @ g.source_currents(t))
-        source_v = float(g.source_voltages(t) @ qv_dot)
+        source_i = float((g.a_i.T @ psi_dot) @ sources.currents)
+        source_v = float(sources.voltages @ qv_dot)
         return PowerBreakdown(dh_dt=dh_dt, resistive_loss=resistive, eddy_loss=eddy,
                               source_power_i=source_i, source_power_v=source_v,
                               residual=dh_dt + resistive + eddy + source_i + source_v)

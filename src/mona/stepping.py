@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .circuit import diode_critical_voltage, diode_voltage_limit
-from .coupling import BlockLayout, CoupledSystem, PowerBreakdown
+from .coupling import BlockLayout, CoupledSystem, PowerBreakdown, SourceValues
 from .errors import ConsistencyError, SolverError
 from .fem import factor_spd
 
@@ -51,6 +50,7 @@ MAX_HALVINGS = 30  # step halvings per Newton line search
 # residual components within this many machine epsilons of their own term
 # magnitude count as solved: binary64 cannot represent anything smaller
 FLOOR_FACTOR = 4.0
+_FLOOR_EPS = FLOOR_FACTOR * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,6 @@ class NewtonStats:
     polish_iterations: int = 0
 
 
-class _Elimination(NamedTuple):
-    """The trailing block of a :class:`FactorCache` factored and its
-    coupling to the leading block formed, with the magnitudes of both."""
-
-    lu: object           # LU of J_aa
-    j_ac: sp.csr_matrix
-    v: np.ndarray        # J_ca J_aa^-1
-    w: np.ndarray        # V J_ac
-    abs_v: np.ndarray
-    abs_w: np.ndarray
-
-
 class _DenseLU:
     """LAPACK's LU with partial pivoting (getrf) of a dense square matrix.
     ``shape``, ``L`` (with its unit diagonal) and ``U`` read as a SuperLU
@@ -155,47 +143,50 @@ class FactorCache:
     """LU factorization of a Newton iteration matrix, carried from one Newton
     solve to the first iteration of the next (:func:`newton_solve`).
 
-    ``matrix`` is constant except at the entries (``rows``, ``cols``) of its
-    leading block, which every :meth:`refactor` overwrites from the dense
-    block it is given; each of them keeps a slot in the sparse structure,
-    also where ``matrix`` has no entry there.  With ``n_trailing`` > 0 the
-    matrix is split as [[J_cc, J_ca], [J_ac, J_aa]] with a trailing block
-    J_aa of that size (the field block of a midpoint step, 0.5*K + M/tau,
-    symmetric positive definite because the gauged K is and M is
-    semidefinite).  The first ``refactor`` factors J_aa in a symmetric
-    fill-reducing ordering without pivoting off the diagonal and forms
-    V = J_ca J_aa^-1 from the transposed solve and W = V J_ac, kept in
-    :attr:`elimination`.  Every ``refactor`` then writes the stamp into
-    a dense copy of J_cc and factors only the Schur complement S = J_cc - W
-    by dense LU, so it touches circuit-sized arrays only; a singular S raises
-    :class:`SolverError`.  With no trailing block S is the whole matrix.
+    ``matrix`` is split as [[J_cc, J_ca], [J_ac, J_aa]] with ``n_leading``
+    leading unknowns and a trailing block J_aa of size ``n_trailing``: the
+    field block of a midpoint step, 0.5*K + M/tau, symmetric positive
+    definite because the gauged K is and M is semidefinite.  The constructor
+    factors J_aa in a symmetric fill-reducing ordering without pivoting off
+    the diagonal and forms V = J_ca J_aa^-1 (``v``) and W = V J_ac, both
+    empty without a trailing block, and ``reduced_matrix`` = J_cc - W.
+    Each :meth:`refactor` copies J_cc - W and |J_cc| + |W|, overwrites their
+    stamped entries (``rows``, ``cols``) from the block it is given and
+    factors the Schur complement S by dense LU; a singular S raises
+    :class:`SolverError`.
 
-    ``solve`` takes x_c = S^-1 (b_c - V b_a) (:meth:`condense`) and
-    x_a = J_aa^-1 (b_a - J_ac x_c) (:meth:`trailing_solve`): one
-    back-substitution through J_aa, whose result is the trailing unknowns
-    themselves rather than a difference of larger terms.  A Newton iteration
-    on the leading unknowns alone uses the same factorization through
-    :class:`_SchurView`.  ``magnitude`` gives the Newton floor's |J| |x| from
-    |J| kept in the matrix's sparse structure, whose stamped entries each
-    ``refactor`` overwrites in place.  ``rows`` and ``cols`` are public: they
-    order the stamped entries that :meth:`schur_complement` takes.
+    ``solve`` and ``magnitude`` take the leading unknowns alone, where they
+    are S^-1 and (|J_cc| + |W|) |x|, or all unknowns.  There ``solve`` takes
+    x_c = S^-1 (b_c - V b_a) (:meth:`condense`) and
+    x_a = J_aa^-1 (b_a - J_ac x_c) (:meth:`trailing_solve`), the trailing
+    unknowns themselves rather than a difference of larger terms, and
+    ``magnitude`` is |J| |x| from |J| kept in the matrix's sparse structure,
+    with a slot for every stamped entry, which it writes when first asked.
     """
 
     def __init__(self, matrix, rows: np.ndarray, cols: np.ndarray, n_trailing: int = 0):
         base = _with_slots(matrix, rows, cols)
         position = base.copy()
         position.data = np.arange(1.0, base.nnz + 1.0)
-        k = base.shape[0] - n_trailing
+        self.n_leading = k = base.shape[0] - n_trailing
         # indexed dense: scipy's sparse indexing returns a sparse matrix, not
         # an array, when the stamp is empty (no resistor, diode or inductor)
         self._slots = position[:k, :k].toarray()[rows, cols].astype(int) - 1
         self.rows, self.cols = rows, cols
         self._abs = abs(base)
-        self._leading = base[:k, :k].toarray()
-        self._field = (base[k:, k:], base[k:, :k], base[:k, k:]) if n_trailing else None
-        self.elimination = None  # the _Elimination, built by the first refactor
+        self._lu_aa = factor_spd(base[k:, k:])
+        self._j_ac = base[k:, :k]
+        self.v = self._lu_aa.solve(base[:k, k:].T.toarray(), trans="T").T
+        self.abs_v = np.abs(self.v)
+        w = self.v @ self._j_ac
+        leading = matrix.tocsr()[:k, :k].toarray()  # J_cc as given, without the slots
+        self.reduced_matrix = leading - w
+        self._abs_reduced = np.abs(leading) + np.abs(w)
+        self._w_stamped = w[rows, cols]
+        self._abs_w_stamped = np.abs(self._w_stamped)
         self._abs_schur = None  # |J_cc| + |W| of the last refactor
-        self._lu = None         # _DenseLU of the Schur complement
+        self._stamped = None    # its stamped entries, until written into |J|
+        self._lu = None         # _DenseLU of the Schur complement S
 
     @property
     def ready(self) -> bool:
@@ -204,18 +195,8 @@ class FactorCache:
     def schur_complement(self, stamped: np.ndarray) -> np.ndarray:
         """S = J_cc - W, dense, with the stamped entries of J_cc set to
         ``stamped``, the values at (``rows``, ``cols``) in that order."""
-        if self._field is not None:
-            j_aa, j_ac, j_ca = self._field
-            lu_aa = factor_spd(j_aa)
-            v = lu_aa.solve(j_ca.T.toarray(), trans="T").T
-            w = v @ j_ac
-            self.elimination = _Elimination(lu_aa, j_ac, v, w, np.abs(v), np.abs(w))
-            self._field = None
-        schur = self._leading.copy()
-        schur[self.rows, self.cols] = stamped
-        if self.elimination is not None:
-            self._abs_schur = np.abs(schur) + self.elimination.abs_w
-            schur -= self.elimination.w
+        schur = self.reduced_matrix.copy()
+        schur[self.rows, self.cols] = stamped - self._w_stamped
         return schur
 
     def refactor(self, block: np.ndarray) -> None:
@@ -223,53 +204,38 @@ class FactorCache:
         stamped = block[self.rows, self.cols]
         self._lu = None
         self._lu = _DenseLU(self.schur_complement(stamped))  # SolverError if singular
-        self._abs.data[self._slots] = np.abs(stamped)
+        self._abs_schur = self._abs_reduced.copy()
+        self._abs_schur[self.rows, self.cols] = np.abs(stamped) + self._abs_w_stamped
+        self._stamped = stamped
 
     def magnitude(self, x: np.ndarray) -> np.ndarray:
-        """|J| |x| for the matrix last factored: the size of the terms of J x."""
+        """|J| |x| for the matrix last factored: the size of the terms of
+        J x, on all unknowns or on the leading ones with the trailing block
+        eliminated."""
+        if x.shape[0] != self._abs.shape[0]:
+            return self._abs_schur @ np.abs(x)
+        if self._stamped is not None:
+            self._abs.data[self._slots] = np.abs(self._stamped)
+            self._stamped = None
         return self._abs @ np.abs(x)
 
     def condense(self, b: np.ndarray) -> np.ndarray:
         """b_c - V b_a: the leading rows of ``b`` with the trailing block
         eliminated."""
-        k = self._leading.shape[0]
-        return b[:k] - self.elimination.v @ b[k:]
+        return b[:self.n_leading] - self.v @ b[self.n_leading:]
 
     def trailing_solve(self, b_a: np.ndarray, x_c: np.ndarray) -> np.ndarray:
         """x_a = J_aa^-1 (b_a - J_ac x_c), the trailing unknowns that go with
         the leading ones x_c: one back-substitution through J_aa."""
-        return self.elimination.lu.solve(b_a - self.elimination.j_ac @ x_c)
+        return self._lu_aa.solve(b_a - self._j_ac @ x_c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
             raise SolverError("no factorization available")
-        if self.elimination is None:
+        if rhs.shape[0] == self.n_leading:
             return self._lu.solve(rhs)
         x_c = self._lu.solve(self.condense(rhs))
-        return np.concatenate([x_c, self.trailing_solve(rhs[x_c.shape[0]:], x_c)])
-
-
-class _SchurView:
-    """An eliminated :class:`FactorCache` as the cache of a Newton iteration
-    on the leading unknowns alone, whose matrix is the Schur complement
-    S = J_cc - W."""
-
-    def __init__(self, cache: FactorCache):
-        self._cache = cache
-
-    @property
-    def ready(self) -> bool:
-        return self._cache.ready
-
-    def refactor(self, block: np.ndarray) -> None:
-        self._cache.refactor(block)
-
-    def magnitude(self, x: np.ndarray) -> np.ndarray:
-        """(|J_cc| + |W|) |x|: the size of the terms of J_cc x - W x."""
-        return self._cache._abs_schur @ np.abs(x)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._cache._lu.solve(rhs)
+        return np.concatenate([x_c, self.trailing_solve(rhs[self.n_leading:], x_c)])
 
 
 def _with_slots(matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
@@ -287,21 +253,29 @@ def _with_slots(matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
         shape=matrix.shape)
 
 
+class _LastStep(NamedTuple):
+    """What the last step of a :class:`StepOperator` leaves behind: the state
+    it returned, that state's G a for the next step's energy gradient, and
+    the stored-state rate its audit took, for the step's probes."""
+
+    state: np.ndarray
+    values: object
+    rate: np.ndarray
+
+
 class StepOperator:
     """Everything a midpoint step of size tau on one system needs besides
-    its state.
+    its state, built once.
 
-    Holds the system's rate operator (:meth:`CoupledSystem.compact_form`),
-    the diode limiter and the :class:`FactorCache` that carries the
-    factorization from step to step.  The cache is built once from the
-    iteration matrix 0.5*J_state + J_rate/tau of
-    :meth:`CoupledSystem.jacobians`, with the field block as its trailing
-    block; its first factorization eliminates that block, after which the
-    steps iterate on the circuit unknowns alone (:func:`midpoint_step`).
-    Only the resistive conductance block (``psi``/``psi``) of the matrix
-    depends on the Newton iterate: :meth:`stamp` forms it at an iterate, and
-    a refactorization writes only its entries, into the circuit-sized Schur
-    complement and into the |J| of the Newton floor.
+    ``matrix`` is the step matrix J_lin = 0.5*J_state + J_rate_lin/tau, the
+    iteration matrix of :meth:`CoupledSystem.jacobians` without the diode
+    conductances; :meth:`residual` is the step residual.  J_lin seeds the
+    :class:`FactorCache` that carries the factorization from step to step,
+    with the field block as its trailing block, so the cache's
+    ``reduced_matrix`` is L = J_lin_cc - W.  Only the resistive conductance
+    block (``psi``/``psi``) of the iteration matrix depends on the Newton
+    iterate: :meth:`stamp` forms it, and a refactorization writes only its
+    entries.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
@@ -309,35 +283,37 @@ class StepOperator:
             raise ValueError("step size must be positive")
         self.system = system
         self.tau = tau
-        self.compact = system.compact_form()
         self.limiter = _diode_limiter(system, tau)
         # J_rate is weighted by 1/tau as sparse division does, so the stamped
         # block rounds exactly as the constant part does
         self._rate_weight = 1.0 / tau
-        zero = system.layout.zeros()
+        layout = system.layout
+        k = layout.size - layout.n_a
+        zero = layout.zeros()
         j_state, j_rate = system.jacobians(zero, zero, 0.0)
-        self._psi = psi = system.layout.block_slice("psi")
+        at_rest = 0.5 * j_state + j_rate * self._rate_weight
+        linear = 0.5 * system.circuit_hessian + system.circuit_rate_matrix * self._rate_weight
+        self.matrix = sp.bmat([[linear, at_rest[:k, k:]], [at_rest[k:, :k], at_rest[k:, k:]]],
+                              format="csr")
+        self._psi = psi = layout.block_slice("psi")
         self._inductive = 0.5 * system.circuit_hessian[psi, psi]
         # conductances are positive, so the pattern of the block at rest is
         # the pattern at every iterate
         rows, cols = np.nonzero(
             (system.conductance(zero[psi]) != 0.0) | (self._inductive != 0.0))
-        self.cache = FactorCache(0.5 * j_state + j_rate * self._rate_weight, rows, cols,
-                                 n_trailing=system.layout.n_a)
+        self.cache = FactorCache(self.matrix, rows, cols, n_trailing=layout.n_a)
         self._diode_incidence = system.diode_incidence[psi]
-        self._linear_stamp = (self._inductive
-                              + self._rate_weight * system.circuit_rate_matrix[psi, psi])
-        # the last state a step returned and its G a, for the next step
-        self._element_values = (None, None)
+        self._linear_stamp = linear[psi, psi]
+        self._last_step = _LastStep(None, None, None)
 
-    @cached_property
-    def reduced_matrix(self) -> np.ndarray:
-        """L = J_cc,lin - W: the circuit block of the iteration matrix without
-        the diode conductances, 0.5*H_c + J_lin/tau, with the field
-        eliminated; formed on first use, after the cache's elimination."""
-        system = self.system
-        return (0.5 * system.circuit_hessian + system.circuit_rate_matrix * self._rate_weight
-                - self.cache.elimination.w)
+    def residual(self, z: np.ndarray, const_part: np.ndarray) -> np.ndarray:
+        """The step residual at the state increment z, J_lin z + c plus the
+        diode currents A_d i_d(A_d^T z_c/tau) (:meth:`CoupledSystem.diode_rows`)
+        in the circuit rows, with the per-step constant c = ``const_part``."""
+        k = self.cache.n_leading
+        r = self.matrix @ z + const_part
+        r[:k] += self.system.diode_rows(z[:k] / self.tau)[0]
+        return r
 
     def stamp(self, z: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
         """The ``psi``/``psi`` block of the iteration matrix at the state
@@ -358,7 +334,7 @@ def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
 def _floored(scale: np.ndarray, terms: np.ndarray, tol: float) -> np.ndarray:
     """``scale`` floored where a residual assembled from terms of size
     ``terms`` cannot reach ``tol`` in binary64 (see :func:`newton_solve`)."""
-    return np.maximum(scale, (FLOOR_FACTOR * np.finfo(float).eps / tol) * terms)
+    return np.maximum(scale, (_FLOOR_EPS / tol) * terms)
 
 
 def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
@@ -375,10 +351,10 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     ``cache`` carries a factorization across calls.  The first iteration
     reuses it (a linear problem factors once over all calls) and refactors
     only if that step is non-finite or its line search fails; every later
-    iteration refactors at its iterate: exact Newton.  The cache is a
-    :class:`FactorCache` for Newton on all unknowns, or a :class:`_SchurView`
-    of one for Newton on the circuit unknowns with the field eliminated; the
-    loop uses only its ``ready``, ``refactor``, ``magnitude`` and ``solve``.
+    iteration refactors at its iterate: exact Newton.  The loop uses only
+    the cache's ``ready``, ``refactor``, ``magnitude`` and ``solve``; a
+    :class:`FactorCache` serves Newton on the circuit unknowns with the field
+    eliminated and the full-space polish alike, by the length of ``x``.
     Step halving (at most :data:`MAX_HALVINGS` per line search) guards
     against overshoot; a step whose residual stays non-finite after all
     halvings is a hard failure.
@@ -569,6 +545,7 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     thermal = g.diode_thermal
     v_crit = diode_critical_voltage(thermal, g.diode_saturation)
     headroom = DIODE_GROWTH_LIMIT * thermal
+    small = 2.0 * thermal
 
     def voltages(z):
         return (a_dio.T @ z[psi_sl]) / tau
@@ -576,6 +553,11 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     def limiter(z_old, z_new):
         v_old = voltages(z_old)
         v_new = voltages(z_new)
+        # neither stage acts on a change of at most two thermal voltages:
+        # the first limits larger changes only, and the second's ceiling is
+        # at least v_old + DIODE_GROWTH_LIMIT thermal voltages
+        if (np.abs(v_new - v_old) <= small).all():
+            return z_new
         v_lim = diode_voltage_limit(v_new, v_old, thermal, v_crit)
         z_adj, v_adj = z_new, v_new
         if v_lim is not v_new and not np.array_equal(v_lim, v_new):
@@ -594,15 +576,16 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     return limiter
 
 
-def _block_scale(layout: BlockLayout, r0: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _block_scale(layout: BlockLayout, magnitude: np.ndarray) -> np.ndarray:
     """Per-component residual scaling, constant within each block.
 
-    Each block is scaled by max(1, |source block f|, |initial residual block|)
-    in the max norm, so one tolerance is meaningful across the differently
-    scaled current-law, voltage, and field equations.
+    ``magnitude`` is max(|f|, |r0|) componentwise, of the source vector f and
+    the initial residual r0.  Each block is scaled by max(1, its largest
+    magnitude), so one tolerance is meaningful across the differently scaled
+    current-law, voltage, and field equations.
     """
     starts, sizes = layout.nonempty_blocks
-    peaks = np.maximum.reduceat(np.maximum(np.abs(f), np.abs(r0)), starts)
+    peaks = np.maximum.reduceat(magnitude, starts)
     return np.repeat(np.maximum(peaks, 1.0), sizes)
 
 
@@ -612,27 +595,22 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     """Advance one implicit midpoint step; returns (y_next, StepRecord).
 
     The Newton unknown is the state increment over the step rather than the
-    new state itself: the midpoint residual is evaluated as the rate operator
-    applied to increment/tau, plus the (linear) energy gradient split into
-    its constant part at the old state and its half-increment part.  In exact
-    arithmetic this is the textbook midpoint system; in floating point it
-    keeps every state-dependent quantity conditioned on the small increment,
-    so the branch voltages seen by the diode laws are not polluted by the
-    magnitude of the accumulated states.  The constant part is the gradient
-    of the audited energy, the half-increment part the constant Hessian
-    times the increment (:meth:`CoupledSystem.hessian_product`).
+    new state itself, and the residual is :meth:`StepOperator.residual` with
+    the constant part c, the gradient of the audited energy at the old state
+    minus the sources at the midpoint time.  In exact arithmetic this is the
+    textbook midpoint system; in floating point it keeps every
+    state-dependent quantity conditioned on the small increment, so the
+    branch voltages seen by the diode laws are not polluted by the magnitude
+    of the accumulated states.
 
-    Once the operator's cache holds the elimination of the field block
-    (from a run's first factorization on), Newton runs on the circuit
-    unknowns alone (:func:`_circuit_newton`).  Its result is accepted only
-    if the full-space residual meets the tolerance under the full-space
-    scale and floor; otherwise full-space Newton polishes it from there.
-    Before that, and for a circuit without a field block, the step is solved
-    in full space.  Linear systems converge in a single iteration once a
-    factorization exists.
+    Newton runs on the circuit unknowns with the field eliminated
+    (:func:`_circuit_newton`).  Its result is accepted only if the
+    full-space residual meets the tolerance under the full-space scale and
+    floor; otherwise full-space Newton polishes it from there.  Linear
+    systems converge in a single iteration once a factorization exists.
 
-    The system, the step size, the iteration matrices, the diode limiter and
-    the factorization carried between steps all come from ``operator``.
+    The system, the step size, the step matrix, the diode limiter and the
+    factorization carried between steps all come from ``operator``.
     ``energy_prev`` is ``system.energy(y_prev)``, which the caller already
     has (the previous record's ``energy``).  The operator keeps the G a of
     the state a step returns, and the next step reuses it if its ``y_prev``
@@ -643,76 +621,72 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     y_prev = np.asarray(y_prev, dtype=float)
     if not np.all(np.isfinite(y_prev)):
         raise ValueError("midpoint_step called with non-finite state")
-    t_mid = t_prev + 0.5 * tau
 
-    rate_op = operator.compact.rate_op
-    f_mid = system.source_vector(t_mid)
-    state, values = operator._element_values
-    const_part = system.energy_gradient(y_prev, values if state is y_prev else None) - f_mid
+    sources = system.sources(t_prev + 0.5 * tau)
+    last = operator._last_step
+    const_part = (system.energy_gradient(y_prev, last.values if last.state is y_prev else None)
+                  - sources.vector)
 
     def step_residual(z):
-        return rate_op(z / tau) + const_part + 0.5 * system.hessian_product(z)
+        return operator.residual(z, const_part)
 
-    # the rate operator, the energy gradient and the diode currents all
-    # vanish at zero, so const_part is the residual of the zero increment
-    scale = _block_scale(system.layout, const_part, f_mid)
+    # the step matrix and the diode currents vanish at zero, so const_part
+    # is the residual of the zero increment
+    const_magnitude = np.abs(const_part)
+    scale = _block_scale(system.layout, np.maximum(np.abs(sources.vector), const_magnitude))
     if increment_hint is not None and np.all(np.isfinite(increment_hint)):
         z0 = np.asarray(increment_hint, dtype=float)
     else:
         z0 = np.zeros_like(y_prev)
-    const_magnitude = np.abs(const_part)
     try:
-        z, stats = z0, None
-        if cache.elimination is not None:
-            z, stats = _circuit_newton(operator, const_part, z0, config, scale)
-            r = step_residual(z)
-            stats.residual_norm = _scaled_norm(r, scale)
-            if stats.residual_norm > config.tol:  # the floor can only lower it
-                stats.residual_norm = _scaled_norm(
-                    r, _floored(scale, cache.magnitude(z) + const_magnitude, config.tol))
-        if stats is None or stats.residual_norm > config.tol:
-            z, full = newton_solve(step_residual, operator.stamp, z, config, scale,
-                                   cache, const_magnitude, limiter=operator.limiter)
-            if stats is not None:  # a polish, whose work the step's counts include
-                full = replace(full, iterations=stats.iterations + full.iterations,
-                               halvings=stats.halvings + full.halvings,
-                               factorizations=stats.factorizations + full.factorizations,
-                               polish_iterations=full.iterations)
-            stats = full
+        z, stats = _circuit_newton(operator, const_part, const_magnitude, z0, config, scale)
+        r = step_residual(z)
+        stats.residual_norm = _scaled_norm(r, scale)
+        if stats.residual_norm > config.tol:  # the floor can only lower it
+            stats.residual_norm = _scaled_norm(
+                r, _floored(scale, cache.magnitude(z) + const_magnitude, config.tol))
+        if stats.residual_norm > config.tol:
+            z, polish = newton_solve(step_residual, operator.stamp, z, config, scale,
+                                     cache, const_magnitude, limiter=operator.limiter)
+            stats = replace(polish, iterations=stats.iterations + polish.iterations,
+                            halvings=stats.halvings + polish.halvings,
+                            factorizations=stats.factorizations + polish.factorizations,
+                            polish_iterations=polish.iterations)
     except SolverError as exc:
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
     y_next = y_prev + z
+    rate = (y_next - y_prev) / tau
     values = system.element_values(y_next)
     energy = system.energy(y_next, values)
-    operator._element_values = (y_next, values)
-    audit = power_audit(system, y_prev, y_next, tau, t_prev, (energy_prev, energy))
+    operator._last_step = _LastStep(y_next, values, rate)
+    audit = power_audit(system, rate, sources, (energy_prev, energy), tau)
     record = StepRecord(index=index, time=t_prev + tau, state=y_next, energy=energy,
                         newton=stats, audit=audit)
     return y_next, record
 
 
-def _circuit_newton(operator: StepOperator, const_part: np.ndarray, z0: np.ndarray,
-                    config: NewtonConfig, scale: np.ndarray):
+def _circuit_newton(operator: StepOperator, const_part: np.ndarray,
+                    const_magnitude: np.ndarray, z0: np.ndarray, config: NewtonConfig,
+                    scale: np.ndarray):
     """Newton on the circuit unknowns of a midpoint step with the field
     eliminated; returns the whole increment and the Newton statistics.
 
     The field rows J_aa z_a + J_ac z_c + c_a of the step residual are linear,
-    so their root is z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows
-    there are L z_c + c_hat + A_d i_d(A_d^T z_c / tau) with L the operator's
-    :attr:`~StepOperator.reduced_matrix`, c_hat = c_c - V c_a (once per
-    step) and :meth:`CoupledSystem.diode_rows`; their Jacobian, L plus the
-    diode stamp, is the Schur complement S = J_cc - W that the cache
-    factors; its stamp at an iterate comes from the diode slopes that the
-    residual there evaluated with the currents.  The limiter reads only the
-    leading ``psi`` block, so it serves as it is; z_a takes one
-    back-substitution.
+    so their root is z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows there
+    are the step residual's own expression L z_c + c_hat + A_d i_d(A_d^T
+    z_c / tau) with the cache's L = J_lin_cc - W and c_hat = c_c - V c_a;
+    their Jacobian, L plus the diode stamp, is the Schur complement S that
+    the cache factors, stamped from the diode slopes that the residual at
+    the iterate evaluated with the currents.  Without a field block nothing
+    is eliminated.  ``const_magnitude`` is |c|, and the limiter reads only
+    the leading ``psi`` block; z_a takes one back-substitution.
     """
     system, tau, cache = operator.system, operator.tau, operator.cache
-    k = system.layout.size - system.layout.n_a
+    k = cache.n_leading
     c_hat = cache.condense(const_part)
-    c_hat_terms = np.abs(const_part[:k]) + cache.elimination.abs_v @ np.abs(const_part[k:])
-    reduced = operator.reduced_matrix
+    c_hat_terms = const_magnitude[:k] + cache.abs_v @ const_magnitude[k:]
+    reduced = cache.reduced_matrix
     seen = [None, None]  # the iterate the residual last saw and its diode slopes
 
     def reduced_residual(z_c):
@@ -726,22 +700,23 @@ def _circuit_newton(operator: StepOperator, const_part: np.ndarray, z0: np.ndarr
         return operator.stamp(z_c, seen[1])
 
     z_c, stats = newton_solve(reduced_residual, stamp, z0[:k], config, scale[:k],
-                              _SchurView(cache), c_hat_terms, limiter=operator.limiter)
+                              cache, c_hat_terms, limiter=operator.limiter)
     return np.concatenate([z_c, cache.trailing_solve(-const_part[k:], z_c)]), stats
 
 
-def power_audit(system: CoupledSystem, y_prev: np.ndarray, y_next: np.ndarray,
-                tau: float, t_prev: float, energies: tuple[float, float]) -> PowerBreakdown:
+def power_audit(system: CoupledSystem, rate: np.ndarray, sources: SourceValues,
+                energies: tuple[float, float], tau: float) -> PowerBreakdown:
     """Discrete power balance of one step, recomputed from the stored states.
 
-    The energy rate is the difference quotient of ``energies``, which are
-    ``(system.energy(y_prev), system.energy(y_next))``; losses and source
-    pairings use the midpoint rates and midpoint time.  The ``residual``
-    field is the balance defect.
+    ``rate`` is their difference quotient (y_next - y_prev)/tau, and the
+    energy rate that of ``energies``, which are ``(system.energy(y_prev),
+    system.energy(y_next))``; losses and source pairings use these midpoint
+    rates and ``sources``, the source values at the midpoint time
+    (:meth:`CoupledSystem.sources`).  The ``residual`` field is the balance
+    defect.
     """
-    rate = (np.asarray(y_next, dtype=float) - np.asarray(y_prev, dtype=float)) / tau
     h_prev, h_next = energies
-    return system.power_balance((h_next - h_prev) / tau, rate, t_prev + 0.5 * tau)
+    return system.power_balance((h_next - h_prev) / tau, rate, sources)
 
 
 def check_zero_state(system: CoupledSystem, t0: float) -> None:
@@ -751,7 +726,7 @@ def check_zero_state(system: CoupledSystem, t0: float) -> None:
     demands sources that are zero at t0."""
     y = system.layout.zeros()
     r0 = system.residual(y, np.zeros_like(y), t0)
-    scale = _block_scale(system.layout, np.zeros_like(r0), system.source_vector(t0))
+    scale = _block_scale(system.layout, np.abs(system.source_vector(t0)))
     init_defect = _scaled_norm(r0, scale)
     if not init_defect <= INIT_RESIDUAL_TOL:
         raise ConsistencyError(
@@ -773,13 +748,16 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     check_zero_state(system, grid.t0)
     y = system.layout.zeros()
 
-    # one iteration matrix and one field-block factorization per run
+    # one step matrix and one field-block factorization per run
     operator = StepOperator(system, grid.tau)
     records = []
     probe_values = {name: [] for name in probes}
     t_prev = grid.t0
     z_pred = None
-    energy = system.energy(y)  # each later state's energy comes with its record
+    # the first step reuses the start's G a as every later step reuses its
+    # predecessor's; each later state's energy comes with its record
+    operator._last_step = _LastStep(y, system.element_values(y), None)
+    energy = system.energy(y, operator._last_step.values)
     for n in range(1, grid.n_steps + 1):
         try:
             y_next, record = midpoint_step(operator, y, t_prev, energy, config=config,
@@ -790,8 +768,8 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
                 probes={k: np.array(v) for k, v in probe_values.items()},
                 completed=False)
             raise
-        ctx = StepContext(system=system, index=n, t_prev=t_prev, tau=grid.tau,
-                          y_prev=y, y_next=y_next, energy=record.energy)
+        ctx = StepContext(system=system, index=n, t_prev=t_prev, tau=grid.tau, y_prev=y,
+                          y_next=y_next, energy=record.energy, rate=operator._last_step.rate)
         for name, fn in probes.items():
             probe_values[name].append(float(fn(ctx)))
         records.append(record)
@@ -813,7 +791,8 @@ class StepContext:
 
     State quantities refer to the step's end time; rate quantities are the
     step's difference quotients, i.e. second-order values at the interval
-    midpoint.  ``energy`` is the stored energy of ``y_next``.
+    midpoint.  ``energy`` is the stored energy of ``y_next`` and ``rate`` the
+    difference quotient (y_next - y_prev)/tau that the step's audit took.
     """
 
     system: CoupledSystem
@@ -823,6 +802,7 @@ class StepContext:
     y_prev: np.ndarray
     y_next: np.ndarray
     energy: float
+    rate: np.ndarray
 
     @property
     def t_mid(self) -> float:
@@ -831,10 +811,6 @@ class StepContext:
     @property
     def time(self) -> float:
         return self.t_prev + self.tau
-
-    @cached_property
-    def rate(self) -> np.ndarray:
-        return (self.y_next - self.y_prev) / self.tau
 
 
 @dataclass

@@ -439,9 +439,11 @@ def diode_law(graph: CircuitGraph, v: np.ndarray):
     their slopes di/dv, from one exponential, continued linearly (with the
     cap's slope) past :data:`DIODE_EXP_CAP` thermal voltages to stay finite."""
     x = v / graph.diode_thermal
-    e = np.exp(np.minimum(x, DIODE_EXP_CAP))
-    over = x > DIODE_EXP_CAP
-    growth = np.where(over, e * (1.0 + (x - DIODE_EXP_CAP)), e) if over.any() else e
+    if x.size and x.max() > DIODE_EXP_CAP:
+        e = np.exp(np.minimum(x, DIODE_EXP_CAP))
+        growth = np.where(x > DIODE_EXP_CAP, e * (1.0 + (x - DIODE_EXP_CAP)), e)
+    else:
+        e = growth = np.exp(x)
     return (graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel,
             graph.diode_exp_slope * e + graph.diode_parallel_conductance)
 

@@ -293,10 +293,14 @@ class CoupledSystem:
         audit and the residual share one definition of the field energy.
         ``element_values`` is :meth:`element_values` of y, if the caller has it.
         """
-        psi, q_c, _q_v, _q_m, a = self.layout.split(np.asarray(y, dtype=float))
-        h = circuit_energy(self.graph, psi, q_c)
-        if a.size:
-            h += self.field.energy(a, element_values)
+        lay = self.layout
+        y = np.asarray(y, dtype=float)
+        if y.shape != (lay.size,):
+            raise ValueError(f"state vector must have length {lay.size}")
+        psi, q_c = lay.slices[:2]
+        h = circuit_energy(self.graph, y[psi], y[q_c])
+        if lay.n_a:
+            h += self.field.energy(y[lay.size - lay.n_a:], element_values)
         return h
 
     def energy_gradient(self, y: np.ndarray, element_values=None) -> np.ndarray:

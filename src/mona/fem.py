@@ -38,6 +38,7 @@ from .errors import GaugeError, MeshError
 
 __all__ = [
     "MU_0",
+    "MAX_VERTICES",
     "TriMesh",
     "MaterialMap",
     "Winding",
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 MU_0 = 4.0e-7 * math.pi  # vacuum permeability [H/m]
+# the most vertices a mesh may have: SuperLU indexes its matrices with int32
+MAX_VERTICES = 2**31 - 1
 
 
 @dataclass
@@ -308,9 +311,10 @@ class FieldModel:
         element: 0.5 a^T K a without its cancellation.  The residual takes the
         gradient of this same sum, :meth:`energy_gradient`, at a state.
         ``grad`` is G a where the caller has it."""
-        if self.n_dofs == 0 or not np.any(a):
-            return 0.0
-        grad = self.element_map @ a if grad is None else grad
+        if grad is None:
+            if self.n_dofs == 0 or not np.any(a):
+                return 0.0
+            grad = self.element_map @ a
         gx, gy = grad[:self.coef.size], grad[self.coef.size:]
         return 0.5 * float(self.coef @ (gx * gx + gy * gy))
 
@@ -466,12 +470,22 @@ def generate_transformer_mesh(params: TransformerParams, h: float):
     Returns (mesh, materials, [primary, secondary]).  Regions are assigned
     per grid cell (both triangles of a cell agree) by the cell centre; every
     winding strip must contain at least one whole cell column (two
-    triangles), otherwise the mesh is rejected as too coarse.
+    triangles), otherwise the mesh is rejected as too coarse.  A density so
+    fine that the (n+1)^2 vertices of the n x n cells outnumber
+    :data:`MAX_VERTICES` is rejected before anything is allocated.
     """
     if not h > 0:
         raise MeshError("mesh density must be positive")
     size = params.domain_size
-    n = int(round(size / h))
+    cells = size / h
+    # vertices per side; the product is exact up to the bound and inf past
+    # the largest float
+    side = round(cells) + 1.0 if math.isfinite(cells) else math.inf
+    if side * side > MAX_VERTICES:
+        raise MeshError(f"mesh density h={h!r} too fine: {side * side:.4g} vertices "
+                        f"({side:.4g} per side), more than the {MAX_VERTICES} that int32 "
+                        f"indices can address")
+    n = int(side) - 1
     if n < 4:
         raise MeshError("mesh density too coarse for the transformer geometry")
     mesh = rect_mesh(n, n, size, size, depth=params.depth)

@@ -150,8 +150,8 @@ class FactorCache:
     factors J_aa in a symmetric fill-reducing ordering without pivoting off
     the diagonal and forms V = J_ca J_aa^-1 (``v``) and W = V J_ac, both
     empty without a trailing block, and ``reduced_matrix`` = J_cc - W.
-    Each :meth:`refactor` copies J_cc - W and |J_cc| + |W|, overwrites their
-    stamped entries (``rows``, ``cols``) from the block it is given and
+    Each :meth:`refactor` takes the stamped entries of J_cc (at ``rows``,
+    ``cols``), writes them into copies of J_cc - W and |J_cc| + |W| and
     factors the Schur complement S by dense LU; a singular S raises
     :class:`SolverError`.
 
@@ -175,10 +175,18 @@ class FactorCache:
         self.rows, self.cols = rows, cols
         self._abs = abs(base)
         self._lu_aa = factor_spd(base[k:, k:])
-        self._j_ac = base[k:, :k]
-        self.v = self._lu_aa.solve(base[:k, k:].T.toarray(), trans="T").T
+        j_ac = base[k:, :k]
+        self._j_ac = j_ac.toarray()  # trailing_solve multiplies without scipy's dispatch
+        # V solves only for the rows of J_ca with entries (the winding rows of
+        # a midpoint step); the others are zero.  V stays row-major, and W is
+        # formed with the sparse J_ac: a column-major V or a dense J_ac
+        # changes BLAS's summation order in V @ J_ac, and with it W's bits
+        j_ca = base[:k, k:].tocsr()
+        coupled = np.flatnonzero(np.diff(j_ca.indptr))
+        self.v = np.zeros((k, n_trailing))
+        self.v[coupled] = self._lu_aa.solve(j_ca[coupled].T.toarray(), trans="T").T
         self.abs_v = np.abs(self.v)
-        w = self.v @ self._j_ac
+        w = self.v @ j_ac
         leading = matrix.tocsr()[:k, :k].toarray()  # J_cc as given, without the slots
         self.reduced_matrix = leading - w
         self._abs_reduced = np.abs(leading) + np.abs(w)
@@ -199,9 +207,10 @@ class FactorCache:
         schur[self.rows, self.cols] = stamped - self._w_stamped
         return schur
 
-    def refactor(self, block: np.ndarray) -> None:
-        """Factor the matrix with its stamped entries taken from ``block``."""
-        stamped = block[self.rows, self.cols]
+    def refactor(self, stamped: np.ndarray) -> None:
+        """Factor the matrix with its stamped entries set to ``stamped``, the
+        values at (``rows``, ``cols``) in that order
+        (:meth:`StepOperator.stamp`)."""
         self._lu = None
         self._lu = _DenseLU(self.schur_complement(stamped))  # SolverError if singular
         self._abs_schur = self._abs_reduced.copy()
@@ -268,14 +277,13 @@ class StepOperator:
     its state, built once.
 
     ``matrix`` is the step matrix J_lin = 0.5*J_state + J_rate_lin/tau, the
-    iteration matrix of :meth:`CoupledSystem.jacobians` without the diode
-    conductances; :meth:`residual` is the step residual.  J_lin seeds the
-    :class:`FactorCache` that carries the factorization from step to step,
-    with the field block as its trailing block, so the cache's
-    ``reduced_matrix`` is L = J_lin_cc - W.  Only the resistive conductance
-    block (``psi``/``psi``) of the iteration matrix depends on the Newton
-    iterate: :meth:`stamp` forms it, and a refactorization writes only its
-    entries.
+    midpoint iteration matrix without the diode conductances; :meth:`residual`
+    is the step residual.  J_lin seeds the :class:`FactorCache` that carries
+    the factorization from step to step, with the field block as its
+    trailing block, so the cache's ``reduced_matrix`` is L = J_lin_cc - W.
+    Only the resistive conductance block (``psi``/``psi``) of the iteration
+    matrix depends on the Newton iterate: :meth:`stamp` gives its entries at
+    the cache's (``rows``, ``cols``), and a refactorization writes only them.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
@@ -286,45 +294,58 @@ class StepOperator:
         self.limiter = _diode_limiter(system, tau)
         # J_rate is weighted by 1/tau as sparse division does, so the stamped
         # block rounds exactly as the constant part does
-        self._rate_weight = 1.0 / tau
+        self._rate_weight = weight = 1.0 / tau
         layout = system.layout
         k = layout.size - layout.n_a
-        zero = layout.zeros()
-        j_state, j_rate = system.jacobians(zero, zero, 0.0)
-        at_rest = 0.5 * j_state + j_rate * self._rate_weight
-        linear = 0.5 * system.circuit_hessian + system.circuit_rate_matrix * self._rate_weight
-        self.matrix = sp.bmat([[linear, at_rest[:k, k:]], [at_rest[k:, :k], at_rest[k:, k:]]],
-                              format="csr")
+        # the blocks of 0.5*J_state + J_rate*weight: the field block only
+        # couples to the device charges, through the winding matrix
+        linear = 0.5 * system.circuit_hessian + system.circuit_rate_matrix * weight
+        coupling = np.zeros((k, layout.n_a))
+        coupling[layout.block_slice("q_m")] = system.winding_matrix.T
+        self.matrix = sp.bmat(
+            [[linear, sp.csr_matrix(coupling) * weight],
+             [sp.csr_matrix(-coupling.T) * weight, 0.5 * system.stiffness + system.mass * weight]],
+            format="csr")
         self._psi = psi = layout.block_slice("psi")
         self._inductive = 0.5 * system.circuit_hessian[psi, psi]
         # conductances are positive, so the pattern of the block at rest is
         # the pattern at every iterate
         rows, cols = np.nonzero(
-            (system.conductance(zero[psi]) != 0.0) | (self._inductive != 0.0))
+            (system.conductance(np.zeros(layout.n_nodes)) != 0.0) | (self._inductive != 0.0))
         self.cache = FactorCache(self.matrix, rows, cols, n_trailing=layout.n_a)
-        self._diode_incidence = system.diode_incidence[psi]
-        self._linear_stamp = linear[psi, psi]
+        # entry (i, j) of the diode stamp is sum_d A_d[i, d] A_d[j, d] g_d / tau;
+        # the incidences are 0 or +-1, so weighting them first rounds alike
+        a_d = system.diode_incidence[psi]
+        self._diode_pairs = (a_d[rows] * a_d[cols]) * weight
+        self._linear_stamped = linear[rows, cols]
         self._last_step = _LastStep(None, None, None)
 
-    def residual(self, z: np.ndarray, const_part: np.ndarray) -> np.ndarray:
+    def residual(self, z: np.ndarray, const_part: np.ndarray,
+                 diode_rows: np.ndarray | None = None) -> np.ndarray:
         """The step residual at the state increment z, J_lin z + c plus the
         diode currents A_d i_d(A_d^T z_c/tau) (:meth:`CoupledSystem.diode_rows`)
-        in the circuit rows, with the per-step constant c = ``const_part``."""
+        in the circuit rows, with the per-step constant c = ``const_part``.
+        ``diode_rows`` are those currents if the caller has them at this z_c,
+        as :func:`_circuit_newton` hands them back."""
         k = self.cache.n_leading
         r = self.matrix @ z + const_part
-        r[:k] += self.system.diode_rows(z[:k] / self.tau)[0]
+        if diode_rows is None:
+            diode_rows = self.system.diode_rows(z[:k] / self.tau)[0]
+        r[:k] += diode_rows
         return r
 
     def stamp(self, z: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
-        """The ``psi``/``psi`` block of the iteration matrix at the state
-        increment z, dense.  From ``slopes``, the diode slopes at z that
-        :meth:`CoupledSystem.diode_rows` gave with the currents, if given;
-        else from every resistive branch law (:meth:`CoupledSystem.conductance`)."""
+        """The stamped entries of the iteration matrix at the state increment
+        z, the ``psi``/``psi`` block at the cache's (``rows``, ``cols``), which
+        :meth:`FactorCache.refactor` takes.  From ``slopes``, the diode
+        slopes at z that :meth:`CoupledSystem.diode_rows` gave with the
+        currents, if given; else from every resistive branch law
+        (:meth:`CoupledSystem.conductance`)."""
         if slopes is None:
-            return (self._inductive + self._rate_weight
-                    * self.system.conductance(z[self._psi] / self.tau))
-        a_d = self._diode_incidence
-        return self._linear_stamp + (a_d * (self._rate_weight * slopes)) @ a_d.T
+            block = (self._inductive + self._rate_weight
+                     * self.system.conductance(z[self._psi] / self.tau))
+            return block[self.cache.rows, self.cache.cols]
+        return self._linear_stamped + self._diode_pairs @ slopes
 
 
 def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
@@ -341,12 +362,12 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
                  scale: np.ndarray, cache: FactorCache, const_magnitude: np.ndarray,
                  limiter=None):
     """Damped Newton iteration; returns ``(x, NewtonStats)`` for the first
-    iterate within tolerance.
+    iterate within tolerance, the iterate ``residual`` was last called with.
 
-    ``jacobian(x)`` returns the dense block of stamped entries that
-    ``cache.refactor`` takes (:meth:`StepOperator.stamp` for a midpoint step);
-    it is asked at the iterate ``residual`` last saw, unless a line search
-    from the carried factorization failed.
+    ``jacobian(x)`` returns the stamped entries that ``cache.refactor``
+    takes (:meth:`StepOperator.stamp` for a midpoint step); it is asked at
+    the iterate ``residual`` last saw, unless a line search from the carried
+    factorization failed.
     ``scale`` divides the residual componentwise before taking the max norm;
     ``cache`` carries a factorization across calls.  The first iteration
     reuses it (a linear problem factors once over all calls) and refactors
@@ -437,8 +458,8 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
                 # a limited full step from a fresh factorization is its own
                 # safeguard: take it as long as it is finite, even uphill, to
                 # get off switching plateaus
-                if np.isfinite(n_try) and (n_try < nrm or n_try <= config.tol
-                                           or (was_limited and fresh and alpha == 1.0)):
+                if math.isfinite(n_try) and (n_try < nrm or n_try <= config.tol
+                                             or (was_limited and fresh and alpha == 1.0)):
                     accepted = True
                     break
                 alpha *= 0.5
@@ -450,7 +471,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
                 refresh()
                 dx, was_limited = limited(cache.solve(-r))
                 continue
-            if not np.isfinite(n_try):
+            if not math.isfinite(n_try):
                 raise SolverError("non-finite residual after damping was exhausted")
             accepted = True  # overshoot guard exhausted on a finite residual
 
@@ -532,9 +553,11 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     or critical voltage by more than a fixed number of thermal voltages.
     Both stages are the identity once updates are small, so Newton fixed
     points are untouched, and a proposal that neither stage changes is
-    returned as the same object.  The pseudoinverse, the critical voltages
-    and the headroom of the second stage depend on the system and tau only,
-    so they are built once per run.
+    returned as the same object.  Whether a stage may act is read off the
+    voltage change of the proposed increment, one product; the voltages of
+    both iterates are formed only when one may.  The pseudoinverse, the
+    critical voltages and the headroom of the second stage depend on the
+    system and tau only, so they are built once per run.
     """
     g = system.graph
     if g.n_diodes == 0:
@@ -545,19 +568,23 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     thermal = g.diode_thermal
     v_crit = diode_critical_voltage(thermal, g.diode_saturation)
     headroom = DIODE_GROWTH_LIMIT * thermal
-    small = 2.0 * thermal
+    # neither stage acts on a change of at most two thermal voltages: the
+    # first limits larger changes only, and the second's ceiling is at least
+    # v_old + DIODE_GROWTH_LIMIT thermal voltages.  The change of the
+    # increment, A^T (z_new - z_old), rounds differently from the difference
+    # of the two voltages, by a few eps of the voltages; a relative slack of
+    # 1e-9, far above that, keeps the early exit to changes that are small
+    # by either reckoning
+    small_step = (1.0 - 1e-9) * 2.0 * thermal * tau
 
     def voltages(z):
         return (a_dio.T @ z[psi_sl]) / tau
 
     def limiter(z_old, z_new):
+        if (np.abs(a_dio.T @ (z_new[psi_sl] - z_old[psi_sl])) <= small_step).all():
+            return z_new
         v_old = voltages(z_old)
         v_new = voltages(z_new)
-        # neither stage acts on a change of at most two thermal voltages:
-        # the first limits larger changes only, and the second's ceiling is
-        # at least v_old + DIODE_GROWTH_LIMIT thermal voltages
-        if (np.abs(v_new - v_old) <= small).all():
-            return z_new
         v_lim = diode_voltage_limit(v_new, v_old, thermal, v_crit)
         z_adj, v_adj = z_new, v_new
         if v_lim is not v_new and not np.array_equal(v_lim, v_new):
@@ -604,10 +631,13 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     of the accumulated states.
 
     Newton runs on the circuit unknowns with the field eliminated
-    (:func:`_circuit_newton`).  Its result is accepted only if the
-    full-space residual meets the tolerance under the full-space scale and
-    floor; otherwise full-space Newton polishes it from there.  Linear
-    systems converge in a single iteration once a factorization exists.
+    (:func:`_circuit_newton`), from the circuit entries of
+    ``increment_hint`` if they are finite.  Its result is accepted only if
+    the full-space residual meets the tolerance under the full-space scale
+    and floor; that residual adds the diode currents the reduced Newton
+    evaluated at its result, so the diode laws run once per iterate.
+    Otherwise full-space Newton polishes it from there.  Linear systems
+    converge in a single iteration once a factorization exists.
 
     The system, the step size, the step matrix, the diode limiter and the
     factorization carried between steps all come from ``operator``.
@@ -618,8 +648,9 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     """
     config = config or NewtonConfig()
     system, tau, cache = operator.system, operator.tau, operator.cache
+    k = cache.n_leading
     y_prev = np.asarray(y_prev, dtype=float)
-    if not np.all(np.isfinite(y_prev)):
+    if not np.isfinite(y_prev).all():
         raise ValueError("midpoint_step called with non-finite state")
 
     sources = system.sources(t_prev + 0.5 * tau)
@@ -627,27 +658,25 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     const_part = (system.energy_gradient(y_prev, last.values if last.state is y_prev else None)
                   - sources.vector)
 
-    def step_residual(z):
-        return operator.residual(z, const_part)
-
     # the step matrix and the diode currents vanish at zero, so const_part
     # is the residual of the zero increment
     const_magnitude = np.abs(const_part)
     scale = _block_scale(system.layout, np.maximum(np.abs(sources.vector), const_magnitude))
-    if increment_hint is not None and np.all(np.isfinite(increment_hint)):
-        z0 = np.asarray(increment_hint, dtype=float)
-    else:
-        z0 = np.zeros_like(y_prev)
+    z0 = np.zeros(k)
+    if increment_hint is not None and np.isfinite(increment_hint[:k]).all():
+        z0 = np.asarray(increment_hint[:k], dtype=float)
     try:
-        z, stats = _circuit_newton(operator, const_part, const_magnitude, z0, config, scale)
-        r = step_residual(z)
+        z, stats, diode_rows = _circuit_newton(operator, const_part, const_magnitude, z0,
+                                               config, scale)
+        r = operator.residual(z, const_part, diode_rows)
         stats.residual_norm = _scaled_norm(r, scale)
         if stats.residual_norm > config.tol:  # the floor can only lower it
             stats.residual_norm = _scaled_norm(
                 r, _floored(scale, cache.magnitude(z) + const_magnitude, config.tol))
         if stats.residual_norm > config.tol:
-            z, polish = newton_solve(step_residual, operator.stamp, z, config, scale,
-                                     cache, const_magnitude, limiter=operator.limiter)
+            z, polish = newton_solve(lambda z: operator.residual(z, const_part), operator.stamp,
+                                     z, config, scale, cache, const_magnitude,
+                                     limiter=operator.limiter)
             stats = replace(polish, iterations=stats.iterations + polish.iterations,
                             halvings=stats.halvings + polish.halvings,
                             factorizations=stats.factorizations + polish.factorizations,
@@ -670,38 +699,44 @@ def _circuit_newton(operator: StepOperator, const_part: np.ndarray,
                     const_magnitude: np.ndarray, z0: np.ndarray, config: NewtonConfig,
                     scale: np.ndarray):
     """Newton on the circuit unknowns of a midpoint step with the field
-    eliminated; returns the whole increment and the Newton statistics.
+    eliminated; returns the whole increment z, the Newton statistics and
+    the diode rows A_d i_d(A_d^T z_c / tau) at its circuit part z_c = z[:k],
+    from the residual's own evaluation there.  The rows belong to that z_c:
+    a caller that changes z_c must drop them.
 
     The field rows J_aa z_a + J_ac z_c + c_a of the step residual are linear,
     so their root is z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows there
     are the step residual's own expression L z_c + c_hat + A_d i_d(A_d^T
     z_c / tau) with the cache's L = J_lin_cc - W and c_hat = c_c - V c_a;
     their Jacobian, L plus the diode stamp, is the Schur complement S that
-    the cache factors, stamped from the diode slopes that the residual at
-    the iterate evaluated with the currents.  Without a field block nothing
-    is eliminated.  ``const_magnitude`` is |c|, and the limiter reads only
-    the leading ``psi`` block; z_a takes one back-substitution.
+    the cache factors.  Each iterate evaluates the diode laws once: the
+    residual keeps the slopes that came with the currents, and the stamp at
+    that iterate takes them.  Without a field block nothing is eliminated.
+    ``z0`` is the starting z_c, ``const_magnitude`` is |c|, and the limiter
+    reads only the leading ``psi`` block; z_a takes one back-substitution.
     """
     system, tau, cache = operator.system, operator.tau, operator.cache
     k = cache.n_leading
     c_hat = cache.condense(const_part)
     c_hat_terms = const_magnitude[:k] + cache.abs_v @ const_magnitude[k:]
     reduced = cache.reduced_matrix
-    seen = [None, None]  # the iterate the residual last saw and its diode slopes
+    # the iterate the residual last saw, its diode rows and its diode slopes
+    seen = [None, None, None]
 
     def reduced_residual(z_c):
-        rows, seen[1] = system.diode_rows(z_c / tau)
-        seen[0] = z_c
+        rows, slopes = system.diode_rows(z_c / tau)
+        seen[:] = z_c, rows, slopes
         return reduced @ z_c + c_hat + rows
 
     def stamp(z_c):
         if z_c is not seen[0]:
             reduced_residual(z_c)
-        return operator.stamp(z_c, seen[1])
+        return operator.stamp(z_c, seen[2])
 
-    z_c, stats = newton_solve(reduced_residual, stamp, z0[:k], config, scale[:k],
+    z_c, stats = newton_solve(reduced_residual, stamp, z0, config, scale[:k],
                               cache, c_hat_terms, limiter=operator.limiter)
-    return np.concatenate([z_c, cache.trailing_solve(-const_part[k:], z_c)]), stats
+    # newton_solve returns the iterate its residual saw last
+    return np.concatenate([z_c, cache.trailing_solve(-const_part[k:], z_c)]), stats, seen[1]
 
 
 def power_audit(system: CoupledSystem, rate: np.ndarray, sources: SourceValues,
@@ -753,7 +788,8 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     records = []
     probe_values = {name: [] for name in probes}
     t_prev = grid.t0
-    z_pred = None
+    k = operator.cache.n_leading
+    z_pred = None  # the circuit part of the last increment
     # the first step reuses the start's G a as every later step reuses its
     # predecessor's; each later state's energy comes with its record
     operator._last_step = _LastStep(y, system.element_values(y), None)
@@ -773,7 +809,7 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
         for name, fn in probes.items():
             probe_values[name].append(float(fn(ctx)))
         records.append(record)
-        z_pred = y_next - y
+        z_pred = y_next[:k] - y[:k]
         y, energy = y_next, record.energy
         t_prev = grid.time(n)
         stats = record.newton

@@ -65,7 +65,8 @@ def linear_coupled(coarse_field):
 
 def dense_cache(n):
     """A FactorCache with every entry of an n x n matrix stamped: it factors
-    whatever dense matrix the Newton Jacobian returns."""
+    whatever dense matrix the Newton Jacobian returns the entries of, in
+    row-major order."""
     rows, cols = np.indices((n, n)).reshape(2, -1)
     return FactorCache(sp.csc_matrix((n, n)), rows, cols)
 

@@ -180,6 +180,26 @@ class TestBadInput:
         assert run_cli(argv) == 1
         assert "mesh density must be positive" in capsys.readouterr().err
 
+    # each is rejected before its mesh is allocated: 1e-9 asks for 1.6e17
+    # vertices, 1e-300 for more than a float holds, and 1e-320 for a cell
+    # count that overflows to inf
+    @pytest.mark.parametrize("command", ["check", "demo-rectifier"])
+    @pytest.mark.parametrize("density", ["1e-9", "1e-300", "1e-320"])
+    def test_too_fine_mesh_density(self, tmp_path, capsys, command, density):
+        argv = [command, "--mesh-density", density]
+        if command == "check":
+            path = tmp_path / "demo.net"
+            path.write_text(DEMO_NETLIST)
+            argv += ["--netlist", str(path)]
+        else:
+            argv += ["--tau", "1e-3", "--t-end", "2e-3", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert f"error: mesh density h={float(density)!r} too fine: " in text
+        assert "vertices" in text and "int32 indices" in text
+        assert "Traceback" not in text
+
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_directory_as_netlist(self, tmp_path, capsys, command):
         argv = [command, "--netlist", str(tmp_path)]

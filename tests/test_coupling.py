@@ -308,7 +308,7 @@ class TestPowerBreakdown:
                 return system.residual(y, ydot, 0.0)
 
             def jac(ydot):
-                return system.jacobians(y, ydot, 0.0)[1].toarray()
+                return system.jacobians(y, ydot, 0.0)[1].toarray().ravel()
 
             ydot, _stats = newton_solve(resid, jac, np.zeros(lay.size),
                                         NewtonConfig(tol=1e-12), np.ones(lay.size),

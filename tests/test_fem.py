@@ -9,6 +9,7 @@ from scipy.sparse.linalg import splu
 from mona.cli import run_cli
 from mona.errors import GaugeError, MeshError
 from mona.fem import (
+    MAX_VERTICES,
     MU_0,
     MaterialMap,
     TransformerParams,
@@ -441,6 +442,14 @@ class TestTransformerGenerator:
     def test_too_coarse_rejected(self):
         with pytest.raises(MeshError, match="coarse"):
             generate_transformer_mesh(TransformerParams(), 0.05)
+
+    def test_first_density_past_the_vertex_bound_rejected(self):
+        # 46340^2 vertices fit int32 indices and 46341^2 do not; only the
+        # rejected density is tried, since the other would be built
+        params = TransformerParams()
+        assert 46340**2 <= MAX_VERTICES < 46341**2
+        with pytest.raises(MeshError, match=r"too fine: 2\.147e\+09 vertices \(4\.634e\+04 per"):
+            generate_transformer_mesh(params, params.domain_size / 46340)
 
     def test_open_circuit_voltage_ratio(self):
         params = TransformerParams(turns_primary=100.0, turns_secondary=10.0)

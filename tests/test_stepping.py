@@ -10,6 +10,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_from_netlist,
                       dense_cache, random_state)
+import mona.circuit
 import mona.coupling
 import mona.stepping
 from mona.circuit import build_incidence, diode_critical_voltage, diode_voltage_limit
@@ -72,10 +73,11 @@ class TestTimeGrid:
 
 def solve(residual, jacobian, x0, config=NewtonConfig()):
     """newton_solve with unit scaling, a fresh factorization of the whole
-    dense Jacobian and no constant residual terms."""
+    dense Jacobian (its entries in row-major order, as ``dense_cache`` takes
+    them) and no constant residual terms."""
     x0 = np.asarray(x0, dtype=float)
-    return newton_solve(residual, jacobian, x0, config, np.ones_like(x0),
-                        dense_cache(x0.size), np.zeros_like(x0))
+    return newton_solve(residual, lambda x: jacobian(x).ravel(), x0, config,
+                        np.ones_like(x0), dense_cache(x0.size), np.zeros_like(x0))
 
 
 class TestNewtonSolve:
@@ -160,7 +162,7 @@ class TestNewtonSolve:
             tried.append(x)
             return 3.0 * (x - 0.3)
 
-        newton_solve(resid, lambda x: np.array([[next(slopes)]]), x0, NewtonConfig(),
+        newton_solve(resid, lambda x: np.array([next(slopes)]), x0, NewtonConfig(),
                      np.ones(1), dense_cache(1), np.zeros(1),
                      limiter=lambda x, x_new: x_new)
         assert np.array_equal(tried[1], x0 + step)
@@ -170,7 +172,7 @@ class TestNewtonSolve:
         # the first iteration reuses the carried factorization; every later
         # one refactors at its own iterate, the one the residual last saw
         cache, seen, asked = dense_cache(1), [], []
-        cache.refactor(np.array([[7.0]]))
+        cache.refactor(np.array([7.0]))
 
         def resid(x):
             seen.append(x)
@@ -178,7 +180,7 @@ class TestNewtonSolve:
 
         def jac(x):
             asked.append(x)
-            return np.array([[2.0 * x[0]]])
+            return np.array([2.0 * x[0]])
 
         x, stats = newton_solve(resid, jac, np.array([3.0]), NewtonConfig(), np.ones(1),
                                 cache, np.zeros(1))
@@ -359,7 +361,7 @@ class TestBlockElimination:
                 lu_aa = factor_spd(matrix[k:, k:])
                 v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
                 expected = matrix[:k, :k].toarray() - v @ matrix[k:, :k]
-                schur = cache.schur_complement(operator.stamp(z)[cache.rows, cache.cols])
+                schur = cache.schur_complement(operator.stamp(z))
                 assert np.array_equal(schur, expected)
                 cache.refactor(operator.stamp(z))
                 x = random_state(system, rng)
@@ -426,9 +428,9 @@ class TestBlockElimination:
         rows, cols = np.indices((2, 2)).reshape(2, -1)
         cache = FactorCache(matrix, rows, cols, n_trailing=n_trailing)
         with pytest.raises(SolverError, match="factorization failed: matrix is exactly singular"):
-            cache.refactor(block)
+            cache.refactor(block[rows, cols])
         assert not cache.ready
-        cache.refactor(block + np.eye(2))
+        cache.refactor((block + np.eye(2))[rows, cols])
         assert cache.ready
 
     def test_one_refactor_call_per_factorization(self, rectifier, monkeypatch):
@@ -465,12 +467,13 @@ class TestBlockElimination:
         forced = []
 
         def perturbed(*args):
-            z, stats = circuit_newton(*args)
+            # the diode rows belong to z[:k], which the perturbation keeps
+            z, stats, rows = circuit_newton(*args)
             if not forced:
                 forced.append(True)
                 z = np.array(z)
                 z[k:] *= 1.0 + 1e-6
-            return z, stats
+            return z, stats, rows
 
         monkeypatch.setattr(mona.stepping, "_circuit_newton", perturbed)
         with caplog.at_level(logging.DEBUG, logger="mona.stepping"):
@@ -600,6 +603,73 @@ class TestStepConstants:
             assert np.array_equal(y_next, rec.state) and fresh.audit == rec.audit
             z_pred, y, energy = y_next - y, y_next, fresh.energy
 
+    def test_diode_law_once_per_iterate(self, rectifier, monkeypatch):
+        # a step evaluates the diode laws once per reduced residual, plus
+        # once where a stamp is asked at an iterate the residual did not see
+        # last, plus once for the audit; the stamp at a seen iterate and the
+        # full-space acceptance check add none
+        _parsed, _graph, system = rectifier
+        calls, per_step = {"law": 0, "residual": 0, "unseen stamp": 0}, []
+        diode_law, newton, step = (mona.coupling.diode_law, mona.stepping.newton_solve,
+                                   mona.stepping.midpoint_step)
+
+        def counted_law(*args):
+            calls["law"] += 1
+            return diode_law(*args)
+
+        def counted_newton(residual, jacobian, *args, **kwargs):
+            seen = [None]
+
+            def counted_residual(x):
+                calls["residual"] += 1
+                seen[0] = x
+                return residual(x)
+
+            def counted_jacobian(x):
+                calls["unseen stamp"] += x is not seen[0]
+                return jacobian(x)
+
+            return newton(counted_residual, counted_jacobian, *args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            before = dict(calls)
+            out = step(*args, **kwargs)
+            per_step.append({k: calls[k] - before[k] for k in calls})
+            return out
+
+        monkeypatch.setattr(mona.coupling, "diode_law", counted_law)
+        monkeypatch.setattr(mona.circuit, "diode_law", counted_law)
+        monkeypatch.setattr(mona.stepping, "newton_solve", counted_newton)
+        monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert len(per_step) == 80
+        assert not any(rec.newton.polish_iterations for rec in result.records)
+        assert all(n["law"] == n["residual"] + n["unseen stamp"] + 1 for n in per_step)
+        assert sum(n["residual"] for n in per_step) > 80
+
+    def test_diode_rows_handed_back_are_those_of_the_increment(self, rectifier,
+                                                               monkeypatch):
+        # the diode rows _circuit_newton returns are diode_rows at z_c / tau
+        # of the z it returns, bit for bit, so the acceptance residual built
+        # from them is the step residual itself
+        _parsed, _graph, system = rectifier
+        circuit_newton = mona.stepping._circuit_newton
+        k = system.layout.size - system.layout.n_a
+        checked = []
+
+        def checked_newton(operator, const_part, *args):
+            z, stats, rows = circuit_newton(operator, const_part, *args)
+            assert np.array_equal(rows, system.diode_rows(z[:k] / operator.tau)[0])
+            assert np.array_equal(operator.residual(z, const_part, rows),
+                                  operator.residual(z, const_part))
+            checked.append(stats.iterations)
+            return z, stats, rows
+
+        monkeypatch.setattr(mona.stepping, "_circuit_newton", checked_newton)
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert len(checked) == len(result.records) == 80
+        assert sum(checked) > 80
+
     def test_limiter_built_once_per_run(self, rectifier, monkeypatch):
         _parsed, _graph, system = rectifier
         pinv = np.linalg.pinv
@@ -702,6 +772,43 @@ class TestDiodeLimiter:
                 stages.add(acted)
         assert {(False, False), (True, False)} <= stages
         assert any(stage_two for _stage_one, stage_two in stages)
+
+    def test_increment_exit_agrees_with_the_voltage_difference(self, rectifier, monkeypatch):
+        # the limiter decides whether a stage may act from the voltage change
+        # of the increment, A^T (z_new - z_old) / tau, not from the difference
+        # of the two iterates' voltages.  On every limiter call of a run
+        # through diode switching both agree, and the limiter's result is
+        # the reference limiter's, bit for bit
+        _parsed, graph, system = rectifier
+        tau = 7.8125e-5
+        a_dio = graph.a_r[:, graph.n_linear_resistive:]
+        small = 2.0 * graph.diode_thermal
+        psi = system.layout.block_slice("psi")
+        reference = reference_limiter(system, tau)
+        build, exits = mona.stepping._diode_limiter, []
+
+        def checked_build(*args):
+            limiter = build(*args)
+
+            def checked(z_old, z_new):
+                by_increment = np.all(
+                    np.abs(a_dio.T @ (z_new[psi] - z_old[psi])) / tau <= small)
+                by_voltages = np.all(
+                    np.abs(a_dio.T @ z_new[psi] / tau - a_dio.T @ z_old[psi] / tau) <= small)
+                assert by_increment == by_voltages
+                exits.append(by_increment)
+                got = limiter(z_old, z_new)
+                assert np.array_equal(got, reference(z_old, z_new)[0])
+                if by_voltages:
+                    assert got is z_new
+                return got
+
+            return checked
+
+        monkeypatch.setattr(mona.stepping, "_diode_limiter", checked_build)
+        result = run_transient(system, TimeGrid(0.0, 0.05, tau))
+        assert len(result.records) == 640
+        assert len(exits) >= 640 and any(exits) and not all(exits)
 
     def test_small_changes_come_back_unchanged(self, rectifier):
         # a proposal that moves no diode voltage by more than two thermal

@@ -24,8 +24,8 @@ from .errors import MonaError, SolverError, TopologyError
 from .fem import save_mesh
 from .netlist import parse_netlist
 from .probes import default_state_probe, parse_probe_spec
-from .stepping import (NewtonConfig, TimeGrid, check_zero_state, convergence_study,
-                       run_transient)
+from .stepping import (EPS_H_ABS_BOUND, EPS_H_REL_BOUND, NewtonConfig, TimeGrid,
+                       check_zero_state, convergence_study, run_transient)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -82,8 +82,7 @@ def trace_table(result, probe_names) -> CsvTrace:
 def audit_table(result) -> CsvTrace:
     header = ["t", "d_tau_H", "resistive_loss", "eddy_loss",
               "source_power_I", "source_power_V", "eps_H", "eps_H_rel"]
-    peak = result.peak_supplied_power()
-    denom = peak if peak > 0 else 1.0
+    denom = result.relative_scale()
     rows = []
     for rec in result.records:
         a = rec.audit
@@ -117,8 +116,23 @@ def _grid_and_newton(args):
             NewtonConfig(tol=args.newton_tol))
 
 
+def _warn_certificate(result) -> None:
+    """One ``warning:`` line on standard error if any step's balance defect
+    is over the certificate's bounds (:meth:`TransientResult.certificate_violations`):
+    how many steps, and the worst |eps_H| with its time."""
+    over = result.certificate_violations()
+    if not over:
+        return
+    worst = max(over, key=lambda rec: abs(rec.audit.residual))
+    print(f"warning: {len(over)} of {len(result.records)} steps break the balance "
+          f"certificate (|eps_H| > {EPS_H_ABS_BOUND:g} W or > {EPS_H_REL_BOUND:g} of the "
+          f"peak supplied power); worst |eps_H| = {abs(worst.audit.residual):.3e} W "
+          f"at t = {worst.time:.6g} s", file=sys.stderr)
+
+
 def _run(args):
-    """Assemble, run the transient and write ``trace.csv`` and ``audit.csv``.
+    """Assemble, run the transient and write ``trace.csv`` and ``audit.csv``;
+    warn on standard error if a step breaks the balance certificate.
 
     ``--out`` is created before the transient, so an unusable path fails
     before the work rather than after it.  A failed transient still writes
@@ -142,6 +156,7 @@ def _run(args):
             write(exc.partial_result)
         raise
     write(result)
+    _warn_certificate(result)
     return system, result, out
 
 

@@ -176,7 +176,10 @@ class FactorCache:
         self._abs = abs(base)
         self._lu_aa = factor_spd(base[k:, k:])
         j_ac = base[k:, :k]
-        self._j_ac = j_ac.toarray()  # trailing_solve multiplies without scipy's dispatch
+        # trailing_solve multiplies the columns of J_ac with entries (the
+        # winding charges of a midpoint step) densely, without scipy's dispatch
+        self._ac_cols = np.flatnonzero(np.diff(j_ac.indptr))
+        self._j_ac = j_ac[:, self._ac_cols].toarray()
         # V solves only for the rows of J_ca with entries (the winding rows of
         # a midpoint step); the others are zero.  V stays row-major, and W is
         # formed with the sparse J_ac: a column-major V or a dense J_ac
@@ -236,7 +239,7 @@ class FactorCache:
     def trailing_solve(self, b_a: np.ndarray, x_c: np.ndarray) -> np.ndarray:
         """x_a = J_aa^-1 (b_a - J_ac x_c), the trailing unknowns that go with
         the leading ones x_c: one back-substitution through J_aa."""
-        return self._lu_aa.solve(b_a - self._j_ac @ x_c)
+        return self._lu_aa.solve(b_a - self._j_ac @ x_c[self._ac_cols])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
@@ -487,14 +490,25 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         f"(residual {nrm:.3e}, tol {config.tol:.3e})")
 
 
+# The balance certificate: a step's |eps_H| may exceed neither this many
+# watts nor this fraction of the run's peak supplied power
+# (:meth:`TransientResult.relative_scale`)
+EPS_H_ABS_BOUND = 1e-10
+EPS_H_REL_BOUND = 1e-12
+
+
 @dataclass
 class StepRecord:
-    """One accepted time step: state, its stored energy, Newton statistics,
-    and its power audit."""
+    """One accepted time step, as its certificate needs it: the step's end
+    time, the stored energy of its new state, Newton statistics and its
+    power audit.
+
+    The state itself is not kept, so the records of a run take memory in
+    proportion to its steps, not to steps times unknowns; a caller that
+    wants the states asks a probe for them (:func:`run_transient`)."""
 
     index: int
     time: float
-    state: np.ndarray
     energy: float
     newton: NewtonStats
     audit: PowerBreakdown
@@ -502,7 +516,9 @@ class StepRecord:
 
 @dataclass
 class TransientResult:
-    """A completed (or aborted) transient run."""
+    """A completed (or aborted) transient run: one :class:`StepRecord` per
+    accepted step, and per probe the array of what it returned at each
+    step, stacked along the first axis (:func:`run_transient`)."""
 
     grid: TimeGrid
     records: list
@@ -511,9 +527,6 @@ class TransientResult:
 
     def times(self) -> np.ndarray:
         return np.array([rec.time for rec in self.records])
-
-    def states(self) -> np.ndarray:
-        return np.array([rec.state for rec in self.records])
 
     def probe(self, name: str) -> np.ndarray:
         return self.probes[name]
@@ -532,6 +545,20 @@ class TransientResult:
         powers = [abs(rec.audit.source_power_i + rec.audit.source_power_v)
                   for rec in self.records]
         return max(powers) if powers else 0.0
+
+    def relative_scale(self) -> float:
+        """The denominator of the relative balance defect: the peak supplied
+        power, read as 1.0 where it is not positive."""
+        peak = self.peak_supplied_power()
+        return peak if peak > 0 else 1.0
+
+    def certificate_violations(self) -> list:
+        """The records whose |eps_H| exceeds :data:`EPS_H_ABS_BOUND` or, over
+        :meth:`relative_scale`, :data:`EPS_H_REL_BOUND`."""
+        scale = self.relative_scale()
+        return [rec for rec in self.records
+                if abs(rec.audit.residual) > EPS_H_ABS_BOUND
+                or abs(rec.audit.residual) / scale > EPS_H_REL_BOUND]
 
 
 # A diode iterate may not move more than this many thermal voltages past its
@@ -690,8 +717,8 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     energy = system.energy(y_next, values)
     operator._last_step = _LastStep(y_next, values, rate)
     audit = power_audit(system, rate, sources, (energy_prev, energy), tau)
-    record = StepRecord(index=index, time=t_prev + tau, state=y_next, energy=energy,
-                        newton=stats, audit=audit)
+    record = StepRecord(index=index, time=t_prev + tau, energy=energy, newton=stats,
+                        audit=audit)
     return y_next, record
 
 
@@ -777,6 +804,13 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     (:func:`check_zero_state`).  A failed step aborts the run and returns the
     partial result with ``completed=False`` via the raised error's
     ``partial_result`` attribute.
+
+    ``probes`` maps names to functions of a :class:`StepContext`, called
+    once per accepted step.  What a probe returns is stored as returned and
+    stacked by ``np.array`` into ``result.probe(name)``: a probe of floats
+    gives an (n_steps,) series, and ``{"y": lambda ctx: ctx.y_next}`` gives
+    the (n_steps, n) state history, which the records do not keep.  The run
+    itself holds only the last state, so its memory is O(n + steps).
     """
     config = config or NewtonConfig()
     probes = probes or {}
@@ -807,7 +841,7 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
         ctx = StepContext(system=system, index=n, t_prev=t_prev, tau=grid.tau, y_prev=y,
                           y_next=y_next, energy=record.energy, rate=operator._last_step.rate)
         for name, fn in probes.items():
-            probe_values[name].append(float(fn(ctx)))
+            probe_values[name].append(fn(ctx))
         records.append(record)
         z_pred = y_next[:k] - y[:k]
         y, energy = y_next, record.energy
@@ -829,6 +863,8 @@ class StepContext:
     step's difference quotients, i.e. second-order values at the interval
     midpoint.  ``energy`` is the stored energy of ``y_next`` and ``rate`` the
     difference quotient (y_next - y_prev)/tau that the step's audit took.
+    Each step's ``y_next`` is a new array that is never mutated afterwards,
+    so a probe may return it (or ``rate``) itself rather than a copy.
     """
 
     system: CoupledSystem

@@ -34,6 +34,12 @@ SOURCE_CAPACITOR_NETLISTS = (
 COARSE_MESH_DENSITY = 0.025  # 512 triangles, 225 interior dofs
 
 
+def state_probe(ctx):
+    """The probe that keeps each step's state: ``run_transient(...,
+    probes={"y": state_probe}).probe("y")`` is the (n_steps, n) history."""
+    return ctx.y_next
+
+
 def build_from_netlist(text, field=None):
     parsed = parse_netlist(text)
     graph = build_incidence(parsed.elements, parsed.n_nodes)

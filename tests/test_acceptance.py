@@ -25,7 +25,7 @@ from mona.netlist import parse_netlist
 from mona.probes import compile_probe, parse_probe_spec
 from mona.stepping import NewtonConfig, TimeGrid, convergence_study, run_transient
 
-from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state
+from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state, state_probe
 from test_coupling import dense_residual
 
 RECTIFIER_TAUS = (5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
@@ -99,8 +99,8 @@ def test_criterion_3_continuous_balance_recovered(coarse_field):
 
     def max_defect(tau):
         grid = TimeGrid(0.0, T_END, tau)
-        result = run_transient(system, grid, config=NEWTON)
-        states = np.vstack([system.layout.zeros()[None, :], result.states()])
+        result = run_transient(system, grid, probes={"y": state_probe}, config=NEWTON)
+        states = np.vstack([system.layout.zeros()[None, :], result.probe("y")])
         energies = np.array([system.energy(y) for y in states])
         times = grid.times()
         defects = []

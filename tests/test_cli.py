@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, CSV outputs, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -444,6 +445,34 @@ class TestDemoRectifier:
         mesh, _mats, winds = load_mesh(out / "transformer.mesh")
         assert mesh.n_triangles == 512
         assert len(winds) == 2
+
+    def test_broken_certificate_warns(self, tmp_path, capsys):
+        # at h = 0.004 and tau = 5e-3 the demo's steps break the balance
+        # certificate: the run still exits 0 and writes its outputs, and one
+        # line on standard error names the steps over the bounds and the worst
+        out = tmp_path / "broken"
+        code = run_cli(["demo-rectifier", "--mesh-density", "0.004", "--tau", "5e-3",
+                        "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning" not in captured.out
+        assert len(captured.err.splitlines()) == 1
+        match = re.fullmatch(r"warning: (\d+) of 10 steps break the balance certificate "
+                             r"\(\|eps_H\| > 1e-10 W or > 1e-12 of the peak supplied power\); "
+                             r"worst \|eps_H\| = (\S+) W at t = (\S+) s", captured.err.strip())
+        assert match, captured.err
+        header, rows = read_csv(out / "audit.csv")
+        eps = np.array([float(r[header.index("eps_H")]) for r in rows])
+        rel = np.array([float(r[header.index("eps_H_rel")]) for r in rows])
+        over = (np.abs(eps) > 1e-10) | (np.abs(rel) > 1e-12)
+        assert int(match[1]) == np.count_nonzero(over) > 0
+        worst = int(np.argmax(np.abs(eps)))
+        assert match[2] == f"{abs(eps[worst]):.3e}"
+        assert match[3] == f"{float(rows[worst][0]):.6g}"
+
+        assert run_cli(["demo-rectifier", "--mesh-density", "0.025", "--t-end", "0.005",
+                        "--out", str(tmp_path / "passing")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_dumped_mesh_reproduces_builtin(self, tmp_path):
         # the demo is a run of its dumped netlist with the demo probes, and

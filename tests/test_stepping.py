@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_from_netlist,
-                      dense_cache, random_state)
+                      dense_cache, random_state, state_probe)
 import mona.circuit
 import mona.coupling
 import mona.stepping
@@ -247,9 +248,8 @@ class TestMidpointStep:
         _parsed, _graph, system = linear_coupled
         tau = 1e-3
         grid = TimeGrid(0.0, 5e-3, tau)
-        result = run_transient(system, grid)
-        y0 = result.records[-2].state
-        y1 = result.records[-1].state
+        result = run_transient(system, grid, probes={"y": state_probe})
+        y0, y1 = result.probe("y")[-2:]
         t_prev = result.records[-2].time
         t_mid = t_prev + tau / 2
 
@@ -452,16 +452,16 @@ class TestBlockElimination:
     def test_transient_matches_full_space_run(self, h):
         system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
         grid = TimeGrid(0.0, 0.05, 6.25e-4)
-        result = run_transient(system, grid)
+        states = run_transient(system, grid, probes={"y": state_probe}).probe("y")
         ref_states = full_space_states(system, grid)
-        assert np.max(np.abs(result.states() - ref_states)) <= 1e-12 * np.max(np.abs(ref_states))
+        assert np.max(np.abs(states - ref_states)) <= 1e-12 * np.max(np.abs(ref_states))
 
     def test_failed_full_space_check_is_polished(self, rectifier, monkeypatch, caplog):
         # a reduced solution whose field part misses the full-space tolerance
         # is finished by full-space Newton, to the state of an unforced run
         _parsed, _graph, system = rectifier
         grid = TimeGrid(0.0, 0.05, 6.25e-4)
-        reference = run_transient(system, grid)
+        reference = run_transient(system, grid, probes={"y": state_probe})
         circuit_newton = mona.stepping._circuit_newton
         k = system.layout.size - system.layout.n_a
         forced = []
@@ -477,7 +477,7 @@ class TestBlockElimination:
 
         monkeypatch.setattr(mona.stepping, "_circuit_newton", perturbed)
         with caplog.at_level(logging.DEBUG, logger="mona.stepping"):
-            result = run_transient(system, grid)
+            result = run_transient(system, grid, probes={"y": state_probe})
         polished = [rec for rec in result.records if rec.newton.polish_iterations]
         assert len(polished) == 1 and polished[0].newton.converged
         assert polished[0].newton.iterations > polished[0].newton.polish_iterations
@@ -485,8 +485,8 @@ class TestBlockElimination:
         line = next(r.getMessage() for r in caplog.records
                     if r.getMessage().startswith(f"step {polished[0].index} "))
         assert f" polish={polished[0].newton.polish_iterations} " in line
-        ref_states = reference.states()
-        assert (np.max(np.abs(result.states() - ref_states))
+        ref_states = reference.probe("y")
+        assert (np.max(np.abs(result.probe("y") - ref_states))
                 <= 1e-12 * np.max(np.abs(ref_states)))
 
     def test_slots_survive_a_cancelling_entry(self):
@@ -588,7 +588,7 @@ class TestStepConstants:
         monkeypatch.setattr(CoupledSystem, "energy_gradient", counted("energy_gradient"))
         monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
         monkeypatch.setattr(system.field, "element_map", CountedMap())
-        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4), probes={"y": state_probe})
         assert [rec.newton.iterations for rec in result.records] == [1] * 80
         assert per_step == [{"rate_op": 0, "energy_gradient": 1, "G a": 1}] * 80
         monkeypatch.undo()
@@ -597,10 +597,10 @@ class TestStepConstants:
         grid = result.grid
         operator = StepOperator(system, grid.tau)
         y, energy, z_pred = system.layout.zeros(), 0.0, None
-        for n, rec in enumerate(result.records, start=1):
+        for n, (rec, state) in enumerate(zip(result.records, result.probe("y")), start=1):
             y_next, fresh = midpoint_step(operator, y.copy(), grid.time(n - 1), energy,
                                           index=n, increment_hint=z_pred)
-            assert np.array_equal(y_next, rec.state) and fresh.audit == rec.audit
+            assert np.array_equal(y_next, state) and fresh.audit == rec.audit
             z_pred, y, energy = y_next - y, y_next, fresh.energy
 
     def test_diode_law_once_per_iterate(self, rectifier, monkeypatch):
@@ -847,9 +847,8 @@ class TestPowerAudit:
         _parsed, _graph, system = linear_coupled
         tau = 1e-3
         grid = TimeGrid(0.0, 5e-3, tau)
-        result = run_transient(system, grid)
-        y_prev = result.records[-2].state
-        y_next = result.records[-1].state
+        result = run_transient(system, grid, probes={"y": state_probe})
+        y_prev, y_next = result.probe("y")[-2:]
         sources = system.sources(result.records[-2].time + 0.5 * tau)
         h_prev = system.energy(y_prev)
         clean = power_audit(system, (y_next - y_prev) / tau, sources,
@@ -873,13 +872,14 @@ class TestPowerAudit:
         tau = 1e-3
         grid = TimeGrid(0.0, 0.02, tau)
         result = run_transient(system, grid,
-                               probes={"h": compile_probe(system, "H", parsed.node_ids)})
+                               probes={"h": compile_probe(system, "H", parsed.node_ids),
+                                       "y": state_probe})
         assert len(calls) == grid.n_steps + 1
         monkeypatch.undo()
 
         h_prev = system.energy(system.layout.zeros())
-        for rec, h_probe in zip(result.records, result.probe("h")):
-            assert rec.energy == system.energy(rec.state)
+        for rec, h_probe, y in zip(result.records, result.probe("h"), result.probe("y")):
+            assert rec.energy == system.energy(y)
             assert h_probe == rec.energy
             assert rec.audit.dh_dt == (rec.energy - h_prev) / tau
             h_prev = rec.energy
@@ -943,13 +943,47 @@ class TestRunTransient:
         for rec in result.records:
             assert rec.newton.residual_norm <= 1e-12
 
+    def test_memory_does_not_grow_with_states(self):
+        # a run keeps each step's certificate, not its state: three times as
+        # many steps may add less than a quarter of a state's bytes per step
+        field = build_field_model(*generate_transformer_mesh(TransformerParams(), 0.0125))
+        system = build_from_netlist(LINEAR_COUPLED_NETLIST, field=field)[2]
+        tau, n = 6.25e-4, 25
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_transient(system, TimeGrid(0.0, steps * tau, tau))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(n)  # the first run also builds what the system caches
+        growth = (peak(4 * n) - peak(n)) / (3 * n)
+        assert growth < 0.25 * system.layout.zeros().nbytes
+
+    def test_state_probe_gives_history(self, rectifier):
+        # a probe that returns ctx.y_next gives the states of a manual loop
+        # of midpoint steps, bit for bit
+        _parsed, _graph, system = rectifier
+        grid = TimeGrid(0.0, 0.0125, 6.25e-4)
+        states = run_transient(system, grid, probes={"y": state_probe}).probe("y")
+        assert states.shape == (grid.n_steps, system.layout.size)
+        operator = StepOperator(system, grid.tau)
+        y, energy, z_pred = system.layout.zeros(), 0.0, None
+        for n in range(1, grid.n_steps + 1):
+            y_next, rec = midpoint_step(operator, y, grid.time(n - 1), energy, index=n,
+                                        increment_hint=z_pred)
+            assert np.array_equal(states[n - 1], y_next)
+            z_pred, y, energy = y_next - y, y_next, rec.energy
+
     def test_energy_decays_after_source_cutoff(self, rlc):
         # drive the circuit, then continue stepping with the source zeroed:
         # the stored energy must be non-increasing from then on
         parsed, graph, _system = rlc
         driven = assemble_coupled(graph)
-        result = run_transient(driven, TimeGrid(0.0, 0.02, 5e-4))
-        y = result.records[-1].state
+        result = run_transient(driven, TimeGrid(0.0, 0.02, 5e-4), probes={"y": state_probe})
+        y = result.probe("y")[-1]
 
         quiet = assemble_coupled(
             dataclasses.replace(graph, voltage_waveforms=(Waveform.dc(0.0),)))

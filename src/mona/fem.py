@@ -44,7 +44,6 @@ __all__ = [
     "Winding",
     "FieldModel",
     "TransformerParams",
-    "triangle_areas",
     "rect_mesh",
     "assemble_stiffness",
     "assemble_mass",
@@ -92,7 +91,8 @@ class TriMesh:
             raise MeshError("boundary vertex index out of range")
         if not self.depth > 0.0:
             raise MeshError("mesh depth must be positive")
-        areas = triangle_areas(self.vertices, self.triangles)
+        self._edges = _edge_vectors(self.vertices, self.triangles)
+        areas = 0.5 * self._edges[2]
         bad = np.flatnonzero(areas <= 0.0)
         if bad.size:
             raise MeshError(f"triangles with non-positive area: {bad[:10].tolist()}")
@@ -155,37 +155,26 @@ class Winding:
             raise MeshError(f"winding {self.name!r}: turns must be positive")
 
 
-def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p0 = vertices[triangles[:, 0]]
-    e1 = vertices[triangles[:, 1]] - p0
-    e2 = vertices[triangles[:, 2]] - p0
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+def _edge_vectors(vertices: np.ndarray, triangles: np.ndarray):
+    """(e1, e2, det) per triangle: the edges from its vertex 0 to its vertices
+    1 and 2, and det = e1 x e2, twice the signed area.  The vertex
+    coordinates are gathered once, for the areas and the gradients both."""
+    p = np.take(vertices, triangles, axis=0)
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    return e1, e2, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
 
 
 def _gradients(mesh: TriMesh):
     """Constant P1 basis gradients per triangle, shape (m, 3, 2)."""
-    tri = mesh.triangles
-    p0 = mesh.vertices[tri[:, 0]]
-    e1 = mesh.vertices[tri[:, 1]] - p0
-    e2 = mesh.vertices[tri[:, 2]] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    g = np.empty((tri.shape[0], 3, 2))
+    e1, e2, det = mesh._edges
+    g = np.empty((mesh.n_triangles, 3, 2))
     g[:, 1, 0] = e2[:, 1] / det
     g[:, 1, 1] = -e2[:, 0] / det
     g[:, 2, 0] = -e1[:, 1] / det
     g[:, 2, 1] = e1[:, 0] / det
     g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
     return g
-
-
-def _scatter(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
-    """Accumulate (m, 3, 3) local blocks into a CSR matrix over vertices."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.n_vertices, mesh.n_vertices))
-    return mat.tocsr()
 
 
 def _element_map(mesh: TriMesh, materials: MaterialMap, dof_map: np.ndarray):
@@ -212,8 +201,17 @@ def _element_map(mesh: TriMesh, materials: MaterialMap, dof_map: np.ndarray):
 
 def _gradient_and_stiffness(g: sp.csr_matrix, coef: np.ndarray):
     """(G^T C, K): the energy's gradient map G^T C with C = diag([coef; coef])
-    folded in, as one CSR matrix, and the stiffness K = (G^T C) G."""
-    weighted = (sp.diags(np.concatenate([coef, coef])) @ g).T.tocsr()
+    folded in, as one CSR matrix, and the stiffness K = (G^T C) G.
+
+    C G is G with its rows scaled, each entry one rounded product as in the
+    sparse product C @ G, and like that product it holds no exact zeros: a
+    row whose coef is 0 is dropped whole.  An overflowing product is left
+    infinite, without a warning, for the caller to reject."""
+    rows = np.repeat(np.concatenate([coef, coef]), np.diff(g.indptr))
+    with np.errstate(over="ignore"):
+        data = np.multiply(g.data, rows, out=np.zeros_like(g.data), where=rows != 0)
+    weighted = sp.csr_matrix((data, g.indices, g.indptr), shape=g.shape).T.tocsr()
+    weighted.eliminate_zeros()
     return weighted, (weighted @ g).tocsr()
 
 
@@ -236,11 +234,25 @@ def assemble_mass(mesh: TriMesh, materials: MaterialMap) -> sp.csr_matrix:
 
     Rows of vertices touched only by non-conducting triangles are exactly
     zero; explicit zeros are pruned so those rows stay structurally empty.
+    Only the triangles that share a vertex with a conducting triangle are
+    scattered: every triangle at a conducting vertex is among them, in mesh
+    order, so that vertex's row receives the same entries in the same order
+    as from a scatter of all triangles, and the per-row sort and duplicate
+    sum of the CSR conversion give the same bits.  The rows of the other
+    scattered vertices hold only zeros, which are pruned.
     """
     _check_counts(mesh, materials)
     coef = materials.conductivity * mesh.depth * mesh.areas
-    local = coef[:, None, None] * _MASS_PATTERN
-    mat = _scatter(mesh, local)
+    n = mesh.n_vertices
+    hot = np.zeros(n, dtype=bool)
+    hot[mesh.triangles[coef != 0.0]] = True
+    near = np.take(hot, mesh.triangles)
+    kept = near[:, 0] | near[:, 1] | near[:, 2]
+    tri = mesh.triangles[kept]
+    local = coef[kept, None, None] * _MASS_PATTERN
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     mat.eliminate_zeros()
     return mat
 
@@ -347,16 +359,28 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
     vertex, a coef = nu * depth * area that is 0 or not finite in binary64,
     and a G or K that is not finite; a badly conditioned mesh is accepted.
     :class:`MeshError` rejects a sigma * depth * area that is not finite.
+
+    Everything is built once, from whole arrays: G and coef, G^T C and K,
+    the mass M and the winding matrix.  Each array is formed from the
+    triangles that contribute to it (M from those at a conducting vertex, see
+    :func:`assemble_mass`), and each keeps the bits of the all-triangle
+    assembly: the same products, summed in the same order.
     """
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
-    dof_map = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    n, m = mesh.n_vertices, mesh.n_triangles
+    free = np.ones(n, dtype=bool)
+    free[mesh.boundary_vertices] = False
+    interior = np.flatnonzero(free)
+    dof_map = np.full(n, -1, dtype=np.int64)
     dof_map[interior] = np.arange(interior.size)
 
-    tri = mesh.triangles  # edges 0-1 and 1-2 link each triangle's vertices
-    links = sp.coo_matrix((np.ones(2 * mesh.n_triangles), (tri[:, :2].ravel(), tri[:, 1:].ravel())),
-                          shape=(mesh.n_vertices,) * 2)
-    part = connected_components(links, directed=False)[1]
-    loose = np.flatnonzero(~np.isin(part, part[mesh.boundary_vertices]))
+    # the graph of vertices and triangles, node n + t linked to triangle t's
+    # three vertices, connects two vertices exactly when a triangle path does
+    starts = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(0, 3 * m + 1, 3)])
+    links = sp.csr_matrix((np.ones(3 * m), mesh.triangles.ravel(), starts), shape=(n + m,) * 2)
+    n_parts, part = connected_components(links, directed=False)
+    gauged = np.zeros(n_parts, dtype=bool)
+    gauged[part[mesh.boundary_vertices]] = True
+    loose = np.flatnonzero(~gauged[part[:n]])
     if loose.size:
         raise GaugeError(f"gauged stiffness matrix is singular: {loose.size} interior vertices "
                          f"share no triangle path with the gauge, e.g. {loose[:10].tolist()}")
@@ -386,16 +410,23 @@ def boundary_vertices_of(vertices: np.ndarray, triangles: np.ndarray) -> np.ndar
     """Vertices on edges that belong to exactly one triangle.
 
     Each edge (lo, hi), lo < hi, is counted under the one integer key
-    lo * n + hi, with n the number of vertices.
+    lo * n + hi, with n the number of vertices: sorted, a key that equals
+    neither neighbour occurs once.
     """
     n = vertices.shape[0]
     tri = np.asarray(triangles, dtype=np.int64)
     heads = tri.ravel()
     tails = tri[:, [1, 2, 0]].ravel()
-    keys = np.minimum(heads, tails) * n + np.maximum(heads, tails)
-    uniq, counts = np.unique(keys, return_counts=True)
-    once = uniq[counts == 1]
-    return np.unique(np.concatenate([once // n, once % n]))
+    keys = np.minimum(heads, tails)
+    keys *= n
+    keys += np.maximum(heads, tails)
+    keys.sort()
+    repeated = keys[1:] == keys[:-1]
+    once = np.ones(keys.size, dtype=bool)
+    once[1:] &= ~repeated
+    once[:-1] &= ~repeated
+    edges = keys[once]
+    return np.unique(np.concatenate([edges // n, edges % n]))
 
 
 def rect_mesh(nx: int, ny: int, width: float, height: float, depth: float = 1.0) -> TriMesh:
@@ -556,23 +587,26 @@ def save_mesh(path, mesh: TriMesh, materials: MaterialMap, windings) -> None:
         tri_winding[w.triangles] = k
         tri_orient[w.triangles] = w.orientation.astype(int)
 
-    keys = list(zip(materials.reluctivity, materials.conductivity, tri_winding, tri_orient))
-    region_of_key = {}
-    regions = []
-    tri_region = np.empty(mesh.n_triangles, dtype=int)
-    for t, key in enumerate(keys):
-        if key not in region_of_key:
-            region_of_key[key] = len(regions)
-            regions.append(key)
-        tri_region[t] = region_of_key[key]
+    # a region per distinct (nu, sigma, winding, orientation), numbered in
+    # order of first appearance; the values written are the first's
+    keys = np.column_stack([materials.reluctivity, materials.conductivity,
+                            tri_winding, tri_orient])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    tri_region = rank[inverse.reshape(-1)]
+    firsts = first[order]
 
     lines = [f"depth {mesh.depth:.17g}", f"vertices {mesh.n_vertices}"]
-    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
+    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices.tolist()]
     lines.append(f"triangles {mesh.n_triangles}")
-    lines += [f"{i} {j} {k} {r}" for (i, j, k), r in zip(mesh.triangles, tri_region)]
-    lines.append(f"regions {len(regions)}")
-    lines += [f"{rid} {nu:.17g} {sg:.17g} {w} {o}"
-              for rid, (nu, sg, w, o) in enumerate(regions)]
+    lines += [f"{i} {j} {k} {r}"
+              for i, j, k, r in np.column_stack([mesh.triangles, tri_region]).tolist()]
+    lines.append(f"regions {firsts.size}")
+    lines += [f"{rid} {nu:.17g} {sg:.17g} {w} {o}" for rid, (nu, sg, w, o) in enumerate(zip(
+        materials.reluctivity[firsts].tolist(), materials.conductivity[firsts].tolist(),
+        tri_winding[firsts].tolist(), tri_orient[firsts].tolist()))]
     lines.append(f"windings {len(windings)}")
     lines += [f"{k} {w.turns:.17g}" for k, w in enumerate(windings)]
     with open(path, "w", encoding="utf-8") as fh:

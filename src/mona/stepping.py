@@ -331,7 +331,8 @@ class StepOperator:
         ``diode_rows`` are those currents if the caller has them at this z_c,
         as :func:`_circuit_newton` hands them back."""
         k = self.cache.n_leading
-        r = self.matrix @ z + const_part
+        r = self.matrix @ z
+        r += const_part
         if diode_rows is None:
             diode_rows = self.system.diode_rows(z[:k] / self.tau)[0]
         r[:k] += diode_rows
@@ -352,7 +353,11 @@ class StepOperator:
 
 
 def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
-    return float((np.abs(r) / scale).max()) if r.size else 0.0
+    if not r.size:
+        return 0.0
+    scaled = np.abs(r)
+    scaled /= scale
+    return float(scaled.max())
 
 
 def _floored(scale: np.ndarray, terms: np.ndarray, tol: float) -> np.ndarray:
@@ -682,13 +687,14 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
 
     sources = system.sources(t_prev + 0.5 * tau)
     last = operator._last_step
-    const_part = (system.energy_gradient(y_prev, last.values if last.state is y_prev else None)
-                  - sources.vector)
+    const_part = system.energy_gradient(y_prev, last.values if last.state is y_prev else None)
+    const_part -= sources.vector
 
     # the step matrix and the diode currents vanish at zero, so const_part
     # is the residual of the zero increment
     const_magnitude = np.abs(const_part)
-    scale = _block_scale(system.layout, np.maximum(np.abs(sources.vector), const_magnitude))
+    peak = np.abs(sources.vector)
+    scale = _block_scale(system.layout, np.maximum(peak, const_magnitude, out=peak))
     z0 = np.zeros(k)
     if increment_hint is not None and np.isfinite(increment_hint[:k]).all():
         z0 = np.asarray(increment_hint[:k], dtype=float)
@@ -712,7 +718,8 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
     y_next = y_prev + z
-    rate = (y_next - y_prev) / tau
+    rate = y_next - y_prev
+    rate /= tau
     values = system.element_values(y_next)
     energy = system.energy(y_next, values)
     operator._last_step = _LastStep(y_next, values, rate)

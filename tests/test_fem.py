@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from mona.cli import run_cli
@@ -25,7 +26,7 @@ from mona.fem import (
     rect_mesh,
     save_mesh,
 )
-from mona.fem import _gradients, boundary_vertices_of
+from mona.fem import _element_map, _gradients, boundary_vertices_of
 
 from conftest import LINEAR_COUPLED_NETLIST
 
@@ -538,3 +539,215 @@ windings 0
         mesh, mats, winds = parse_mesh(text)
         assert mesh.n_triangles == 1
         assert winds == []
+
+
+# ---------------------------------------------------------------------------
+# assembly against the all-triangle forms it replaced, bit for bit
+
+
+def scatter_all(mesh, local):
+    """Oracle: every triangle's (3, 3) block scattered over the vertices."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+
+
+def mass_oracle(mesh, mats):
+    """Oracle: the conductivity mass of all triangles, exact zeros pruned."""
+    coef = mats.conductivity * mesh.depth * mesh.areas
+    mat = scatter_all(mesh, coef[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0))
+    mat.eliminate_zeros()
+    return mat
+
+
+def gradient_map_oracle(g, coef):
+    """Oracle: G^T C from the sparse product of the diagonal C and G."""
+    return (sp.diags(np.concatenate([coef, coef])) @ g).T.tocsr()
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(expected, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part
+
+
+def jittered_mesh(n=6, seed=3):
+    """An n x n grid on the unit square, its interior vertices moved at random
+    by up to a fifth of a cell, so no two triangles share an area."""
+    grid = rect_mesh(n, n, 1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    vertices = grid.vertices.copy()
+    free = np.setdiff1d(np.arange(grid.n_vertices), grid.boundary_vertices)
+    vertices[free] += rng.uniform(-0.2, 0.2, (free.size, 2)) / n
+    return TriMesh(vertices=vertices, triangles=grid.triangles,
+                   boundary_vertices=grid.boundary_vertices, depth=0.7)
+
+
+def conducting(mesh, triangles, seed=4):
+    """Random reluctivity everywhere, random conductivity on ``triangles``."""
+    rng = np.random.default_rng(seed)
+    sigma = np.zeros(mesh.n_triangles)
+    sigma[triangles] = rng.uniform(0.5, 2.0, len(triangles))
+    return MaterialMap(reluctivity=rng.uniform(0.5, 2.0, mesh.n_triangles), conductivity=sigma)
+
+
+def hand_cases():
+    mesh = jittered_mesh()
+    cell = np.arange(mesh.n_triangles) // 2  # 6 x 6 cells, row-major
+    col, row = cell % 6, cell // 6
+    return {
+        # the bottom row of cells: conducting vertices on the gauge boundary
+        "on_boundary": (mesh, conducting(mesh, np.flatnonzero(row == 0))),
+        # cells (1, 1) and (2, 2) share only the vertex (2, 2)
+        "corner_touch": (mesh, conducting(mesh, np.flatnonzero(
+            ((col == 1) & (row == 1)) | ((col == 2) & (row == 2))))),
+        "single_triangle": (mesh, conducting(mesh, [2 * (2 * 6 + 3) + 1])),
+        "none": (mesh, conducting(mesh, [])),
+        # half the cells of a checkerboard, every vertex conducting
+        "checkerboard": (mesh, conducting(mesh, np.flatnonzero((col + row) % 2 == 0))),
+    }
+
+
+def transformer_case(density):
+    mesh, mats, _ = generate_transformer_mesh(TransformerParams(), density)
+    return mesh, mats
+
+
+ASSEMBLY_CASES = ["transformer_0.025", "transformer_0.00625", *hand_cases()]
+
+
+def assembly_case(name):
+    if name.startswith("transformer_"):
+        return transformer_case(float(name.split("_")[1]))
+    return hand_cases()[name]
+
+
+class TestAssemblyBits:
+    """The assembly forms each array from the triangles that contribute; the
+    arrays keep the bits of the all-triangle forms kept above as oracles."""
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_mass_matches_all_triangle_scatter(self, case):
+        mesh, mats = assembly_case(case)
+        assert_same_bits(assemble_mass(mesh, mats), mass_oracle(mesh, mats))
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_field_model_matches_oracles(self, case):
+        mesh, mats = assembly_case(case)
+        model = build_field_model(mesh, mats, [])
+        interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+        assert np.array_equal(np.flatnonzero(model.dof_map >= 0), interior)
+        assert np.array_equal(model.dof_map[interior], np.arange(interior.size))
+        g, coef = _element_map(mesh, mats, model.dof_map)
+        assert_same_bits(model.element_map, g)
+        weighted = gradient_map_oracle(g, coef)
+        assert_same_bits(model.gradient_map, weighted)
+        assert_same_bits(model.stiffness, (weighted @ g).tocsr())
+        assert_same_bits(model.mass, mass_oracle(mesh, mats)[interior][:, interior].tocsr())
+
+    def test_no_conducting_triangle_gives_empty_mass(self):
+        mesh, mats = hand_cases()["none"]
+        model = build_field_model(mesh, mats, [])
+        assert model.mass.nnz == 0
+        assert not model.mass.indptr.any()
+
+    @pytest.mark.parametrize("case", ["transformer_0.025", "on_boundary"])
+    def test_gradients_and_areas_match_direct_gathers(self, case):
+        mesh, _ = assembly_case(case)
+        v, tri = mesh.vertices, mesh.triangles
+        p0 = v[tri[:, 0]]
+        e1, e2 = v[tri[:, 1]] - p0, v[tri[:, 2]] - p0
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        assert mesh.areas.tobytes() == (0.5 * det).tobytes()
+        grads = _gradients(mesh)
+        for i, (gx, gy) in ((1, (e2[:, 1] / det, -e2[:, 0] / det)),
+                            (2, (-e1[:, 1] / det, e1[:, 0] / det))):
+            assert grads[:, i, 0].tobytes() == gx.tobytes()
+            assert grads[:, i, 1].tobytes() == gy.tobytes()
+
+    def test_scaled_gradient_overflow_raises_gauge_error_without_warning(self):
+        # a 1e9 m x 0.1 m box with a centre vertex: coef = 1e300 * 2.5e7 is
+        # finite, but coef times the centre's gradient (20 /m across the
+        # long triangles) overflows
+        mesh = TriMesh(vertices=np.array([[0.0, 0.0], [1e9, 0.0], [1e9, 0.1], [0.0, 0.1],
+                                          [5e8, 0.05]]),
+                       triangles=np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+                       boundary_vertices=np.array([0, 1, 2, 3]), depth=1.0)
+        mats = unit_materials(nu=1e300, sigma=0.0, n=4)
+        assert np.all(np.isfinite(mats.reluctivity * mesh.depth * mesh.areas))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GaugeError, match="basis gradients or their products overflow"):
+                build_field_model(mesh, mats, [])
+
+    def test_zero_coef_row_dropped_whole(self):
+        # a triangle 1e-310 m high: its coef underflows to 0 while a basis
+        # gradient overflows; the diagonal product drops the row whole, where
+        # 0 * inf would be nan
+        mesh = TriMesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-310]]),
+                       triangles=np.array([[0, 1, 2]]), boundary_vertices=np.array([0]),
+                       depth=1.0)
+        mats = unit_materials(nu=1e-20, sigma=0.0)
+        g, coef = _element_map(mesh, mats, np.arange(3))
+        assert coef[0] == 0.0 and np.isinf(g.data).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = assemble_stiffness(mesh, mats)
+        assert_same_bits(k, (gradient_map_oracle(g, coef) @ g).tocsr())
+
+
+def save_mesh_oracle(path, mesh, materials, windings):
+    """Oracle: the per-triangle writer, regions keyed in a dict."""
+    windings = list(windings)
+    tri_winding = np.full(mesh.n_triangles, -1, dtype=int)
+    tri_orient = np.zeros(mesh.n_triangles, dtype=int)
+    for k, w in enumerate(windings):
+        tri_winding[w.triangles] = k
+        tri_orient[w.triangles] = w.orientation.astype(int)
+    region_of_key, regions = {}, []
+    tri_region = np.empty(mesh.n_triangles, dtype=int)
+    for t, key in enumerate(zip(materials.reluctivity, materials.conductivity,
+                                tri_winding, tri_orient)):
+        if key not in region_of_key:
+            region_of_key[key] = len(regions)
+            regions.append(key)
+        tri_region[t] = region_of_key[key]
+    lines = [f"depth {mesh.depth:.17g}", f"vertices {mesh.n_vertices}"]
+    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
+    lines.append(f"triangles {mesh.n_triangles}")
+    lines += [f"{i} {j} {k} {r}" for (i, j, k), r in zip(mesh.triangles, tri_region)]
+    lines.append(f"regions {len(regions)}")
+    lines += [f"{rid} {nu:.17g} {sg:.17g} {w} {o}" for rid, (nu, sg, w, o) in enumerate(regions)]
+    lines.append(f"windings {len(windings)}")
+    lines += [f"{k} {w.turns:.17g}" for k, w in enumerate(windings)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestSaveMeshBytes:
+    @pytest.mark.parametrize("density", [0.025, 0.00625])
+    def test_transformer_file_matches_per_triangle_writer(self, tmp_path, density):
+        parts = generate_transformer_mesh(TransformerParams(), density)
+        save_mesh(tmp_path / "got.mesh", *parts)
+        save_mesh_oracle(tmp_path / "expected.mesh", *parts)
+        assert (tmp_path / "got.mesh").read_bytes() == (tmp_path / "expected.mesh").read_bytes()
+
+    def test_regions_numbered_by_first_appearance(self, tmp_path):
+        # regions first appear out of sorted order, and sigma -0.0 equals 0.0
+        # as a region key: the first triangle's value is the one written
+        mesh = jittered_mesh(n=3)
+        sigma = np.array([-0.0, 2.0, 0.0, 2.0, 1.0, -0.0, 0.0, 1.0, 2.0,
+                          0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 2.0, 0.0])
+        nu = np.where(np.arange(mesh.n_triangles) % 3 == 0, 3.0, 0.5)
+        mats = MaterialMap(reluctivity=nu, conductivity=sigma)
+        windings = [Winding(name="w", triangles=np.array([14, 11, 10]),
+                            orientation=np.array([1.0, -1.0, 1.0]), turns=5.0)]
+        save_mesh(tmp_path / "got.mesh", mesh, mats, windings)
+        save_mesh_oracle(tmp_path / "expected.mesh", mesh, mats, windings)
+        got = (tmp_path / "got.mesh").read_bytes()
+        assert got == (tmp_path / "expected.mesh").read_bytes()
+        assert b" -0 " in got

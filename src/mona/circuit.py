@@ -33,7 +33,6 @@ __all__ = [
     "build_incidence",
     "validate_topology",
     "resistive_branch_current",
-    "resistive_branch_slope",
     "diode_law",
     "diode_critical_voltage",
     "diode_voltage_limit",
@@ -427,13 +426,6 @@ def _subgraph_cycles(graph: CircuitGraph, kinds) -> list:
     return cycles
 
 
-def _checked_branch_voltages(graph: CircuitGraph, v_branch) -> np.ndarray:
-    v_branch = np.asarray(v_branch, dtype=float)
-    if v_branch.shape != (graph.n_resistive,):
-        raise ValueError(f"expected {graph.n_resistive} branch voltages")
-    return v_branch
-
-
 def diode_law(graph: CircuitGraph, v: np.ndarray):
     """Currents I_s*(exp(v/V_th) - 1) + v/R_par of the diodes at voltages v and
     their slopes di/dv, from one exponential, continued linearly (with the
@@ -452,27 +444,17 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray) -> np.nd
     """Branch currents of the resistive partition.
 
     ``v_branch`` concatenates linear branches first, diodes after.  Linear
-    branches obey i = G v, diodes :func:`diode_law`.  The slopes di/dv
-    are :func:`resistive_branch_slope`.
+    branches obey i = G v, diodes :func:`diode_law`.
     """
-    v_branch = _checked_branch_voltages(graph, v_branch)
+    v_branch = np.asarray(v_branch, dtype=float)
+    if v_branch.shape != (graph.n_resistive,):
+        raise ValueError(f"expected {graph.n_resistive} branch voltages")
     n_lin = graph.n_linear_resistive
     i = np.empty_like(v_branch)
     i[:n_lin] = graph.conductance * v_branch[:n_lin]
     if graph.n_diodes:
         i[n_lin:] = diode_law(graph, v_branch[n_lin:])[0]
     return i
-
-
-def resistive_branch_slope(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:
-    """The conductances di/dv of :func:`resistive_branch_current`."""
-    v_branch = _checked_branch_voltages(graph, v_branch)
-    n_lin = graph.n_linear_resistive
-    didv = np.empty_like(v_branch)
-    didv[:n_lin] = graph.conductance
-    if graph.n_diodes:
-        didv[n_lin:] = diode_law(graph, v_branch[n_lin:])[1]
-    return didv
 
 
 def diode_critical_voltage(thermal: np.ndarray, saturation: np.ndarray) -> np.ndarray:

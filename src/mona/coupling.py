@@ -25,8 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .circuit import (CircuitGraph, circuit_energy, diode_law, resistive_branch_current,
-                      resistive_branch_slope)
+from .circuit import CircuitGraph, circuit_energy, diode_law, resistive_branch_current
 from .errors import MeshError
 from .fem import FieldModel
 
@@ -251,32 +250,30 @@ class CoupledSystem:
         currents, slopes = diode_law(self.graph, a_d.T @ ydot_c)
         return a_d @ currents, slopes
 
-    def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
-        """(d residual / d y, d residual / d ydot) as CSR matrices.
-
-        Only the resistive conductances (:meth:`conductance`) depend on the
-        evaluation point; every other block is constant.
-        """
+    @cached_property
+    def constant_jacobians(self):
+        """(J_state, J_rate_lin) as CSR matrices: the energy's constant
+        Hessian, and the rate Jacobian without the diode conductances, the
+        only entries of either that depend on the evaluation point.  The
+        step matrix (:class:`~mona.stepping.StepOperator`) and
+        :meth:`jacobians` are built from this one pair."""
         lay = self.layout
-        psi, _q_c, _q_v, q_m, _a = lay.slices
-        rate = self.circuit_rate_matrix.copy()
-        rate[psi, psi] = self.conductance(np.asarray(ydot, dtype=float)[psi])
-        coupling = np.zeros((rate.shape[0], lay.n_a))
-        coupling[q_m] = self.winding_matrix.T
+        coupling = np.zeros((lay.size - lay.n_a, lay.n_a))
+        coupling[lay.block_slice("q_m")] = self.winding_matrix.T
         return (sp.bmat([[self.circuit_hessian, None], [None, self.stiffness]]).tocsr(),
-                sp.bmat([[rate, coupling], [-coupling.T, self.mass]]).tocsr())
+                sp.bmat([[self.circuit_rate_matrix, coupling],
+                         [-coupling.T, self.mass]]).tocsr())
 
-    def conductance(self, psi_dot: np.ndarray) -> np.ndarray:
-        """Nodal conductance matrix of the resistive branches at node rates psi_dot.
-
-        The ``psi``/``psi`` block of the rate Jacobian, and the only block of
-        either Jacobian that depends on the evaluation point.  Only the branch
-        slopes di/dv are evaluated (:func:`resistive_branch_slope`), not the
-        branch currents.
-        """
-        g = self.graph
-        didv = resistive_branch_slope(g, g.a_r.T @ psi_dot)
-        return g.a_r @ (didv[:, None] * g.a_r.T)
+    def jacobians(self, y: np.ndarray, ydot: np.ndarray, t: float):
+        """(d residual / d y, d residual / d ydot) as CSR matrices:
+        :attr:`constant_jacobians` with A_d diag(g) A_d^T added to the rate
+        Jacobian, g the diode slopes at ydot (:meth:`diode_rows`)."""
+        j_state, j_rate = self.constant_jacobians
+        lay = self.layout
+        a_d = self.diode_incidence
+        slopes = self.diode_rows(np.asarray(ydot, dtype=float)[:lay.size - lay.n_a])[1]
+        diodes = sp.block_diag((a_d @ (slopes[:, None] * a_d.T), sp.csr_matrix((lay.n_a, lay.n_a))))
+        return j_state.copy(), (j_rate + diodes).tocsr()
 
     def element_values(self, y: np.ndarray):
         """G a of y's field block a, which :meth:`energy` and

@@ -51,6 +51,9 @@ MAX_HALVINGS = 30  # step halvings per Newton line search
 # magnitude count as solved: binary64 cannot represent anything smaller
 FLOOR_FACTOR = 4.0
 _FLOOR_EPS = FLOOR_FACTOR * np.finfo(float).eps
+# corrections with the carried factorization that may finish a step whose
+# circuit Newton missed the full-space tolerance (:func:`midpoint_step`)
+MAX_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -103,16 +106,17 @@ class NewtonConfig:
 
 @dataclass
 class NewtonStats:
-    """Work and outcome of one Newton solve.  ``iterations`` includes the
-    ``polish_iterations`` of a full-space solve that finished a step whose
-    reduced solve missed the full-space tolerance."""
+    """Work and outcome of one Newton solve.  In a step's record
+    ``iterations`` includes the ``refinements``: the corrections with the
+    carried factorization that finished a step whose circuit Newton missed
+    the full-space tolerance (:func:`midpoint_step`)."""
 
     iterations: int = 0
     residual_norm: float = math.inf
     halvings: int = 0
     factorizations: int = 0
     converged: bool = False
-    polish_iterations: int = 0
+    refinements: int = 0
 
 
 class _DenseLU:
@@ -151,8 +155,8 @@ class FactorCache:
     the diagonal and forms V = J_ca J_aa^-1 (``v``) and W = V J_ac, both
     empty without a trailing block, and ``reduced_matrix`` = J_cc - W.
     Each :meth:`refactor` takes the stamped entries of J_cc (at ``rows``,
-    ``cols``), writes them into copies of J_cc - W and |J_cc| + |W| and
-    factors the Schur complement S by dense LU; a singular S raises
+    ``cols``), writes them into copies of J_cc - W and |J_cc| and factors
+    the Schur complement S by dense LU; a singular S raises
     :class:`SolverError`.
 
     ``solve`` and ``magnitude`` take the leading unknowns alone, where they
@@ -160,20 +164,16 @@ class FactorCache:
     x_c = S^-1 (b_c - V b_a) (:meth:`condense`) and
     x_a = J_aa^-1 (b_a - J_ac x_c) (:meth:`trailing_solve`), the trailing
     unknowns themselves rather than a difference of larger terms, and
-    ``magnitude`` is |J| |x| from |J| kept in the matrix's sparse structure,
-    with a slot for every stamped entry, which it writes when first asked.
+    ``magnitude`` is |J| |x| blockwise from the exact entries: the dense
+    |J_cc| with the stamped entries written, and the sparse |J_ca|, |J_ac|
+    and |J_aa|.  Before the first refactor the stamped entries are those of
+    ``matrix``.
     """
 
     def __init__(self, matrix, rows: np.ndarray, cols: np.ndarray, n_trailing: int = 0):
-        base = _with_slots(matrix, rows, cols)
-        position = base.copy()
-        position.data = np.arange(1.0, base.nnz + 1.0)
+        base = matrix.tocsc()
         self.n_leading = k = base.shape[0] - n_trailing
-        # indexed dense: scipy's sparse indexing returns a sparse matrix, not
-        # an array, when the stamp is empty (no resistor, diode or inductor)
-        self._slots = position[:k, :k].toarray()[rows, cols].astype(int) - 1
         self.rows, self.cols = rows, cols
-        self._abs = abs(base)
         self._lu_aa = factor_spd(base[k:, k:])
         j_ac = base[k:, :k]
         # trailing_solve multiplies the columns of J_ac with entries (the
@@ -190,14 +190,15 @@ class FactorCache:
         self.v[coupled] = self._lu_aa.solve(j_ca[coupled].T.toarray(), trans="T").T
         self.abs_v = np.abs(self.v)
         w = self.v @ j_ac
-        leading = matrix.tocsr()[:k, :k].toarray()  # J_cc as given, without the slots
-        self.reduced_matrix = leading - w
-        self._abs_reduced = np.abs(leading) + np.abs(w)
+        # J_cc, row-major: the layout fixes BLAS's summation order in the
+        # products with J_cc - W, which every output byte depends on
+        self.leading = base[:k, :k].toarray(order="C")
+        self.reduced_matrix = self.leading - w
         self._w_stamped = w[rows, cols]
-        self._abs_w_stamped = np.abs(self._w_stamped)
-        self._abs_schur = None  # |J_cc| + |W| of the last refactor
-        self._stamped = None    # its stamped entries, until written into |J|
-        self._lu = None         # _DenseLU of the Schur complement S
+        self._w_abs = np.abs(w)
+        self._off_abs = abs(j_ca), abs(j_ac), abs(base[k:, k:])
+        self._set_magnitude(self.leading[rows, cols])
+        self._lu = None  # _DenseLU of the Schur complement S
 
     @property
     def ready(self) -> bool:
@@ -216,20 +217,25 @@ class FactorCache:
         (:meth:`StepOperator.stamp`)."""
         self._lu = None
         self._lu = _DenseLU(self.schur_complement(stamped))  # SolverError if singular
-        self._abs_schur = self._abs_reduced.copy()
-        self._abs_schur[self.rows, self.cols] = np.abs(stamped) + self._abs_w_stamped
-        self._stamped = stamped
+        self._set_magnitude(stamped)
+
+    def _set_magnitude(self, stamped: np.ndarray) -> None:
+        """|J_cc| and |J_cc| + |W| with the stamped entries set to ``stamped``."""
+        self._cc_abs = np.abs(self.leading)
+        self._cc_abs[self.rows, self.cols] = np.abs(stamped)
+        self._schur_abs = self._cc_abs + self._w_abs
 
     def magnitude(self, x: np.ndarray) -> np.ndarray:
         """|J| |x| for the matrix last factored: the size of the terms of
         J x, on all unknowns or on the leading ones with the trailing block
         eliminated."""
-        if x.shape[0] != self._abs.shape[0]:
-            return self._abs_schur @ np.abs(x)
-        if self._stamped is not None:
-            self._abs.data[self._slots] = np.abs(self._stamped)
-            self._stamped = None
-        return self._abs @ np.abs(x)
+        x = np.abs(x)
+        k = self.n_leading
+        if x.shape[0] == k:
+            return self._schur_abs @ x
+        abs_ca, abs_ac, abs_aa = self._off_abs
+        return np.concatenate([self._cc_abs @ x[:k] + abs_ca @ x[k:],
+                               abs_ac @ x[:k] + abs_aa @ x[k:]])
 
     def condense(self, b: np.ndarray) -> np.ndarray:
         """b_c - V b_a: the leading rows of ``b`` with the trailing block
@@ -250,21 +256,6 @@ class FactorCache:
         return np.concatenate([x_c, self.trailing_solve(rhs[self.n_leading:], x_c)])
 
 
-def _with_slots(matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
-    """``matrix`` in CSC form with its entries at (rows, cols) set to 1.0.
-
-    Built from coordinates rather than by adding a matrix of slots, which
-    would drop an entry where the two cancel exactly."""
-    coo = matrix.tocoo()
-    n = matrix.shape[0]
-    keys = coo.row.astype(np.int64) * n + coo.col
-    kept = ~np.isin(keys, np.asarray(rows, dtype=np.int64) * n + cols)
-    return sp.csc_matrix(
-        (np.concatenate([coo.data[kept], np.ones(len(rows))]),
-         (np.concatenate([coo.row[kept], rows]), np.concatenate([coo.col[kept], cols]))),
-        shape=matrix.shape)
-
-
 class _LastStep(NamedTuple):
     """What the last step of a :class:`StepOperator` leaves behind: the state
     it returned, that state's G a for the next step's energy gradient, and
@@ -279,14 +270,17 @@ class StepOperator:
     """Everything a midpoint step of size tau on one system needs besides
     its state, built once.
 
-    ``matrix`` is the step matrix J_lin = 0.5*J_state + J_rate_lin/tau, the
-    midpoint iteration matrix without the diode conductances; :meth:`residual`
-    is the step residual.  J_lin seeds the :class:`FactorCache` that carries
-    the factorization from step to step, with the field block as its
-    trailing block, so the cache's ``reduced_matrix`` is L = J_lin_cc - W.
-    Only the resistive conductance block (``psi``/``psi``) of the iteration
-    matrix depends on the Newton iterate: :meth:`stamp` gives its entries at
-    the cache's (``rows``, ``cols``), and a refactorization writes only them.
+    ``matrix`` is the step matrix J_lin = 0.5*J_state + J_rate_lin/tau from
+    the system's :attr:`~mona.coupling.CoupledSystem.constant_jacobians`,
+    the midpoint iteration matrix without the diode conductances;
+    :meth:`residual` is the step residual.  J_lin seeds the
+    :class:`FactorCache` that carries the factorization from step to step,
+    with the field block as its trailing block, so the cache's
+    ``reduced_matrix`` is L = J_lin_cc - W.  Only the diode conductances,
+    in the ``psi``/``psi`` block, of the iteration matrix depend on the
+    Newton iterate: :meth:`stamp` gives that block's entries at the cache's
+    (``rows``, ``cols``), the node pairs that a resistor, diode or inductor
+    joins, and a refactorization writes only them.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
@@ -297,30 +291,17 @@ class StepOperator:
         self.limiter = _diode_limiter(system, tau)
         # J_rate is weighted by 1/tau as sparse division does, so the stamped
         # block rounds exactly as the constant part does
-        self._rate_weight = weight = 1.0 / tau
-        layout = system.layout
-        k = layout.size - layout.n_a
-        # the blocks of 0.5*J_state + J_rate*weight: the field block only
-        # couples to the device charges, through the winding matrix
-        linear = 0.5 * system.circuit_hessian + system.circuit_rate_matrix * weight
-        coupling = np.zeros((k, layout.n_a))
-        coupling[layout.block_slice("q_m")] = system.winding_matrix.T
-        self.matrix = sp.bmat(
-            [[linear, sp.csr_matrix(coupling) * weight],
-             [sp.csr_matrix(-coupling.T) * weight, 0.5 * system.stiffness + system.mass * weight]],
-            format="csr")
-        self._psi = psi = layout.block_slice("psi")
-        self._inductive = 0.5 * system.circuit_hessian[psi, psi]
-        # conductances are positive, so the pattern of the block at rest is
-        # the pattern at every iterate
-        rows, cols = np.nonzero(
-            (system.conductance(np.zeros(layout.n_nodes)) != 0.0) | (self._inductive != 0.0))
-        self.cache = FactorCache(self.matrix, rows, cols, n_trailing=layout.n_a)
+        weight = 1.0 / tau
+        j_state, j_rate = system.constant_jacobians
+        self.matrix = 0.5 * j_state + j_rate * weight
+        g = system.graph
+        rows, cols = np.nonzero(np.abs(g.a_r) @ np.abs(g.a_r.T) + np.abs(g.a_l) @ np.abs(g.a_l.T))
+        self.cache = FactorCache(self.matrix, rows, cols, n_trailing=system.layout.n_a)
         # entry (i, j) of the diode stamp is sum_d A_d[i, d] A_d[j, d] g_d / tau;
         # the incidences are 0 or +-1, so weighting them first rounds alike
-        a_d = system.diode_incidence[psi]
+        a_d = system.diode_incidence
         self._diode_pairs = (a_d[rows] * a_d[cols]) * weight
-        self._linear_stamped = linear[rows, cols]
+        self._linear_stamped = self.cache.leading[rows, cols]
         self._last_step = _LastStep(None, None, None)
 
     def residual(self, z: np.ndarray, const_part: np.ndarray,
@@ -338,17 +319,12 @@ class StepOperator:
         r[:k] += diode_rows
         return r
 
-    def stamp(self, z: np.ndarray, slopes: np.ndarray | None = None) -> np.ndarray:
-        """The stamped entries of the iteration matrix at the state increment
-        z, the ``psi``/``psi`` block at the cache's (``rows``, ``cols``), which
-        :meth:`FactorCache.refactor` takes.  From ``slopes``, the diode
-        slopes at z that :meth:`CoupledSystem.diode_rows` gave with the
-        currents, if given; else from every resistive branch law
-        (:meth:`CoupledSystem.conductance`)."""
-        if slopes is None:
-            block = (self._inductive + self._rate_weight
-                     * self.system.conductance(z[self._psi] / self.tau))
-            return block[self.cache.rows, self.cache.cols]
+    def stamp(self, slopes: np.ndarray) -> np.ndarray:
+        """The stamped entries of the iteration matrix, the ``psi``/``psi``
+        block at the cache's (``rows``, ``cols``), which
+        :meth:`FactorCache.refactor` takes: J_lin's entries plus the diode
+        stamp from ``slopes``, the diode slopes that
+        :meth:`CoupledSystem.diode_rows` gave with the currents."""
         return self._linear_stamped + self._diode_pairs @ slopes
 
 
@@ -382,8 +358,8 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     only if that step is non-finite or its line search fails; every later
     iteration refactors at its iterate: exact Newton.  The loop uses only
     the cache's ``ready``, ``refactor``, ``magnitude`` and ``solve``; a
-    :class:`FactorCache` serves Newton on the circuit unknowns with the field
-    eliminated and the full-space polish alike, by the length of ``x``.
+    midpoint step runs it on the circuit unknowns, with a
+    :class:`FactorCache` that has the field eliminated.
     Step halving (at most :data:`MAX_HALVINGS` per line search) guards
     against overshoot; a step whose residual stays non-finite after all
     halvings is a hard failure.
@@ -665,11 +641,14 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     Newton runs on the circuit unknowns with the field eliminated
     (:func:`_circuit_newton`), from the circuit entries of
     ``increment_hint`` if they are finite.  Its result is accepted only if
-    the full-space residual meets the tolerance under the full-space scale
-    and floor; that residual adds the diode currents the reduced Newton
-    evaluated at its result, so the diode laws run once per iterate.
-    Otherwise full-space Newton polishes it from there.  Linear systems
-    converge in a single iteration once a factorization exists.
+    the full-space residual r meets the tolerance under the full-space
+    scale, or else under that scale floored; the first residual adds the
+    diode currents the reduced Newton evaluated at its result, so the diode
+    laws run once per iterate.  Otherwise iterative refinement finishes the
+    step: z += solve(-r) with the factorization the circuit Newton left
+    behind, at most :data:`MAX_REFINEMENTS` times, after which the step
+    fails with :class:`SolverError`.  Linear systems converge in a single
+    iteration once a factorization exists.
 
     The system, the step size, the step matrix, the diode limiter and the
     factorization carried between steps all come from ``operator``.
@@ -701,19 +680,22 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     try:
         z, stats, diode_rows = _circuit_newton(operator, const_part, const_magnitude, z0,
                                                config, scale)
-        r = operator.residual(z, const_part, diode_rows)
-        stats.residual_norm = _scaled_norm(r, scale)
-        if stats.residual_norm > config.tol:  # the floor can only lower it
-            stats.residual_norm = _scaled_norm(
-                r, _floored(scale, cache.magnitude(z) + const_magnitude, config.tol))
-        if stats.residual_norm > config.tol:
-            z, polish = newton_solve(lambda z: operator.residual(z, const_part), operator.stamp,
-                                     z, config, scale, cache, const_magnitude,
-                                     limiter=operator.limiter)
-            stats = replace(polish, iterations=stats.iterations + polish.iterations,
-                            halvings=stats.halvings + polish.halvings,
-                            factorizations=stats.factorizations + polish.factorizations,
-                            polish_iterations=polish.iterations)
+        while True:
+            r = operator.residual(z, const_part, diode_rows)
+            stats.residual_norm = _scaled_norm(r, scale)
+            if stats.residual_norm > config.tol:  # the floor can only lower it
+                stats.residual_norm = _scaled_norm(
+                    r, _floored(scale, cache.magnitude(z) + const_magnitude, config.tol))
+            if stats.residual_norm <= config.tol:
+                break
+            if stats.refinements == MAX_REFINEMENTS:
+                raise SolverError(
+                    f"refinement missed the tolerance after {MAX_REFINEMENTS} corrections "
+                    f"(residual {stats.residual_norm:.3e}, tol {config.tol:.3e})")
+            z = z + cache.solve(-r)
+            diode_rows = None
+            stats.refinements += 1
+            stats.iterations += 1
     except SolverError as exc:
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 
@@ -765,7 +747,7 @@ def _circuit_newton(operator: StepOperator, const_part: np.ndarray,
     def stamp(z_c):
         if z_c is not seen[0]:
             reduced_residual(z_c)
-        return operator.stamp(z_c, seen[2])
+        return operator.stamp(seen[2])
 
     z_c, stats = newton_solve(reduced_residual, stamp, z0, config, scale[:k],
                               cache, c_hat_terms, limiter=operator.limiter)
@@ -793,10 +775,10 @@ def check_zero_state(system: CoupledSystem, t0: float) -> None:
     rest at t0: the residual of (y=0, ydot=0) must vanish to
     :data:`INIT_RESIDUAL_TOL` in the scaled max norm, which in particular
     demands sources that are zero at t0."""
-    y = system.layout.zeros()
-    r0 = system.residual(y, np.zeros_like(y), t0)
-    scale = _block_scale(system.layout, np.abs(system.source_vector(t0)))
-    init_defect = _scaled_norm(r0, scale)
+    # rate_op(0) and energy_gradient(0) are exactly zero, a diode's current
+    # I_s (exp(0) - 1) + 0/R_par at 0 V included, so the residual at rest is -f
+    f = system.source_vector(t0)
+    init_defect = _scaled_norm(-f, _block_scale(system.layout, np.abs(f)))
     if not init_defect <= INIT_RESIDUAL_TOL:
         raise ConsistencyError(
             f"zero initial state violates the algebraic constraints "
@@ -854,9 +836,9 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
         y, energy = y_next, record.energy
         t_prev = grid.time(n)
         stats = record.newton
-        log.debug("step %d t=%.6g iters=%d fact=%d halv=%d polish=%d resid=%.3e eps_H=%.3e",
+        log.debug("step %d t=%.6g iters=%d fact=%d halv=%d refine=%d resid=%.3e eps_H=%.3e",
                   n, t_prev, stats.iterations, stats.factorizations, stats.halvings,
-                  stats.polish_iterations, stats.residual_norm, record.audit.residual)
+                  stats.refinements, stats.residual_norm, record.audit.residual)
 
     return TransientResult(grid=grid, records=records,
                            probes={k: np.array(v) for k, v in probe_values.items()})

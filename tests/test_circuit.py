@@ -12,11 +12,12 @@ from mona.circuit import (
     build_incidence,
     circuit_energy,
     diode_critical_voltage,
+    diode_law,
     diode_voltage_limit,
     resistive_branch_current,
-    resistive_branch_slope,
     validate_topology,
 )
+from mona.coupling import assemble_coupled
 from mona.errors import TopologyError
 from mona.sources import Waveform
 
@@ -128,6 +129,13 @@ class TestValidateTopology:
             "warning: loop of voltage sources and device windings: {v1, x}")
 
 
+def node_conductance(graph, psi_dot):
+    """The psi/psi entry of the rate Jacobian of a one-node circuit at the
+    node rate psi_dot: the slopes di/dv of its resistive branches, summed."""
+    _j_state, j_rate = assemble_coupled(graph).jacobians(np.zeros(1), np.array([psi_dot]), 0.0)
+    return j_rate.toarray()[0, 0]
+
+
 class TestResistiveBranchLaw:
     def one_diode_graph(self, extra=()):
         elements = [el("D", "D1", 1, 0, diode=DIODE)] + list(extra)
@@ -151,7 +159,7 @@ class TestResistiveBranchLaw:
         graph = build_incidence([el("R", "load", 1, 0, value=0.1)], 1)
         i = resistive_branch_current(graph, np.array([160.0]))
         assert i[0] == pytest.approx(16.0)
-        assert resistive_branch_slope(graph, np.array([160.0]))[0] == 0.1
+        assert node_conductance(graph, 160.0) == 0.1
 
     def test_derivative_matches_finite_differences(self):
         graph = build_incidence(
@@ -160,11 +168,12 @@ class TestResistiveBranchLaw:
         h = 1e-7
         for v in rng.uniform(-1.0, 1.0, size=100):
             vv = np.array([v, v])
-            didv = resistive_branch_slope(graph, vv)
             ip = resistive_branch_current(graph, vv + h)
             im = resistive_branch_current(graph, vv - h)
             fd = (ip - im) / (2 * h)
-            assert np.allclose(didv, fd, rtol=1e-6, atol=1e-12)
+            didv = diode_law(graph, vv[1:])[1]
+            assert np.allclose(didv, fd[1:], rtol=1e-6, atol=1e-12)
+            assert np.isclose(node_conductance(graph, v), fd.sum(), rtol=1e-6, atol=1e-12)
 
     def test_dissipation_nonnegative(self):
         graph = build_incidence(
@@ -179,8 +188,9 @@ class TestResistiveBranchLaw:
         graph = self.one_diode_graph()
         v = np.array([50.0])  # 2000 V_th
         i = resistive_branch_current(graph, v)
-        didv = resistive_branch_slope(graph, v)
+        didv = diode_law(graph, v)[1]
         assert np.isfinite(i[0]) and np.isfinite(didv[0])
+        assert np.isfinite(node_conductance(graph, v[0]))
         assert i[0] > 0
 
 

@@ -16,8 +16,8 @@ from mona.circuit import (
     DIODE_EXP_CAP,
     CircuitGraph,
     build_incidence,
+    diode_law,
     resistive_branch_current,
-    resistive_branch_slope,
 )
 from mona.coupling import BlockLayout, assemble_coupled
 from mona.errors import MeshError
@@ -191,22 +191,27 @@ class TestJacobians:
         assert np.allclose(block, expected, rtol=1e-12)
 
     def test_slopes_only_stamp_matches_branch_law(self, rectifier):
-        # the conductance stamp evaluates the slopes alone; it must equal the
-        # stamp of the branch slopes, bit for bit, in reverse, near zero and
-        # beyond the exponential's cap
+        # the rate Jacobian's psi/psi block is A_lin G A_lin^T + A_d diag(g)
+        # A_d^T with the diode slopes g of the branch law, bit for bit, in
+        # reverse, near zero and beyond the exponential's cap
         _parsed, g, system = rectifier
         rng = np.random.default_rng(23)
         beyond = DIODE_EXP_CAP * g.diode_thermal.max()
-        n_lin = g.n_linear_resistive
+        a_lin = dense_incidence(g.branch_pairs["R"], g.n_nodes)
+        a_dio = dense_incidence(g.branch_pairs["D"], g.n_nodes)
+        psi = system.layout.block_slice("psi")
         seen = []
         for scale in (1e-4, 0.5, 4.0 * beyond):
             for _ in range(10):
-                psi_dot = scale * rng.standard_normal(g.n_nodes)
-                v = g.a_r.T @ psi_dot
-                didv = resistive_branch_slope(g, v)
-                assert np.array_equal(system.conductance(psi_dot),
-                                      g.a_r @ (didv[:, None] * g.a_r.T))
-                seen.append(v[n_lin:])
+                ydot = system.layout.zeros()
+                ydot[psi] = scale * rng.standard_normal(g.n_nodes)
+                v = a_dio.T @ ydot[psi]
+                slopes = diode_law(g, v)[1]
+                _j_state, j_rate = system.jacobians(system.layout.zeros(), ydot, 0.0)
+                assert np.array_equal(j_rate.toarray()[psi, psi],
+                                      a_lin @ (g.conductance[:, None] * a_lin.T)
+                                      + a_dio @ (slopes[:, None] * a_dio.T))
+                seen.append(v)
         seen = np.concatenate(seen)
         assert np.any(seen < 0.0)
         assert np.any(np.abs(seen) < 1e-3)

@@ -272,6 +272,29 @@ def iteration_matrix(system, tau, z):
     return (0.5 * j_state + j_rate / tau).tocsc()
 
 
+def stamp_at(operator, z):
+    """The operator's stamp at the state increment z, from the diode slopes
+    there."""
+    k = operator.cache.n_leading
+    return operator.stamp(operator.system.diode_rows(z[:k] / operator.tau)[1])
+
+
+def stamped_matrix(operator, z):
+    """The step matrix with the stamp at z written in: the iteration matrix
+    that the cache factors after ``refactor(stamp_at(operator, z))``."""
+    matrix = operator.matrix.tolil()
+    matrix[operator.cache.rows, operator.cache.cols] = stamp_at(operator, z)
+    return matrix.tocsc()
+
+
+def assert_magnitude_exact(cache, matrix):
+    """``cache.magnitude`` of every unit vector is the column of |matrix|, bit
+    for bit: each entry of |J| e_j is one term, so it is exact whatever the
+    order of the sum."""
+    columns = np.column_stack([cache.magnitude(e) for e in np.eye(matrix.shape[0])])
+    assert np.array_equal(columns, abs(matrix).toarray())
+
+
 class SparseCache:
     """A cache with the protocol newton_solve uses (``ready``, ``refactor``,
     ``magnitude``, ``solve``) that holds one sparse LU of the whole matrix
@@ -337,7 +360,7 @@ class TestBlockElimination:
         for _ in range(2):  # the second refactor reuses the field factorization
             z = 1e-3 * random_state(system, rng)
             matrix = iteration_matrix(system, tau, z)
-            cache.refactor(operator.stamp(z))
+            cache.refactor(stamp_at(operator, z))
             for _ in range(3):
                 rhs = rng.standard_normal(system.layout.size)
                 x_ref = spsolve(matrix, rhs)
@@ -345,9 +368,10 @@ class TestBlockElimination:
                 assert err <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_stamp_reproduces_the_jacobians(self):
-        # the dense Schur complement the cache factors, and the |J| |x| of the
-        # Newton floor, equal those formed from the whole iteration matrix,
-        # bit for bit
+        # the dense Schur complement the cache factors, and the |J| of the
+        # Newton floor, equal those formed from the whole step matrix with
+        # the stamp written in, bit for bit; that matrix is the iteration
+        # matrix of system.jacobians, to rounding
         tau = 6.25e-4
         rng = np.random.default_rng(4)
         for h in (0.025, 0.0125):
@@ -357,15 +381,16 @@ class TestBlockElimination:
             k = system.layout.size - system.layout.n_a
             for _ in range(2):  # both S share the field elimination
                 z = 1e-3 * random_state(system, rng)
-                matrix = iteration_matrix(system, tau, z)
+                matrix = stamped_matrix(operator, z)
                 lu_aa = factor_spd(matrix[k:, k:])
                 v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
                 expected = matrix[:k, :k].toarray() - v @ matrix[k:, :k]
-                schur = cache.schur_complement(operator.stamp(z))
+                schur = cache.schur_complement(stamp_at(operator, z))
                 assert np.array_equal(schur, expected)
-                cache.refactor(operator.stamp(z))
-                x = random_state(system, rng)
-                assert np.array_equal(cache.magnitude(x), abs(matrix) @ np.abs(x))
+                cache.refactor(stamp_at(operator, z))
+                assert_magnitude_exact(cache, matrix)
+                jacobians = iteration_matrix(system, tau, z)
+                assert abs(matrix - jacobians).max() <= 1e-14 * abs(jacobians).max()
 
     def test_reduced_residual_is_the_eliminated_step_residual(self, rectifier):
         # the circuit rows of the step residual, at the field increment that
@@ -390,10 +415,10 @@ class TestBlockElimination:
             # the field rows are solved, to rounding
             assert np.max(np.abs(full[k:])) <= 1e-12 * terms
             # the stamp from the slopes that came with the diode currents is
-            # the stamp from every branch law, to rounding
-            stamp = operator.stamp(z)
-            assert np.allclose(operator.stamp(z, slopes), stamp,
-                               rtol=0.0, atol=1e-14 * np.max(np.abs(stamp)))
+            # the psi/psi block of system.jacobians, to rounding
+            stamp = operator.stamp(slopes)
+            expected = iteration_matrix(system, tau, z)[cache.rows, cache.cols].A1
+            assert np.allclose(stamp, expected, rtol=0.0, atol=1e-14 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("fixture", ["rectifier", "linear_coupled", "vdrc"])
     def test_step_matrix_residual_is_the_definitional_residual(self, fixture, request):
@@ -456,9 +481,10 @@ class TestBlockElimination:
         ref_states = full_space_states(system, grid)
         assert np.max(np.abs(states - ref_states)) <= 1e-12 * np.max(np.abs(ref_states))
 
-    def test_failed_full_space_check_is_polished(self, rectifier, monkeypatch, caplog):
+    def test_failed_full_space_check_is_refined(self, rectifier, monkeypatch, caplog):
         # a reduced solution whose field part misses the full-space tolerance
-        # is finished by full-space Newton, to the state of an unforced run
+        # is finished by refinement with the carried factorization, to the
+        # state of an unforced run
         _parsed, _graph, system = rectifier
         grid = TimeGrid(0.0, 0.05, 6.25e-4)
         reference = run_transient(system, grid, probes={"y": state_probe})
@@ -478,34 +504,63 @@ class TestBlockElimination:
         monkeypatch.setattr(mona.stepping, "_circuit_newton", perturbed)
         with caplog.at_level(logging.DEBUG, logger="mona.stepping"):
             result = run_transient(system, grid, probes={"y": state_probe})
-        polished = [rec for rec in result.records if rec.newton.polish_iterations]
-        assert len(polished) == 1 and polished[0].newton.converged
-        assert polished[0].newton.iterations > polished[0].newton.polish_iterations
-        # MONA_LOG=debug shows the polish on the step's line
+        refined = [rec for rec in result.records if rec.newton.refinements]
+        assert len(refined) == 1 and refined[0].newton.converged
+        assert refined[0].newton.iterations > refined[0].newton.refinements
+        assert refined[0].newton.residual_norm <= NewtonConfig().tol
+        # MONA_LOG=debug shows the refinements on the step's line
         line = next(r.getMessage() for r in caplog.records
-                    if r.getMessage().startswith(f"step {polished[0].index} "))
-        assert f" polish={polished[0].newton.polish_iterations} " in line
+                    if r.getMessage().startswith(f"step {refined[0].index} "))
+        assert f" refine={refined[0].newton.refinements} " in line
         ref_states = reference.probe("y")
         assert (np.max(np.abs(result.probe("y") - ref_states))
                 <= 1e-12 * np.max(np.abs(ref_states)))
 
-    def test_slots_survive_a_cancelling_entry(self):
+    def test_step_refinement_cannot_fix_raises(self, rectifier, monkeypatch):
+        # from step 3 on, the field rows of the step residual move by a
+        # constant on every evaluation, so the residual is no function of z:
+        # each correction leaves the last move behind, and the step fails
+        # after MAX_REFINEMENTS corrections with the steps before it kept
+        _parsed, _graph, system = rectifier
+        k = system.layout.size - system.layout.n_a
+        residual, step, evaluations = StepOperator.residual, mona.stepping.midpoint_step, []
+
+        def offset(operator, *args):
+            r = residual(operator, *args)
+            if evaluations:
+                evaluations.append(1)
+                r[k:] += len(evaluations)
+            return r
+
+        def third_step_offset(*args, **kwargs):
+            evaluations[:] = [1] if kwargs["index"] == 3 else []
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(StepOperator, "residual", offset)
+        monkeypatch.setattr(mona.stepping, "midpoint_step", third_step_offset)
+        with pytest.raises(SolverError, match=r"^step 3 \(t=.*refinement missed the tolerance "
+                           rf"after {mona.stepping.MAX_REFINEMENTS} corrections") as excinfo:
+            run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert len(evaluations) == 1 + mona.stepping.MAX_REFINEMENTS + 1
+        partial = excinfo.value.partial_result
+        assert not partial.completed and [rec.index for rec in partial.records] == [1, 2]
+
+    def test_magnitude_survives_a_cancelling_entry(self):
         # at tau = 6.25e-4 the 1600 ohm resistor puts -1.0 at two stamped
-        # entries of the constant matrix, which a slot of 1.0 added to it
-        # would cancel and sparse addition drop
+        # entries of the step matrix, which a stamp of +1.0 would cancel to
+        # zero; |J| must still take each stamped entry as it is
         system = build_from_netlist(
             "V src 1 0 SIN(1 50)\nR r1 1 2 1600\nR r2 2 0 10\n")[2]
         tau = 6.25e-4
         operator = StepOperator(system, tau)
         cache = operator.cache
-        assert np.count_nonzero(iteration_matrix(system, tau, system.layout.zeros())
-                                .toarray()[cache.rows, cache.cols] == -1.0) == 2
+        assert np.count_nonzero(operator.matrix.toarray()[cache.rows, cache.cols] == -1.0) == 2
         rng = np.random.default_rng(5)
         z = random_state(system, rng)
-        cache.refactor(operator.stamp(z))
-        matrix = iteration_matrix(system, tau, z)
+        cache.refactor(stamp_at(operator, z))
+        matrix = stamped_matrix(operator, z)
+        assert_magnitude_exact(cache, matrix)
         x = random_state(system, rng)
-        assert np.array_equal(cache.magnitude(x), abs(matrix) @ np.abs(x))
         assert np.allclose(cache.solve(x), spsolve(matrix, x), rtol=1e-14, atol=0.0)
 
     def test_linear_transformer_takes_one_iteration_per_step(self):
@@ -532,7 +587,7 @@ class TestBlockElimination:
         monkeypatch.setattr(FactorCache, "trailing_solve", counted)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert len(calls) == len(result.records) == 80
-        assert not any(rec.newton.polish_iterations for rec in result.records)
+        assert not any(rec.newton.refinements for rec in result.records)
 
 
 class TestStepConstants:
@@ -643,7 +698,7 @@ class TestStepConstants:
         monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert len(per_step) == 80
-        assert not any(rec.newton.polish_iterations for rec in result.records)
+        assert not any(rec.newton.refinements for rec in result.records)
         assert all(n["law"] == n["residual"] + n["unseen stamp"] + 1 for n in per_step)
         assert sum(n["residual"] for n in per_step) > 80
 
@@ -1000,20 +1055,20 @@ class TestRunTransient:
         # regression bound: at tau = 7.8125e-5 the diode-switching steps once
         # took 36 iterations and the run 911 halvings, from limited steps
         # taken uphill with a stale Jacobian.  Each iteration after a step's
-        # first now refactors at its iterate.  A polish iteration reuses the
+        # first now refactors at its iterate.  A refinement reuses the
         # factorization the circuit Newton ended with, so the bound holds for
-        # the circuit iterations; a polish takes one iteration, on a step
-        # whose full-space residual misses tol by rounding only
+        # the circuit iterations; a refinement takes one correction, on a
+        # step whose full-space residual misses tol by rounding only
         _parsed, _graph, system = rectifier
         result = run_transient(system, TimeGrid(0.0, 0.05, 7.8125e-5))
         stats = [rec.newton for rec in result.records]
         assert len(stats) == 640
         assert max(s.iterations for s in stats) <= 12
         assert sum(s.halvings for s in stats) <= 20
-        circuit = [s.iterations - s.polish_iterations for s in stats]
+        circuit = [s.iterations - s.refinements for s in stats]
         assert all(n - 1 <= s.factorizations <= n for n, s in zip(circuit, stats))
-        polished = [s.polish_iterations for s in stats if s.polish_iterations]
-        assert all(n == 1 for n in polished) and len(polished) <= 0.01 * len(stats)
+        refined = [s.refinements for s in stats if s.refinements]
+        assert all(n == 1 for n in refined) and len(refined) <= 0.01 * len(stats)
 
     def test_debug_step_line_shows_the_work(self, rectifier, caplog):
         # MONA_LOG=debug prints each step's iterations, factorizations and

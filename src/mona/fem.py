@@ -19,9 +19,10 @@ Mesh file format (whitespace separated, ``#`` starts a comment)::
     windings <W>
     <winding> <turns>
 
-Every section header takes exactly one value, and the four entry counts
-are non-negative.  Winding cross-section areas are always the summed areas
-of the winding's triangles; they are not stored in the file.
+Every section header takes exactly one value, the four entry counts are
+non-negative, and the file ends after the windings section.  Winding
+cross-section areas are always the summed areas of the winding's
+triangles; they are not stored in the file.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class TriMesh:
         if not self.depth > 0.0:
             raise MeshError("mesh depth must be positive")
         self._edges = _edge_vectors(self.vertices, self.triangles)
-        areas = 0.5 * self._edges[2]
+        areas = 0.5 * self._edges[4]
         bad = np.flatnonzero(areas <= 0.0)
         if bad.size:
             raise MeshError(f"triangles with non-positive area: {bad[:10].tolist()}")
@@ -156,63 +157,76 @@ class Winding:
 
 
 def _edge_vectors(vertices: np.ndarray, triangles: np.ndarray):
-    """(e1, e2, det) per triangle: the edges from its vertex 0 to its vertices
-    1 and 2, and det = e1 x e2, twice the signed area.  The vertex
-    coordinates are gathered once, for the areas and the gradients both."""
-    p = np.take(vertices, triangles, axis=0)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    return e1, e2, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    """(e1x, e1y, e2x, e2y, det) per triangle: the components of the edges
+    from its vertex 0 to its vertices 1 and 2, and det = e1 x e2, twice the
+    signed area.  Each coordinate is gathered once, for the areas and the
+    gradients both, and every difference runs along the triangles."""
+    x = np.take(vertices[:, 0], triangles)
+    y = np.take(vertices[:, 1], triangles)
+    e1x, e1y = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+    e2x, e2y = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
+    return e1x, e1y, e2x, e2y, e1x * e2y - e1y * e2x
 
 
 def _gradients(mesh: TriMesh):
-    """Constant P1 basis gradients per triangle, shape (m, 3, 2)."""
-    e1, e2, det = mesh._edges
-    g = np.empty((mesh.n_triangles, 3, 2))
-    g[:, 1, 0] = e2[:, 1] / det
-    g[:, 1, 1] = -e2[:, 0] / det
-    g[:, 2, 0] = -e1[:, 1] / det
-    g[:, 2, 1] = e1[:, 0] / det
-    g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
+    """Constant P1 basis gradients, shape (2, m, 3): component, triangle,
+    local vertex."""
+    e1x, e1y, e2x, e2y, det = mesh._edges
+    g = np.empty((2, mesh.n_triangles, 3))
+    g[0, :, 1] = e2y / det
+    g[1, :, 1] = -e2x / det
+    g[0, :, 2] = -e1y / det
+    g[1, :, 2] = e1x / det
+    g[:, :, 0] = -g[:, :, 1] - g[:, :, 2]
     return g
 
 
-def _element_map(mesh: TriMesh, materials: MaterialMap, dof_map: np.ndarray):
-    """(G, coef): the CSR map G = [B_x; B_y] from the unknowns to the x (row
-    t) and y (row n_triangles + t) component of triangle t's gradient, each
-    row in local vertex order, and coef = nu * depth * area per triangle.
-    ``dof_map[v]`` is vertex v's unknown, or -1 where the gauge fixes it.
-    Overflow is left as values that are not finite, for the caller to reject.
+def _element_map(mesh: TriMesh, dof_map: np.ndarray) -> sp.csr_matrix:
+    """The CSR map G = [B_x; B_y] from the unknowns to the x (row t) and y
+    (row n_triangles + t) component of triangle t's gradient, each row in
+    local vertex order.  ``dof_map[v]`` is vertex v's unknown, or -1 where
+    the gauge fixes it.  Overflow is left as values that are not finite, for
+    the caller to reject.
     """
-    _check_counts(mesh, materials)
     with np.errstate(over="ignore"):
         grads = _gradients(mesh)
-        coef = materials.reluctivity * mesh.depth * mesh.areas
-    dofs = dof_map[mesh.triangles]
+    dofs = np.take(dof_map, mesh.triangles)
     kept = dofs >= 0
-    counts = np.count_nonzero(kept, axis=1)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate([counts, counts]))])
-    data = np.concatenate([grads[:, :, d][kept] for d in (0, 1)])
-    indices = np.concatenate([dofs[kept], dofs[kept]])
-    g = sp.csr_matrix((data, indices, indptr),
-                      shape=(2 * mesh.n_triangles, int(np.count_nonzero(dof_map >= 0))))
-    return g, coef
+    # the end of each triangle's row: its kept vertices, counted as int8
+    # columns, which numpy sums faster than a row-wise count
+    counts = kept.view(np.int8)
+    ends = np.cumsum(counts[:, 0] + counts[:, 1] + counts[:, 2], dtype=np.int64)
+    cols = dofs[kept]
+    return sp.csr_matrix((np.concatenate([grads[0][kept], grads[1][kept]]),
+                          np.concatenate([cols, cols]),
+                          np.concatenate([[0], ends, ends[-1:] + ends])),
+                         shape=(2 * mesh.n_triangles, int(np.count_nonzero(dof_map >= 0))))
+
+
+def _reluctivity_coef(mesh: TriMesh, materials: MaterialMap) -> np.ndarray:
+    """coef = nu * depth * area per triangle; overflow is left infinite, for
+    the caller to reject."""
+    _check_counts(mesh, materials)
+    with np.errstate(over="ignore"):
+        return materials.reluctivity * mesh.depth * mesh.areas
 
 
 def _gradient_and_stiffness(g: sp.csr_matrix, coef: np.ndarray):
     """(G^T C, K): the energy's gradient map G^T C with C = diag([coef; coef])
     folded in, as one CSR matrix, and the stiffness K = (G^T C) G.
 
-    C G is G with its rows scaled, each entry one rounded product as in the
-    sparse product C @ G, and like that product it holds no exact zeros: a
-    row whose coef is 0 is dropped whole.  An overflowing product is left
-    infinite, without a warning, for the caller to reject."""
-    rows = np.repeat(np.concatenate([coef, coef]), np.diff(g.indptr))
+    G^T C is G's transpose with its columns scaled: each entry is one rounded
+    product as in the sparse product C @ G, and like that product it holds
+    no exact zeros, so a column whose coef is 0 is dropped whole.  An
+    overflowing product is left infinite, without a warning, for the caller
+    to reject."""
+    gt = g.tocsc()  # the columns of G, stored as the rows of G^T
+    scale = np.take(np.concatenate([coef, coef]), gt.indices)
     with np.errstate(over="ignore"):
-        data = np.multiply(g.data, rows, out=np.zeros_like(g.data), where=rows != 0)
-    weighted = sp.csr_matrix((data, g.indices, g.indptr), shape=g.shape).T.tocsr()
+        data = np.multiply(gt.data, scale, out=np.zeros_like(gt.data), where=scale != 0)
+    weighted = sp.csr_matrix((data, gt.indices, gt.indptr), shape=(g.shape[1], g.shape[0]))
     weighted.eliminate_zeros()
-    return weighted, (weighted @ g).tocsr()
+    return weighted, weighted @ g
 
 
 def assemble_stiffness(mesh: TriMesh, materials: MaterialMap) -> sp.csr_matrix:
@@ -222,11 +236,43 @@ def assemble_stiffness(mesh: TriMesh, materials: MaterialMap) -> sp.csr_matrix:
     formed as the product K = (G^T C) G of :func:`build_field_model` over all
     vertices; constants lie in the kernel until the gauge removes them.
     """
-    g, coef = _element_map(mesh, materials, np.arange(mesh.n_vertices))
-    return _gradient_and_stiffness(g, coef)[1]
+    g = _element_map(mesh, np.arange(mesh.n_vertices))
+    return _gradient_and_stiffness(g, _reluctivity_coef(mesh, materials))[1]
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _mass(mesh: TriMesh, materials: MaterialMap, dof_map: np.ndarray) -> sp.csr_matrix:
+    """The conductivity mass of :func:`assemble_mass` on the unknowns that
+    ``dof_map`` numbers (-1 where the gauge fixes a vertex).
+
+    Only the rows of unknowns are scattered, over vertex-numbered columns,
+    so each row reaches the CSR conversion's per-row sort and duplicate sum
+    with the entries, in the order, of the all-vertex scatter.  The columns
+    are then renumbered, and gauged columns and exact zeros dropped, in one
+    pass.
+    """
+    _check_counts(mesh, materials)
+    coef = materials.conductivity * mesh.depth * mesh.areas
+    n = mesh.n_vertices
+    hot = np.zeros(n, dtype=bool)
+    hot[mesh.triangles[coef != 0.0]] = True
+    near = np.take(hot, mesh.triangles)
+    kept = np.flatnonzero(near[:, 0] | near[:, 1] | near[:, 2])
+    tri = np.take(mesh.triangles, kept, axis=0)
+    # entry (t, i, j), t-major: row tri[t, i], column tri[t, j]
+    rows = np.repeat(np.take(dof_map, tri), 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    local = np.multiply.outer(np.take(coef, kept), _MASS_PATTERN.ravel()).ravel()
+    on = np.flatnonzero(rows >= 0)
+    n_dofs = int(np.count_nonzero(dof_map >= 0))
+    mat = sp.coo_matrix((np.take(local, on), (np.take(rows, on), np.take(cols, on))),
+                        shape=(n_dofs, n)).tocsr()
+    dofs = np.take(dof_map, mat.indices)
+    keep = (dofs >= 0) & (mat.data != 0.0)
+    indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+    return sp.csr_matrix((mat.data[keep], dofs[keep], indptr), shape=(n_dofs, n_dofs))
 
 
 def assemble_mass(mesh: TriMesh, materials: MaterialMap) -> sp.csr_matrix:
@@ -241,20 +287,7 @@ def assemble_mass(mesh: TriMesh, materials: MaterialMap) -> sp.csr_matrix:
     sum of the CSR conversion give the same bits.  The rows of the other
     scattered vertices hold only zeros, which are pruned.
     """
-    _check_counts(mesh, materials)
-    coef = materials.conductivity * mesh.depth * mesh.areas
-    n = mesh.n_vertices
-    hot = np.zeros(n, dtype=bool)
-    hot[mesh.triangles[coef != 0.0]] = True
-    near = np.take(hot, mesh.triangles)
-    kept = near[:, 0] | near[:, 1] | near[:, 2]
-    tri = mesh.triangles[kept]
-    local = coef[kept, None, None] * _MASS_PATTERN
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    return _mass(mesh, materials, np.arange(mesh.n_vertices))
 
 
 def assemble_winding(mesh: TriMesh, windings, materials: MaterialMap) -> np.ndarray:
@@ -373,18 +406,23 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
     dof_map = np.full(n, -1, dtype=np.int64)
     dof_map[interior] = np.arange(interior.size)
 
-    # the graph of vertices and triangles, node n + t linked to triangle t's
-    # three vertices, connects two vertices exactly when a triangle path does
-    starts = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(0, 3 * m + 1, 3)])
-    links = sp.csr_matrix((np.ones(3 * m), mesh.triangles.ravel(), starts), shape=(n + m,) * 2)
+    g = _element_map(mesh, dof_map)
+    # the graph of the unknowns and G's x rows, row t linked to triangle t's
+    # unknowns, connects two unknowns exactly when a triangle path through
+    # interior vertices does; a part is gauged where one of its triangles
+    # has a gauge vertex, so fewer than three unknowns
+    n_dofs, ends = interior.size, g.indptr[:m + 1]
+    starts = np.concatenate([np.zeros(n_dofs, dtype=ends.dtype), ends])
+    links = sp.csr_matrix((np.ones(ends[-1]), g.indices[:ends[-1]], starts),
+                          shape=(n_dofs + m,) * 2)
     n_parts, part = connected_components(links, directed=False)
     gauged = np.zeros(n_parts, dtype=bool)
-    gauged[part[mesh.boundary_vertices]] = True
-    loose = np.flatnonzero(~gauged[part[:n]])
+    gauged[part[n_dofs + np.flatnonzero(np.diff(ends) < 3)]] = True
+    loose = interior[~gauged[part[:n_dofs]]]
     if loose.size:
         raise GaugeError(f"gauged stiffness matrix is singular: {loose.size} interior vertices "
                          f"share no triangle path with the gauge, e.g. {loose[:10].tolist()}")
-    g, coef = _element_map(mesh, materials, dof_map)
+    coef = _reluctivity_coef(mesh, materials)
     bad = np.flatnonzero(~(np.isfinite(coef) & (coef > 0.0)))
     if bad.size:
         raise GaugeError(f"gauged stiffness matrix is singular in binary64: nu * depth * area "
@@ -398,7 +436,7 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
     if bad.size:
         raise MeshError(f"conductivity mass matrix is not finite in binary64: sigma * depth * "
                         f"area overflows on {bad.size} triangles, e.g. {bad[:10].tolist()}")
-    mass = assemble_mass(mesh, materials)[interior][:, interior].tocsr()
+    mass = _mass(mesh, materials, dof_map)
     winding_matrix = assemble_winding(mesh, windings, materials)[interior]
     return FieldModel(mesh=mesh, materials=materials, windings=list(windings),
                       element_map=g, coef=coef, gradient_map=gradient_map,
@@ -435,7 +473,9 @@ def rect_mesh(nx: int, ny: int, width: float, height: float, depth: float = 1.0)
     Each grid cell is split along its lower-left/upper-right diagonal into
     two positively oriented triangles; vertices are numbered row-major, and
     cell (i, j) with lower-left vertex v00 gives the triangles
-    (v00, v10, v11) and (v00, v11, v01), cells in row-major order.
+    (v00, v10, v11) and (v00, v11, v01), cells in row-major order.  The
+    boundary is the perimeter of the vertex grid, which is where the edges
+    that belong to one triangle lie.
     """
     if nx < 1 or ny < 1:
         raise MeshError("rect_mesh needs at least one cell per direction")
@@ -448,7 +488,10 @@ def rect_mesh(nx: int, ny: int, width: float, height: float, depth: float = 1.0)
     v10, v01 = v00 + 1, v00 + (nx + 1)
     v11 = v01 + 1
     triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-    boundary = boundary_vertices_of(vertices, triangles)
+    # the perimeter of the vertex grid, in increasing order: the bottom row,
+    # the two ends of every row between, and the top row
+    sides = np.arange(1, ny, dtype=np.int64)[:, None] * (nx + 1) + np.array([0, nx])
+    boundary = np.concatenate([np.arange(nx + 1), sides.ravel(), ny * (nx + 1) + np.arange(nx + 1)])
     return TriMesh(vertices=vertices, triangles=triangles,
                    boundary_vertices=boundary, depth=depth)
 
@@ -614,21 +657,33 @@ def save_mesh(path, mesh: TriMesh, materials: MaterialMap, windings) -> None:
 
 
 def parse_mesh(text: str):
-    """Parse the mesh text format; returns (mesh, materials, windings)."""
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            tokens.append((lineno, body.split()))
-    pos = 0
+    """Parse the mesh text format; returns (mesh, materials, windings).
+
+    The vertex and triangle sections are each converted by one array read of
+    their lines.  Where that read fails or finds anything but the expected
+    rows (a comment or blank line among them, a token numpy does not read,
+    a malformed line), the section is read again token by token, which
+    accepts what Python's ``int`` and ``float`` accept and names the first
+    bad token with its line.
+    """
+    lines = text.splitlines()
+    pos = 0  # index in ``lines`` of the next line to read
+
+    def next_content():
+        """(line number, tokens) of the next line with content, or None."""
+        nonlocal pos
+        while pos < len(lines):
+            pos += 1
+            toks = lines[pos - 1].split("#", 1)[0].split()
+            if toks:
+                return pos, toks
+        return None
 
     def take():
-        nonlocal pos
-        if pos >= len(tokens):
+        entry = next_content()
+        if entry is None:
             raise MeshError("unexpected end of mesh file")
-        lineno, toks = tokens[pos]
-        pos += 1
-        return lineno, toks
+        return entry
 
     def header(key):
         """(line number, value token) of the section header ``key <value>``."""
@@ -665,24 +720,36 @@ def parse_mesh(text: str):
             raise MeshError(f"line {lineno}: '{key}' count must be non-negative, got {n}")
         return n
 
-    depth = as_float(*header("depth"))
-    n_v = count("vertices")
-    vertices = np.empty((n_v, 2))
-    for row in range(n_v):
-        lineno, toks = take()
-        if len(toks) != 2:
-            raise MeshError(f"line {lineno}: vertex needs two coordinates")
-        vertices[row] = [as_float(lineno, toks[0]), as_float(lineno, toks[1])]
+    def rows(n, width, dtype, convert, message):
+        """The next n content lines, ``width`` finite numbers each, as an (n,
+        width) array: one read of the next n lines, or token by token."""
+        nonlocal pos
+        block = lines[pos:pos + n]
+        # the next n lines are the n rows only if each holds content: the
+        # read checks that by its row count, and the first line here, since
+        # loadtxt warns on a block without any
+        if n and len(block) == n and block[0].split("#", 1)[0].split():
+            try:
+                values = np.loadtxt(block, dtype=dtype, comments="#", ndmin=2)
+            except (ValueError, OverflowError):
+                values = None
+            if values is not None and values.shape == (n, width) and np.isfinite(values).all():
+                pos += n
+                return values
+        values = np.empty((n, width), dtype=dtype)
+        for row in range(n):
+            lineno, toks = take()
+            if len(toks) != width:
+                raise MeshError(f"line {lineno}: {message}")
+            values[row] = [convert(lineno, s) for s in toks]
+        return values
 
-    n_t = count("triangles")
-    triangles = np.empty((n_t, 3), dtype=np.int64)
-    tri_region = np.empty(n_t, dtype=int)
-    for row in range(n_t):
-        lineno, toks = take()
-        if len(toks) != 4:
-            raise MeshError(f"line {lineno}: triangle needs three vertices and a region")
-        triangles[row] = [as_int(lineno, s) for s in toks[:3]]
-        tri_region[row] = as_int(lineno, toks[3])
+    depth = as_float(*header("depth"))
+    vertices = rows(count("vertices"), 2, np.float64, as_float,
+                    "vertex needs two coordinates")
+    entries = rows(count("triangles"), 4, np.int64, as_int,
+                   "triangle needs three vertices and a region")
+    triangles, tri_region = entries[:, :3], entries[:, 3]
 
     n_r = count("regions")
     region_table = {}
@@ -707,13 +774,24 @@ def parse_mesh(text: str):
             raise MeshError(f"line {lineno}: winding {wid} declared twice")
         turns[wid] = as_float(lineno, toks[1])
 
-    missing = set(tri_region) - set(region_table)
-    if missing:
-        raise MeshError(f"triangles reference undeclared regions {sorted(missing)}")
+    extra = next_content()
+    if extra is not None:
+        raise MeshError(f"line {extra[0]}: expected the end of the file after the windings, "
+                        f"got {extra[1][0]!r}")
 
-    nu = np.array([region_table[r][0] for r in tri_region])
-    sigma = np.array([region_table[r][1] for r in tri_region])
-    materials = MaterialMap(reluctivity=nu, conductivity=sigma)
+    # the regions the triangles use, each looked up once
+    used, which = np.unique(tri_region, return_inverse=True)
+    used = used.tolist()
+    missing = [r for r in used if r not in region_table]
+    if missing:
+        raise MeshError(f"triangles reference undeclared regions {missing}")
+    props = [region_table[r] for r in used]
+
+    def per_triangle(values, dtype=float):
+        return np.array(values, dtype=dtype)[which]
+
+    materials = MaterialMap(reluctivity=per_triangle([p[0] for p in props]),
+                            conductivity=per_triangle([p[1] for p in props]))
 
     boundary = boundary_vertices_of(vertices, triangles)
     mesh = TriMesh(vertices=vertices, triangles=triangles,
@@ -721,15 +799,17 @@ def parse_mesh(text: str):
 
     windings = []
     for wid in sorted(turns):
-        tris = np.flatnonzero([region_table[r][2] == wid for r in tri_region])
+        ours = [p[2] == wid for p in props]
+        tris = np.flatnonzero(per_triangle(ours, dtype=bool))
         if tris.size == 0:
             raise MeshError(f"winding {wid} has no triangles")
-        orient = np.array([region_table[tri_region[t]][3] for t in tris], dtype=float)
+        # only the winding's own regions have an orientation to read
+        orientation = per_triangle([p[3] if mine else 0 for p, mine in zip(props, ours)])
         windings.append(Winding(name=f"w{wid}", triangles=tris,
-                                orientation=orient, turns=turns[wid]))
-    used = {region_table[r][2] for r in tri_region} - {-1}
-    if used - set(turns):
-        raise MeshError(f"regions reference undeclared windings {sorted(used - set(turns))}")
+                                orientation=orientation[tris], turns=turns[wid]))
+    undeclared = {p[2] for p in props} - {-1} - set(turns)
+    if undeclared:
+        raise MeshError(f"regions reference undeclared windings {sorted(undeclared)}")
     return mesh, materials, windings
 
 

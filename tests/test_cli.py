@@ -252,6 +252,20 @@ class TestBadInput:
         assert f"line {lineno}: '{header}' count must be non-negative, got -1" in err
 
 
+    @pytest.mark.parametrize("trailing", ["garbage 1 2 3", "vertices 5"])
+    def test_mesh_content_after_windings(self, tmp_path, capsys, trailing):
+        # the file ends after the windings section; more content is an error
+        mesh = tmp_path / "long.mesh"
+        mesh.write_text("\n".join(MESH_LINES + (trailing,)) + "\n")
+        net = tmp_path / "xfmr.net"
+        net.write_text(LINEAR_COUPLED_NETLIST)
+        assert run_cli(["check", "--netlist", str(net), "--mesh", str(mesh)]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        assert (f"error: line {len(MESH_LINES) + 1}: expected the end of the file after the "
+                f"windings, got '{trailing.split()[0]}'") in out.out
+
+
 class TestRun:
     def test_writes_trace_and_audit(self, rlc_net, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Finite-element assembly, gauge, transformer generator, mesh file format."""
 
+import math
+import re
 import warnings
 
 import numpy as np
@@ -205,8 +207,8 @@ class TestGauge:
             interior = model.dof_map >= 0
             full[interior] = a[model.dof_map[interior]]
             av = full[mesh.triangles]
-            gx = np.einsum("ti,ti->t", grads[:, :, 0], av)
-            gy = np.einsum("ti,ti->t", grads[:, :, 1], av)
+            gx = np.einsum("ti,ti->t", grads[0], av)
+            gy = np.einsum("ti,ti->t", grads[1], av)
             expected = 0.5 * float(coef @ (gx * gx + gy * gy))
             assert model.energy(a) == pytest.approx(expected, rel=1e-15)
         assert model.energy(np.zeros(model.n_dofs)) == 0.0
@@ -412,6 +414,18 @@ class TestMeshConstruction:
         mesh, _, _ = generate_transformer_mesh(TransformerParams(), 0.025)
         got = boundary_vertices_of(mesh.vertices, mesh.triangles)
         assert np.array_equal(got, counted_boundary(mesh.triangles))
+
+    @pytest.mark.parametrize("mesh", [
+        *(rect_mesh(nx, ny, 2.0, 1.0) for nx, ny in [(1, 1), (1, 5), (7, 3), (16, 16)]),
+        *(generate_transformer_mesh(TransformerParams(), h)[0] for h in (0.025, 0.00625)),
+    ], ids=["rect_1x1", "rect_1x5", "rect_7x3", "rect_16x16", "transformer_0.025",
+            "transformer_0.00625"])
+    def test_boundary_by_construction_matches_edge_counts(self, mesh):
+        # rect_mesh lists the grid's perimeter without looking at the edges
+        expected = counted_boundary(mesh.triangles)
+        assert np.array_equal(boundary_vertices_of(mesh.vertices, mesh.triangles), expected)
+        assert mesh.boundary_vertices.dtype == expected.dtype
+        assert mesh.boundary_vertices.tobytes() == expected.tobytes()
 
     def test_boundary_of_holed_shuffled_mesh(self):
         n, triangles = holed_shuffled_mesh()
@@ -642,12 +656,21 @@ class TestAssemblyBits:
         interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
         assert np.array_equal(np.flatnonzero(model.dof_map >= 0), interior)
         assert np.array_equal(model.dof_map[interior], np.arange(interior.size))
-        g, coef = _element_map(mesh, mats, model.dof_map)
+        g, coef = _element_map(mesh, model.dof_map), mats.reluctivity * mesh.depth * mesh.areas
         assert_same_bits(model.element_map, g)
         weighted = gradient_map_oracle(g, coef)
         assert_same_bits(model.gradient_map, weighted)
         assert_same_bits(model.stiffness, (weighted @ g).tocsr())
         assert_same_bits(model.mass, mass_oracle(mesh, mats)[interior][:, interior].tocsr())
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_interior_mass_matches_sliced_mass(self, case):
+        # the mass assembled on the interior unknowns, against the vertex
+        # mass with its gauged rows and columns sliced away
+        mesh, mats = assembly_case(case)
+        model = build_field_model(mesh, mats, [])
+        interior = np.flatnonzero(model.dof_map >= 0)
+        assert_same_bits(model.mass, assemble_mass(mesh, mats)[interior][:, interior].tocsr())
 
     def test_no_conducting_triangle_gives_empty_mass(self):
         mesh, mats = hand_cases()["none"]
@@ -666,8 +689,8 @@ class TestAssemblyBits:
         grads = _gradients(mesh)
         for i, (gx, gy) in ((1, (e2[:, 1] / det, -e2[:, 0] / det)),
                             (2, (-e1[:, 1] / det, e1[:, 0] / det))):
-            assert grads[:, i, 0].tobytes() == gx.tobytes()
-            assert grads[:, i, 1].tobytes() == gy.tobytes()
+            assert grads[0, :, i].tobytes() == gx.tobytes()
+            assert grads[1, :, i].tobytes() == gy.tobytes()
 
     def test_scaled_gradient_overflow_raises_gauge_error_without_warning(self):
         # a 1e9 m x 0.1 m box with a centre vertex: coef = 1e300 * 2.5e7 is
@@ -692,7 +715,7 @@ class TestAssemblyBits:
                        triangles=np.array([[0, 1, 2]]), boundary_vertices=np.array([0]),
                        depth=1.0)
         mats = unit_materials(nu=1e-20, sigma=0.0)
-        g, coef = _element_map(mesh, mats, np.arange(3))
+        g, coef = _element_map(mesh, np.arange(3)), mats.reluctivity * mesh.depth * mesh.areas
         assert coef[0] == 0.0 and np.isinf(g.data).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -751,3 +774,248 @@ class TestSaveMeshBytes:
         got = (tmp_path / "got.mesh").read_bytes()
         assert got == (tmp_path / "expected.mesh").read_bytes()
         assert b" -0 " in got
+
+
+# ---------------------------------------------------------------------------
+# mesh file reading against the token-by-token parser it replaced
+
+
+def parse_mesh_oracle(text):
+    """Oracle: the token-by-token parser, one Python conversion per token."""
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            tokens.append((lineno, body.split()))
+    pos = 0
+
+    def take():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise MeshError("unexpected end of mesh file")
+        lineno, toks = tokens[pos]
+        pos += 1
+        return lineno, toks
+
+    def header(key):
+        """(line number, value token) of the section header ``key <value>``."""
+        lineno, toks = take()
+        if toks[0].lower() != key:
+            raise MeshError(f"line {lineno}: expected '{key}', got {toks[0]!r}")
+        if len(toks) < 2:
+            raise MeshError(f"line {lineno}: '{key}' needs a value")
+        if len(toks) > 2:
+            raise MeshError(f"line {lineno}: '{key}' takes exactly one value, "
+                            f"got {len(toks) - 1}")
+        return lineno, toks[1]
+
+    def as_int(lineno, s):
+        try:
+            return int(s)
+        except ValueError:
+            raise MeshError(f"line {lineno}: expected integer, got {s!r}") from None
+
+    def as_float(lineno, s):
+        try:
+            value = float(s)
+        except ValueError:
+            raise MeshError(f"line {lineno}: expected number, got {s!r}") from None
+        if not math.isfinite(value):
+            raise MeshError(f"line {lineno}: expected a finite number, got {s!r}")
+        return value
+
+    def count(key):
+        """The entry count of the section header ``key <count>``."""
+        lineno, token = header(key)
+        n = as_int(lineno, token)
+        if n < 0:
+            raise MeshError(f"line {lineno}: '{key}' count must be non-negative, got {n}")
+        return n
+
+    depth = as_float(*header("depth"))
+    n_v = count("vertices")
+    vertices = np.empty((n_v, 2))
+    for row in range(n_v):
+        lineno, toks = take()
+        if len(toks) != 2:
+            raise MeshError(f"line {lineno}: vertex needs two coordinates")
+        vertices[row] = [as_float(lineno, toks[0]), as_float(lineno, toks[1])]
+
+    n_t = count("triangles")
+    triangles = np.empty((n_t, 3), dtype=np.int64)
+    tri_region = np.empty(n_t, dtype=int)
+    for row in range(n_t):
+        lineno, toks = take()
+        if len(toks) != 4:
+            raise MeshError(f"line {lineno}: triangle needs three vertices and a region")
+        triangles[row] = [as_int(lineno, s) for s in toks[:3]]
+        tri_region[row] = as_int(lineno, toks[3])
+
+    n_r = count("regions")
+    region_table = {}
+    for _ in range(n_r):
+        lineno, toks = take()
+        if len(toks) != 5:
+            raise MeshError(f"line {lineno}: region needs id, nu, sigma, winding, orientation")
+        rid = as_int(lineno, toks[0])
+        if rid in region_table:
+            raise MeshError(f"line {lineno}: region {rid} declared twice")
+        region_table[rid] = (as_float(lineno, toks[1]), as_float(lineno, toks[2]),
+                             as_int(lineno, toks[3]), as_int(lineno, toks[4]))
+
+    n_w = count("windings")
+    turns = {}
+    for _ in range(n_w):
+        lineno, toks = take()
+        if len(toks) != 2:
+            raise MeshError(f"line {lineno}: winding needs id and turns")
+        wid = as_int(lineno, toks[0])
+        if wid in turns:
+            raise MeshError(f"line {lineno}: winding {wid} declared twice")
+        turns[wid] = as_float(lineno, toks[1])
+
+    missing = set(tri_region) - set(region_table)
+    if missing:
+        raise MeshError(f"triangles reference undeclared regions {sorted(missing)}")
+
+    nu = np.array([region_table[r][0] for r in tri_region])
+    sigma = np.array([region_table[r][1] for r in tri_region])
+    materials = MaterialMap(reluctivity=nu, conductivity=sigma)
+
+    boundary = boundary_vertices_of(vertices, triangles)
+    mesh = TriMesh(vertices=vertices, triangles=triangles,
+                   boundary_vertices=boundary, depth=depth)
+
+    windings = []
+    for wid in sorted(turns):
+        tris = np.flatnonzero([region_table[r][2] == wid for r in tri_region])
+        if tris.size == 0:
+            raise MeshError(f"winding {wid} has no triangles")
+        orient = np.array([region_table[tri_region[t]][3] for t in tris], dtype=float)
+        windings.append(Winding(name=f"w{wid}", triangles=tris,
+                                orientation=orient, turns=turns[wid]))
+    used = {region_table[r][2] for r in tri_region} - {-1}
+    if used - set(turns):
+        raise MeshError(f"regions reference undeclared windings {sorted(used - set(turns))}")
+    return mesh, materials, windings
+
+
+def assert_same_parse(text):
+    """``parse_mesh`` and the oracle return the same arrays, bit for bit."""
+    mesh, mats, windings = parse_mesh(text)
+    mesh2, mats2, windings2 = parse_mesh_oracle(text)
+    for a, b in ((mesh.vertices, mesh2.vertices), (mesh.triangles, mesh2.triangles),
+                 (mesh.boundary_vertices, mesh2.boundary_vertices),
+                 (mats.reluctivity, mats2.reluctivity), (mats.conductivity, mats2.conductivity)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert mesh.depth == mesh2.depth
+    assert [w.name for w in windings] == [w.name for w in windings2]
+    for w, w2 in zip(windings, windings2):
+        assert w.turns == w2.turns
+        for a, b in ((w.triangles, w2.triangles), (w.orientation, w2.orientation)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return mesh, mats, windings
+
+
+# a valid two-triangle mesh file, one line per entry
+SQUARE_LINES = ("depth 1.0", "vertices 4", "0 0", "1 0", "1 1", "0 1", "triangles 2",
+                "0 1 2 0", "0 2 3 1", "regions 2", "0 1.0 0.0 0 1", "1 2.0 0.5 -1 0",
+                "windings 1", "0 10")
+
+
+def square_text(**lines):
+    """The square's file with lines replaced by number (``l3="x"``); None drops one."""
+    out = list(SQUARE_LINES)
+    for key, line in lines.items():
+        out[int(key[1:]) - 1] = line
+    return "\n".join(line for line in out if line is not None) + "\n"
+
+
+class TestParseMeshOracle:
+    @pytest.mark.parametrize("density", [0.025, 0.00625])
+    def test_transformer_file(self, tmp_path, density):
+        save_mesh(tmp_path / "t.mesh", *generate_transformer_mesh(TransformerParams(), density))
+        text = (tmp_path / "t.mesh").read_text(encoding="utf-8")
+        assert_same_parse(text)
+
+    @pytest.mark.parametrize("text", [
+        square_text(),
+        # comments and blank lines between and inside the sections
+        "# a square\n\n" + square_text(l4="1 0  # inside", l5="# a comment line\n1 1",
+                                         l8="\n0 1 2 0", l9="   \n0 2 3 1  #"),
+        square_text().replace("\n", "\r\n"),
+        square_text().replace(" ", "\t").replace("\n", " \t\n\t"),
+        square_text(l1="depth 1e0", l4="1e3 +0", l5="1_000 1e3", l6="0 +1_000",
+                    l8="0 +1 2 1_000", l11="1_000 1.0 0.0 0 +1", l14="0 1_0"),
+        # section names are read without case; a digit outside ASCII is an int to Python
+        square_text(l2="VERTICES 4", l7="Triangles 2", l9="0 2 \u0663 1"),
+        # as many blank lines as the section has rows open it
+        square_text(l2="vertices 4\n\n\n  \n# four\n", l7="triangles 2\n\n"),
+        # a region outside every winding keeps an orientation no float holds
+        square_text(l12="1 2.0 0.5 -1 1" + "0" * 400),
+    ], ids=["plain", "comments", "crlf", "tabs", "signs_exponents_underscores", "case_unicode",
+            "blank_section_start", "unused_orientation_past_float"])
+    def test_hand_written_file(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        square_text(l6=None, l7=None, l8=None, l9=None, l10=None, l11=None, l12=None,
+                    l13=None, l14=None),
+        square_text(l9=None, l10=None, l11=None, l12=None, l13=None, l14=None),
+        square_text(l1="depth"),
+        square_text(l1="depth x"),
+        square_text(l1="depth nan"),
+        square_text(l2="vertex 4"),
+        square_text(l2="vertices 4 5"),
+        square_text(l2="vertices x"),
+        square_text(l2="vertices -1"),
+        square_text(l2="vertices 5"),
+        square_text(l4="1"),
+        square_text(l4="1 0 0"),
+        square_text(l3="0 0 0", l4="1 0 0", l5="1 1 0", l6="0 1 0"),
+        square_text(l4="1 x"),
+        square_text(l4="1 inf"),
+        square_text(l5="1e400 1"),
+        square_text(l5="# only a comment"),
+        square_text(l8="0 1 2"),
+        square_text(l8="0 1 2.0 0"),
+        square_text(l9="0 2 3 x"),
+        square_text(l9="0 2 9 1"),
+        square_text(l9="0 3 2 1"),
+        square_text(l7="triangles 1"),
+        square_text(l9="0 2 3 7"),
+        square_text(l11="0 1.0 0.0 0"),
+        square_text(l12="0 2.0 0.5 -1 0"),
+        square_text(l12="0 x 0.5 -1 0"),
+        square_text(l12="1 -2.0 0.5 -1 0"),
+        square_text(l12="1 2.0 -0.5 -1 0"),
+        square_text(l11="0 1.0 0.0 0 2"),
+        square_text(l12="1 2.0 0.5 3 0"),
+        square_text(l13="windings 2", l14="0 10\n1 5"),
+        square_text(l13="windings 2", l14="0 10\n0 5"),
+        square_text(l14="0"),
+        square_text(l14="0 -5"),
+        square_text(l14="0 nan"),
+    ])
+    def test_named_error_unchanged(self, text):
+        with pytest.raises(MeshError) as expected:
+            parse_mesh_oracle(text)
+        with pytest.raises(MeshError) as got:
+            parse_mesh(text)
+        assert type(got.value) is type(expected.value)
+        # the oracle lists undeclared regions as numpy scalars, np.int64(7)
+        assert str(got.value) == re.sub(r"np\.int64\((-?\d+)\)", r"\1", str(expected.value))
+
+    @pytest.mark.parametrize("trailing, lineno, word", [("garbage 1 2 3", 15, "garbage"),
+                                                        ("\n# end\nvertices 5", 17, "vertices")])
+    def test_content_after_windings_named(self, trailing, lineno, word):
+        # the token parser stopped reading after the windings section
+        text = square_text() + trailing + "\n"
+        parse_mesh_oracle(text)
+        with pytest.raises(MeshError, match=f"^line {lineno}: expected the end of the file "
+                                            f"after the windings, got '{word}'$"):
+            parse_mesh(text)

@@ -54,10 +54,10 @@ from .sources import Waveform
 from .stepping import (
     EocRow,
     FactorCache,
-    NewtonConfig,
     NewtonStats,
     StepOperator,
     StepRecord,
+    StepState,
     TimeGrid,
     TransientResult,
     convergence_study,

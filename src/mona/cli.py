@@ -24,8 +24,8 @@ from .errors import MonaError, SolverError, TopologyError
 from .fem import save_mesh
 from .netlist import parse_netlist
 from .probes import default_state_probe, parse_probe_spec
-from .stepping import (EPS_H_ABS_BOUND, EPS_H_REL_BOUND, NewtonConfig, TimeGrid,
-                       check_zero_state, convergence_study, run_transient)
+from .stepping import (EPS_H_ABS_BOUND, EPS_H_REL_BOUND, TimeGrid, check_zero_state,
+                       convergence_study, run_transient)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -109,13 +109,6 @@ def _assemble(args):
                             args.mesh_density, base=path.parent)
 
 
-def _grid_and_newton(args):
-    """The time grid and Newton settings; built first, so bad values fail
-    before any assembly (``converge`` checks ``--halvings`` right after)."""
-    return (TimeGrid(t0=T0, t_end=args.t_end, tau=args.tau),
-            NewtonConfig(tol=args.newton_tol))
-
-
 def _warn_certificate(result) -> None:
     """One ``warning:`` line on standard error if any step's balance defect
     is over the certificate's bounds (:meth:`TransientResult.certificate_violations`):
@@ -139,7 +132,7 @@ def _run(args):
     both files, with the steps accepted before the failure, and re-raises;
     the ``eps_H_rel`` column of that partial audit is relative to the peak
     supplied power over those steps only."""
-    grid, newton = _grid_and_newton(args)
+    grid = TimeGrid(t0=T0, t_end=args.t_end, tau=args.tau)  # bad values fail before assembly
     parsed, system = _assemble(args)
     probes = parse_probe_spec(system, args.probes, parsed.node_ids) if args.probes else {}
     out = Path(args.out)
@@ -150,7 +143,7 @@ def _run(args):
         audit_table(result).write(out / "audit.csv")
 
     try:
-        result = run_transient(system, grid, probes=probes, config=newton)
+        result = run_transient(system, grid, probes=probes)
     except SolverError as exc:
         if hasattr(exc, "partial_result"):
             write(exc.partial_result)
@@ -169,7 +162,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    grid, newton = _grid_and_newton(args)
+    grid = TimeGrid(t0=T0, t_end=args.t_end, tau=args.tau)  # bad values fail before assembly
     if args.halvings < 1:
         raise ValueError(f"--halvings must be at least 1, got {args.halvings}")
     parsed, system = _assemble(args)
@@ -182,7 +175,7 @@ def cmd_converge(args) -> int:
         probe = default_state_probe(system)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = convergence_study(system, grid, args.halvings, probe, config=newton)
+    rows = convergence_study(system, grid, args.halvings, probe)
     eoc_table(rows).write(out / "eoc.csv")
     for r in rows:
         eoc = "--" if r.order is None else f"{r.order:.2f}"
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-end", type=float, default=0.05, dest="t_end",
                        help="end time [s]")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--newton-tol", type=float, default=1e-12, dest="newton_tol")
 
     def netlist_options(p, netlist_required=True):
         if netlist_required:

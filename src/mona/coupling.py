@@ -68,6 +68,11 @@ class BlockLayout:
         return sum(self.sizes)
 
     @cached_property
+    def n_circuit(self) -> int:
+        """The number of circuit unknowns: every block but the last, ``a``."""
+        return self.size - self.n_a
+
+    @cached_property
     def slices(self) -> tuple[slice, ...]:
         """The slices of the five blocks, in block order."""
         return tuple(slice(off, off + n) for off, n in zip(self.offsets, self.sizes))
@@ -194,7 +199,7 @@ class CoupledSystem:
         ydot: :attr:`circuit_rate_matrix` plus :meth:`diode_rows` in the
         circuit rows (every block but ``a``), plus the flux-linkage rate."""
         lay = self.layout
-        k = lay.size - lay.n_a
+        k = lay.n_circuit
         out = np.empty(lay.size)
         out[:k] = self.circuit_rate_matrix @ ydot[:k] + self.diode_rows(ydot[:k])[0]
         if lay.n_a:
@@ -206,12 +211,12 @@ class CoupledSystem:
     @cached_property
     def circuit_rate_matrix(self) -> np.ndarray:
         """The linear part of the rate operator's circuit rows, dense k x k
-        (k = size - n_a): the linear resistors' nodal conductance and the
+        (k = n_circuit): the linear resistors' nodal conductance and the
         charge-rate incidences in the current law, minus their transposes in
         the capacitor, source and device-terminal voltages."""
         g = self.graph
         psi, *charges, _a = self.layout.slices
-        k = self.layout.size - self.layout.n_a
+        k = self.layout.n_circuit
         out = np.zeros((k, k))
         a_lin = g.a_r[:, :g.n_linear_resistive]
         out[psi, psi] = a_lin @ (g.conductance[:, None] * a_lin.T)
@@ -258,7 +263,7 @@ class CoupledSystem:
         step matrix (:class:`~mona.stepping.StepOperator`) and
         :meth:`jacobians` are built from this one pair."""
         lay = self.layout
-        coupling = np.zeros((lay.size - lay.n_a, lay.n_a))
+        coupling = np.zeros((lay.n_circuit, lay.n_a))
         coupling[lay.block_slice("q_m")] = self.winding_matrix.T
         return (sp.bmat([[self.circuit_hessian, None], [None, self.stiffness]]).tocsr(),
                 sp.bmat([[self.circuit_rate_matrix, coupling],
@@ -271,7 +276,7 @@ class CoupledSystem:
         j_state, j_rate = self.constant_jacobians
         lay = self.layout
         a_d = self.diode_incidence
-        slopes = self.diode_rows(np.asarray(ydot, dtype=float)[:lay.size - lay.n_a])[1]
+        slopes = self.diode_rows(np.asarray(ydot, dtype=float)[:lay.n_circuit])[1]
         diodes = sp.block_diag((a_d @ (slopes[:, None] * a_d.T), sp.csr_matrix((lay.n_a, lay.n_a))))
         return j_state.copy(), (j_rate + diodes).tocsr()
 
@@ -280,7 +285,7 @@ class CoupledSystem:
         :meth:`energy_gradient` take; None without a field."""
         if self.field is None:
             return None
-        return self.field.element_map @ y[self.layout.size - self.layout.n_a:]
+        return self.field.element_map @ y[self.layout.n_circuit:]
 
     def energy(self, y: np.ndarray, element_values=None) -> float:
         """Stored energy: inductors, capacitors, and the magnetic field.
@@ -297,7 +302,7 @@ class CoupledSystem:
         psi, q_c = lay.slices[:2]
         h = circuit_energy(self.graph, y[psi], y[q_c])
         if lay.n_a:
-            h += self.field.energy(y[lay.size - lay.n_a:], element_values)
+            h += self.field.energy(y[lay.n_circuit:], element_values)
         return h
 
     def energy_gradient(self, y: np.ndarray, element_values=None) -> np.ndarray:
@@ -307,7 +312,7 @@ class CoupledSystem:
         the field rows :meth:`FieldModel.energy_gradient`, (G^T C)(G a), with
         G a from ``element_values`` if the caller has it."""
         lay = self.layout
-        k = lay.size - lay.n_a
+        k = lay.n_circuit
         out = np.empty(lay.size)
         out[:k] = self.circuit_hessian @ y[:k]
         if lay.n_a:

@@ -718,6 +718,9 @@ def parse_mesh(text: str):
         n = as_int(lineno, token)
         if n < 0:
             raise MeshError(f"line {lineno}: '{key}' count must be non-negative, got {n}")
+        if n > len(lines) - lineno:
+            raise MeshError(f"line {lineno}: '{key}' count {n} exceeds the {len(lines) - lineno} "
+                            f"line(s) after it")
         return n
 
     def rows(n, width, dtype, convert, message):
@@ -741,7 +744,11 @@ def parse_mesh(text: str):
             lineno, toks = take()
             if len(toks) != width:
                 raise MeshError(f"line {lineno}: {message}")
-            values[row] = [convert(lineno, s) for s in toks]
+            try:
+                values[row] = [convert(lineno, s) for s in toks]
+            except OverflowError:
+                raise MeshError(f"line {lineno}: {' '.join(toks)!r} has an integer out of "
+                                f"the {np.dtype(dtype)} range") from None
         return values
 
     depth = as_float(*header("depth"))
@@ -803,8 +810,10 @@ def parse_mesh(text: str):
         tris = np.flatnonzero(per_triangle(ours, dtype=bool))
         if tris.size == 0:
             raise MeshError(f"winding {wid} has no triangles")
-        # only the winding's own regions have an orientation to read
-        orientation = per_triangle([p[3] if mine else 0 for p, mine in zip(props, ours)])
+        # only the winding's own regions have an orientation to read; one
+        # other than +-1 is an error (Winding), clipped first to one a float holds
+        orientation = per_triangle([min(max(p[3], -2), 2) if mine else 0
+                                    for p, mine in zip(props, ours)])
         windings.append(Winding(name=f"w{wid}", triangles=tris,
                                 orientation=orientation[tris], turns=turns[wid]))
     undeclared = {p[2] for p in props} - {-1} - set(turns)

@@ -27,10 +27,10 @@ from .fem import factor_spd
 
 __all__ = [
     "TimeGrid",
-    "NewtonConfig",
     "NewtonStats",
     "FactorCache",
     "StepOperator",
+    "StepState",
     "StepRecord",
     "TransientResult",
     "EocRow",
@@ -46,6 +46,10 @@ log = logging.getLogger(__name__)
 
 INIT_RESIDUAL_TOL = 1e-10
 
+# Newton's tolerance on the scaled max norm (floored where binary64 cannot
+# reach it, see :func:`newton_solve`) and its iteration limit
+NEWTON_TOL = 1e-12
+MAX_ITER = 50
 MAX_HALVINGS = 30  # step halvings per Newton line search
 # residual components within this many machine epsilons of their own term
 # magnitude count as solved: binary64 cannot represent anything smaller
@@ -90,18 +94,6 @@ class TimeGrid:
 
     def halved(self) -> "TimeGrid":
         return replace(self, tau=self.tau / 2.0)
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Convergence tolerance (scaled max norm) and iteration limit of Newton."""
-
-    tol: float = 1e-12
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"Newton tolerance must be positive and finite, got {self.tol!r}")
 
 
 @dataclass
@@ -256,14 +248,34 @@ class FactorCache:
         return np.concatenate([x_c, self.trailing_solve(rhs[self.n_leading:], x_c)])
 
 
-class _LastStep(NamedTuple):
-    """What the last step of a :class:`StepOperator` leaves behind: the state
-    it returned, that state's G a for the next step's energy gradient, and
-    the stored-state rate its audit took, for the step's probes."""
+class StepState(NamedTuple):
+    """A state ``y`` with its G a (:meth:`CoupledSystem.element_values`)
+    and stored energy, which a step from it takes for the energy gradient
+    and the audit's H(y_prev); its arrays are read-only.  A state that
+    :func:`midpoint_step` reached also carries the ``rate`` its audit took
+    and the circuit part of y - y_prev, the ``increment`` where the next
+    step's Newton starts.  :meth:`at` forms a state from any array."""
 
-    state: np.ndarray
-    values: object
-    rate: np.ndarray
+    y: np.ndarray
+    element_values: object
+    energy: float
+    rate: np.ndarray | None = None
+    increment: np.ndarray | None = None
+
+    @classmethod
+    def at(cls, system: CoupledSystem, y) -> "StepState":
+        """The state of a copy of ``y``, which later changes to ``y`` miss."""
+        y = np.array(y, dtype=float)
+        values = system.element_values(y)
+        return cls(*_read_only(y, values), system.energy(y, values))
+
+
+def _read_only(*arrays):
+    """``arrays``, each marked read-only in place; None passes through."""
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
 
 
 class StepOperator:
@@ -302,7 +314,6 @@ class StepOperator:
         a_d = system.diode_incidence
         self._diode_pairs = (a_d[rows] * a_d[cols]) * weight
         self._linear_stamped = self.cache.leading[rows, cols]
-        self._last_step = _LastStep(None, None, None)
 
     def residual(self, z: np.ndarray, const_part: np.ndarray,
                  diode_rows: np.ndarray | None = None) -> np.ndarray:
@@ -336,15 +347,14 @@ def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
     return float(scaled.max())
 
 
-def _floored(scale: np.ndarray, terms: np.ndarray, tol: float) -> np.ndarray:
+def _floored(scale: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """``scale`` floored where a residual assembled from terms of size
-    ``terms`` cannot reach ``tol`` in binary64 (see :func:`newton_solve`)."""
-    return np.maximum(scale, (_FLOOR_EPS / tol) * terms)
+    ``terms`` cannot reach the tolerance in binary64 (:func:`newton_solve`)."""
+    return np.maximum(scale, (_FLOOR_EPS / NEWTON_TOL) * terms)
 
 
-def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
-                 scale: np.ndarray, cache: FactorCache, const_magnitude: np.ndarray,
-                 limiter=None):
+def newton_solve(residual, jacobian, x0: np.ndarray, scale: np.ndarray,
+                 cache: FactorCache, const_magnitude: np.ndarray, limiter=None):
     """Damped Newton iteration; returns ``(x, NewtonStats)`` for the first
     iterate within tolerance, the iterate ``residual`` was last called with.
 
@@ -363,13 +373,13 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
     Step halving (at most :data:`MAX_HALVINGS` per line search) guards
     against overshoot; a step whose residual stays non-finite after all
     halvings is a hard failure.
-    ``config`` supplies the tolerance ``tol`` and the iteration limit
-    ``max_iter``, past which the solve fails with :class:`SolverError`.
+    The tolerance is :data:`NEWTON_TOL`; past :data:`MAX_ITER` iterations
+    the solve fails with :class:`SolverError`.
 
     A residual component assembled from terms of magnitude m cannot come out
     below a few eps * m in binary64, so whenever a fresh factorization is
     available the componentwise scale is floored at
-    ``FLOOR_FACTOR * eps * (|J| |x| + const_magnitude) / tol``, where
+    ``FLOOR_FACTOR * eps * (|J| |x| + const_magnitude) / NEWTON_TOL``, where
     ``const_magnitude`` bounds the terms of the residual that do not depend
     on x; this keeps the tolerance meaningful on equations whose residual is
     a small difference of large terms instead of stalling on the last
@@ -387,12 +397,12 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
 
     def update_floor():
         nonlocal eff_scale
-        eff_scale = _floored(scale, cache.magnitude(x) + const_magnitude, config.tol)
+        eff_scale = _floored(scale, cache.magnitude(x) + const_magnitude)
 
     r = residual(x)
     nrm = _scaled_norm(r, eff_scale)
     stats.residual_norm = nrm
-    if nrm <= config.tol:
+    if nrm <= NEWTON_TOL:
         stats.converged = True
         return x, stats
 
@@ -417,7 +427,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         return proposal - x, (proposal is not x_new
                               and not np.array_equal(proposal, x_new))
 
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if it > 1 or not cache.ready:
             refresh()
 
@@ -442,7 +452,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
                 # a limited full step from a fresh factorization is its own
                 # safeguard: take it as long as it is finite, even uphill, to
                 # get off switching plateaus
-                if math.isfinite(n_try) and (n_try < nrm or n_try <= config.tol
+                if math.isfinite(n_try) and (n_try < nrm or n_try <= NEWTON_TOL
                                              or (was_limited and fresh and alpha == 1.0)):
                     accepted = True
                     break
@@ -462,13 +472,13 @@ def newton_solve(residual, jacobian, x0: np.ndarray, config: NewtonConfig,
         x, r, nrm = x_try, r_try, n_try
         stats.iterations = it
         stats.residual_norm = nrm
-        if nrm <= config.tol:
+        if nrm <= NEWTON_TOL:
             stats.converged = True
             return x, stats
 
     raise SolverError(
-        f"Newton did not converge in {config.max_iter} iterations "
-        f"(residual {nrm:.3e}, tol {config.tol:.3e})")
+        f"Newton did not converge in {MAX_ITER} iterations "
+        f"(residual {nrm:.3e}, tol {NEWTON_TOL:.3e})")
 
 
 # The balance certificate: a step's |eps_H| may exceed neither this many
@@ -624,10 +634,10 @@ def _block_scale(layout: BlockLayout, magnitude: np.ndarray) -> np.ndarray:
     return np.repeat(np.maximum(peaks, 1.0), sizes)
 
 
-def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
-                  energy_prev: float, config: NewtonConfig | None = None, index: int = 0,
-                  increment_hint: np.ndarray | None = None):
-    """Advance one implicit midpoint step; returns (y_next, StepRecord).
+def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index: int = 0):
+    """Advance one implicit midpoint step from the state ``start``; returns
+    the :class:`StepState` it reaches, whose ``y`` is a new read-only array,
+    and its :class:`StepRecord`.
 
     The Newton unknown is the state increment over the step rather than the
     new state itself, and the residual is :meth:`StepOperator.residual` with
@@ -639,34 +649,30 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     of the accumulated states.
 
     Newton runs on the circuit unknowns with the field eliminated
-    (:func:`_circuit_newton`), from the circuit entries of
-    ``increment_hint`` if they are finite.  Its result is accepted only if
-    the full-space residual r meets the tolerance under the full-space
-    scale, or else under that scale floored; the first residual adds the
-    diode currents the reduced Newton evaluated at its result, so the diode
-    laws run once per iterate.  Otherwise iterative refinement finishes the
-    step: z += solve(-r) with the factorization the circuit Newton left
-    behind, at most :data:`MAX_REFINEMENTS` times, after which the step
-    fails with :class:`SolverError`.  Linear systems converge in a single
-    iteration once a factorization exists.
+    (:func:`_circuit_newton`), from ``start.increment`` if it is given and
+    finite.  Its result is accepted only if the full-space residual r meets
+    the tolerance under the full-space scale, or else under that scale
+    floored; the first residual adds the diode currents the reduced Newton
+    evaluated at its result, so the diode laws run once per iterate.
+    Otherwise iterative refinement finishes the step: z += solve(-r) with
+    the factorization the circuit Newton left behind, at most
+    :data:`MAX_REFINEMENTS` times, after which the step fails with
+    :class:`SolverError`.  Linear systems converge in a single iteration
+    once a factorization exists.
 
     The system, the step size, the step matrix, the diode limiter and the
-    factorization carried between steps all come from ``operator``.
-    ``energy_prev`` is ``system.energy(y_prev)``, which the caller already
-    has (the previous record's ``energy``).  The operator keeps the G a of
-    the state a step returns, and the next step reuses it if its ``y_prev``
-    is that same array.
+    factorization carried between steps all come from ``operator``; the
+    energy gradient and the audit's H(y_prev) come from ``start``'s G a and
+    energy, which :meth:`StepState.at` formed from its own read-only copy.
     """
-    config = config or NewtonConfig()
     system, tau, cache = operator.system, operator.tau, operator.cache
     k = cache.n_leading
-    y_prev = np.asarray(y_prev, dtype=float)
+    y_prev = start.y
     if not np.isfinite(y_prev).all():
         raise ValueError("midpoint_step called with non-finite state")
 
     sources = system.sources(t_prev + 0.5 * tau)
-    last = operator._last_step
-    const_part = system.energy_gradient(y_prev, last.values if last.state is y_prev else None)
+    const_part = system.energy_gradient(y_prev, start.element_values)
     const_part -= sources.vector
 
     # the step matrix and the diode currents vanish at zero, so const_part
@@ -675,23 +681,22 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     peak = np.abs(sources.vector)
     scale = _block_scale(system.layout, np.maximum(peak, const_magnitude, out=peak))
     z0 = np.zeros(k)
-    if increment_hint is not None and np.isfinite(increment_hint[:k]).all():
-        z0 = np.asarray(increment_hint[:k], dtype=float)
+    if start.increment is not None and np.isfinite(start.increment).all():
+        z0 = start.increment
     try:
-        z, stats, diode_rows = _circuit_newton(operator, const_part, const_magnitude, z0,
-                                               config, scale)
+        z, stats, diode_rows = _circuit_newton(operator, const_part, const_magnitude, z0, scale)
         while True:
             r = operator.residual(z, const_part, diode_rows)
             stats.residual_norm = _scaled_norm(r, scale)
-            if stats.residual_norm > config.tol:  # the floor can only lower it
+            if stats.residual_norm > NEWTON_TOL:  # the floor can only lower it
                 stats.residual_norm = _scaled_norm(
-                    r, _floored(scale, cache.magnitude(z) + const_magnitude, config.tol))
-            if stats.residual_norm <= config.tol:
+                    r, _floored(scale, cache.magnitude(z) + const_magnitude))
+            if stats.residual_norm <= NEWTON_TOL:
                 break
             if stats.refinements == MAX_REFINEMENTS:
                 raise SolverError(
                     f"refinement missed the tolerance after {MAX_REFINEMENTS} corrections "
-                    f"(residual {stats.residual_norm:.3e}, tol {config.tol:.3e})")
+                    f"(residual {stats.residual_norm:.3e}, tol {NEWTON_TOL:.3e})")
             z = z + cache.solve(-r)
             diode_rows = None
             stats.refinements += 1
@@ -704,16 +709,16 @@ def midpoint_step(operator: StepOperator, y_prev: np.ndarray, t_prev: float,
     rate /= tau
     values = system.element_values(y_next)
     energy = system.energy(y_next, values)
-    operator._last_step = _LastStep(y_next, values, rate)
-    audit = power_audit(system, rate, sources, (energy_prev, energy), tau)
+    y_next, values, rate, increment = _read_only(y_next, values, rate,
+                                                 y_next[:k] - y_prev[:k])
+    audit = power_audit(system, rate, sources, (start.energy, energy), tau)
     record = StepRecord(index=index, time=t_prev + tau, energy=energy, newton=stats,
                         audit=audit)
-    return y_next, record
+    return StepState(y_next, values, energy, rate, increment), record
 
 
 def _circuit_newton(operator: StepOperator, const_part: np.ndarray,
-                    const_magnitude: np.ndarray, z0: np.ndarray, config: NewtonConfig,
-                    scale: np.ndarray):
+                    const_magnitude: np.ndarray, z0: np.ndarray, scale: np.ndarray):
     """Newton on the circuit unknowns of a midpoint step with the field
     eliminated; returns the whole increment z, the Newton statistics and
     the diode rows A_d i_d(A_d^T z_c / tau) at its circuit part z_c = z[:k],
@@ -749,8 +754,8 @@ def _circuit_newton(operator: StepOperator, const_part: np.ndarray,
             reduced_residual(z_c)
         return operator.stamp(seen[2])
 
-    z_c, stats = newton_solve(reduced_residual, stamp, z0, config, scale[:k],
-                              cache, c_hat_terms, limiter=operator.limiter)
+    z_c, stats = newton_solve(reduced_residual, stamp, z0, scale[:k], cache, c_hat_terms,
+                              limiter=operator.limiter)
     # newton_solve returns the iterate its residual saw last
     return np.concatenate([z_c, cache.trailing_solve(-const_part[k:], z_c)]), stats, seen[1]
 
@@ -785,8 +790,8 @@ def check_zero_state(system: CoupledSystem, t0: float) -> None:
             f"(residual {init_defect:.3e}); sources must vanish at t0")
 
 
-def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = None,
-                  config: NewtonConfig | None = None) -> TransientResult:
+def run_transient(system: CoupledSystem, grid: TimeGrid,
+                  probes: dict | None = None) -> TransientResult:
     """Integrate from the zero state over the grid, auditing every step.
 
     The zero state must satisfy the system at rest at t0
@@ -801,47 +806,37 @@ def run_transient(system: CoupledSystem, grid: TimeGrid, probes: dict | None = N
     the (n_steps, n) state history, which the records do not keep.  The run
     itself holds only the last state, so its memory is O(n + steps).
     """
-    config = config or NewtonConfig()
     probes = probes or {}
     check_zero_state(system, grid.t0)
-    y = system.layout.zeros()
+    state = StepState.at(system, system.layout.zeros())
 
     # one step matrix and one field-block factorization per run
     operator = StepOperator(system, grid.tau)
     records = []
     probe_values = {name: [] for name in probes}
-    t_prev = grid.t0
-    k = operator.cache.n_leading
-    z_pred = None  # the circuit part of the last increment
-    # the first step reuses the start's G a as every later step reuses its
-    # predecessor's; each later state's energy comes with its record
-    operator._last_step = _LastStep(y, system.element_values(y), None)
-    energy = system.energy(y, operator._last_step.values)
+
+    def result(completed=True):
+        return TransientResult(grid=grid, records=records, completed=completed,
+                               probes={k: np.array(v) for k, v in probe_values.items()})
+
     for n in range(1, grid.n_steps + 1):
+        t_prev = grid.time(n - 1)
         try:
-            y_next, record = midpoint_step(operator, y, t_prev, energy, config=config,
-                                           index=n, increment_hint=z_pred)
+            reached, record = midpoint_step(operator, state, t_prev, index=n)
         except SolverError as exc:
-            exc.partial_result = TransientResult(
-                grid=grid, records=records,
-                probes={k: np.array(v) for k, v in probe_values.items()},
-                completed=False)
+            exc.partial_result = result(completed=False)
             raise
-        ctx = StepContext(system=system, index=n, t_prev=t_prev, tau=grid.tau, y_prev=y,
-                          y_next=y_next, energy=record.energy, rate=operator._last_step.rate)
+        ctx = StepContext(system=system, index=n, t_prev=t_prev, tau=grid.tau, y_prev=state.y,
+                          y_next=reached.y, energy=reached.energy, rate=reached.rate)
         for name, fn in probes.items():
             probe_values[name].append(fn(ctx))
         records.append(record)
-        z_pred = y_next[:k] - y[:k]
-        y, energy = y_next, record.energy
-        t_prev = grid.time(n)
+        state = reached
         stats = record.newton
         log.debug("step %d t=%.6g iters=%d fact=%d halv=%d refine=%d resid=%.3e eps_H=%.3e",
-                  n, t_prev, stats.iterations, stats.factorizations, stats.halvings,
+                  n, grid.time(n), stats.iterations, stats.factorizations, stats.halvings,
                   stats.refinements, stats.residual_norm, record.audit.residual)
-
-    return TransientResult(grid=grid, records=records,
-                           probes={k: np.array(v) for k, v in probe_values.items()})
+    return result()
 
 
 @dataclass
@@ -852,8 +847,8 @@ class StepContext:
     step's difference quotients, i.e. second-order values at the interval
     midpoint.  ``energy`` is the stored energy of ``y_next`` and ``rate`` the
     difference quotient (y_next - y_prev)/tau that the step's audit took.
-    Each step's ``y_next`` is a new array that is never mutated afterwards,
-    so a probe may return it (or ``rate``) itself rather than a copy.
+    ``y_next`` and ``rate`` are read-only arrays of their own
+    (:class:`StepState`), so a probe may return them rather than a copy.
     """
 
     system: CoupledSystem
@@ -891,8 +886,7 @@ class EocRow:
 REFERENCE_EXTRA_HALVINGS = 3
 
 
-def convergence_study(system: CoupledSystem, grid: TimeGrid, halvings: int,
-                      probe, config: NewtonConfig | None = None) -> list:
+def convergence_study(system: CoupledSystem, grid: TimeGrid, halvings: int, probe) -> list:
     """Step-halving error table against a self-refined reference run.
 
     Runs the transient at tau, tau/2, ..., tau/2^halvings plus a reference
@@ -910,9 +904,8 @@ def convergence_study(system: CoupledSystem, grid: TimeGrid, halvings: int,
     for _ in range(REFERENCE_EXTRA_HALVINGS):
         ref_grid = ref_grid.halved()
 
-    runs = [run_transient(system, g, probes={"probe": probe}, config=config)
-            for g in grids]
-    ref = run_transient(system, ref_grid, probes={"probe": probe}, config=config)
+    runs = [run_transient(system, g, probes={"probe": probe}) for g in grids]
+    ref = run_transient(system, ref_grid, probes={"probe": probe})
     ref_series = ref.probe("probe")
 
     rows = []

@@ -23,7 +23,7 @@ from mona.fem import (
 )
 from mona.netlist import parse_netlist
 from mona.probes import compile_probe, parse_probe_spec
-from mona.stepping import NewtonConfig, TimeGrid, convergence_study, run_transient
+from mona.stepping import TimeGrid, convergence_study, run_transient
 
 from conftest import LINEAR_COUPLED_NETLIST, build_from_netlist, random_state, state_probe
 from test_coupling import dense_residual
@@ -31,7 +31,6 @@ from test_coupling import dense_residual
 RECTIFIER_TAUS = (5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
 FINE_DENSITIES = (0.00625, 0.003125)  # mesh h [m] of the finer criterion-1 runs
 T_END = 0.05
-NEWTON = NewtonConfig(tol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +42,7 @@ def demo():
 def demo_run(demo):
     grid = TimeGrid(0.0, T_END, 6.25e-4)
     probes = parse_probe_spec(demo.system, DEMO_PROBES, demo.parsed.node_ids)
-    return run_transient(demo.system, grid, probes=probes, config=NEWTON)
+    return run_transient(demo.system, grid, probes=probes)
 
 
 def report(criterion, detail):
@@ -59,7 +58,7 @@ def test_criterion_1_discrete_power_balance(demo):
     worst_abs = worst_rel = 0.0
     for h, system, tau in runs:
         start = time.perf_counter()
-        result = run_transient(system, TimeGrid(0.0, T_END, tau), config=NEWTON)
+        result = run_transient(system, TimeGrid(0.0, T_END, tau))
         elapsed = time.perf_counter() - start
         eps = result.max_balance_residual()
         rel = eps / result.peak_supplied_power()
@@ -76,7 +75,7 @@ def test_criterion_2_second_order_convergence(demo, rlc):
     """Observed order ~2 on the rectifier and tightly 2 on a smooth RLC."""
     probe = compile_probe(demo.system, "psi(4)", demo.parsed.node_ids)
     rows = convergence_study(demo.system, TimeGrid(0.0, T_END, RECTIFIER_TAUS[0]),
-                             halvings=3, probe=probe, config=NEWTON)
+                             halvings=3, probe=probe)
     orders = [row.order for row in rows[1:]]
     for order in orders:
         assert 1.7 <= order <= 2.3, f"rectifier e.o.c. {order:.3f} outside [1.7, 2.3]"
@@ -84,7 +83,7 @@ def test_criterion_2_second_order_convergence(demo, rlc):
     parsed, _graph, system = rlc
     probe = compile_probe(system, "psi(3)", parsed.node_ids)
     rlc_rows = convergence_study(system, TimeGrid(0.0, 0.04, 1e-3),
-                                 halvings=3, probe=probe, config=NEWTON)
+                                 halvings=3, probe=probe)
     rlc_orders = [row.order for row in rlc_rows[1:]]
     for order in rlc_orders:
         assert 1.9 <= order <= 2.1, f"RLC e.o.c. {order:.3f} outside [1.9, 2.1]"
@@ -99,7 +98,7 @@ def test_criterion_3_continuous_balance_recovered(coarse_field):
 
     def max_defect(tau):
         grid = TimeGrid(0.0, T_END, tau)
-        result = run_transient(system, grid, probes={"y": state_probe}, config=NEWTON)
+        result = run_transient(system, grid, probes={"y": state_probe})
         states = np.vstack([system.layout.zeros()[None, :], result.probe("y")])
         energies = np.array([system.energy(y) for y in states])
         times = grid.times()

@@ -158,11 +158,10 @@ class TestBadInput:
     """Bad option values and unusable paths exit with code 1 and a cause."""
 
     @pytest.mark.parametrize("option, value, cause", [
-        ("--newton-tol", "0", "Newton tolerance"),
-        ("--newton-tol", "-1", "Newton tolerance"),
-        ("--newton-tol", "nan", "Newton tolerance"),
         ("--t-end", "inf", "t_end must be finite"),
         ("--t-end", "nan", "t_end must be finite"),
+        # Newton's tolerance is no option: NEWTON_TOL is the one value
+        ("--newton-tol", "1e-12", "unrecognized arguments: --newton-tol 1e-12"),
     ])
     def test_bad_value(self, rlc_net, tmp_path, capsys, option, value, cause):
         argv = ["run", "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.01",
@@ -251,6 +250,25 @@ class TestBadInput:
         err = run_with_mesh(tmp_path, lines, capsys)
         assert f"line {lineno}: '{header}' count must be non-negative, got -1" in err
 
+    @pytest.mark.parametrize("lines, message", [
+        (MESH_LINES[:6] + ("0 1 99999999999999999999 0",) + MESH_LINES[7:],
+         "line 7: '0 1 99999999999999999999 0' has an integer out of the int64 range"),
+        # checked before the 1e12 vertices are allocated
+        (("depth 1.0", "vertices 1000000000000", "0 0"),
+         "line 2: 'vertices' count 1000000000000 exceeds the 1 line(s) after it"),
+        # a winding's orientation past what a float holds
+        (MESH_LINES[:8] + ("0 1.0 0.0 0 1" + "0" * 400,) + MESH_LINES[9:],
+         "winding 'w0': orientation entries must be +1 or -1"),
+    ])
+    def test_mesh_out_of_range_named(self, tmp_path, capsys, lines, message):
+        mesh = tmp_path / "big.mesh"
+        mesh.write_text("\n".join(lines) + "\n")
+        net = tmp_path / "xfmr.net"
+        net.write_text(LINEAR_COUPLED_NETLIST)
+        assert run_cli(["check", "--netlist", str(net), "--mesh", str(mesh)]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.out + out.err
+        assert f"error: {message}\n" in out.out
 
     @pytest.mark.parametrize("trailing", ["garbage 1 2 3", "vertices 5"])
     def test_mesh_content_after_windings(self, tmp_path, capsys, trailing):

@@ -304,7 +304,7 @@ class TestPowerBreakdown:
             dataclasses.replace(graph, voltage_waveforms=(Waveform.dc(0.0),)))
         rng = np.random.default_rng(8)
         # solve the DAE instantaneously: given random psi/q_c, find rates
-        from mona.stepping import NewtonConfig, newton_solve
+        from mona.stepping import newton_solve
         lay = system.layout
         for _ in range(5):
             y = random_state(system, rng)
@@ -315,8 +315,7 @@ class TestPowerBreakdown:
             def jac(ydot):
                 return system.jacobians(y, ydot, 0.0)[1].toarray().ravel()
 
-            ydot, _stats = newton_solve(resid, jac, np.zeros(lay.size),
-                                        NewtonConfig(tol=1e-12), np.ones(lay.size),
+            ydot, _stats = newton_solve(resid, jac, np.zeros(lay.size), np.ones(lay.size),
                                         dense_cache(lay.size), np.zeros(lay.size))
             pb = system.power_breakdown(y, ydot, 0.0)
             assert pb.dh_dt <= 1e-10
@@ -340,7 +339,7 @@ class TestBlockwiseEvaluators:
     def test_blocks_match_packed_expressions(self, fixture, request):
         _parsed, g, system = request.getfixturevalue(fixture)
         lay = system.layout
-        k = lay.size - lay.n_a
+        k = lay.n_circuit
         x_mat = system.winding_matrix
         compact = system.compact_form()
         a_lin = g.a_r[:, :g.n_linear_resistive]

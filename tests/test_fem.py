@@ -830,8 +830,18 @@ def parse_mesh_oracle(text):
         n = as_int(lineno, token)
         if n < 0:
             raise MeshError(f"line {lineno}: '{key}' count must be non-negative, got {n}")
+        if n > n_lines - lineno:
+            raise MeshError(f"line {lineno}: '{key}' count {n} exceeds the {n_lines - lineno} "
+                            f"line(s) after it")
         return n
 
+    def int64_row(lineno, toks, row):
+        if not all(-2**63 <= v < 2**63 for v in row):
+            raise MeshError(f"line {lineno}: {' '.join(toks)!r} has an integer out of "
+                            f"the int64 range")
+        return row
+
+    n_lines = len(text.splitlines())
     depth = as_float(*header("depth"))
     n_v = count("vertices")
     vertices = np.empty((n_v, 2))
@@ -848,8 +858,9 @@ def parse_mesh_oracle(text):
         lineno, toks = take()
         if len(toks) != 4:
             raise MeshError(f"line {lineno}: triangle needs three vertices and a region")
-        triangles[row] = [as_int(lineno, s) for s in toks[:3]]
-        tri_region[row] = as_int(lineno, toks[3])
+        entry = int64_row(lineno, toks, [as_int(lineno, s) for s in toks])
+        triangles[row] = entry[:3]
+        tri_region[row] = entry[3]
 
     n_r = count("regions")
     region_table = {}
@@ -891,7 +902,8 @@ def parse_mesh_oracle(text):
         tris = np.flatnonzero([region_table[r][2] == wid for r in tri_region])
         if tris.size == 0:
             raise MeshError(f"winding {wid} has no triangles")
-        orient = np.array([region_table[tri_region[t]][3] for t in tris], dtype=float)
+        orient = np.array([min(max(region_table[tri_region[t]][3], -2), 2) for t in tris],
+                          dtype=float)
         windings.append(Winding(name=f"w{wid}", triangles=tris,
                                 orientation=orient, turns=turns[wid]))
     used = {region_table[r][2] for r in tri_region} - {-1}
@@ -1000,6 +1012,12 @@ class TestParseMeshOracle:
         square_text(l14="0"),
         square_text(l14="0 -5"),
         square_text(l14="0 nan"),
+        # out-of-range integers and counts, named before they reach numpy
+        square_text(l9="0 2 99999999999999999999 1"),
+        square_text(l8="0 1 2 -99999999999999999999"),
+        "depth 1\nvertices 1000000000000\n0 0\n",
+        square_text(l13="windings 13"),
+        square_text(l11="0 1.0 0.0 0 1" + "0" * 400),
     ])
     def test_named_error_unchanged(self, text):
         with pytest.raises(MeshError) as expected:

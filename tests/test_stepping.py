@@ -24,9 +24,10 @@ from mona.probes import compile_probe, default_state_probe
 from mona.sources import Waveform
 from mona.stepping import (
     DIODE_GROWTH_LIMIT,
+    NEWTON_TOL,
     FactorCache,
-    NewtonConfig,
     StepOperator,
+    StepState,
     TimeGrid,
     convergence_study,
     midpoint_step,
@@ -72,13 +73,13 @@ class TestTimeGrid:
         assert grid.halved().n_steps == 80
 
 
-def solve(residual, jacobian, x0, config=NewtonConfig()):
+def solve(residual, jacobian, x0):
     """newton_solve with unit scaling, a fresh factorization of the whole
     dense Jacobian (its entries in row-major order, as ``dense_cache`` takes
     them) and no constant residual terms."""
     x0 = np.asarray(x0, dtype=float)
-    return newton_solve(residual, lambda x: jacobian(x).ravel(), x0, config,
-                        np.ones_like(x0), dense_cache(x0.size), np.zeros_like(x0))
+    return newton_solve(residual, lambda x: jacobian(x).ravel(), x0, np.ones_like(x0),
+                        dense_cache(x0.size), np.zeros_like(x0))
 
 
 class TestNewtonSolve:
@@ -109,7 +110,7 @@ class TestNewtonSolve:
         x, stats = solve(lambda x: np.zeros(2), lambda x: np.identity(2), np.zeros(2))
         assert stats.iterations == 0
 
-    def test_max_iterations_exceeded(self):
+    def test_max_iterations_exceeded(self, monkeypatch):
         # gradient never pointing at a root: |x| has none
         def resid(x):
             return np.array([abs(x[0]) + 1.0])
@@ -117,8 +118,9 @@ class TestNewtonSolve:
         def jac(x):
             return np.array([[1.0 if x[0] >= 0 else -1.0]])
 
-        with pytest.raises(SolverError, match="did not converge"):
-            solve(resid, jac, np.array([2.0]), NewtonConfig(max_iter=8))
+        monkeypatch.setattr(mona.stepping, "MAX_ITER", 8)
+        with pytest.raises(SolverError, match="did not converge in 8 iterations"):
+            solve(resid, jac, np.array([2.0]))
 
     def test_singular_matrix(self):
         def resid(x):
@@ -163,9 +165,8 @@ class TestNewtonSolve:
             tried.append(x)
             return 3.0 * (x - 0.3)
 
-        newton_solve(resid, lambda x: np.array([next(slopes)]), x0, NewtonConfig(),
-                     np.ones(1), dense_cache(1), np.zeros(1),
-                     limiter=lambda x, x_new: x_new)
+        newton_solve(resid, lambda x: np.array([next(slopes)]), x0, np.ones(1),
+                     dense_cache(1), np.zeros(1), limiter=lambda x, x_new: x_new)
         assert np.array_equal(tried[1], x0 + step)
         assert np.array_equal(tried[2], halved(x0, step))
 
@@ -183,8 +184,7 @@ class TestNewtonSolve:
             asked.append(x)
             return np.array([2.0 * x[0]])
 
-        x, stats = newton_solve(resid, jac, np.array([3.0]), NewtonConfig(), np.ones(1),
-                                cache, np.zeros(1))
+        x, stats = newton_solve(resid, jac, np.array([3.0]), np.ones(1), cache, np.zeros(1))
         assert abs(x[0] - 2.0) <= 1e-12
         assert stats.halvings == 0
         assert stats.factorizations == len(asked) == stats.iterations - 1 > 0
@@ -212,18 +212,18 @@ class TestMidpointStep:
         tau = 0.1
         q0 = 1.7
         y0 = system.layout.pack([0.0], [q0], [], [], [])
-        y1, record = midpoint_step(StepOperator(system, tau), y0, 0.0, system.energy(y0))
+        state, record = midpoint_step(StepOperator(system, tau), StepState.at(system, y0), 0.0)
         factor = (1 - tau / 2.0) / (1 + tau / 2.0)
         assert factor == pytest.approx(0.95 / 1.05)
-        q1 = y1[system.layout.block_slice("q_c")][0]
+        q1 = state.y[system.layout.block_slice("q_c")][0]
         assert q1 == pytest.approx(q0 * factor, rel=1e-12)
         assert record.newton.residual_norm <= 1e-12
 
     def test_zero_equilibrium_preserved(self):
         system = rc_discharge_system()
         y0 = system.layout.zeros()
-        y1, record = midpoint_step(StepOperator(system, 0.05), y0, 0.0, 0.0)
-        assert np.array_equal(y1, y0)
+        state, record = midpoint_step(StepOperator(system, 0.05), StepState.at(system, y0), 0.0)
+        assert np.array_equal(state.y, y0)
         assert record.newton.iterations == 0
 
     def test_rejects_bad_inputs(self):
@@ -233,7 +233,36 @@ class TestMidpointStep:
             StepOperator(system, -0.1)
         y0[0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            midpoint_step(StepOperator(system, 0.1), y0, 0.0, 0.0)
+            midpoint_step(StepOperator(system, 0.1), StepState.at(system, y0), 0.0)
+
+    def test_states_are_read_only(self, rectifier):
+        _parsed, _graph, system = rectifier
+        start = StepState.at(system, system.layout.zeros())
+        reached, _record = midpoint_step(StepOperator(system, 6.25e-4), start, 0.0)
+        arrays = [start.y, start.element_values, *reached[:2], reached.rate, reached.increment]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_state_is_a_copy(self, rectifier):
+        # a caller's array scaled in place after StepState.at changes neither
+        # the state nor the step from it, bit for bit.  When a step took G a
+        # from the array it had returned last, this cost 2 W of balance
+        _parsed, _graph, system = rectifier
+        tau = 6.25e-4
+        run = run_transient(system, TimeGrid(0.0, 2 * tau, tau), probes={"y": state_probe})
+        y = run.probe("y")[-1]
+        kept = y.copy()
+        state = StepState.at(system, y)
+        y *= 1.5
+        assert np.array_equal(state.y, kept)
+        assert state.energy == system.energy(kept)
+        reached, record = midpoint_step(StepOperator(system, tau), state, 2 * tau, index=3)
+        expected, expected_record = midpoint_step(StepOperator(system, tau),
+                                                  StepState.at(system, kept), 2 * tau, index=3)
+        assert np.array_equal(reached.y, expected.y)
+        assert record.audit == expected_record.audit
+        assert abs(record.audit.residual) <= mona.stepping.EPS_H_ABS_BOUND
 
     def test_rectifier_switching_iteration_bound(self, rectifier):
         # regression bound: diode turn-on at the demo step size stays cheap
@@ -341,8 +370,8 @@ def full_space_states(system, grid):
         magnitude = np.abs(const_part)
         scale = mona.stepping._block_scale(system.layout, np.maximum(np.abs(f), magnitude))
         z, _stats = newton_solve(definitional_residual(system, tau, const_part),
-                                 lambda z: iteration_matrix(system, tau, z), z, NewtonConfig(),
-                                 scale, cache, magnitude, limiter=limiter)
+                                 lambda z: iteration_matrix(system, tau, z), z, scale, cache,
+                                 magnitude, limiter=limiter)
         y_next = y + z
         z, y = y_next - y, y_next  # the next hint, as run_transient's
         states.append(y)
@@ -378,7 +407,7 @@ class TestBlockElimination:
             system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
             operator = StepOperator(system, tau)
             cache = operator.cache
-            k = system.layout.size - system.layout.n_a
+            k = system.layout.n_circuit
             for _ in range(2):  # both S share the field elimination
                 z = 1e-3 * random_state(system, rng)
                 matrix = stamped_matrix(operator, z)
@@ -399,7 +428,7 @@ class TestBlockElimination:
         tau = 6.25e-4
         operator = StepOperator(system, tau)
         cache = operator.cache
-        k = system.layout.size - system.layout.n_a
+        k = system.layout.n_circuit
         rng = np.random.default_rng(6)
         const_part = system.energy_gradient(random_state(system, rng)) - system.source_vector(0.01)
         c_hat = cache.condense(const_part)
@@ -489,7 +518,7 @@ class TestBlockElimination:
         grid = TimeGrid(0.0, 0.05, 6.25e-4)
         reference = run_transient(system, grid, probes={"y": state_probe})
         circuit_newton = mona.stepping._circuit_newton
-        k = system.layout.size - system.layout.n_a
+        k = system.layout.n_circuit
         forced = []
 
         def perturbed(*args):
@@ -507,7 +536,7 @@ class TestBlockElimination:
         refined = [rec for rec in result.records if rec.newton.refinements]
         assert len(refined) == 1 and refined[0].newton.converged
         assert refined[0].newton.iterations > refined[0].newton.refinements
-        assert refined[0].newton.residual_norm <= NewtonConfig().tol
+        assert refined[0].newton.residual_norm <= NEWTON_TOL
         # MONA_LOG=debug shows the refinements on the step's line
         line = next(r.getMessage() for r in caplog.records
                     if r.getMessage().startswith(f"step {refined[0].index} "))
@@ -522,7 +551,7 @@ class TestBlockElimination:
         # each correction leaves the last move behind, and the step fails
         # after MAX_REFINEMENTS corrections with the steps before it kept
         _parsed, _graph, system = rectifier
-        k = system.layout.size - system.layout.n_a
+        k = system.layout.n_circuit
         residual, step, evaluations = StepOperator.residual, mona.stepping.midpoint_step, []
 
         def offset(operator, *args):
@@ -647,16 +676,16 @@ class TestStepConstants:
         assert [rec.newton.iterations for rec in result.records] == [1] * 80
         assert per_step == [{"rate_op": 0, "energy_gradient": 1, "G a": 1}] * 80
         monkeypatch.undo()
-        # handing G a on changes no bit: a step given a copy of the previous
-        # state forms G a afresh and lands on the same state and audit
+        # handing G a on changes no bit: a step from a state formed afresh
+        # from a copy of the previous one, by StepState.at with its increment
+        # kept, lands on the same state and audit
         grid = result.grid
         operator = StepOperator(system, grid.tau)
-        y, energy, z_pred = system.layout.zeros(), 0.0, None
-        for n, (rec, state) in enumerate(zip(result.records, result.probe("y")), start=1):
-            y_next, fresh = midpoint_step(operator, y.copy(), grid.time(n - 1), energy,
-                                          index=n, increment_hint=z_pred)
-            assert np.array_equal(y_next, state) and fresh.audit == rec.audit
-            z_pred, y, energy = y_next - y, y_next, fresh.energy
+        state = StepState.at(system, system.layout.zeros())
+        for n, (rec, y) in enumerate(zip(result.records, result.probe("y")), start=1):
+            afresh = StepState.at(system, state.y.copy())._replace(increment=state.increment)
+            state, fresh = midpoint_step(operator, afresh, grid.time(n - 1), index=n)
+            assert np.array_equal(state.y, y) and fresh.audit == rec.audit
 
     def test_diode_law_once_per_iterate(self, rectifier, monkeypatch):
         # a step evaluates the diode laws once per reduced residual, plus
@@ -709,7 +738,7 @@ class TestStepConstants:
         # from them is the step residual itself
         _parsed, _graph, system = rectifier
         circuit_newton = mona.stepping._circuit_newton
-        k = system.layout.size - system.layout.n_a
+        k = system.layout.n_circuit
         checked = []
 
         def checked_newton(operator, const_part, *args):
@@ -943,14 +972,11 @@ class TestPowerAudit:
     def test_pure_dissipation_decays(self):
         system = rc_discharge_system()
         tau = 0.05
-        y = system.layout.pack([0.0], [2.0], [], [], [])
-        t = 0.0
+        state = StepState.at(system, system.layout.pack([0.0], [2.0], [], [], []))
         operator = StepOperator(system, tau)
-        energy = system.energy(y)
         for n in range(1, 21):
-            y_next, rec = midpoint_step(operator, y, t, energy, index=n)
+            state, rec = midpoint_step(operator, state, (n - 1) * tau, index=n)
             assert rec.audit.dh_dt <= 0.0
-            y, t, energy = y_next, n * tau, rec.energy
 
 
 class TestRunTransient:
@@ -1025,12 +1051,10 @@ class TestRunTransient:
         states = run_transient(system, grid, probes={"y": state_probe}).probe("y")
         assert states.shape == (grid.n_steps, system.layout.size)
         operator = StepOperator(system, grid.tau)
-        y, energy, z_pred = system.layout.zeros(), 0.0, None
+        state = StepState.at(system, system.layout.zeros())
         for n in range(1, grid.n_steps + 1):
-            y_next, rec = midpoint_step(operator, y, grid.time(n - 1), energy, index=n,
-                                        increment_hint=z_pred)
-            assert np.array_equal(states[n - 1], y_next)
-            z_pred, y, energy = y_next - y, y_next, rec.energy
+            state, _rec = midpoint_step(operator, state, grid.time(n - 1), index=n)
+            assert np.array_equal(states[n - 1], state.y)
 
     def test_energy_decays_after_source_cutoff(self, rlc):
         # drive the circuit, then continue stepping with the source zeroed:
@@ -1043,13 +1067,11 @@ class TestRunTransient:
         quiet = assemble_coupled(
             dataclasses.replace(graph, voltage_waveforms=(Waveform.dc(0.0),)))
         operator = StepOperator(quiet, 5e-4)
-        t = 0.0
-        h_prev = quiet.energy(y)
+        state = StepState.at(quiet, y)
         for n in range(1, 41):
-            y, rec = midpoint_step(operator, y, t, h_prev, index=n)
+            h_prev = state.energy
+            state, rec = midpoint_step(operator, state, (n - 1) * 5e-4, index=n)
             assert rec.energy <= h_prev + 1e-12
-            h_prev = rec.energy
-            t = n * 5e-4
 
     def test_diode_switching_steps_do_not_stall(self, rectifier):
         # regression bound: at tau = 7.8125e-5 the diode-switching steps once
@@ -1109,12 +1131,12 @@ class TestRunTransient:
             magnitude = np.maximum(np.abs(f), np.abs(r0))
             assert np.array_equal(mona.stepping._block_scale(layout, magnitude), expected)
 
-    def test_partial_result_attached_on_failure(self, rectifier):
+    def test_partial_result_attached_on_failure(self, rectifier, monkeypatch):
         _parsed, _graph, system = rectifier
         grid = TimeGrid(0.0, 0.05, 5e-3)
-        config = NewtonConfig(max_iter=1)
+        monkeypatch.setattr(mona.stepping, "MAX_ITER", 1)
         with pytest.raises(SolverError) as excinfo:
-            run_transient(system, grid, config=config)
+            run_transient(system, grid)
         partial = excinfo.value.partial_result
         assert not partial.completed
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -112,11 +113,13 @@ def _assemble(args):
 def _warn_certificate(result) -> None:
     """One ``warning:`` line on standard error if any step's balance defect
     is over the certificate's bounds (:meth:`TransientResult.certificate_violations`):
-    how many steps, and the worst |eps_H| with its time."""
+    how many steps, and the worst |eps_H| with its time, where a NaN is the
+    worst."""
     over = result.certificate_violations()
     if not over:
         return
-    worst = max(over, key=lambda rec: abs(rec.audit.residual))
+    worst = max(over, key=lambda rec: math.inf if math.isnan(rec.audit.residual)
+                else abs(rec.audit.residual))
     print(f"warning: {len(over)} of {len(result.records)} steps break the balance "
           f"certificate (|eps_H| > {EPS_H_ABS_BOUND:g} W or > {EPS_H_REL_BOUND:g} of the "
           f"peak supplied power); worst |eps_H| = {abs(worst.audit.residual):.3e} W "

@@ -6,7 +6,7 @@ time.  Because the stored energy is a quadratic form, the energy difference
 between accepted states must equal the midpoint losses and source powers
 exactly; the audit recomputes that identity from the stored states and
 reports its defect, which stays at the Newton-tolerance scale unless a step
-was accepted with an unconverged or tampered state.
+was accepted with a state Newton did not solve, or one tampered with.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,7 +106,6 @@ class NewtonStats:
     residual_norm: float = math.inf
     halvings: int = 0
     factorizations: int = 0
-    converged: bool = False
     refinements: int = 0
 
 
@@ -136,61 +134,29 @@ class _DenseLU:
 
 
 class FactorCache:
-    """LU factorization of a Newton iteration matrix, carried from one Newton
-    solve to the first iteration of the next (:func:`newton_solve`).
+    """The dense LU of the circuit-sized Schur complement S of a Newton
+    iteration matrix, carried from one Newton solve to the first iteration
+    of the next (:func:`newton_solve`).
 
-    ``matrix`` is split as [[J_cc, J_ca], [J_ac, J_aa]] with ``n_leading``
-    leading unknowns and a trailing block J_aa of size ``n_trailing``: the
-    field block of a midpoint step, 0.5*K + M/tau, symmetric positive
-    definite because the gauged K is and M is semidefinite.  The constructor
-    factors J_aa in a symmetric fill-reducing ordering without pivoting off
-    the diagonal and forms V = J_ca J_aa^-1 (``v``) and W = V J_ac, both
-    empty without a trailing block, and ``reduced_matrix`` = J_cc - W.
-    Each :meth:`refactor` takes the stamped entries of J_cc (at ``rows``,
-    ``cols``), writes them into copies of J_cc - W and |J_cc| and factors
-    the Schur complement S by dense LU; a singular S raises
+    S = J_cc - W, where J_cc is ``leading`` with its entries at (``rows``,
+    ``cols``), the stamped ones, set anew by each :meth:`refactor`, and W
+    is the dense ``w`` that eliminating a trailing block adds (zero when
+    nothing is eliminated, see :class:`StepOperator`).  ``reduced_matrix``
+    is L = ``leading`` - W.  :meth:`solve` applies S^-1 and
+    :meth:`magnitude` gives (|J_cc| + |W|) |x|, the size of the terms of
+    S x; ``abs_leading`` is that |J_cc|.  Before the first refactor the
+    stamped entries are those of ``leading``.  A singular S raises
     :class:`SolverError`.
-
-    ``solve`` and ``magnitude`` take the leading unknowns alone, where they
-    are S^-1 and (|J_cc| + |W|) |x|, or all unknowns.  There ``solve`` takes
-    x_c = S^-1 (b_c - V b_a) (:meth:`condense`) and
-    x_a = J_aa^-1 (b_a - J_ac x_c) (:meth:`trailing_solve`), the trailing
-    unknowns themselves rather than a difference of larger terms, and
-    ``magnitude`` is |J| |x| blockwise from the exact entries: the dense
-    |J_cc| with the stamped entries written, and the sparse |J_ca|, |J_ac|
-    and |J_aa|.  Before the first refactor the stamped entries are those of
-    ``matrix``.
     """
 
-    def __init__(self, matrix, rows: np.ndarray, cols: np.ndarray, n_trailing: int = 0):
-        base = matrix.tocsc()
-        self.n_leading = k = base.shape[0] - n_trailing
+    def __init__(self, leading: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         self.rows, self.cols = rows, cols
-        self._lu_aa = factor_spd(base[k:, k:])
-        j_ac = base[k:, :k]
-        # trailing_solve multiplies the columns of J_ac with entries (the
-        # winding charges of a midpoint step) densely, without scipy's dispatch
-        self._ac_cols = np.flatnonzero(np.diff(j_ac.indptr))
-        self._j_ac = j_ac[:, self._ac_cols].toarray()
-        # V solves only for the rows of J_ca with entries (the winding rows of
-        # a midpoint step); the others are zero.  V stays row-major, and W is
-        # formed with the sparse J_ac: a column-major V or a dense J_ac
-        # changes BLAS's summation order in V @ J_ac, and with it W's bits
-        j_ca = base[:k, k:].tocsr()
-        coupled = np.flatnonzero(np.diff(j_ca.indptr))
-        self.v = np.zeros((k, n_trailing))
-        self.v[coupled] = self._lu_aa.solve(j_ca[coupled].T.toarray(), trans="T").T
-        self.abs_v = np.abs(self.v)
-        w = self.v @ j_ac
-        # J_cc, row-major: the layout fixes BLAS's summation order in the
-        # products with J_cc - W, which every output byte depends on
-        self.leading = base[:k, :k].toarray(order="C")
-        self.reduced_matrix = self.leading - w
+        self._leading_abs = np.abs(leading)
+        self.reduced_matrix = leading - w
         self._w_stamped = w[rows, cols]
         self._w_abs = np.abs(w)
-        self._off_abs = abs(j_ca), abs(j_ac), abs(base[k:, k:])
-        self._set_magnitude(self.leading[rows, cols])
-        self._lu = None  # _DenseLU of the Schur complement S
+        self._set_magnitude(leading[rows, cols])
+        self._lu = None  # _DenseLU of S
 
     @property
     def ready(self) -> bool:
@@ -204,78 +170,58 @@ class FactorCache:
         return schur
 
     def refactor(self, stamped: np.ndarray) -> None:
-        """Factor the matrix with its stamped entries set to ``stamped``, the
-        values at (``rows``, ``cols``) in that order
-        (:meth:`StepOperator.stamp`)."""
+        """Factor S with its stamped entries set to ``stamped``, the values
+        at (``rows``, ``cols``) in that order (:meth:`StepOperator.stamp`)."""
         self._lu = None
         self._lu = _DenseLU(self.schur_complement(stamped))  # SolverError if singular
         self._set_magnitude(stamped)
 
     def _set_magnitude(self, stamped: np.ndarray) -> None:
         """|J_cc| and |J_cc| + |W| with the stamped entries set to ``stamped``."""
-        self._cc_abs = np.abs(self.leading)
-        self._cc_abs[self.rows, self.cols] = np.abs(stamped)
-        self._schur_abs = self._cc_abs + self._w_abs
+        self.abs_leading = self._leading_abs.copy()
+        self.abs_leading[self.rows, self.cols] = np.abs(stamped)
+        self._schur_abs = self.abs_leading + self._w_abs
 
-    def magnitude(self, x: np.ndarray) -> np.ndarray:
-        """|J| |x| for the matrix last factored: the size of the terms of
-        J x, on all unknowns or on the leading ones with the trailing block
-        eliminated."""
-        x = np.abs(x)
-        k = self.n_leading
-        if x.shape[0] == k:
-            return self._schur_abs @ x
-        abs_ca, abs_ac, abs_aa = self._off_abs
-        return np.concatenate([self._cc_abs @ x[:k] + abs_ca @ x[k:],
-                               abs_ac @ x[:k] + abs_aa @ x[k:]])
+    def magnitude(self, x_c: np.ndarray) -> np.ndarray:
+        """(|J_cc| + |W|) |x_c| for the matrix last factored."""
+        return self._schur_abs @ np.abs(x_c)
 
-    def condense(self, b: np.ndarray) -> np.ndarray:
-        """b_c - V b_a: the leading rows of ``b`` with the trailing block
-        eliminated."""
-        return b[:self.n_leading] - self.v @ b[self.n_leading:]
-
-    def trailing_solve(self, b_a: np.ndarray, x_c: np.ndarray) -> np.ndarray:
-        """x_a = J_aa^-1 (b_a - J_ac x_c), the trailing unknowns that go with
-        the leading ones x_c: one back-substitution through J_aa."""
-        return self._lu_aa.solve(b_a - self._j_ac @ x_c[self._ac_cols])
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, b_c: np.ndarray) -> np.ndarray:
+        """S^-1 b_c for the matrix last factored."""
         if self._lu is None:
             raise SolverError("no factorization available")
-        if rhs.shape[0] == self.n_leading:
-            return self._lu.solve(rhs)
-        x_c = self._lu.solve(self.condense(rhs))
-        return np.concatenate([x_c, self.trailing_solve(rhs[self.n_leading:], x_c)])
+        return self._lu.solve(b_c)
 
 
-class StepState(NamedTuple):
+@dataclass(frozen=True, eq=False, init=False)
+class StepState:
     """A state ``y`` with its G a (:meth:`CoupledSystem.element_values`)
     and stored energy, which a step from it takes for the energy gradient
-    and the audit's H(y_prev); its arrays are read-only.  A state that
+    and the audit's H(y_prev).
+
+    ``StepState(system, y)`` copies ``y``, so later changes to the caller's
+    array miss the state, and forms G a and the energy from that copy: no
+    caller can hand in an energy or a G a of another array, and a state's
+    fields cannot be reassigned.  Its arrays are read-only.  A state that
     :func:`midpoint_step` reached also carries the ``rate`` its audit took
     and the circuit part of y - y_prev, the ``increment`` where the next
-    step's Newton starts.  :meth:`at` forms a state from any array."""
+    step's Newton starts."""
 
     y: np.ndarray
     element_values: object
     energy: float
-    rate: np.ndarray | None = None
-    increment: np.ndarray | None = None
+    rate: np.ndarray | None
+    increment: np.ndarray | None
 
-    @classmethod
-    def at(cls, system: CoupledSystem, y) -> "StepState":
-        """The state of a copy of ``y``, which later changes to ``y`` miss."""
+    def __init__(self, system: CoupledSystem, y, *, rate=None, increment=None):
         y = np.array(y, dtype=float)
         values = system.element_values(y)
-        return cls(*_read_only(y, values), system.energy(y, values))
-
-
-def _read_only(*arrays):
-    """``arrays``, each marked read-only in place; None passes through."""
-    for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
-    return arrays
+        # frozen: the fields are written past __setattr__, once
+        self.__dict__.update(y=y, element_values=values, energy=system.energy(y, values),
+                             rate=rate, increment=increment)
+        for a in (y, values, rate, increment):
+            if a is not None:
+                a.flags.writeable = False
 
 
 class StepOperator:
@@ -285,14 +231,26 @@ class StepOperator:
     ``matrix`` is the step matrix J_lin = 0.5*J_state + J_rate_lin/tau from
     the system's :attr:`~mona.coupling.CoupledSystem.constant_jacobians`,
     the midpoint iteration matrix without the diode conductances;
-    :meth:`residual` is the step residual.  J_lin seeds the
-    :class:`FactorCache` that carries the factorization from step to step,
-    with the field block as its trailing block, so the cache's
-    ``reduced_matrix`` is L = J_lin_cc - W.  Only the diode conductances,
-    in the ``psi``/``psi`` block, of the iteration matrix depend on the
-    Newton iterate: :meth:`stamp` gives that block's entries at the cache's
-    (``rows``, ``cols``), the node pairs that a resistor, diode or inductor
-    joins, and a refactorization writes only them.
+    :meth:`residual` is the step residual.  J_lin is split as
+    [[J_cc, J_ca], [J_ac, J_aa]] with the ``n_circuit`` circuit unknowns
+    first and the field block J_aa = 0.5*K + M/tau last, symmetric positive
+    definite because the gauged K is and M is semidefinite.  The
+    constructor factors J_aa in a symmetric fill-reducing ordering without
+    pivoting off the diagonal and forms V = J_ca J_aa^-1 (``v``) and
+    W = V J_ac; without a field block V is empty and W is zero.
+    ``cache`` is the :class:`FactorCache` of S = J_cc - W that carries the
+    factorization from step to step; its ``reduced_matrix`` is
+    L = J_lin_cc - W.  Only the diode conductances, in the ``psi``/``psi``
+    block, of the iteration matrix depend on the Newton iterate:
+    :meth:`stamp` gives that block's entries at the cache's (``rows``,
+    ``cols``), the node pairs that a resistor, diode or inductor joins, and
+    a refactorization writes only them.
+
+    On the circuit unknowns the step is :meth:`reduced_residual`, with the
+    field eliminated by :meth:`condense` and recovered by
+    :meth:`back_substitute`.  On all unknowns :meth:`full_solve` solves
+    with the matrix the cache last factored, and :meth:`full_magnitude` is
+    the size of its terms.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
@@ -308,12 +266,34 @@ class StepOperator:
         self.matrix = 0.5 * j_state + j_rate * weight
         g = system.graph
         rows, cols = np.nonzero(np.abs(g.a_r) @ np.abs(g.a_r.T) + np.abs(g.a_l) @ np.abs(g.a_l.T))
-        self.cache = FactorCache(self.matrix, rows, cols, n_trailing=system.layout.n_a)
+        base = self.matrix.tocsc()
+        self.n_circuit = k = system.layout.n_circuit
+        self._lu_aa = factor_spd(base[k:, k:])
+        j_ac = base[k:, :k]
+        # back_substitute multiplies the columns of J_ac with entries (the
+        # winding charges) densely, without scipy's dispatch
+        self._ac_cols = np.flatnonzero(np.diff(j_ac.indptr))
+        self._j_ac = j_ac[:, self._ac_cols].toarray()
+        # V solves only for the rows of J_ca with entries (the winding rows);
+        # the others are zero.  V stays row-major, and W is formed with the
+        # sparse J_ac: a column-major V or a dense J_ac changes BLAS's
+        # summation order in V @ J_ac, and with it W's bits
+        j_ca = base[:k, k:].tocsr()
+        coupled = np.flatnonzero(np.diff(j_ca.indptr))
+        self.v = np.zeros((k, base.shape[0] - k))
+        self.v[coupled] = self._lu_aa.solve(j_ca[coupled].T.toarray(), trans="T").T
+        self.abs_v = np.abs(self.v)
+        w = self.v @ j_ac
+        # J_cc, row-major: the layout fixes BLAS's summation order in the
+        # products with J_cc - W, which every output byte depends on
+        leading = base[:k, :k].toarray(order="C")
+        self._off_abs = abs(j_ca), abs(j_ac), abs(base[k:, k:])
+        self.cache = FactorCache(leading, w, rows, cols)
         # entry (i, j) of the diode stamp is sum_d A_d[i, d] A_d[j, d] g_d / tau;
         # the incidences are 0 or +-1, so weighting them first rounds alike
         a_d = system.diode_incidence
         self._diode_pairs = (a_d[rows] * a_d[cols]) * weight
-        self._linear_stamped = self.cache.leading[rows, cols]
+        self._linear_stamped = leading[rows, cols]
 
     def residual(self, z: np.ndarray, const_part: np.ndarray,
                  diode_rows: np.ndarray | None = None) -> np.ndarray:
@@ -321,14 +301,22 @@ class StepOperator:
         diode currents A_d i_d(A_d^T z_c/tau) (:meth:`CoupledSystem.diode_rows`)
         in the circuit rows, with the per-step constant c = ``const_part``.
         ``diode_rows`` are those currents if the caller has them at this z_c,
-        as :func:`_circuit_newton` hands them back."""
-        k = self.cache.n_leading
+        as :func:`newton_solve` hands them back."""
+        k = self.n_circuit
         r = self.matrix @ z
         r += const_part
         if diode_rows is None:
             diode_rows = self.system.diode_rows(z[:k] / self.tau)[0]
         r[:k] += diode_rows
         return r
+
+    def reduced_residual(self, z_c: np.ndarray, c_hat: np.ndarray):
+        """The circuit rows of the step residual where its field rows vanish,
+        L z_c + c_hat + A_d i_d(A_d^T z_c/tau), with the condensed constant
+        c_hat (:meth:`condense`); returns it with the diode rows A_d i_d and
+        the diode slopes that came with them."""
+        rows, slopes = self.system.diode_rows(z_c / self.tau)
+        return self.cache.reduced_matrix @ z_c + c_hat + rows, rows, slopes
 
     def stamp(self, slopes: np.ndarray) -> np.ndarray:
         """The stamped entries of the iteration matrix, the ``psi``/``psi``
@@ -337,6 +325,32 @@ class StepOperator:
         stamp from ``slopes``, the diode slopes that
         :meth:`CoupledSystem.diode_rows` gave with the currents."""
         return self._linear_stamped + self._diode_pairs @ slopes
+
+    def condense(self, b: np.ndarray) -> np.ndarray:
+        """b_c - V b_a: the circuit rows of ``b`` with the field eliminated."""
+        return b[:self.n_circuit] - self.v @ b[self.n_circuit:]
+
+    def back_substitute(self, b_a: np.ndarray, x_c: np.ndarray) -> np.ndarray:
+        """x_a = J_aa^-1 (b_a - J_ac x_c), the field unknowns that go with the
+        circuit ones x_c: one back-substitution through J_aa, the unknowns
+        themselves rather than a difference of larger terms."""
+        return self._lu_aa.solve(b_a - self._j_ac @ x_c[self._ac_cols])
+
+    def full_solve(self, b: np.ndarray) -> np.ndarray:
+        """J^-1 b on all unknowns, J the iteration matrix the cache last
+        factored: x_c = S^-1 (b_c - V b_a), then :meth:`back_substitute`."""
+        x_c = self.cache.solve(self.condense(b))
+        return np.concatenate([x_c, self.back_substitute(b[self.n_circuit:], x_c)])
+
+    def full_magnitude(self, z: np.ndarray) -> np.ndarray:
+        """|J| |z| on all unknowns, J the iteration matrix the cache last
+        factored: blockwise from the exact entries, the dense |J_cc| with the
+        stamped entries written and the sparse |J_ca|, |J_ac| and |J_aa|."""
+        x = np.abs(z)
+        k = self.n_circuit
+        abs_ca, abs_ac, abs_aa = self._off_abs
+        return np.concatenate([self.cache.abs_leading @ x[:k] + abs_ca @ x[k:],
+                               abs_ac @ x[:k] + abs_aa @ x[k:]])
 
 
 def _scaled_norm(r: np.ndarray, scale: np.ndarray) -> float:
@@ -353,132 +367,118 @@ def _floored(scale: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.maximum(scale, (_FLOOR_EPS / NEWTON_TOL) * terms)
 
 
-def newton_solve(residual, jacobian, x0: np.ndarray, scale: np.ndarray,
-                 cache: FactorCache, const_magnitude: np.ndarray, limiter=None):
-    """Damped Newton iteration; returns ``(x, NewtonStats)`` for the first
-    iterate within tolerance, the iterate ``residual`` was last called with.
+def _refactor(operator: StepOperator, z_c: np.ndarray, slopes: np.ndarray,
+              scale: np.ndarray, terms: np.ndarray, stats: NewtonStats) -> np.ndarray:
+    """Factor S at the iterate z_c from its diode ``slopes`` and count it;
+    returns ``scale`` floored there for the residual terms of size
+    |S| |z_c| + ``terms``."""
+    operator.cache.refactor(operator.stamp(slopes))
+    stats.factorizations += 1
+    return _floored(scale, operator.cache.magnitude(z_c) + terms)
 
-    ``jacobian(x)`` returns the stamped entries that ``cache.refactor``
-    takes (:meth:`StepOperator.stamp` for a midpoint step); it is asked at
-    the iterate ``residual`` last saw, unless a line search from the carried
-    factorization failed.
-    ``scale`` divides the residual componentwise before taking the max norm;
-    ``cache`` carries a factorization across calls.  The first iteration
-    reuses it (a linear problem factors once over all calls) and refactors
-    only if that step is non-finite or its line search fails; every later
-    iteration refactors at its iterate: exact Newton.  The loop uses only
-    the cache's ``ready``, ``refactor``, ``magnitude`` and ``solve``; a
-    midpoint step runs it on the circuit unknowns, with a
-    :class:`FactorCache` that has the field eliminated.
-    Step halving (at most :data:`MAX_HALVINGS` per line search) guards
-    against overshoot; a step whose residual stays non-finite after all
-    halvings is a hard failure.
-    The tolerance is :data:`NEWTON_TOL`; past :data:`MAX_ITER` iterations
-    the solve fails with :class:`SolverError`.
+
+def _limited(limiter, z_c: np.ndarray, dz: np.ndarray):
+    """The step ``dz`` from ``z_c`` after the limiter, and whether the
+    limiter changed it.  The step is ``proposal - z_c`` even when the
+    limiter returns the proposal unchanged: ``(z_c + dz) - z_c`` rounds
+    differently from ``dz``."""
+    if limiter is None:
+        return dz, False
+    z_new = z_c + dz
+    proposal = limiter(z_c, z_new)
+    return proposal - z_c, (proposal is not z_new and not np.array_equal(proposal, z_new))
+
+
+def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude: np.ndarray,
+                 z0: np.ndarray, scale: np.ndarray):
+    """Damped Newton on the circuit unknowns of a midpoint step with the
+    field eliminated; returns the whole increment z, the
+    :class:`NewtonStats` and the diode rows A_d i_d(A_d^T z_c/tau) at its
+    circuit part z_c, from the residual's own evaluation there.  The rows
+    belong to that z_c: a caller that changes z_c must drop them.
+
+    The field rows J_aa z_a + J_ac z_c + c_a of the step residual with the
+    constant part c = ``const_part`` are linear, so their root is
+    z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows there are
+    :meth:`StepOperator.reduced_residual`, L z_c + c_hat + A_d i_d, with
+    c_hat = c_c - V c_a formed once; their Jacobian, L plus the diode
+    stamp, is the S that the operator's cache factors.  Each iterate
+    evaluates the diode laws once, and a refactorization at it stamps the
+    slopes that came with its currents.  Newton starts at z_c = ``z0``, and
+    z_a takes one back-substitution at the end.  Without a field block
+    nothing is eliminated.
+
+    ``scale`` divides the residual componentwise before taking the max
+    norm.  The first iteration reuses the cache's factorization (a linear
+    step factors once over all steps) and refactors only if that step is
+    non-finite or its line search fails; every later iteration refactors at
+    its iterate: exact Newton.  Step halving (at most :data:`MAX_HALVINGS`
+    per line search) guards against overshoot; a step whose residual stays
+    non-finite after all halvings is a hard failure.  The operator's
+    junction limiter may reshape a proposed full step before the line
+    search; a limited full step from a fresh factorization is taken as long
+    as it is finite, even uphill, to get off switching plateaus.  The
+    tolerance is :data:`NEWTON_TOL`; past :data:`MAX_ITER` iterations the
+    solve fails with :class:`SolverError`.
 
     A residual component assembled from terms of magnitude m cannot come out
-    below a few eps * m in binary64, so whenever a fresh factorization is
-    available the componentwise scale is floored at
-    ``FLOOR_FACTOR * eps * (|J| |x| + const_magnitude) / NEWTON_TOL``, where
-    ``const_magnitude`` bounds the terms of the residual that do not depend
-    on x; this keeps the tolerance meaningful on equations whose residual is
-    a small difference of large terms instead of stalling on the last
-    unreachable bits.
-
-    ``limiter(x, x_proposed) -> x_limited`` may reshape a proposed full step
-    before the line search (used for junction-voltage limiting); it must be
-    the identity at fixed points, and it returns ``x_proposed`` itself when
-    it leaves the proposal unchanged.
+    below a few eps * m in binary64, so after every refactorization the
+    scale is floored at ``FLOOR_FACTOR * eps * (|S| |z_c| + |c_hat|) /
+    NEWTON_TOL``, with |c_hat| bounded by |c_c| + |V| |c_a| from
+    ``const_magnitude`` = |c|; this keeps the tolerance meaningful on
+    equations whose residual is a small difference of large terms instead
+    of stalling on the last unreachable bits.
     """
+    cache, limiter, k = operator.cache, operator.limiter, operator.n_circuit
+    c_hat = operator.condense(const_part)
+    c_hat_terms = const_magnitude[:k] + operator.abs_v @ const_magnitude[k:]
+    scale = floored = scale[:k]
     stats = NewtonStats()
-
-    x = np.array(x0, dtype=float)
-    eff_scale = scale
-
-    def update_floor():
-        nonlocal eff_scale
-        eff_scale = _floored(scale, cache.magnitude(x) + const_magnitude)
-
-    r = residual(x)
-    nrm = _scaled_norm(r, eff_scale)
-    stats.residual_norm = nrm
-    if nrm <= NEWTON_TOL:
-        stats.converged = True
-        return x, stats
-
+    z_c = np.array(z0, dtype=float)
+    r, rows, slopes = operator.reduced_residual(z_c, c_hat)
+    nrm = _scaled_norm(r, floored)
     fresh = False  # the factorization is of an iterate of this solve
-
-    def refresh():
-        nonlocal fresh
-        cache.refactor(jacobian(x))
-        stats.factorizations += 1
-        fresh = True
-        update_floor()
-
-    def limited(dx):
-        """The step after limiting, and whether the limiter changed it.
-
-        The step is ``proposal - x`` even when the limiter returns the
-        proposal unchanged: ``(x + dx) - x`` rounds differently from ``dx``."""
-        if limiter is None:
-            return dx, False
-        x_new = x + dx
-        proposal = limiter(x, x_new)
-        return proposal - x, (proposal is not x_new
-                              and not np.array_equal(proposal, x_new))
-
-    for it in range(1, MAX_ITER + 1):
-        if it > 1 or not cache.ready:
-            refresh()
-
-        dx = cache.solve(-r)
-        if not np.isfinite(dx).all():
-            if fresh:
-                raise SolverError("singular iteration matrix (non-finite Newton step)")
-            refresh()
-            dx = cache.solve(-r)
-            if not np.isfinite(dx).all():
-                raise SolverError("singular iteration matrix (non-finite Newton step)")
-        dx, was_limited = limited(dx)
-
-        accepted = False
-        for attempt in range(2):
+    while nrm > NEWTON_TOL:
+        if stats.iterations == MAX_ITER:
+            raise SolverError(f"Newton did not converge in {MAX_ITER} iterations "
+                              f"(residual {nrm:.3e}, tol {NEWTON_TOL:.3e})")
+        stats.iterations += 1
+        if stats.iterations > 1 or not cache.ready:
+            floored, fresh = _refactor(operator, z_c, slopes, scale, c_hat_terms, stats), True
+        dz = cache.solve(-r)
+        finite = np.isfinite(dz).all()
+        if not (finite or fresh):
+            floored, fresh = _refactor(operator, z_c, slopes, scale, c_hat_terms, stats), True
+            dz = cache.solve(-r)
+            finite = np.isfinite(dz).all()
+        if not finite:
+            raise SolverError("singular iteration matrix (non-finite Newton step)")
+        dz, was_limited = _limited(limiter, z_c, dz)
+        while True:  # a second time only after refactoring a carried factorization
             alpha = 1.0
-            x_try = r_try = n_try = None
             for _ in range(MAX_HALVINGS + 1):
-                x_try = x + dx if alpha == 1.0 else x + alpha * dx
-                r_try = residual(x_try)
-                n_try = _scaled_norm(r_try, eff_scale)
-                # a limited full step from a fresh factorization is its own
-                # safeguard: take it as long as it is finite, even uphill, to
-                # get off switching plateaus
+                z_try = z_c + dz if alpha == 1.0 else z_c + alpha * dz
+                r_try, rows_try, slopes_try = operator.reduced_residual(z_try, c_hat)
+                n_try = _scaled_norm(r_try, floored)
                 if math.isfinite(n_try) and (n_try < nrm or n_try <= NEWTON_TOL
                                              or (was_limited and fresh and alpha == 1.0)):
-                    accepted = True
                     break
                 alpha *= 0.5
                 stats.halvings += 1
-            if accepted:
-                break
-            if attempt == 0 and not fresh:
-                # the carried factorization may simply point the wrong way
-                refresh()
-                dx, was_limited = limited(cache.solve(-r))
-                continue
-            if not math.isfinite(n_try):
-                raise SolverError("non-finite residual after damping was exhausted")
-            accepted = True  # overshoot guard exhausted on a finite residual
-
-        x, r, nrm = x_try, r_try, n_try
-        stats.iterations = it
-        stats.residual_norm = nrm
-        if nrm <= NEWTON_TOL:
-            stats.converged = True
-            return x, stats
-
-    raise SolverError(
-        f"Newton did not converge in {MAX_ITER} iterations "
-        f"(residual {nrm:.3e}, tol {NEWTON_TOL:.3e})")
+            else:
+                if not fresh:
+                    # the carried factorization may simply point the wrong way
+                    floored, fresh = _refactor(operator, z_c, slopes, scale, c_hat_terms,
+                                               stats), True
+                    dz, was_limited = _limited(limiter, z_c, cache.solve(-r))
+                    continue
+                if not math.isfinite(n_try):
+                    raise SolverError("non-finite residual after damping was exhausted")
+                # the overshoot guard is exhausted on a finite residual: take it
+            break
+        z_c, r, rows, slopes, nrm = z_try, r_try, rows_try, slopes_try, n_try
+    stats.residual_norm = nrm
+    return np.concatenate([z_c, operator.back_substitute(-const_part[k:], z_c)]), stats, rows
 
 
 # The balance certificate: a step's |eps_H| may exceed neither this many
@@ -544,12 +544,13 @@ class TransientResult:
         return peak if peak > 0 else 1.0
 
     def certificate_violations(self) -> list:
-        """The records whose |eps_H| exceeds :data:`EPS_H_ABS_BOUND` or, over
-        :meth:`relative_scale`, :data:`EPS_H_REL_BOUND`."""
+        """The records whose |eps_H| is not within :data:`EPS_H_ABS_BOUND` and,
+        over :meth:`relative_scale`, :data:`EPS_H_REL_BOUND`; a non-finite
+        |eps_H| is within neither."""
         scale = self.relative_scale()
         return [rec for rec in self.records
-                if abs(rec.audit.residual) > EPS_H_ABS_BOUND
-                or abs(rec.audit.residual) / scale > EPS_H_REL_BOUND]
+                if not (abs(rec.audit.residual) <= EPS_H_ABS_BOUND
+                        and abs(rec.audit.residual) / scale <= EPS_H_REL_BOUND)]
 
 
 # A diode iterate may not move more than this many thermal voltages past its
@@ -636,8 +637,7 @@ def _block_scale(layout: BlockLayout, magnitude: np.ndarray) -> np.ndarray:
 
 def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index: int = 0):
     """Advance one implicit midpoint step from the state ``start``; returns
-    the :class:`StepState` it reaches, whose ``y`` is a new read-only array,
-    and its :class:`StepRecord`.
+    the :class:`StepState` it reaches and its :class:`StepRecord`.
 
     The Newton unknown is the state increment over the step rather than the
     new state itself, and the residual is :meth:`StepOperator.residual` with
@@ -649,24 +649,24 @@ def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index
     of the accumulated states.
 
     Newton runs on the circuit unknowns with the field eliminated
-    (:func:`_circuit_newton`), from ``start.increment`` if it is given and
+    (:func:`newton_solve`), from ``start.increment`` if it is given and
     finite.  Its result is accepted only if the full-space residual r meets
     the tolerance under the full-space scale, or else under that scale
-    floored; the first residual adds the diode currents the reduced Newton
-    evaluated at its result, so the diode laws run once per iterate.
-    Otherwise iterative refinement finishes the step: z += solve(-r) with
-    the factorization the circuit Newton left behind, at most
-    :data:`MAX_REFINEMENTS` times, after which the step fails with
-    :class:`SolverError`.  Linear systems converge in a single iteration
-    once a factorization exists.
+    floored (:meth:`StepOperator.full_magnitude`); the first residual adds
+    the diode currents Newton evaluated at its result, so the diode laws run
+    once per iterate.  Otherwise iterative refinement finishes the step:
+    z += J^-1 (-r) (:meth:`StepOperator.full_solve`) with the factorization
+    Newton left behind, at most :data:`MAX_REFINEMENTS` times, after which
+    the step fails with :class:`SolverError`.  Linear systems converge in a
+    single iteration once a factorization exists.
 
     The system, the step size, the step matrix, the diode limiter and the
     factorization carried between steps all come from ``operator``; the
     energy gradient and the audit's H(y_prev) come from ``start``'s G a and
-    energy, which :meth:`StepState.at` formed from its own read-only copy.
+    energy, which the state formed from its own ``y``.
     """
-    system, tau, cache = operator.system, operator.tau, operator.cache
-    k = cache.n_leading
+    system, tau = operator.system, operator.tau
+    k = operator.n_circuit
     y_prev = start.y
     if not np.isfinite(y_prev).all():
         raise ValueError("midpoint_step called with non-finite state")
@@ -684,20 +684,20 @@ def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index
     if start.increment is not None and np.isfinite(start.increment).all():
         z0 = start.increment
     try:
-        z, stats, diode_rows = _circuit_newton(operator, const_part, const_magnitude, z0, scale)
+        z, stats, diode_rows = newton_solve(operator, const_part, const_magnitude, z0, scale)
         while True:
             r = operator.residual(z, const_part, diode_rows)
             stats.residual_norm = _scaled_norm(r, scale)
             if stats.residual_norm > NEWTON_TOL:  # the floor can only lower it
                 stats.residual_norm = _scaled_norm(
-                    r, _floored(scale, cache.magnitude(z) + const_magnitude))
+                    r, _floored(scale, operator.full_magnitude(z) + const_magnitude))
             if stats.residual_norm <= NEWTON_TOL:
                 break
             if stats.refinements == MAX_REFINEMENTS:
                 raise SolverError(
                     f"refinement missed the tolerance after {MAX_REFINEMENTS} corrections "
                     f"(residual {stats.residual_norm:.3e}, tol {NEWTON_TOL:.3e})")
-            z = z + cache.solve(-r)
+            z = z + operator.full_solve(-r)
             diode_rows = None
             stats.refinements += 1
             stats.iterations += 1
@@ -707,57 +707,11 @@ def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index
     y_next = y_prev + z
     rate = y_next - y_prev
     rate /= tau
-    values = system.element_values(y_next)
-    energy = system.energy(y_next, values)
-    y_next, values, rate, increment = _read_only(y_next, values, rate,
-                                                 y_next[:k] - y_prev[:k])
-    audit = power_audit(system, rate, sources, (start.energy, energy), tau)
-    record = StepRecord(index=index, time=t_prev + tau, energy=energy, newton=stats,
+    reached = StepState(system, y_next, rate=rate, increment=y_next[:k] - y_prev[:k])
+    audit = power_audit(system, rate, sources, (start.energy, reached.energy), tau)
+    record = StepRecord(index=index, time=t_prev + tau, energy=reached.energy, newton=stats,
                         audit=audit)
-    return StepState(y_next, values, energy, rate, increment), record
-
-
-def _circuit_newton(operator: StepOperator, const_part: np.ndarray,
-                    const_magnitude: np.ndarray, z0: np.ndarray, scale: np.ndarray):
-    """Newton on the circuit unknowns of a midpoint step with the field
-    eliminated; returns the whole increment z, the Newton statistics and
-    the diode rows A_d i_d(A_d^T z_c / tau) at its circuit part z_c = z[:k],
-    from the residual's own evaluation there.  The rows belong to that z_c:
-    a caller that changes z_c must drop them.
-
-    The field rows J_aa z_a + J_ac z_c + c_a of the step residual are linear,
-    so their root is z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows there
-    are the step residual's own expression L z_c + c_hat + A_d i_d(A_d^T
-    z_c / tau) with the cache's L = J_lin_cc - W and c_hat = c_c - V c_a;
-    their Jacobian, L plus the diode stamp, is the Schur complement S that
-    the cache factors.  Each iterate evaluates the diode laws once: the
-    residual keeps the slopes that came with the currents, and the stamp at
-    that iterate takes them.  Without a field block nothing is eliminated.
-    ``z0`` is the starting z_c, ``const_magnitude`` is |c|, and the limiter
-    reads only the leading ``psi`` block; z_a takes one back-substitution.
-    """
-    system, tau, cache = operator.system, operator.tau, operator.cache
-    k = cache.n_leading
-    c_hat = cache.condense(const_part)
-    c_hat_terms = const_magnitude[:k] + cache.abs_v @ const_magnitude[k:]
-    reduced = cache.reduced_matrix
-    # the iterate the residual last saw, its diode rows and its diode slopes
-    seen = [None, None, None]
-
-    def reduced_residual(z_c):
-        rows, slopes = system.diode_rows(z_c / tau)
-        seen[:] = z_c, rows, slopes
-        return reduced @ z_c + c_hat + rows
-
-    def stamp(z_c):
-        if z_c is not seen[0]:
-            reduced_residual(z_c)
-        return operator.stamp(seen[2])
-
-    z_c, stats = newton_solve(reduced_residual, stamp, z0, scale[:k], cache, c_hat_terms,
-                              limiter=operator.limiter)
-    # newton_solve returns the iterate its residual saw last
-    return np.concatenate([z_c, cache.trailing_solve(-const_part[k:], z_c)]), stats, seen[1]
+    return reached, record
 
 
 def power_audit(system: CoupledSystem, rate: np.ndarray, sources: SourceValues,
@@ -808,7 +762,7 @@ def run_transient(system: CoupledSystem, grid: TimeGrid,
     """
     probes = probes or {}
     check_zero_state(system, grid.t0)
-    state = StepState.at(system, system.layout.zeros())
+    state = StepState(system, system.layout.zeros())
 
     # one step matrix and one field-block factorization per run
     operator = StepOperator(system, grid.tau)

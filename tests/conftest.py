@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from mona.circuit import build_incidence
 from mona.coupling import assemble_coupled
 from mona.demo import DEMO_NETLIST
 from mona.fem import TransformerParams, build_field_model, generate_transformer_mesh
 from mona.netlist import parse_netlist
-from mona.stepping import FactorCache
 
 RLC_NETLIST = """
 V src 1 0 SIN(10 50)
@@ -69,12 +69,37 @@ def linear_coupled(coarse_field):
     return build_from_netlist(LINEAR_COUPLED_NETLIST, field=coarse_field)
 
 
-def dense_cache(n):
-    """A FactorCache with every entry of an n x n matrix stamped: it factors
-    whatever dense matrix the Newton Jacobian returns the entries of, in
-    row-major order."""
-    rows, cols = np.indices((n, n)).reshape(2, -1)
-    return FactorCache(sp.csc_matrix((n, n)), rows, cols)
+def reference_newton(residual, jacobian, x0, scale=None, const_magnitude=0.0, limiter=None):
+    """The tests' reference solver: damped exact Newton on all unknowns, with
+    a sparse LU of ``jacobian(x)`` at every iterate.  Its tolerance, 1e-12
+    as the solver's, is on the max norm of the residual over ``scale`` (ones
+    by default), floored as the solver's at 4 eps (|J| |x| +
+    ``const_magnitude``) / 1e-12, where binary64 cannot reach it.  ``limiter(x, x + dx)`` may reshape a full
+    step, which is then taken as long as it is finite; any other step is
+    halved until the residual drops."""
+    tol = 1e-12
+    x = np.array(x0, dtype=float)
+    scale = np.ones_like(x) if scale is None else scale
+    r = residual(x)
+    for _ in range(50):
+        jac = sp.csc_matrix(jacobian(x))
+        floored = np.maximum(scale, 4.0 * np.finfo(float).eps / tol
+                             * (abs(jac) @ np.abs(x) + const_magnitude))
+        nrm = np.max(np.abs(r) / floored)
+        if nrm <= tol:
+            return x
+        dx = splu(jac).solve(-r)
+        proposal = x + dx if limiter is None else limiter(x, x + dx)
+        limited = not np.array_equal(proposal, x + dx)
+        dx = proposal - x
+        for halvings in range(31):
+            x_try = x + 0.5 ** halvings * dx
+            r_try = residual(x_try)
+            n_try = np.max(np.abs(r_try) / floored)
+            if np.isfinite(n_try) and (n_try < nrm or (limited and not halvings)):
+                break
+        x, r = x_try, r_try
+    raise AssertionError("reference Newton did not converge in 50 iterations")
 
 
 def random_state(system, rng, amplitude=0.1):

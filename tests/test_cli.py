@@ -506,6 +506,27 @@ class TestDemoRectifier:
                         "--out", str(tmp_path / "passing")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_nan_certificate_warns(self, tmp_path):
+        # a 1e200 V source overflows the source power to inf and eps_H to
+        # NaN on every step; the run exits 0, and its warning names the NaN.
+        # In a process of its own, where numpy's overflow warnings stay warnings
+        netlist = tmp_path / "huge.net"
+        netlist.write_text("V a 1 0 SIN(1e200 50)\nR r 1 0 1\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "mona.cli", "run", "--netlist", str(netlist),
+             "--tau", "5e-4", "--t-end", "0.005", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        header, rows = read_csv(tmp_path / "out" / "audit.csv")
+        assert all(r[header.index("eps_H")] == "nan" for r in rows)
+        warnings = [line for line in done.stderr.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert re.fullmatch(r"warning: 10 of 10 steps break the balance certificate .*; "
+                            r"worst \|eps_H\| = nan W at t = \S+ s", warnings[0])
+
     def test_dumped_mesh_reproduces_builtin(self, tmp_path):
         # the demo is a run of its dumped netlist with the demo probes, and
         # the dumped mesh stands in for the built-in one

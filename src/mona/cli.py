@@ -110,17 +110,17 @@ def _assemble(args):
                             args.mesh_density, base=path.parent)
 
 
-def _warn_certificate(result) -> None:
-    """One ``warning:`` line on standard error if any step's balance defect
-    is over the certificate's bounds (:meth:`TransientResult.certificate_violations`):
-    how many steps, and the worst |eps_H| with its time, where a NaN is the
-    worst."""
-    over = result.certificate_violations()
+def _warn_certificate(over, steps: int, prefix: str = "") -> None:
+    """One ``warning:`` line on standard error if any of a run's ``steps``
+    steps breaks the certificate's bounds, ``over`` being the records that
+    do (:meth:`TransientResult.certificate_violations`): how many, and the
+    worst |eps_H| with its time, where a NaN is the worst; ``prefix``
+    follows ``warning:``."""
     if not over:
         return
     worst = max(over, key=lambda rec: math.inf if math.isnan(rec.audit.residual)
                 else abs(rec.audit.residual))
-    print(f"warning: {len(over)} of {len(result.records)} steps break the balance "
+    print(f"warning: {prefix}{len(over)} of {steps} steps break the balance "
           f"certificate (|eps_H| > {EPS_H_ABS_BOUND:g} W or > {EPS_H_REL_BOUND:g} of the "
           f"peak supplied power); worst |eps_H| = {abs(worst.audit.residual):.3e} W "
           f"at t = {worst.time:.6g} s", file=sys.stderr)
@@ -152,7 +152,7 @@ def _run(args):
             write(exc.partial_result)
         raise
     write(result)
-    _warn_certificate(result)
+    _warn_certificate(result.certificate_violations(), len(result.records))
     return system, result, out
 
 
@@ -185,6 +185,8 @@ def cmd_converge(args) -> int:
         print(f"tau={r.tau:<12.6g} eps_tau={r.error:<12.6g} eoc={eoc:<6} "
               f"max|eps_H|={r.max_balance_residual:.3e}")
     print(f"wrote {out / 'eoc.csv'}")
+    for r in rows:
+        _warn_certificate(r.violations, r.steps, f"tau={r.tau:.6g}: ")
     return EXIT_OK
 
 

@@ -40,26 +40,27 @@ def _node_index(system: CoupledSystem, token: str, node_ids: dict | None) -> int
 
 
 def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None):
-    """Turn a probe expression into a callable over step contexts."""
+    """Turn a probe expression into a callable ``probe(state, t_mid)`` of the
+    :class:`~mona.stepping.StepState` a step reached and its midpoint time
+    (:func:`~mona.stepping.run_transient`)."""
     text = expr.strip()
     if text.upper() == "H":
-        return lambda ctx: ctx.energy
+        return lambda state, t_mid: state.energy
 
     match = _CALL.match(text)
     if not match:
         raise ValueError(f"cannot parse probe expression {expr!r}")
     fn, arg = match.group(1).lower(), match.group(2)
-    layout = system.layout
+    psi_slice = system.layout.block_slice("psi")
 
     if fn in ("psi", "u"):
         node = _node_index(system, arg, node_ids)
         if node == 0:
-            return lambda ctx: 0.0
+            return lambda state, t_mid: 0.0
+        off = psi_slice.start + node - 1
         if fn == "psi":
-            off = layout.block_slice("psi").start + node - 1
-            return lambda ctx: float(ctx.y_next[off])
-        off = layout.block_slice("psi").start + node - 1
-        return lambda ctx: float(ctx.rate[off])
+            return lambda state, t_mid: float(state.y[off])
+        return lambda state, t_mid: float(state.rate[off])
 
     kind, col = system.graph.find_branch(arg)
     g = system.graph
@@ -70,34 +71,26 @@ def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None
         else:
             mats = {"R": g.a_r, "C": g.a_c, "L": g.a_l, "V": g.a_v, "I": g.a_i, "M": g.a_m}
             column = mats[kind][:, col]
-        psi_slice = layout.block_slice("psi")
+        return lambda state, t_mid: float(column @ state.rate[psi_slice])
 
-        def probe_v(ctx):
-            return float(column @ ctx.rate[psi_slice])
-        return probe_v
+    # fn == "i"
+    if kind in ("R", "D"):
+        res_col = col if kind == "R" else g.n_linear_resistive + col
 
-    if fn == "i":
-        psi_slice = layout.block_slice("psi")
-        if kind in ("R", "D"):
-            res_col = col if kind == "R" else g.n_linear_resistive + col
-
-            def probe_i(ctx):
-                v_all = g.a_r.T @ ctx.rate[psi_slice]
-                i_all = resistive_branch_current(g, v_all)
-                return float(i_all[res_col])
-            return probe_i
-        if kind == "L":
-            def probe_i(ctx):
-                psi = ctx.y_next[psi_slice]
-                return float(g.inv_inductance[col] * (g.a_l[:, col] @ psi))
-            return probe_i
-        if kind in ("C", "V", "M"):
-            block = {"C": "q_c", "V": "q_v", "M": "q_m"}[kind]
-            off = layout.block_slice(block).start + col
-            return lambda ctx: float(ctx.rate[off])
-        if kind == "I":
-            wave = g.current_waveforms[col]
-            return lambda ctx: float(wave(ctx.t_mid))
+        def probe_i(state, t_mid):
+            v_all = g.a_r.T @ state.rate[psi_slice]
+            return float(resistive_branch_current(g, v_all)[res_col])
+        return probe_i
+    if kind == "L":
+        return lambda state, t_mid: float(g.inv_inductance[col]
+                                          * (g.a_l[:, col] @ state.y[psi_slice]))
+    if kind in ("C", "V", "M"):
+        block = {"C": "q_c", "V": "q_v", "M": "q_m"}[kind]
+        off = system.layout.block_slice(block).start + col
+        return lambda state, t_mid: float(state.rate[off])
+    if kind == "I":
+        wave = g.current_waveforms[col]
+        return lambda state, t_mid: float(wave(t_mid))
     raise ValueError(f"probe {fn!r} is not defined for element kind {kind!r}")
 
 
@@ -126,7 +119,7 @@ def default_state_probe(system: CoupledSystem):
         plus, minus = pairs[0]
         node = plus if plus != 0 else minus
         off = system.layout.block_slice("psi").start + node - 1
-        return lambda ctx: float(ctx.y_next[off])
+        return lambda state, t_mid: float(state.y[off])
     if system.layout.size == 0:
         raise ValueError("system has no state to probe")
-    return lambda ctx: float(ctx.y_next[0])
+    return lambda state, t_mid: float(state.y[0])

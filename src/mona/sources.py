@@ -12,7 +12,10 @@ __all__ = ["Waveform"]
 class Waveform:
     """A scalar signal: either a constant or a sinusoid.
 
-    Sinusoids are ``amplitude * sin(2*pi*frequency*t + phase)``.
+    Sinusoids are ``amplitude * sin(2*pi*frequency*t + phase)``.  An
+    amplitude (the value of a constant) whose square is not finite in
+    binary64, NaN or above about 1.34e154 in size, raises ``ValueError``:
+    the source's power, its value times a current, would overflow.
     """
 
     kind: str  # "dc" | "sin"
@@ -23,6 +26,10 @@ class Waveform:
     def __post_init__(self):
         if self.kind not in ("dc", "sin"):
             raise ValueError(f"unknown waveform kind {self.kind!r}")
+        if not math.isfinite(self.amplitude * self.amplitude):
+            what = "DC value" if self.kind == "dc" else "amplitude"
+            raise ValueError(f"{what} {self.amplitude!r}: its square is not finite in "
+                             f"binary64, so the source's power would overflow")
 
     @classmethod
     def dc(cls, value: float) -> "Waveform":

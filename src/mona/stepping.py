@@ -389,6 +389,38 @@ def _limited(limiter, z_c: np.ndarray, dz: np.ndarray):
     return proposal - z_c, (proposal is not z_new and not np.array_equal(proposal, z_new))
 
 
+def _newton_step(operator: StepOperator, c_hat: np.ndarray, z_c: np.ndarray, r: np.ndarray,
+                 nrm: float, floored: np.ndarray, fresh: bool, stats: NewtonStats):
+    """One damped Newton step from the iterate z_c with the residual r and
+    its norm ``nrm`` under ``floored``, with the cache's factorization,
+    which is of this iterate if ``fresh`` and carried from an earlier one
+    if not; returns the next iterate with its residual, diode rows, slopes
+    and norm, or None where a carried factorization gives a non-finite
+    step or exhausts the line search (:func:`newton_solve`)."""
+    dz = operator.cache.solve(-r)
+    if not np.isfinite(dz).all():
+        if not fresh:
+            return None
+        raise SolverError("singular iteration matrix (non-finite Newton step)")
+    dz, was_limited = _limited(operator.limiter, z_c, dz)
+    alpha = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        z_try = z_c + dz if alpha == 1.0 else z_c + alpha * dz
+        r_try, rows, slopes = operator.reduced_residual(z_try, c_hat)
+        n_try = _scaled_norm(r_try, floored)
+        if math.isfinite(n_try) and (n_try < nrm or n_try <= NEWTON_TOL
+                                     or (was_limited and fresh and alpha == 1.0)):
+            return z_try, r_try, rows, slopes, n_try
+        alpha *= 0.5
+        stats.halvings += 1
+    if not fresh:
+        return None
+    if not math.isfinite(n_try):
+        raise SolverError("non-finite residual after damping was exhausted")
+    # the overshoot guard is exhausted on a finite residual: take it
+    return z_try, r_try, rows, slopes, n_try
+
+
 def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude: np.ndarray,
                  z0: np.ndarray, scale: np.ndarray):
     """Damped Newton on the circuit unknowns of a midpoint step with the
@@ -410,73 +442,51 @@ def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude
 
     ``scale`` divides the residual componentwise before taking the max
     norm.  The first iteration reuses the cache's factorization (a linear
-    step factors once over all steps) and refactors only if that step is
-    non-finite or its line search fails; every later iteration refactors at
-    its iterate: exact Newton.  Step halving (at most :data:`MAX_HALVINGS`
-    per line search) guards against overshoot; a step whose residual stays
-    non-finite after all halvings is a hard failure.  The operator's
-    junction limiter may reshape a proposed full step before the line
-    search; a limited full step from a fresh factorization is taken as long
-    as it is finite, even uphill, to get off switching plateaus.  The
-    tolerance is :data:`NEWTON_TOL`; past :data:`MAX_ITER` iterations the
-    solve fails with :class:`SolverError`.
+    step factors once over all steps); every later iteration refactors at
+    its iterate: exact Newton.  Where the carried factorization gives a
+    non-finite step or its line search fails, the iteration is redone once
+    from a factorization at the same iterate; the redo counts no new
+    iteration, and the halvings of both searches count.  Step halving (at
+    most :data:`MAX_HALVINGS` per line search, :func:`_newton_step`) guards
+    against overshoot; a step whose residual stays non-finite after all
+    halvings is a hard failure.  The operator's junction limiter may
+    reshape a proposed full step before the line search; a limited full
+    step from a fresh factorization is taken as long as it is finite, even
+    uphill, to get off switching plateaus.  The tolerance is
+    :data:`NEWTON_TOL`; past :data:`MAX_ITER` iterations the solve fails
+    with :class:`SolverError`.
 
     A residual component assembled from terms of magnitude m cannot come out
     below a few eps * m in binary64, so after every refactorization the
     scale is floored at ``FLOOR_FACTOR * eps * (|S| |z_c| + |c_hat|) /
     NEWTON_TOL``, with |c_hat| bounded by |c_c| + |V| |c_a| from
-    ``const_magnitude`` = |c|; this keeps the tolerance meaningful on
-    equations whose residual is a small difference of large terms instead
-    of stalling on the last unreachable bits.
+    ``const_magnitude`` = |c|, formed at the solve's first refactorization;
+    this keeps the tolerance meaningful on equations whose residual is a
+    small difference of large terms instead of stalling on the last
+    unreachable bits.
     """
-    cache, limiter, k = operator.cache, operator.limiter, operator.n_circuit
+    k = operator.n_circuit
     c_hat = operator.condense(const_part)
-    c_hat_terms = const_magnitude[:k] + operator.abs_v @ const_magnitude[k:]
+    c_hat_terms = None
     scale = floored = scale[:k]
     stats = NewtonStats()
     z_c = np.array(z0, dtype=float)
     r, rows, slopes = operator.reduced_residual(z_c, c_hat)
     nrm = _scaled_norm(r, floored)
-    fresh = False  # the factorization is of an iterate of this solve
     while nrm > NEWTON_TOL:
         if stats.iterations == MAX_ITER:
             raise SolverError(f"Newton did not converge in {MAX_ITER} iterations "
                               f"(residual {nrm:.3e}, tol {NEWTON_TOL:.3e})")
         stats.iterations += 1
-        if stats.iterations > 1 or not cache.ready:
-            floored, fresh = _refactor(operator, z_c, slopes, scale, c_hat_terms, stats), True
-        dz = cache.solve(-r)
-        finite = np.isfinite(dz).all()
-        if not (finite or fresh):
-            floored, fresh = _refactor(operator, z_c, slopes, scale, c_hat_terms, stats), True
-            dz = cache.solve(-r)
-            finite = np.isfinite(dz).all()
-        if not finite:
-            raise SolverError("singular iteration matrix (non-finite Newton step)")
-        dz, was_limited = _limited(limiter, z_c, dz)
-        while True:  # a second time only after refactoring a carried factorization
-            alpha = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                z_try = z_c + dz if alpha == 1.0 else z_c + alpha * dz
-                r_try, rows_try, slopes_try = operator.reduced_residual(z_try, c_hat)
-                n_try = _scaled_norm(r_try, floored)
-                if math.isfinite(n_try) and (n_try < nrm or n_try <= NEWTON_TOL
-                                             or (was_limited and fresh and alpha == 1.0)):
-                    break
-                alpha *= 0.5
-                stats.halvings += 1
-            else:
-                if not fresh:
-                    # the carried factorization may simply point the wrong way
-                    floored, fresh = _refactor(operator, z_c, slopes, scale, c_hat_terms,
-                                               stats), True
-                    dz, was_limited = _limited(limiter, z_c, cache.solve(-r))
-                    continue
-                if not math.isfinite(n_try):
-                    raise SolverError("non-finite residual after damping was exhausted")
-                # the overshoot guard is exhausted on a finite residual: take it
-            break
-        z_c, r, rows, slopes, nrm = z_try, r_try, rows_try, slopes_try, n_try
+        trial = None
+        if stats.iterations == 1 and operator.cache.ready:
+            trial = _newton_step(operator, c_hat, z_c, r, nrm, floored, False, stats)
+        if trial is None:
+            if c_hat_terms is None:
+                c_hat_terms = const_magnitude[:k] + operator.abs_v @ const_magnitude[k:]
+            floored = _refactor(operator, z_c, slopes, scale, c_hat_terms, stats)
+            trial = _newton_step(operator, c_hat, z_c, r, nrm, floored, True, stats)
+        z_c, r, rows, slopes, nrm = trial
     stats.residual_norm = nrm
     return np.concatenate([z_c, operator.back_substitute(-const_part[k:], z_c)]), stats, rows
 
@@ -507,14 +517,14 @@ class StepRecord:
 
 @dataclass
 class TransientResult:
-    """A completed (or aborted) transient run: one :class:`StepRecord` per
-    accepted step, and per probe the array of what it returned at each
-    step, stacked along the first axis (:func:`run_transient`)."""
+    """A transient run: one :class:`StepRecord` per accepted step, and per
+    probe the array of what it returned at each step, stacked along the
+    first axis (:func:`run_transient`).  The result of a run that failed
+    is the ``partial_result`` of its :class:`SolverError`."""
 
     grid: TimeGrid
     records: list
     probes: dict = field(default_factory=dict)
-    completed: bool = True
 
     def times(self) -> np.ndarray:
         return np.array([rec.time for rec in self.records])
@@ -749,16 +759,18 @@ def run_transient(system: CoupledSystem, grid: TimeGrid,
     """Integrate from the zero state over the grid, auditing every step.
 
     The zero state must satisfy the system at rest at t0
-    (:func:`check_zero_state`).  A failed step aborts the run and returns the
-    partial result with ``completed=False`` via the raised error's
-    ``partial_result`` attribute.
+    (:func:`check_zero_state`).  A failed step aborts the run: the raised
+    :class:`SolverError` carries the result of the steps accepted before it
+    as its ``partial_result``.
 
-    ``probes`` maps names to functions of a :class:`StepContext`, called
-    once per accepted step.  What a probe returns is stored as returned and
-    stacked by ``np.array`` into ``result.probe(name)``: a probe of floats
-    gives an (n_steps,) series, and ``{"y": lambda ctx: ctx.y_next}`` gives
-    the (n_steps, n) state history, which the records do not keep.  The run
-    itself holds only the last state, so its memory is O(n + steps).
+    ``probes`` maps names to functions ``probe(state, t_mid)`` of the
+    :class:`StepState` a step reached and the step's midpoint time
+    t_prev + tau/2, called once per accepted step.  What a probe returns
+    is stored as returned and stacked by ``np.array`` into
+    ``result.probe(name)``: a probe of floats gives an (n_steps,) series,
+    and ``{"y": lambda state, t_mid: state.y}`` gives the (n_steps, n)
+    state history, which the records do not keep.  The run itself holds
+    only the last state, so its memory is O(n + steps).
     """
     probes = probes or {}
     check_zero_state(system, grid.t0)
@@ -769,23 +781,21 @@ def run_transient(system: CoupledSystem, grid: TimeGrid,
     records = []
     probe_values = {name: [] for name in probes}
 
-    def result(completed=True):
-        return TransientResult(grid=grid, records=records, completed=completed,
+    def result():
+        return TransientResult(grid=grid, records=records,
                                probes={k: np.array(v) for k, v in probe_values.items()})
 
     for n in range(1, grid.n_steps + 1):
         t_prev = grid.time(n - 1)
         try:
-            reached, record = midpoint_step(operator, state, t_prev, index=n)
+            state, record = midpoint_step(operator, state, t_prev, index=n)
         except SolverError as exc:
-            exc.partial_result = result(completed=False)
+            exc.partial_result = result()
             raise
-        ctx = StepContext(system=system, index=n, t_prev=t_prev, tau=grid.tau, y_prev=state.y,
-                          y_next=reached.y, energy=reached.energy, rate=reached.rate)
+        t_mid = t_prev + 0.5 * grid.tau
         for name, fn in probes.items():
-            probe_values[name].append(fn(ctx))
+            probe_values[name].append(fn(state, t_mid))
         records.append(record)
-        state = reached
         stats = record.newton
         log.debug("step %d t=%.6g iters=%d fact=%d halv=%d refine=%d resid=%.3e eps_H=%.3e",
                   n, grid.time(n), stats.iterations, stats.factorizations, stats.halvings,
@@ -794,43 +804,17 @@ def run_transient(system: CoupledSystem, grid: TimeGrid,
 
 
 @dataclass
-class StepContext:
-    """Everything a probe may look at after an accepted step.
-
-    State quantities refer to the step's end time; rate quantities are the
-    step's difference quotients, i.e. second-order values at the interval
-    midpoint.  ``energy`` is the stored energy of ``y_next`` and ``rate`` the
-    difference quotient (y_next - y_prev)/tau that the step's audit took.
-    ``y_next`` and ``rate`` are read-only arrays of their own
-    (:class:`StepState`), so a probe may return them rather than a copy.
-    """
-
-    system: CoupledSystem
-    index: int
-    t_prev: float
-    tau: float
-    y_prev: np.ndarray
-    y_next: np.ndarray
-    energy: float
-    rate: np.ndarray
-
-    @property
-    def t_mid(self) -> float:
-        return self.t_prev + 0.5 * self.tau
-
-    @property
-    def time(self) -> float:
-        return self.t_prev + self.tau
-
-
-@dataclass
 class EocRow:
-    """One row of a step-halving convergence table."""
+    """One row of a step-halving convergence table, with its run's step
+    count and the records over the certificate's bounds
+    (:meth:`TransientResult.certificate_violations`)."""
 
     tau: float
     error: float
     order: float | None
     max_balance_residual: float
+    steps: int
+    violations: list
 
 
 # Extra reference halvings beyond the finest studied step.  With only one,
@@ -873,6 +857,7 @@ def convergence_study(system: CoupledSystem, grid: TimeGrid, halvings: int, prob
         if prev_err is not None and prev_err > 0.0 and err > 0.0:
             order = math.log2(prev_err / err)
         rows.append(EocRow(tau=run.grid.tau, error=err, order=order,
-                           max_balance_residual=run.max_balance_residual()))
+                           max_balance_residual=run.max_balance_residual(),
+                           steps=len(run.records), violations=run.certificate_violations()))
         prev_err = err
     return rows

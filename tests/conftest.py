@@ -34,10 +34,10 @@ SOURCE_CAPACITOR_NETLISTS = (
 COARSE_MESH_DENSITY = 0.025  # 512 triangles, 225 interior dofs
 
 
-def state_probe(ctx):
+def state_probe(state, t_mid):
     """The probe that keeps each step's state: ``run_transient(...,
     probes={"y": state_probe}).probe("y")`` is the (n_steps, n) history."""
-    return ctx.y_next
+    return state.y
 
 
 def build_from_netlist(text, field=None):

@@ -107,6 +107,21 @@ class TestCheck:
         assert run_cli(argv) == 1
         assert f"not a finite number: '{token}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_source_power_overflow_named(self, tmp_path, capsys, command):
+        # 1e200 V squares past binary64: rejected at its line before any
+        # power is formed, under check and run alike
+        path = tmp_path / "huge.net"
+        path.write_text("V a 1 0 SIN(1e200 50)\nR r 1 0 1\n")
+        argv = [command, "--netlist", str(path)]
+        if command == "run":
+            argv += ["--tau", "5e-4", "--t-end", "0.005", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: line 1: amplitude 1e+200: its square is not finite "
+                                "in binary64, so the source's power would overflow\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["check", "--netlist", str(tmp_path / "nope.net")]) == 1
 
@@ -447,6 +462,28 @@ class TestConverge:
         assert f"--halvings must be at least 1, got {halvings}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_broken_certificate_warns_per_leg(self, tmp_path, capsys):
+        # at h = 0.004 and tau = 5e-3 both studied legs break the balance
+        # certificate: each prints run's warning line with its tau after
+        # "warning:", and eoc.csv and standard output are as without them
+        out = tmp_path / "out"
+        code = run_cli(["converge", "--mesh-density", "0.004", "--tau", "5e-3",
+                        "--t-end", "0.05", "--halvings", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning" not in captured.out
+        _header, rows = read_csv(out / "eoc.csv")
+        lines = captured.err.splitlines()
+        assert len(lines) == len(rows) == 2
+        for line, row, steps in zip(lines, rows, (10, 20)):
+            match = re.fullmatch(rf"warning: tau={float(row[0]):.6g}: (\d+) of {steps} steps "
+                                 r"break the balance certificate \(\|eps_H\| > 1e-10 W or > "
+                                 r"1e-12 of the peak supplied power\); worst \|eps_H\| = (\S+) W "
+                                 r"at t = \S+ s", line)
+            assert match, line
+            assert 0 < int(match[1]) <= steps
+            assert match[2] == f"{float(row[3]):.3e}"
+
     def test_demo_default_netlist(self, tmp_path, capsys):
         # no --netlist: the built-in rectifier is studied with the default
         # load-node state probe
@@ -457,6 +494,7 @@ class TestConverge:
         header, rows = read_csv(out / "eoc.csv")
         assert len(rows) == 2
         assert float(rows[1][2]) > 1.0
+        assert capsys.readouterr().err == ""  # no leg breaks the certificate
 
 
 class TestDemoRectifier:
@@ -507,11 +545,12 @@ class TestDemoRectifier:
         assert capsys.readouterr().err == ""
 
     def test_nan_certificate_warns(self, tmp_path):
-        # a 1e200 V source overflows the source power to inf and eps_H to
-        # NaN on every step; the run exits 0, and its warning names the NaN.
-        # In a process of its own, where numpy's overflow warnings stay warnings
+        # a 1e154 V source is accepted, but through a 1e-6 ohm load its power
+        # overflows to inf and eps_H to NaN on every step; the run exits 0,
+        # and its warning names the NaN.  In a process of its own, where
+        # numpy's overflow warnings stay warnings
         netlist = tmp_path / "huge.net"
-        netlist.write_text("V a 1 0 SIN(1e200 50)\nR r 1 0 1\n")
+        netlist.write_text("V a 1 0 SIN(1e154 50)\nR r 1 0 1e-6\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -6,6 +6,7 @@ import pytest
 
 from mona.errors import NetlistError
 from mona.netlist import parse_netlist
+from mona.sources import Waveform
 
 
 class TestGrammar:
@@ -30,6 +31,12 @@ class TestGrammar:
     def test_dc_source(self):
         parsed = parse_netlist("I bias 1 0 DC 1e-3")
         assert parsed.elements[0].waveform(123.0) == 1e-3
+
+    @pytest.mark.parametrize("card", ["V src 1 0 SIN(1e154 60)", "V src 1 0 SIN(-1e154 60)",
+                                      "I bias 1 0 DC 1e154"])
+    def test_largest_source_values_accepted(self, card):
+        # 1e154 squares to 1e308, within binary64 (1.4e154 does not)
+        assert abs(parse_netlist(card).elements[0].waveform.amplitude) == 1e154
 
     def test_diode_parameters(self):
         parsed = parse_netlist("D d1 3 4 IS=1e-14 VT=0.025 RP=1e12")
@@ -72,6 +79,11 @@ class TestErrors:
         ("V src 1 0 SIN(inf 60)", "amplitude: not a finite number: 'inf'", 1),
         ("V src 1 0 SIN(1 60 nan)", "phase: not a finite number: 'nan'", 1),
         ("I bias 1 0 DC -inf", "DC value: not a finite number: '-inf'", 1),
+        # a source power is its value times a current: a value whose square
+        # is not finite in binary64 would overflow the audit
+        ("V src 1 0 SIN(1e200 50)", r"amplitude 1e\+200: its square is not finite", 1),
+        ("V src 1 0 SIN(-1.4e154 60)", r"amplitude -1\.4e\+154: its square is not finite", 1),
+        ("R r 1 0 1\nI bias 1 0 DC 1.4e154", r"DC value 1\.4e\+154: its square", 2),
         ("D d1 1 0 IS=nan VT=0.025 RP=1e12", "IS: not a finite number: 'nan'", 1),
         ("Q q1 1 0 5", "unknown element kind", 1),
         ("R r1 1 0 1\nR r1 2 0 1", "duplicate", 2),
@@ -89,3 +101,9 @@ class TestErrors:
         if lineno is not None:
             assert f"line {lineno}" in str(excinfo.value)
 
+    @pytest.mark.parametrize("make", [Waveform.dc, lambda a: Waveform.sine(a, 60.0)])
+    def test_waveform_value_must_square_finitely(self, make):
+        assert make(1e154)(0.25 / 60.0) == pytest.approx(1e154)
+        for amplitude in (1.4e154, -1.4e154, math.inf, math.nan):
+            with pytest.raises(ValueError, match="its square is not finite"):
+                make(amplitude)

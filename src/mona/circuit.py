@@ -202,7 +202,7 @@ class CircuitGraph:
         for kind, names in self.branch_names.items():
             if name in names:
                 return kind, names.index(name)
-        raise KeyError(f"no branch named {name!r}")
+        raise ValueError(f"unknown element {name!r}")
 
 
 def _stamp(columns, n_nodes: int) -> np.ndarray:

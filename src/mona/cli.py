@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` (transient with CSV traces), ``converge`` (step-halving
 error table), ``demo-rectifier`` (built-in benchmark), and ``check``
-(parse, topology validation and assembly, no transient).  Exit codes: 0
+(``run``'s assembly and initial-state check, no transient).  Exit codes: 0
 success, 1 parse or validation failure, 2 solver failure.  The environment
 variable ``MONA_LOG`` (error | info | debug) sets diagnostic verbosity.
 """
@@ -19,11 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import build_incidence, validate_topology
-from .demo import DEMO_NETLIST, DEMO_PROBES, assemble_graph, assemble_netlist
-from .errors import MonaError, SolverError, TopologyError
+from .demo import DEMO_NETLIST, DEMO_PROBES, assemble_netlist
+from .errors import MonaError, SolverError
 from .fem import save_mesh
-from .netlist import parse_netlist
 from .probes import default_state_probe, parse_probe_spec
 from .stepping import (EPS_H_ABS_BOUND, EPS_H_REL_BOUND, TimeGrid, check_zero_state,
                        convergence_study, run_transient)
@@ -100,6 +98,12 @@ def eoc_table(rows) -> CsvTrace:
     return CsvTrace(header=header, rows=table)
 
 
+def _print_error(exc, file=None) -> None:
+    """``error:`` before each line of the message of ``exc``, one line per
+    problem it names."""
+    print("error: " + str(exc).replace("\n", "\nerror: "), file=file)
+
+
 def _assemble(args):
     """The ``--netlist`` (the built-in demo without one) assembled with the
     mesh options."""
@@ -136,7 +140,7 @@ def _run(args):
     the ``eps_H_rel`` column of that partial audit is relative to the peak
     supplied power over those steps only."""
     grid = TimeGrid(t0=T0, t_end=args.t_end, tau=args.tau)  # bad values fail before assembly
-    parsed, system = _assemble(args)
+    parsed, _report, system = _assemble(args)
     probes = parse_probe_spec(system, args.probes, parsed.node_ids) if args.probes else {}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,7 +172,7 @@ def cmd_converge(args) -> int:
     grid = TimeGrid(t0=T0, t_end=args.t_end, tau=args.tau)  # bad values fail before assembly
     if args.halvings < 1:
         raise ValueError(f"--halvings must be at least 1, got {args.halvings}")
-    parsed, system = _assemble(args)
+    parsed, _report, system = _assemble(args)
     if args.probes:
         probes = parse_probe_spec(system, args.probes, parsed.node_ids)
         if not probes:
@@ -203,30 +207,18 @@ def cmd_demo(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Print the topology report, then assemble the system from the checked
-    graph as ``run`` does (FIELD resolved with the mesh options, by
-    :func:`assemble_graph`) and check that the zero state is
-    at rest at t0 (:func:`check_zero_state`), without a transient.  Every
-    topology, assembly or initial-state problem is an ``error:`` line of the
-    report on standard output."""
-    path = Path(args.netlist)
-    text = path.read_text(encoding="utf-8")
-    parsed = parse_netlist(text)
+    """``run`` without the transient: assemble the system (:func:`_assemble`)
+    and check that the zero state is at rest at t0 (:func:`check_zero_state`).
+    Every problem, parse and file errors included, is an ``error:`` line on
+    standard output; on success it prints the topology report (its
+    warnings, or ``topology ok``) and the netlist's size."""
     try:
-        graph = build_incidence(parsed.elements, parsed.n_nodes)
-    except TopologyError as exc:
-        print(f"error: {exc}")
-        return EXIT_INVALID
-    report = validate_topology(graph)
-    print(report)
-    if not report.passed:
-        return EXIT_INVALID
-    try:
-        system = assemble_graph(parsed, graph, args.mesh, args.mesh_density, path.parent)
+        parsed, report, system = _assemble(args)
         check_zero_state(system, T0)
-    except (MonaError, OSError) as exc:
-        print(f"error: {exc}")
+    except (MonaError, ValueError, OSError) as exc:
+        _print_error(exc)
         return EXIT_INVALID
+    print(report)
     print(f"{len(parsed.elements)} elements, {parsed.n_nodes} nodes: ok")
     return EXIT_OK
 
@@ -302,7 +294,7 @@ def run_cli(argv) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (MonaError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc, sys.stderr)
         return EXIT_INVALID
 
 

@@ -344,15 +344,19 @@ class CoupledSystem:
     def power_balance(self, dh_dt: float, ydot: np.ndarray,
                       sources: SourceValues) -> PowerBreakdown:
         """Losses and source powers of the rate ydot with the source values
-        ``sources`` (:meth:`sources`), balanced against the energy rate dh_dt."""
+        ``sources`` (:meth:`sources`), balanced against the energy rate dh_dt.
+
+        A power past binary64 is inf, and the residual then inf or NaN,
+        without a numpy warning: the certificate check names such steps."""
         g = self.graph
         psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = self.layout.split(ydot)
         v_r = g.a_r.T @ psi_dot
         i_r = resistive_branch_current(g, v_r)
-        resistive = float(i_r @ v_r)
-        eddy = float(a_dot @ (self.mass @ a_dot)) if a_dot.size else 0.0
-        source_i = float((g.a_i.T @ psi_dot) @ sources.currents)
-        source_v = float(sources.voltages @ qv_dot)
+        with np.errstate(over="ignore", invalid="ignore"):
+            resistive = float(i_r @ v_r)
+            eddy = float(a_dot @ (self.mass @ a_dot)) if a_dot.size else 0.0
+            source_i = float((g.a_i.T @ psi_dot) @ sources.currents)
+            source_v = float(sources.voltages @ qv_dot)
         return PowerBreakdown(dh_dt=dh_dt, resistive_loss=resistive, eddy_loss=eddy,
                               source_power_i=source_i, source_power_v=source_v,
                               residual=dh_dt + resistive + eddy + source_i + source_v)

@@ -1,10 +1,9 @@
 """Netlist assembly and the built-in full-wave rectifier demo.
 
 :func:`assemble_netlist` is the one chain from netlist text to a coupled
-system: parse, incidence, topology check, then :func:`assemble_graph` for
-the field model and the assembly.  Every CLI subcommand that simulates goes
-through it; ``check`` runs the same links itself to print the topology
-report between them.
+system: parse, incidence, topology check, field model and assembly.  Every
+CLI subcommand goes through it, ``check`` too, which stops before the
+transient.
 
 In the demo, a 60 Hz, 160 V sine drives the primary of the built-in
 transformer; the secondary feeds a four-diode bridge into a 10 ohm load whose
@@ -20,14 +19,14 @@ import logging
 from pathlib import Path
 from typing import NamedTuple
 
-from .circuit import CircuitGraph, build_incidence, validate_topology
+from .circuit import TopologyReport, build_incidence, validate_topology
 from .coupling import CoupledSystem, assemble_coupled
 from .errors import NetlistError, TopologyError
 from .fem import TransformerParams, build_field_model, generate_transformer_mesh, load_mesh
 from .netlist import ParsedNetlist, parse_netlist
 
 __all__ = ["DEMO_NETLIST", "DEMO_MESH_DENSITY", "DEMO_PROBES", "Assembly",
-           "assemble_netlist", "assemble_graph"]
+           "assemble_netlist"]
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +49,7 @@ DEMO_PROBES = "v_src=v(src),v_R=v(load),psi_load=psi(4)"
 
 class Assembly(NamedTuple):
     parsed: ParsedNetlist
+    report: TopologyReport  # passed: its warnings only
     system: CoupledSystem
 
 
@@ -57,7 +57,11 @@ def assemble_netlist(text: str, mesh=None, mesh_density: float | None = None,
                      base=Path(".")) -> Assembly:
     """Parse netlist text, check its topology and assemble the coupled system.
 
-    The devices' FIELD reference resolves as :func:`assemble_graph` says.
+    A failed topology check raises :class:`TopologyError` whose message has
+    one line per problem.  The devices' FIELD reference resolves to the mesh
+    file ``mesh`` when one is given; otherwise ``builtin`` is the built-in
+    transformer at ``mesh_density`` (default :data:`DEMO_MESH_DENSITY`) and
+    any other value is a mesh file relative to ``base``.
     """
     parsed = parse_netlist(text)
     graph = build_incidence(parsed.elements, parsed.n_nodes)
@@ -65,19 +69,8 @@ def assemble_netlist(text: str, mesh=None, mesh_density: float | None = None,
     for issue in report.warnings:
         log.info("topology: %s", issue.message)
     if not report.passed:
-        raise TopologyError(str(report))
-    return Assembly(parsed, assemble_graph(parsed, graph, mesh, mesh_density, base))
+        raise TopologyError("\n".join(issue.message for issue in report.errors))
 
-
-def assemble_graph(parsed: ParsedNetlist, graph: CircuitGraph, mesh,
-                   mesh_density: float | None, base) -> CoupledSystem:
-    """The coupled system of a parsed netlist and its checked circuit graph.
-
-    The devices' FIELD reference resolves to the mesh file ``mesh`` when one
-    is given; otherwise ``builtin`` is the built-in transformer at
-    ``mesh_density`` (default :data:`DEMO_MESH_DENSITY`) and any other value
-    is a mesh file relative to ``base``.
-    """
     refs = {el.field_ref for el in parsed.elements if el.kind == "M"}
     fieldmodel = None
     if refs:
@@ -95,4 +88,4 @@ def assemble_graph(parsed: ParsedNetlist, graph: CircuitGraph, mesh,
 
     system = assemble_coupled(graph, fieldmodel)
     log.info("assembled system: %s", system.dimension_report())
-    return system
+    return Assembly(parsed, report, system)

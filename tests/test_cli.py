@@ -90,7 +90,7 @@ class TestCheck:
         path = tmp_path / "bad.net"
         path.write_text("R r1 1 0 ten\n")
         assert run_cli(["check", "--netlist", str(path)]) == 1
-        assert "line 1" in capsys.readouterr().err
+        assert "line 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("card, token", [
         ("V src 1 0 SIN(nan 60)", "nan"),
@@ -105,7 +105,10 @@ class TestCheck:
         if command == "run":
             argv += ["--tau", "1e-3", "--t-end", "0.01", "--out", str(tmp_path)]
         assert run_cli(argv) == 1
-        assert f"not a finite number: '{token}'" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        # check reports on standard output, run on standard error
+        stream = captured.out if command == "check" else captured.err
+        assert f"not a finite number: '{token}'" in stream
 
     @pytest.mark.parametrize("command", ["check", "run"])
     def test_source_power_overflow_named(self, tmp_path, capsys, command):
@@ -118,8 +121,9 @@ class TestCheck:
             argv += ["--tau", "5e-4", "--t-end", "0.005", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == ("error: line 1: amplitude 1e+200: its square is not finite "
-                                "in binary64, so the source's power would overflow\n")
+        stream = captured.out if command == "check" else captured.err
+        assert stream == ("error: line 1: amplitude 1e+200: its square is not finite "
+                          "in binary64, so the source's power would overflow\n")
         assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, tmp_path, capsys):
@@ -167,6 +171,55 @@ class TestCheck:
         path.write_text(DEMO_NETLIST)
         assert run_cli(["check", "--netlist", str(path), "--mesh-density", "0.025"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "7 elements, 4 nodes: ok"
+
+
+# bad netlists of the tests above: (file content, or None for a directory;
+# extra options; the cause that check and run both name)
+BAD_NETLISTS = {
+    "parse-error": ("R r1 1 0 ten\n", [], "line 1: resistance: not a number: 'ten'"),
+    "non-finite-value": ("V src 1 0 SIN(nan 60)\nR load 1 0 10\n", [],
+                         "line 1: amplitude: not a finite number: 'nan'"),
+    "overflowing-source": ("V a 1 0 SIN(1e200 50)\nR r 1 0 1\n", [],
+                           "line 1: amplitude 1e+200: its square is not finite in binary64"),
+    "voltage-loop": (VLOOP, [], "loop of ideal voltage sources: {v1, v2}"),
+    # several topology problems: one error: line each
+    "loop-and-cutset": ("V a 1 0 SIN(1 50)\nV b 1 0 SIN(2 50)\nI i1 2 0 SIN(1 50)\n"
+                        "R r 1 0 1\n", [], "loop of ideal voltage sources: {a, b}\n"
+                        "error: current sources form a cutset: {i1}"),
+    "floating-nodes": ("V src 1 0 SIN(10 50)\nR load 1 0 10\nR r2 2 3 1\n", [],
+                       "nodes [2, 3] are not connected to ground (elements: r2)"),
+    "winding-count": ("V src 1 0 SIN(1 60)\nM x 1 0 FIELD=builtin\n", [],
+                      "device branch count (1) does not match winding count (2)"),
+    "missing-mesh": (LINEAR_COUPLED_NETLIST, ["--mesh", "nope.mesh"],
+                     "[Errno 2] No such file or directory: "),
+    "source-not-at-rest": ("V src 1 0 DC 5\nR r 1 0 10\n", [],
+                           "zero initial state violates the algebraic constraints"),
+    "directory-as-netlist": (None, [], "[Errno 21] Is a directory: "),
+}
+
+
+@pytest.mark.parametrize("name", BAD_NETLISTS)
+def test_check_and_run_name_the_same_cause(tmp_path, capsys, monkeypatch, name):
+    # check is run without the transient: it fails on every netlist run fails
+    # on, with the same error: lines, on standard output where run writes
+    # them to standard error
+    text, options, cause = BAD_NETLISTS[name]
+    monkeypatch.chdir(tmp_path)
+    netlist = tmp_path
+    if text is not None:
+        netlist = tmp_path / "bad.net"
+        netlist.write_text(text)
+    argv = ["--netlist", str(netlist), "--mesh-density", "0.025", *options]
+    assert run_cli(["check", *argv]) == 1
+    check = capsys.readouterr()
+    assert run_cli(["run", *argv, "--tau", "1e-3", "--t-end", "0.01",
+                    "--out", str(tmp_path / "out")]) == 1
+    run = capsys.readouterr()
+    assert check.err == run.out == ""
+    assert check.out == run.err
+    assert check.out.startswith(f"error: {cause}")
+    assert len(check.out.splitlines()) == 1 + cause.count("\n")
+    assert "error: error:" not in check.out
 
 
 class TestBadInput:
@@ -221,7 +274,9 @@ class TestBadInput:
         if command == "run":
             argv += ["--tau", "1e-3", "--t-end", "0.01", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == 1
-        assert "Is a directory" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        stream = captured.out if command == "check" else captured.err
+        assert "Is a directory" in stream
 
     def test_file_as_out(self, rlc_net, capsys, monkeypatch):
         # the output directory is made before the transient starts
@@ -238,6 +293,15 @@ class TestBadInput:
                 argv += ["--netlist", str(rlc_net)]
             assert run_cli(argv) == 1, command
             assert "File exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_probe_of_unknown_element(self, rlc_net, tmp_path, capsys, command):
+        argv = [command, "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.004",
+                "--out", str(tmp_path / "out"), "--probes", "x=v(nope)"]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown element 'nope'\n"
+        assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("header", ["depth", "vertices", "triangles", "regions",
                                         "windings"])
@@ -544,27 +608,27 @@ class TestDemoRectifier:
                         "--out", str(tmp_path / "passing")]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_nan_certificate_warns(self, tmp_path):
-        # a 1e154 V source is accepted, but through a 1e-6 ohm load its power
-        # overflows to inf and eps_H to NaN on every step; the run exits 0,
-        # and its warning names the NaN.  In a process of its own, where
-        # numpy's overflow warnings stay warnings
-        netlist = tmp_path / "huge.net"
-        netlist.write_text("V a 1 0 SIN(1e154 50)\nR r 1 0 1e-6\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "mona.cli", "run", "--netlist", str(netlist),
-             "--tau", "5e-4", "--t-end", "0.005", "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        header, rows = read_csv(tmp_path / "out" / "audit.csv")
-        assert all(r[header.index("eps_H")] == "nan" for r in rows)
-        warnings = [line for line in done.stderr.splitlines() if line.startswith("warning:")]
-        assert len(warnings) == 1
-        assert re.fullmatch(r"warning: 10 of 10 steps break the balance certificate .*; "
-                            r"worst \|eps_H\| = nan W at t = \S+ s", warnings[0])
+    def test_nan_certificate_warns(self, tmp_path, capsys):
+        # a 1e154 V (or A) source is accepted, but through a 1e-6 (1e6) ohm
+        # load its power overflows to inf and eps_H to NaN on every step; the
+        # run exits 0, its one warning names the NaN, and numpy warns of no
+        # overflow (a warning is an error under this suite's filterwarnings)
+        for kind, load, column in (("V", "1e-6", "source_power_V"),
+                                   ("I", "1e6", "source_power_I")):
+            path = tmp_path / f"{kind}.net"
+            path.write_text(f"{kind} a 1 0 SIN(1e154 50)\nR r 1 0 {load}\n")
+            out = tmp_path / kind
+            assert run_cli(["run", "--netlist", str(path), "--tau", "5e-4",
+                            "--t-end", "0.005", "--out", str(out)]) == 0
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"warning: 10 of 10 steps break the balance certificate "
+                                r".*; worst \|eps_H\| = nan W at t = \S+ s\n", err), err
+            header, rows = read_csv(out / "audit.csv")
+            assert len(rows) == 10
+            for row in rows:
+                assert row[header.index("resistive_loss")] == "inf"
+                assert row[header.index(column)] == "-inf"
+                assert row[header.index("eps_H")] == row[header.index("eps_H_rel")] == "nan"
 
     def test_dumped_mesh_reproduces_builtin(self, tmp_path):
         # the demo is a run of its dumped netlist with the demo probes, and

@@ -1217,7 +1217,7 @@ class TestProbes:
         parsed, _graph, system = rlc
         with pytest.raises(ValueError, match="cannot parse"):
             compile_probe(system, "flux[1]", parsed.node_ids)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown element 'nope'"):
             compile_probe(system, "v(nope)", parsed.node_ids)
 
     def test_default_probe_targets_load_node(self, rlc):

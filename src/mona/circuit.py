@@ -2,20 +2,22 @@
 
 States are magnetic node potentials (time integrals of the nodal voltages)
 and branch charges, so every voltage and current appears as the time
-derivative of a state.  Topology is stored as reduced branch-to-node
-incidence matrices: one column per branch with +1 at the plus node and -1
-at the minus node, and the ground row (node 0) eliminated.
+derivative of a state.  Topology is stored as a branch table, the terminal
+pairs of each element kind; each kind's reduced branch-to-node incidence
+matrix (one column per branch with +1 at the plus node and -1 at the minus
+node, the ground row (node 0) eliminated) is derived from it.
 
-Resistive branches come in two partitions: linear conductances and
-exponential diodes.  Keeping them separate lets the linear part enter the
-system matrices as a constant stamp while the diodes are evaluated through
-their nonlinear branch law.
+Resistive branches come in two kinds: linear conductances (``R``) and
+exponential diodes (``D``).  Keeping them separate lets the linear part
+enter the system matrices as a constant stamp while the diodes are
+evaluated through their nonlinear branch law.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +52,12 @@ DIODE_EXP_CAP = 500.0
 
 @dataclass(frozen=True)
 class DiodeParams:
-    """Exponential diode: i = I_s*(exp(v/V_th) - 1) + v/R_par."""
+    """Exponential diode: i = I_s*(exp(v/V_th) - 1) + v/R_par.
+
+    The law's coefficients 1/V_th, 1/R_par and I_s/V_th (1/VT, 1/RP and
+    IS/VT in the netlist's keys) must be finite in binary64, or
+    ``ValueError`` is raised: the law would give non-finite currents and
+    slopes."""
 
     saturation_current: float  # I_s [A]
     thermal_voltage: float     # V_th [V]
@@ -60,6 +67,11 @@ class DiodeParams:
         for name in ("saturation_current", "thermal_voltage", "parallel_resistance"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"diode {name} must be positive")
+        for what, coefficient in (("1/VT", 1.0 / self.thermal_voltage),
+                                  ("1/RP", 1.0 / self.parallel_resistance),
+                                  ("IS/VT", self.saturation_current / self.thermal_voltage)):
+            if not math.isfinite(coefficient):
+                raise ValueError(f"diode {what} = {coefficient!r} is not finite in binary64")
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,9 @@ class NetlistElement:
 
     ``nodes`` holds the branch terminals (plus, minus); field devices (kind
     ``M``) carry an ordered list with two terminals per winding.  ``value``
-    is the conductance [S], capacitance [F], or inductance [H] for R/C/L.
+    is the conductance [S], capacitance [F], or inductance [H] for R/C/L;
+    it and its reciprocal must be finite in binary64, or ``ValueError`` is
+    raised, since the system matrices hold both.
     """
 
     kind: str
@@ -100,6 +114,10 @@ class NetlistElement:
         if self.kind in ("R", "C", "L"):
             if self.value is None or not self.value > 0.0:
                 raise ValueError(f"{self.name}: value must be positive")
+            if not (math.isfinite(self.value) and math.isfinite(1.0 / self.value)):
+                what = {"R": "conductance", "C": "capacitance", "L": "inductance"}[self.kind]
+                raise ValueError(f"{self.name}: {what} {self.value!r} or its reciprocal "
+                                 f"is not finite in binary64")
         if self.kind in ("V", "I") and self.waveform is None:
             raise ValueError(f"{self.name}: source needs a waveform")
         if self.kind == "D" and self.diode is None:
@@ -112,19 +130,20 @@ class NetlistElement:
 
 @dataclass
 class CircuitGraph:
-    """Assembled circuit: reduced incidence matrices plus element parameters.
+    """Assembled circuit: the branch table plus element parameters.
 
-    Resistive columns are ordered linear-first, diodes after, so the combined
-    resistive incidence matrix is ``a_r = [a_r_lin | a_r_dio]``.
+    The branch table is the only stored topology: per element kind, the
+    terminal pairs ``branch_pairs[kind]`` ((n_k, 2) ints) and the element
+    names ``branch_names[kind]``, one row per branch in element order (a
+    field device has one row per winding).  Each kind's reduced incidence
+    matrix is derived from its pairs once (:meth:`incidence`).  Linear
+    resistors (``R``) and diodes (``D``) are separate kinds; only
+    :attr:`a_r` joins them, linear columns first.
     """
 
     n_nodes: int
-    a_r: np.ndarray        # (n_nodes, n_lin + n_dio)
-    a_c: np.ndarray
-    a_l: np.ndarray
-    a_v: np.ndarray
-    a_i: np.ndarray
-    a_m: np.ndarray
+    branch_pairs: dict            # kind -> (n_k, 2) int array
+    branch_names: dict            # kind -> tuple of names
     conductance: np.ndarray       # diag G over linear resistive branches [S]
     capacitance: np.ndarray       # diag C [F]
     inv_inductance: np.ndarray    # diag 1/L [1/H]
@@ -133,32 +152,35 @@ class CircuitGraph:
     diode_parallel: np.ndarray    # [ohm]
     voltage_waveforms: tuple[Waveform, ...]
     current_waveforms: tuple[Waveform, ...]
-    branch_names: dict = field(default_factory=dict)   # kind -> tuple of names
-    branch_pairs: dict = field(default_factory=dict)   # kind -> (n_k, 2) int array
+
+    def n_branches(self, kind: str) -> int:
+        """The number of branches of one kind (windings for ``M``)."""
+        return len(self.branch_pairs[kind])
 
     @property
     def n_linear_resistive(self) -> int:
         return self.conductance.size
 
     @property
-    def n_diodes(self) -> int:
-        return self.diode_saturation.size
-
-    @property
     def n_resistive(self) -> int:
         return self.a_r.shape[1]
 
-    @property
-    def n_capacitors(self) -> int:
-        return self.a_c.shape[1]
+    @cached_property
+    def _incidences(self) -> dict:
+        return {kind: _incidence(pairs, self.n_nodes)
+                for kind, pairs in self.branch_pairs.items()}
 
-    @property
-    def n_vsources(self) -> int:
-        return self.a_v.shape[1]
+    def incidence(self, kind: str) -> np.ndarray:
+        """The reduced incidence of the branches of one kind, (n_nodes, n_k):
+        +1 at the plus node and -1 at the minus node of each branch's
+        column, the ground row eliminated."""
+        return self._incidences[kind]
 
-    @property
-    def n_devices(self) -> int:
-        return self.a_m.shape[1]
+    @cached_property
+    def a_r(self) -> np.ndarray:
+        """The resistive incidence ``[R | D]``: linear columns, then diodes,
+        the order of :func:`resistive_branch_current`'s voltages."""
+        return np.hstack([self.incidence("R"), self.incidence("D")])
 
     @cached_property
     def diode_exp_slope(self) -> np.ndarray:
@@ -180,22 +202,22 @@ class CircuitGraph:
 
     @classmethod
     def empty(cls, n_devices: int = 0) -> "CircuitGraph":
-        """Degenerate graph with no nodes, optionally with device branch stubs.
+        """Degenerate graph with no nodes, optionally with device branch stubs:
+        ``n_devices`` windings of one device ``field``, both terminals on
+        ground.
 
         Used for field-only reductions where the device currents are
         prescribed instead of being driven by a surrounding network.
         """
-        def z(k):
-            return np.zeros((0, k))
-        return cls(
-            n_nodes=0,
-            a_r=z(0), a_c=z(0), a_l=z(0), a_v=z(0), a_i=z(0), a_m=z(n_devices),
-            conductance=np.zeros(0), capacitance=np.zeros(0), inv_inductance=np.zeros(0),
-            diode_saturation=np.zeros(0), diode_thermal=np.zeros(0), diode_parallel=np.zeros(0),
-            voltage_waveforms=(), current_waveforms=(),
-            branch_names={k: () for k in ELEMENT_KINDS},
-            branch_pairs={k: np.zeros((0, 2), dtype=int) for k in ELEMENT_KINDS},
-        )
+        pairs = {kind: np.zeros((0, 2), dtype=int) for kind in ELEMENT_KINDS}
+        names = {kind: () for kind in ELEMENT_KINDS}
+        pairs["M"] = np.zeros((n_devices, 2), dtype=int)
+        names["M"] = ("field",) * n_devices
+        none = np.zeros(0)
+        return cls(n_nodes=0, branch_pairs=pairs, branch_names=names,
+                   conductance=none, capacitance=none, inv_inductance=none,
+                   diode_saturation=none, diode_thermal=none, diode_parallel=none,
+                   voltage_waveforms=(), current_waveforms=())
 
     def find_branch(self, name: str) -> tuple[str, int]:
         """Locate an element by name; returns (kind, column index within its kind)."""
@@ -205,23 +227,22 @@ class CircuitGraph:
         raise ValueError(f"unknown element {name!r}")
 
 
-def _stamp(columns, n_nodes: int) -> np.ndarray:
-    mat = np.zeros((n_nodes, len(columns)))
-    for k, (plus, minus) in enumerate(columns):
-        if plus != GROUND:
-            mat[plus - 1, k] = 1.0
-        if minus != GROUND:
-            mat[minus - 1, k] = -1.0
-    return mat
+def _incidence(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Reduced incidence of the branches ``pairs`` (plus, minus): stamped on
+    all n_nodes + 1 rows, the ground row then dropped; C-contiguous."""
+    mat = np.zeros((n_nodes + 1, len(pairs)))
+    columns = np.arange(len(pairs))
+    mat[pairs[:, 0], columns] = 1.0
+    mat[pairs[:, 1], columns] = -1.0
+    return mat[1:]
 
 
 def build_incidence(elements, n_nodes: int) -> CircuitGraph:
-    """Assemble the reduced incidence matrices and parameter tables.
+    """Assemble the branch table and parameter tables.
 
-    Branch order within each kind follows the element order; diodes form a
-    separate resistive partition appended after the linear conductances.
-    Raises :class:`TopologyError` when node ids are out of range, names
-    collide, or the graph is not connected to ground.
+    Branch order within each kind follows the element order.  Raises
+    :class:`TopologyError` when node ids are out of range, names collide,
+    or the graph is not connected to ground.
     """
     elements = tuple(elements)
     if not elements:
@@ -236,29 +257,12 @@ def build_incidence(elements, n_nodes: int) -> CircuitGraph:
             if n > n_nodes:
                 raise TopologyError(f"{el.name}: node id {n} exceeds node count {n_nodes}")
 
-    pairs = {kind: [] for kind in ELEMENT_KINDS}
-    names = {kind: [] for kind in ELEMENT_KINDS}
-    g, c, linv = [], [], []
-    d_is, d_vth, d_rp = [], [], []
-    v_wave, i_wave = [], []
-    for el in elements:
-        for plus, minus in el.terminal_pairs():
-            pairs[el.kind].append((plus, minus))
-            names[el.kind].append(el.name)
-        if el.kind == "R":
-            g.append(el.value)
-        elif el.kind == "C":
-            c.append(el.value)
-        elif el.kind == "L":
-            linv.append(1.0 / el.value)
-        elif el.kind == "D":
-            d_is.append(el.diode.saturation_current)
-            d_vth.append(el.diode.thermal_voltage)
-            d_rp.append(el.diode.parallel_resistance)
-        elif el.kind == "V":
-            v_wave.append(el.waveform)
-        elif el.kind == "I":
-            i_wave.append(el.waveform)
+    by_kind = {kind: [el for el in elements if el.kind == kind] for kind in ELEMENT_KINDS}
+    pairs = {kind: np.array([pair for el in els for pair in el.terminal_pairs()],
+                            dtype=int).reshape(-1, 2)
+             for kind, els in by_kind.items()}
+    names = {kind: tuple(el.name for el in els for _pair in el.terminal_pairs())
+             for kind, els in by_kind.items()}
 
     sets = _NodeSets(n_nodes)
     for kind_pairs in pairs.values():
@@ -273,25 +277,21 @@ def build_incidence(elements, n_nodes: int) -> CircuitGraph:
         raise TopologyError(f"nodes {missing} are not connected to ground "
                             f"(elements: {', '.join(touched)})")
 
-    a_r = np.hstack([_stamp(pairs["R"], n_nodes), _stamp(pairs["D"], n_nodes)])
+    def values(kind, value):
+        return np.array([value(el) for el in by_kind[kind]], dtype=float)
+
     return CircuitGraph(
         n_nodes=n_nodes,
-        a_r=a_r,
-        a_c=_stamp(pairs["C"], n_nodes),
-        a_l=_stamp(pairs["L"], n_nodes),
-        a_v=_stamp(pairs["V"], n_nodes),
-        a_i=_stamp(pairs["I"], n_nodes),
-        a_m=_stamp(pairs["M"], n_nodes),
-        conductance=np.asarray(g, dtype=float),
-        capacitance=np.asarray(c, dtype=float),
-        inv_inductance=np.asarray(linv, dtype=float),
-        diode_saturation=np.asarray(d_is, dtype=float),
-        diode_thermal=np.asarray(d_vth, dtype=float),
-        diode_parallel=np.asarray(d_rp, dtype=float),
-        voltage_waveforms=tuple(v_wave),
-        current_waveforms=tuple(i_wave),
-        branch_names={k: tuple(v) for k, v in names.items()},
-        branch_pairs={k: np.array(v, dtype=int).reshape(-1, 2) for k, v in pairs.items()},
+        branch_pairs=pairs,
+        branch_names=names,
+        conductance=values("R", lambda el: el.value),
+        capacitance=values("C", lambda el: el.value),
+        inv_inductance=values("L", lambda el: 1.0 / el.value),
+        diode_saturation=values("D", lambda el: el.diode.saturation_current),
+        diode_thermal=values("D", lambda el: el.diode.thermal_voltage),
+        diode_parallel=values("D", lambda el: el.diode.parallel_resistance),
+        voltage_waveforms=tuple(el.waveform for el in by_kind["V"]),
+        current_waveforms=tuple(el.waveform for el in by_kind["I"]),
     )
 
 
@@ -452,7 +452,7 @@ def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray) -> np.nd
     n_lin = graph.n_linear_resistive
     i = np.empty_like(v_branch)
     i[:n_lin] = graph.conductance * v_branch[:n_lin]
-    if graph.n_diodes:
+    if v_branch.size > n_lin:
         i[n_lin:] = diode_law(graph, v_branch[n_lin:])[0]
     return i
 
@@ -495,9 +495,9 @@ def circuit_energy(graph: CircuitGraph, psi: np.ndarray, q_c: np.ndarray) -> flo
     q_c = np.asarray(q_c, dtype=float)
     if psi.shape != (graph.n_nodes,):
         raise ValueError(f"psi must have length {graph.n_nodes}")
-    if q_c.shape != (graph.n_capacitors,):
-        raise ValueError(f"q_c must have length {graph.n_capacitors}")
-    phi_l = graph.a_l.T @ psi
+    if q_c.shape != graph.capacitance.shape:
+        raise ValueError(f"q_c must have length {graph.capacitance.size}")
+    phi_l = graph.incidence("L").T @ psi
     inductive = 0.5 * float(phi_l @ (graph.inv_inductance * phi_l))
     capacitive = 0.5 * float(q_c @ (q_c / graph.capacitance)) if q_c.size else 0.0
     return inductive + capacitive

@@ -177,7 +177,10 @@ def cmd_converge(args) -> int:
         probes = parse_probe_spec(system, args.probes, parsed.node_ids)
         if not probes:
             raise ValueError(f"--probes {args.probes!r} names no probe")
-        probe = next(iter(probes.values()))
+        if len(probes) > 1:
+            raise ValueError(f"--probes {args.probes!r} names {len(probes)} probes; "
+                             f"converge studies exactly one")
+        (probe,) = probes.values()
     else:
         probe = default_state_probe(system)
     out = Path(args.out)

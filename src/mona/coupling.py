@@ -150,7 +150,7 @@ class CoupledSystem:
         self.graph = graph
         self.field = field
 
-        n_m = graph.n_devices
+        n_m = graph.n_branches("M")
         if field is not None:
             if n_m != field.n_windings:
                 raise MeshError(
@@ -170,8 +170,8 @@ class CoupledSystem:
             self.stiffness = sp.csr_matrix((0, 0))
             n_a = 0
 
-        self.layout = BlockLayout(n_nodes=graph.n_nodes, n_c=graph.n_capacitors,
-                                  n_v=graph.n_vsources, n_m=n_m, n_a=n_a)
+        self.layout = BlockLayout(n_nodes=graph.n_nodes, n_c=graph.n_branches("C"),
+                                  n_v=graph.n_branches("V"), n_m=n_m, n_a=n_a)
 
     # -- inspection --------------------------------------------------------
 
@@ -218,9 +218,10 @@ class CoupledSystem:
         psi, *charges, _a = self.layout.slices
         k = self.layout.n_circuit
         out = np.zeros((k, k))
-        a_lin = g.a_r[:, :g.n_linear_resistive]
+        a_lin = g.incidence("R")
         out[psi, psi] = a_lin @ (g.conductance[:, None] * a_lin.T)
-        for blk, incidence in zip(charges, (g.a_c, g.a_v, g.a_m)):
+        for blk, kind in zip(charges, "CVM"):
+            incidence = g.incidence(kind)
             out[psi, blk] = incidence
             out[blk, psi] = -incidence.T
         return out
@@ -232,7 +233,8 @@ class CoupledSystem:
         g = self.graph
         psi, q_c = self.layout.slices[:2]
         out = np.zeros_like(self.circuit_rate_matrix)
-        out[psi, psi] = g.a_l @ (g.inv_inductance[:, None] * g.a_l.T)
+        a_l = g.incidence("L")
+        out[psi, psi] = a_l @ (g.inv_inductance[:, None] * a_l.T)
         out[q_c, q_c] = np.diag(1.0 / g.capacitance)
         return out
 
@@ -240,8 +242,8 @@ class CoupledSystem:
     def diode_incidence(self) -> np.ndarray:
         """A_d: the diodes' node incidence as rows of the k circuit unknowns."""
         g = self.graph
-        out = np.zeros((self.circuit_rate_matrix.shape[0], g.n_diodes))
-        out[:g.n_nodes] = g.a_r[:, g.n_linear_resistive:]
+        out = np.zeros((self.circuit_rate_matrix.shape[0], g.n_branches("D")))
+        out[:g.n_nodes] = g.incidence("D")
         return out
 
     def diode_rows(self, ydot_c: np.ndarray):
@@ -249,9 +251,9 @@ class CoupledSystem:
         rows of the rate operator at the circuit rates ydot_c, the nonlinear
         rest of :attr:`circuit_rate_matrix`, and the diode slopes there, both
         from one :func:`~mona.circuit.diode_law`; (0.0, []) without diodes."""
-        if not self.graph.n_diodes:
-            return 0.0, np.zeros(0)
         a_d = self.diode_incidence
+        if not a_d.shape[1]:
+            return 0.0, np.zeros(0)
         currents, slopes = diode_law(self.graph, a_d.T @ ydot_c)
         return a_d @ currents, slopes
 
@@ -327,7 +329,7 @@ class CoupledSystem:
         lay = self.layout
         currents, voltages = g.source_currents(t), g.source_voltages(t)
         out = np.zeros(lay.size)
-        out[lay.block_slice("psi")] = -(g.a_i @ currents)
+        out[lay.block_slice("psi")] = -(g.incidence("I") @ currents)
         out[lay.block_slice("q_v")] = -voltages
         return SourceValues(currents, voltages, out)
 
@@ -355,7 +357,7 @@ class CoupledSystem:
         with np.errstate(over="ignore", invalid="ignore"):
             resistive = float(i_r @ v_r)
             eddy = float(a_dot @ (self.mass @ a_dot)) if a_dot.size else 0.0
-            source_i = float((g.a_i.T @ psi_dot) @ sources.currents)
+            source_i = float((g.incidence("I").T @ psi_dot) @ sources.currents)
             source_v = float(sources.voltages @ qv_dot)
         return PowerBreakdown(dh_dt=dh_dt, resistive_loss=resistive, eddy_loss=eddy,
                               source_power_i=source_i, source_power_v=source_v,

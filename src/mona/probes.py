@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import re
 
-from .circuit import resistive_branch_current
+from .circuit import diode_law
 from .coupling import CoupledSystem
 
 __all__ = ["compile_probe", "parse_probe_spec", "default_state_probe"]
+
+# the columns trace.csv writes besides the probes: time, energy, balance residual
+RESERVED_NAMES = ("t", "H", "eps_H")
 
 _CALL = re.compile(r"^\s*(psi|u|v|i)\s*\(\s*([^()\s]+)\s*\)\s*$", re.IGNORECASE)
 
@@ -65,25 +68,20 @@ def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None
     kind, col = system.graph.find_branch(arg)
     g = system.graph
 
+    incidence = g.incidence(kind)
     if fn == "v":
-        if kind == "D":
-            column = g.a_r[:, g.n_linear_resistive + col]
-        else:
-            mats = {"R": g.a_r, "C": g.a_c, "L": g.a_l, "V": g.a_v, "I": g.a_i, "M": g.a_m}
-            column = mats[kind][:, col]
+        column = incidence[:, col]
         return lambda state, t_mid: float(column @ state.rate[psi_slice])
 
     # fn == "i"
     if kind in ("R", "D"):
-        res_col = col if kind == "R" else g.n_linear_resistive + col
-
         def probe_i(state, t_mid):
-            v_all = g.a_r.T @ state.rate[psi_slice]
-            return float(resistive_branch_current(g, v_all)[res_col])
+            v = incidence.T @ state.rate[psi_slice]
+            return float((g.conductance * v if kind == "R" else diode_law(g, v)[0])[col])
         return probe_i
     if kind == "L":
         return lambda state, t_mid: float(g.inv_inductance[col]
-                                          * (g.a_l[:, col] @ state.y[psi_slice]))
+                                          * (incidence[:, col] @ state.y[psi_slice]))
     if kind in ("C", "V", "M"):
         block = {"C": "q_c", "V": "q_v", "M": "q_m"}[kind]
         off = system.layout.block_slice(block).start + col
@@ -95,7 +93,8 @@ def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None
 
 
 def parse_probe_spec(system: CoupledSystem, spec: str, node_ids: dict | None = None) -> dict:
-    """Parse ``name=expr,name=expr`` into a probe dict; names must be unique."""
+    """Parse ``name=expr,name=expr`` into a probe dict; names must be unique
+    and none of :data:`RESERVED_NAMES`, the trace's own columns."""
     probes = {}
     for item in spec.split(","):
         item = item.strip()
@@ -106,6 +105,9 @@ def parse_probe_spec(system: CoupledSystem, spec: str, node_ids: dict | None = N
         name, expr = (s.strip() for s in item.split("=", 1))
         if name in probes:
             raise ValueError(f"duplicate probe name {name!r}")
+        if name in RESERVED_NAMES:
+            raise ValueError(f"probe name {name!r} is reserved: trace.csv has its own "
+                             f"column {name!r}")
         probes[name] = compile_probe(system, expr, node_ids)
     return probes
 

@@ -265,7 +265,8 @@ class StepOperator:
         j_state, j_rate = system.constant_jacobians
         self.matrix = 0.5 * j_state + j_rate * weight
         g = system.graph
-        rows, cols = np.nonzero(np.abs(g.a_r) @ np.abs(g.a_r.T) + np.abs(g.a_l) @ np.abs(g.a_l.T))
+        a_l = g.incidence("L")
+        rows, cols = np.nonzero(np.abs(g.a_r) @ np.abs(g.a_r.T) + np.abs(a_l) @ np.abs(a_l.T))
         base = self.matrix.tocsc()
         self.n_circuit = k = system.layout.n_circuit
         self._lu_aa = factor_spd(base[k:, k:])
@@ -454,7 +455,8 @@ def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude
     step from a fresh factorization is taken as long as it is finite, even
     uphill, to get off switching plateaus.  The tolerance is
     :data:`NEWTON_TOL`; past :data:`MAX_ITER` iterations the solve fails
-    with :class:`SolverError`.
+    with :class:`SolverError`, as it does at once on a non-finite starting
+    residual, whose NaN norm would otherwise pass for converged.
 
     A residual component assembled from terms of magnitude m cannot come out
     below a few eps * m in binary64, so after every refactorization the
@@ -473,6 +475,8 @@ def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude
     z_c = np.array(z0, dtype=float)
     r, rows, slopes = operator.reduced_residual(z_c, c_hat)
     nrm = _scaled_norm(r, floored)
+    if not math.isfinite(nrm):
+        raise SolverError(f"non-finite residual at the Newton start (scaled norm {nrm})")
     while nrm > NEWTON_TOL:
         if stats.iterations == MAX_ITER:
             raise SolverError(f"Newton did not converge in {MAX_ITER} iterations "
@@ -589,9 +593,9 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     system and tau only, so they are built once per run.
     """
     g = system.graph
-    if g.n_diodes == 0:
+    if g.n_branches("D") == 0:
         return None
-    a_dio = g.a_r[:, g.n_linear_resistive:]
+    a_dio = g.incidence("D")
     psi_sl = system.layout.block_slice("psi")
     pinv = np.linalg.pinv(a_dio.T)
     thermal = g.diode_thermal

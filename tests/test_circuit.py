@@ -19,6 +19,7 @@ from mona.circuit import (
 )
 from mona.coupling import assemble_coupled
 from mona.errors import TopologyError
+from mona.netlist import parse_netlist
 from mona.sources import Waveform
 
 from conftest import dense_incidence
@@ -37,7 +38,7 @@ class TestBuildIncidence:
         graph = build_incidence(
             [el("R", "R1", 1, 2, value=0.1), el("C", "C1", 2, 0, value=1e-6)], 2)
         assert np.array_equal(graph.a_r, [[1.0], [-1.0]])
-        assert np.array_equal(graph.a_c, [[0.0], [1.0]])
+        assert np.array_equal(graph.incidence("C"), [[0.0], [1.0]])
         assert np.array_equal(graph.conductance, [0.1])
         assert np.array_equal(graph.capacitance, [1e-6])
 
@@ -45,13 +46,13 @@ class TestBuildIncidence:
         graph = build_incidence(
             [el("V", "V1", 1, 0, waveform=Waveform.dc(1.0)),
              el("R", "R1", 1, 0, value=0.1)], 1)
-        assert np.array_equal(graph.a_v, [[1.0]])
+        assert np.array_equal(graph.incidence("V"), [[1.0]])
         assert np.array_equal(graph.a_r, [[1.0]])
 
     def test_rectifier_shape(self, rectifier):
         _parsed, graph, _system = rectifier
-        assert graph.a_m.shape == (4, 2)
-        assert graph.n_diodes == 4
+        assert graph.incidence("M").shape == (4, 2)
+        assert graph.n_branches("D") == 4
         assert graph.n_linear_resistive == 1
         assert graph.a_r.shape == (4, 5)
 
@@ -79,7 +80,7 @@ class TestBuildIncidence:
     def test_column_sums(self, rectifier):
         # ground-free columns sum to zero, grounded ones to +-1
         _parsed, graph, _system = rectifier
-        for kind_mat in (graph.a_r, graph.a_c, graph.a_l, graph.a_v, graph.a_i, graph.a_m):
+        for kind_mat in (graph.a_r, *(graph.incidence(kind) for kind in "CLVIM")):
             for col in kind_mat.T:
                 nnz = np.count_nonzero(col)
                 assert nnz in (1, 2)
@@ -260,8 +261,53 @@ class TestCircuitEnergy:
                 pytest.approx(alpha**2 * h1, rel=1e-12)
 
 
+def assert_branch_table_consistent(graph):
+    for kind in "RCLVIDM":
+        n = graph.n_branches(kind)
+        assert graph.branch_pairs[kind].shape == (n, 2)
+        assert len(graph.branch_names[kind]) == n
+        assert graph.incidence(kind).shape == (graph.n_nodes, n)
+
+
 def test_empty_graph_shapes():
+    # the device stubs are windings like any other, both terminals on ground
     graph = CircuitGraph.empty(n_devices=2)
     assert graph.n_nodes == 0
-    assert graph.a_m.shape == (0, 2)
+    assert graph.incidence("M").shape == (0, 2)
     assert graph.n_resistive == 0
+    assert_branch_table_consistent(graph)
+    assert graph.branch_pairs["M"].tolist() == [[0, 0], [0, 0]]
+
+
+# every element kind, a two-winding device among them
+EVERY_KIND = """
+V src 1 0 SIN(1 50)
+I bias 2 0 SIN(1 50)
+R r1 1 2 10
+C c1 2 3 1e-6
+L l1 3 4 1e-3
+D d1 4 0 IS=1e-14 VT=0.025 RP=1e12
+R r2 3 0 5
+D d2 0 5 IS=1e-14 VT=0.025 RP=1e12
+M x 1 0 5 4 FIELD=builtin
+"""
+
+
+def test_incidences_are_those_of_the_branch_table():
+    # the branch table is the graph's one topology: each incidence is its
+    # kind's terminal pairs stamped, C-contiguous float64 (BLAS's summation
+    # order depends on the layout)
+    parsed = parse_netlist(EVERY_KIND)
+    graph = build_incidence(parsed.elements, parsed.n_nodes)
+    assert_branch_table_consistent(graph)
+    assert graph.branch_names["M"] == ("x", "x")
+    assert graph.branch_pairs["M"].tolist() == [[1, 0], [5, 4]]
+    assert graph.branch_names["R"] == ("r1", "r2")
+    for kind in "RCLVIDM":
+        mat = graph.incidence(kind)
+        assert graph.n_branches(kind) > 0
+        assert mat.dtype == np.float64 and mat.flags.c_contiguous
+        assert np.array_equal(mat, dense_incidence(graph.branch_pairs[kind], 5))
+    assert graph.a_r.dtype == np.float64 and graph.a_r.flags.c_contiguous
+    assert np.array_equal(graph.a_r, np.hstack([
+        dense_incidence(graph.branch_pairs[kind], 5) for kind in "RD"]))

@@ -195,6 +195,17 @@ BAD_NETLISTS = {
     "source-not-at-rest": ("V src 1 0 DC 5\nR r 1 0 10\n", [],
                            "zero initial state violates the algebraic constraints"),
     "directory-as-netlist": (None, [], "[Errno 21] Is a directory: "),
+    # a value whose reciprocal overflows would reach the solver as inf
+    "tiny-resistance": ("V a 1 0 SIN(1 50)\nR r1 1 0 1e-320\nR rx 1 0 1\n", [],
+                        "line 2: r1: conductance inf or its reciprocal is not finite"),
+    "tiny-inductance": ("V a 1 0 SIN(1 50)\nL l1 1 0 1e-320\nR rx 1 0 1\n", [],
+                        "line 2: l1: inductance 1e-320 or its reciprocal is not finite"),
+    "tiny-capacitance": ("V a 1 0 SIN(1 50)\nC c1 1 0 1e-320\nR rx 1 0 1\n", [],
+                         "line 2: c1: capacitance 1e-320 or its reciprocal is not finite"),
+    "tiny-diode-rp": ("V a 1 0 SIN(1 50)\nD d1 1 0 IS=1e-14 VT=0.025 RP=1e-320\n"
+                      "R rx 1 0 1\n", [], "line 2: diode 1/RP = inf is not finite"),
+    "tiny-diode-vt": ("V a 1 0 SIN(1 50)\nD d1 1 0 IS=1e-14 VT=1e-320 RP=1e12\n"
+                      "R rx 1 0 1\n", [], "line 2: diode 1/VT = inf is not finite"),
 }
 
 
@@ -302,6 +313,19 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err == "error: unknown element 'nope'\n"
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("name", ["t", "H", "eps_H"])
+    def test_probe_named_like_a_trace_column(self, rlc_net, tmp_path, capsys, name):
+        # trace.csv writes t, H and eps_H itself: a probe of the same name
+        # would give the header two columns of one name
+        out = tmp_path / "out"
+        argv = ["run", "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.004",
+                "--out", str(out), "--probes", f"v=v(r1),{name}=u(1)"]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: probe name {name!r} is reserved: trace.csv has "
+                                f"its own column {name!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("header", ["depth", "vertices", "triangles", "regions",
                                         "windings"])
@@ -510,6 +534,20 @@ class TestConverge:
         assert code == 1
         assert f"--probes {spec!r} names no probe" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_more_than_one_probe_rejected(self, rlc_net, tmp_path, capsys):
+        # a study has one probe: the second is not dropped silently
+        out = tmp_path / "out"
+        spec = "a=v(r1),b=u(1)"
+        code = run_cli(["converge", "--netlist", str(rlc_net), "--tau", "1e-3",
+                        "--t-end", "0.004", "--halvings", "1", "--out", str(out),
+                        "--probes", spec])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: --probes {spec!r} names 2 probes; converge "
+                                f"studies exactly one\n")
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("halvings", ["0", "-2"])

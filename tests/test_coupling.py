@@ -55,7 +55,7 @@ def dense_residual(system, y, ydot, t):
     r_kcl = (a_lin @ i_lin + a_dio @ i_dio + a_c @ qc_d + a_v @ qv_d + a_m @ qm_d
              + a_l @ np.diag(g.inv_inductance) @ a_l.T @ psi + a_i @ i_src)
     r_cap = -(a_c.T @ psi_d) + (np.diag(1.0 / g.capacitance) @ q_c
-                                if g.n_capacitors else np.zeros(0))
+                                if g.n_branches("C") else np.zeros(0))
     r_vsrc = -(a_v.T @ psi_d) + v_src
     if lay.n_a:
         x_mat = np.asarray(system.winding_matrix)
@@ -341,14 +341,15 @@ class TestBlockwiseEvaluators:
         x_mat = system.winding_matrix
         compact = system.compact_form()
         a_lin = g.a_r[:, :g.n_linear_resistive]
-        charges = np.hstack([g.a_c, g.a_v, g.a_m])
+        charges = np.hstack([g.incidence("C"), g.incidence("V"), g.incidence("M")])
         rate_matrix = np.block([[a_lin @ np.diag(g.conductance) @ a_lin.T, charges],
                                 [-charges.T, np.zeros((k - lay.n_nodes,) * 2)]])
         hessian = np.zeros((k, k))
-        hessian[:lay.n_nodes, :lay.n_nodes] = g.a_l @ np.diag(g.inv_inductance) @ g.a_l.T
+        a_l = g.incidence("L")
+        hessian[:lay.n_nodes, :lay.n_nodes] = a_l @ np.diag(g.inv_inductance) @ a_l.T
         hessian[lay.block_slice("q_c"), lay.block_slice("q_c")] = np.diag(1.0 / g.capacitance)
         a_dio = np.vstack([g.a_r[:, g.n_linear_resistive:],
-                           np.zeros((k - lay.n_nodes, g.n_diodes))])
+                           np.zeros((k - lay.n_nodes, g.n_branches("D")))])
         assert np.array_equal(system.circuit_rate_matrix, rate_matrix)
         assert np.array_equal(system.circuit_hessian, hessian)
         assert np.array_equal(system.diode_incidence, a_dio)
@@ -366,8 +367,8 @@ class TestBlockwiseEvaluators:
             grad = np.concatenate([
                 hessian @ y[:k],
                 system.field.gradient_map @ (system.field.element_map @ a) if a.size else a])
-            source = lay.pack(-(g.a_i @ np.array([w(t) for w in g.current_waveforms],
-                                                 dtype=float)),
+            source = lay.pack(-(g.incidence("I") @ np.array([w(t) for w in g.current_waveforms],
+                                                            dtype=float)),
                               np.zeros(lay.n_c),
                               -np.array([w(t) for w in g.voltage_waveforms], dtype=float),
                               np.zeros(lay.n_m),

@@ -85,6 +85,13 @@ class TestErrors:
         ("V src 1 0 SIN(-1.4e154 60)", r"amplitude -1\.4e\+154: its square is not finite", 1),
         ("R r 1 0 1\nI bias 1 0 DC 1.4e154", r"DC value 1\.4e\+154: its square", 2),
         ("D d1 1 0 IS=nan VT=0.025 RP=1e12", "IS: not a finite number: 'nan'", 1),
+        # a value whose reciprocal is not finite would reach the solver as inf
+        ("V a 1 0 SIN(1 50)\nR r1 1 0 1e-320", "r1: conductance inf or its reciprocal", 2),
+        ("L l1 1 0 1e-320", "l1: inductance 1e-320 or its reciprocal is not finite", 1),
+        ("C c1 1 0 1e-320", "c1: capacitance 1e-320 or its reciprocal is not finite", 1),
+        ("D d1 1 0 IS=1e-14 VT=0.025 RP=1e-320", r"diode 1/RP = inf is not finite", 1),
+        ("D d1 1 0 IS=1e-14 VT=1e-320 RP=1e12", r"diode 1/VT = inf is not finite", 1),
+        ("D d1 1 0 IS=1e300 VT=1e-10 RP=1e12", r"diode IS/VT = inf is not finite", 1),
         ("Q q1 1 0 5", "unknown element kind", 1),
         ("R r1 1 0 1\nR r1 2 0 1", "duplicate", 2),
         ("V v1 1 0 160", "SIN", 1),

@@ -14,7 +14,8 @@ from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_f
 import mona.circuit
 import mona.coupling
 import mona.stepping
-from mona.circuit import build_incidence, diode_critical_voltage, diode_voltage_limit
+from mona.circuit import (build_incidence, diode_critical_voltage, diode_voltage_limit,
+                          resistive_branch_current)
 from mona.coupling import CoupledSystem, assemble_coupled
 from mona.demo import DEMO_NETLIST, assemble_netlist
 from mona.errors import ConsistencyError, SolverError
@@ -115,6 +116,21 @@ class TestNewtonSolve:
         with pytest.raises(SolverError, match=r"^step 1 \(t=0, .*\): Newton did not converge "
                            r"in 1 iterations \(residual"):
             run_transient(system, TimeGrid(0.0, 0.05, 5e-3))
+
+    @pytest.mark.parametrize("fixture", ["rlc", "rectifier"])
+    @pytest.mark.parametrize("where", ["circuit", "last"])
+    def test_non_finite_residual_is_no_root(self, fixture, where, request):
+        # a NaN residual norm passes no comparison with the tolerance: the
+        # solve fails and names it rather than returning the start point
+        _parsed, _graph, system = request.getfixturevalue(fixture)
+        operator = StepOperator(system, 1e-3)
+        const_part = system.layout.zeros()
+        const_part[0 if where == "circuit" else -1] = math.nan
+        with pytest.raises(SolverError, match=r"^non-finite residual at the Newton start "
+                                              r"\(scaled norm nan\)$"):
+            mona.stepping.newton_solve(operator, const_part, np.abs(const_part),
+                                       np.zeros(operator.n_circuit),
+                                       np.ones(system.layout.size))
 
     def test_singular_matrix(self, monkeypatch):
         # a current source into a resistor: the iteration matrix is the one
@@ -1212,6 +1228,29 @@ class TestProbes:
         # source branch voltage equals the node-1 potential here
         assert np.allclose(result.probe("v_src"), result.probe("u1"), rtol=1e-12)
         assert np.all(result.probe("h") >= 0.0)
+
+    def test_resistive_probes_read_the_joint_partition_bit_for_bit(self):
+        # v() and i() of a resistor or a diode read their own kind's
+        # incidence; they equal, bit for bit, the branch laws of
+        # resistive_branch_current on the joint voltages a_r^T u, where the
+        # diodes follow the linear resistors
+        parsed, graph, system = build_from_netlist(
+            "V src 1 0 SIN(10 50)\nR rs 1 2 0.5\nD d1 2 3 IS=1e-12 VT=0.025 RP=1e9\n"
+            "D d2 0 2 IS=1e-12 VT=0.025 RP=1e9\nR load 3 0 100\nC c1 3 0 1e-4\n")
+        names = ("rs", "load", "d1", "d2")
+        probes = {f"{fn}_{name}": compile_probe(system, f"{fn}({name})", parsed.node_ids)
+                  for fn in "vi" for name in names}
+        probes["rate"] = lambda state, t_mid: state.rate
+        result = run_transient(system, TimeGrid(0.0, 0.02, 5e-4), probes=probes)
+        psi = system.layout.block_slice("psi")
+        v_joint = result.probe("rate")[:, psi] @ graph.a_r
+        i_joint = np.array([resistive_branch_current(graph, v) for v in v_joint])
+        assert (i_joint[:, 2:].max(axis=0) > 1e-3).all()  # both diodes conduct
+        for name in names:
+            kind, col = graph.find_branch(name)
+            joint_col = col if kind == "R" else graph.n_linear_resistive + col
+            assert np.array_equal(result.probe(f"v_{name}"), v_joint[:, joint_col])
+            assert np.array_equal(result.probe(f"i_{name}"), i_joint[:, joint_col])
 
     def test_bad_expression_rejected(self, rlc):
         parsed, _graph, system = rlc

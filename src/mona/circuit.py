@@ -55,9 +55,9 @@ class DiodeParams:
     """Exponential diode: i = I_s*(exp(v/V_th) - 1) + v/R_par.
 
     The law's coefficients 1/V_th, 1/R_par and I_s/V_th (1/VT, 1/RP and
-    IS/VT in the netlist's keys) must be finite in binary64, or
-    ``ValueError`` is raised: the law would give non-finite currents and
-    slopes."""
+    IS/VT in the netlist's keys) and :func:`diode_critical_voltage` must be
+    finite in binary64, or ``ValueError`` is raised: the law would give
+    non-finite currents and slopes, and the limiter an infinite voltage."""
 
     saturation_current: float  # I_s [A]
     thermal_voltage: float     # V_th [V]
@@ -67,9 +67,12 @@ class DiodeParams:
         for name in ("saturation_current", "thermal_voltage", "parallel_resistance"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"diode {name} must be positive")
+        with np.errstate(over="ignore", divide="ignore"):
+            critical = diode_critical_voltage(self.thermal_voltage, self.saturation_current)
         for what, coefficient in (("1/VT", 1.0 / self.thermal_voltage),
                                   ("1/RP", 1.0 / self.parallel_resistance),
-                                  ("IS/VT", self.saturation_current / self.thermal_voltage)):
+                                  ("IS/VT", self.saturation_current / self.thermal_voltage),
+                                  ("critical voltage VT*ln(VT/(sqrt(2)*IS))", float(critical))):
             if not math.isfinite(coefficient):
                 raise ValueError(f"diode {what} = {coefficient!r} is not finite in binary64")
 

@@ -142,20 +142,16 @@ class FactorCache:
     ``cols``), the stamped ones, set anew by each :meth:`refactor`, and W
     is the dense ``w`` that eliminating a trailing block adds (zero when
     nothing is eliminated, see :class:`StepOperator`).  ``reduced_matrix``
-    is L = ``leading`` - W.  :meth:`solve` applies S^-1 and
-    :meth:`magnitude` gives (|J_cc| + |W|) |x|, the size of the terms of
-    S x; ``abs_leading`` is that |J_cc|.  Before the first refactor the
-    stamped entries are those of ``leading``.  A singular S raises
-    :class:`SolverError`.
+    is L = ``leading`` - W, ``stamped`` the stamped entries of the matrix
+    last factored (of ``leading`` before the first refactor), and
+    :meth:`solve` applies S^-1.  A singular S raises :class:`SolverError`.
     """
 
     def __init__(self, leading: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         self.rows, self.cols = rows, cols
-        self._leading_abs = np.abs(leading)
         self.reduced_matrix = leading - w
         self._w_stamped = w[rows, cols]
-        self._w_abs = np.abs(w)
-        self._set_magnitude(leading[rows, cols])
+        self.stamped = leading[rows, cols]
         self._lu = None  # _DenseLU of S
 
     @property
@@ -174,17 +170,7 @@ class FactorCache:
         at (``rows``, ``cols``) in that order (:meth:`StepOperator.stamp`)."""
         self._lu = None
         self._lu = _DenseLU(self.schur_complement(stamped))  # SolverError if singular
-        self._set_magnitude(stamped)
-
-    def _set_magnitude(self, stamped: np.ndarray) -> None:
-        """|J_cc| and |J_cc| + |W| with the stamped entries set to ``stamped``."""
-        self.abs_leading = self._leading_abs.copy()
-        self.abs_leading[self.rows, self.cols] = np.abs(stamped)
-        self._schur_abs = self.abs_leading + self._w_abs
-
-    def magnitude(self, x_c: np.ndarray) -> np.ndarray:
-        """(|J_cc| + |W|) |x_c| for the matrix last factored."""
-        return self._schur_abs @ np.abs(x_c)
+        self.stamped = stamped
 
     def solve(self, b_c: np.ndarray) -> np.ndarray:
         """S^-1 b_c for the matrix last factored."""
@@ -243,14 +229,14 @@ class StepOperator:
     L = J_lin_cc - W.  Only the diode conductances, in the ``psi``/``psi``
     block, of the iteration matrix depend on the Newton iterate:
     :meth:`stamp` gives that block's entries at the cache's (``rows``,
-    ``cols``), the node pairs that a resistor, diode or inductor joins, and
-    a refactorization writes only them.
+    ``cols``), the node pairs that a diode joins, and a refactorization
+    writes only them; a circuit without diodes stamps nothing.
 
     On the circuit unknowns the step is :meth:`reduced_residual`, with the
     field eliminated by :meth:`condense` and recovered by
     :meth:`back_substitute`.  On all unknowns :meth:`full_solve` solves
-    with the matrix the cache last factored, and :meth:`full_magnitude` is
-    the size of its terms.
+    with the matrix the cache last factored; :meth:`full_magnitude` is the
+    size of its terms, and :meth:`magnitude` that of the terms of S's.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
@@ -264,9 +250,8 @@ class StepOperator:
         weight = 1.0 / tau
         j_state, j_rate = system.constant_jacobians
         self.matrix = 0.5 * j_state + j_rate * weight
-        g = system.graph
-        a_l = g.incidence("L")
-        rows, cols = np.nonzero(np.abs(g.a_r) @ np.abs(g.a_r.T) + np.abs(a_l) @ np.abs(a_l.T))
+        a_d = system.diode_incidence
+        rows, cols = np.nonzero(np.abs(a_d) @ np.abs(a_d.T))
         base = self.matrix.tocsc()
         self.n_circuit = k = system.layout.n_circuit
         self._lu_aa = factor_spd(base[k:, k:])
@@ -289,10 +274,13 @@ class StepOperator:
         # products with J_cc - W, which every output byte depends on
         leading = base[:k, :k].toarray(order="C")
         self._off_abs = abs(j_ca), abs(j_ac), abs(base[k:, k:])
+        # |J_cc| and |J_cc| + |W|: each use writes the cache's stamp into them
+        self._abs_cc, abs_w = np.abs(leading), np.abs(w)
+        self._abs_schur = self._abs_cc + abs_w
+        self._abs_w_stamped = abs_w[rows, cols]
         self.cache = FactorCache(leading, w, rows, cols)
         # entry (i, j) of the diode stamp is sum_d A_d[i, d] A_d[j, d] g_d / tau;
         # the incidences are 0 or +-1, so weighting them first rounds alike
-        a_d = system.diode_incidence
         self._diode_pairs = (a_d[rows] * a_d[cols]) * weight
         self._linear_stamped = leading[rows, cols]
 
@@ -343,14 +331,22 @@ class StepOperator:
         x_c = self.cache.solve(self.condense(b))
         return np.concatenate([x_c, self.back_substitute(b[self.n_circuit:], x_c)])
 
+    def magnitude(self, z_c: np.ndarray) -> np.ndarray:
+        """(|J_cc| + |W|) |z_c| on the circuit unknowns, the size of the
+        terms of S z_c for the S the cache last factored."""
+        cache = self.cache
+        self._abs_schur[cache.rows, cache.cols] = np.abs(cache.stamped) + self._abs_w_stamped
+        return self._abs_schur @ np.abs(z_c)
+
     def full_magnitude(self, z: np.ndarray) -> np.ndarray:
         """|J| |z| on all unknowns, J the iteration matrix the cache last
         factored: blockwise from the exact entries, the dense |J_cc| with the
         stamped entries written and the sparse |J_ca|, |J_ac| and |J_aa|."""
         x = np.abs(z)
         k = self.n_circuit
+        self._abs_cc[self.cache.rows, self.cache.cols] = np.abs(self.cache.stamped)
         abs_ca, abs_ac, abs_aa = self._off_abs
-        return np.concatenate([self.cache.abs_leading @ x[:k] + abs_ca @ x[k:],
+        return np.concatenate([self._abs_cc @ x[:k] + abs_ca @ x[k:],
                                abs_ac @ x[:k] + abs_aa @ x[k:]])
 
 
@@ -375,7 +371,7 @@ def _refactor(operator: StepOperator, z_c: np.ndarray, slopes: np.ndarray,
     |S| |z_c| + ``terms``."""
     operator.cache.refactor(operator.stamp(slopes))
     stats.factorizations += 1
-    return _floored(scale, operator.cache.magnitude(z_c) + terms)
+    return _floored(scale, operator.magnitude(z_c) + terms)
 
 
 def _limited(limiter, z_c: np.ndarray, dz: np.ndarray):

@@ -25,7 +25,7 @@ R load 2 0 10
 """
 
 # sources and capacitors only: no resistor, diode or inductor, so the psi/psi
-# block of the midpoint iteration matrix has no entry to stamp
+# block of the midpoint iteration matrix is empty
 SOURCE_CAPACITOR_NETLISTS = (
     "I src 1 0 SIN(1 50)\nC c1 1 0 1e-3\n",
     "V src 1 0 SIN(10 50)\nC c1 1 2 1e-3\nC c2 2 0 1e-3\n",

@@ -195,6 +195,21 @@ class TestResistiveBranchLaw:
         assert i[0] > 0
 
 
+class TestDiodeParams:
+    @pytest.mark.parametrize("saturation, thermal", [(1e-300, 1e300), (5e-324, 0.025)])
+    def test_critical_voltage_must_be_finite(self, saturation, thermal):
+        # 1/VT, 1/RP and IS/VT are finite, but VT/(sqrt(2)*IS) overflows, so
+        # the limiter's critical voltage would be inf; rejected without a
+        # numpy warning, which the suite turns into an error
+        with pytest.raises(ValueError, match=r"^diode critical voltage "
+                                             r"VT\*ln\(VT/\(sqrt\(2\)\*IS\)\) = inf is not finite"):
+            DiodeParams(saturation_current=saturation, thermal_voltage=thermal,
+                        parallel_resistance=1e12)
+        # the workloads' diodes start limiting at 0.705 V
+        assert float(diode_critical_voltage(DIODE.thermal_voltage, DIODE.saturation_current)) \
+            == pytest.approx(0.705, abs=5e-4)
+
+
 class TestDiodeVoltageLimit:
     def test_small_updates_untouched(self):
         vth = np.array([0.025])

@@ -206,6 +206,15 @@ BAD_NETLISTS = {
                       "R rx 1 0 1\n", [], "line 2: diode 1/RP = inf is not finite"),
     "tiny-diode-vt": ("V a 1 0 SIN(1 50)\nD d1 1 0 IS=1e-14 VT=1e-320 RP=1e12\n"
                       "R rx 1 0 1\n", [], "line 2: diode 1/VT = inf is not finite"),
+    # a diode whose critical voltage VT*ln(VT/(sqrt(2)*IS)) overflows would
+    # reach the limiter as inf, with numpy's overflow warning
+    "overflowing-diode-vt": ("V a 1 0 SIN(1 50)\nR rs 1 2 1\n"
+                             "D d1 2 0 IS=1e-300 VT=1e300 RP=1e12\n", [],
+                             "line 3: diode critical voltage VT*ln(VT/(sqrt(2)*IS)) = inf "
+                             "is not finite"),
+    "tiny-diode-is": ("V a 1 0 SIN(1 50)\nR rs 1 2 1\nD d1 2 0 IS=5e-324 VT=0.025 RP=1e12\n",
+                      [], "line 3: diode critical voltage VT*ln(VT/(sqrt(2)*IS)) = inf "
+                      "is not finite"),
 }
 
 

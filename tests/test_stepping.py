@@ -133,9 +133,10 @@ class TestNewtonSolve:
                                        np.ones(system.layout.size))
 
     def test_singular_matrix(self, monkeypatch):
-        # a current source into a resistor: the iteration matrix is the one
-        # stamped entry, which a stamp of zero makes exactly singular
-        system = build_from_netlist("I src 1 0 SIN(1 50)\nR r1 1 0 1\n")[2]
+        # a current source into a diode: the iteration matrix is the one
+        # stamped entry, the diode's pair, which a stamp of zero makes
+        # exactly singular
+        system = build_from_netlist("I src 1 0 SIN(1 50)\nD d1 1 0 IS=1e-14 VT=0.025 RP=1e12\n")[2]
         operator = StepOperator(system, 1e-3)
         assert operator.n_circuit == operator.cache.rows.size == 1
         monkeypatch.setattr(StepOperator, "stamp", lambda self, slopes: np.zeros(1))
@@ -472,7 +473,7 @@ class TestBlockElimination:
                 cache.refactor(stamp_at(operator, z))
                 assert_magnitude_exact(operator, matrix)
                 # on the circuit unknowns the magnitude is (|J_cc| + |W|) |x|
-                columns = np.column_stack([cache.magnitude(e) for e in np.eye(k)])
+                columns = np.column_stack([operator.magnitude(e) for e in np.eye(k)])
                 w = v @ matrix[k:, :k]
                 assert np.array_equal(columns, abs(matrix[:k, :k]).toarray() + np.abs(w))
                 jacobians = iteration_matrix(system, tau, z)
@@ -542,7 +543,8 @@ class TestBlockElimination:
         cache = FactorCache(np.zeros((2, 2)), w, rows, cols)
         with pytest.raises(SolverError, match="factorization failed: matrix is exactly singular"):
             cache.refactor(block[rows, cols])
-        assert not cache.ready
+        # a failed refactor keeps the stamp last factored, here the initial one
+        assert not cache.ready and np.array_equal(cache.stamped, np.zeros(4))
         cache.refactor((block + np.eye(2))[rows, cols])
         assert cache.ready
 
@@ -634,22 +636,85 @@ class TestBlockElimination:
         assert [rec.index for rec in partial.records] == [1, 2]
 
     def test_magnitude_survives_a_cancelling_entry(self):
-        # at tau = 6.25e-4 the 1600 ohm resistor puts -1.0 at two stamped
-        # entries of the step matrix, which a stamp of +1.0 would cancel to
-        # zero; |J| must still take each stamped entry as it is
-        system = build_from_netlist(
-            "V src 1 0 SIN(1 50)\nR r1 1 2 1600\nR r2 2 0 10\n")[2]
+        # at tau = 6.25e-4 the 1600 ohm resistor beside the diode puts -1.0
+        # at two stamped entries of the step matrix, the off-diagonal ones of
+        # the diode's pair, which a stamp of +1.0 would cancel to zero; |J|
+        # must still take each stamped entry as it is
+        system = build_from_netlist("V src 1 0 SIN(1 50)\nR r1 1 2 1600\n"
+                                    "D d1 1 2 IS=1e-14 VT=0.025 RP=1e12\nR r2 2 0 10\n")[2]
         tau = 6.25e-4
         operator = StepOperator(system, tau)
         cache = operator.cache
         assert np.count_nonzero(operator.matrix.toarray()[cache.rows, cache.cols] == -1.0) == 2
         rng = np.random.default_rng(5)
-        z = random_state(system, rng)
+        # diode voltages of a few tenths of a volt: the diode conducts, and
+        # its conductance stays near the resistor's
+        z = random_state(system, rng, amplitude=0.3 * tau)
         cache.refactor(stamp_at(operator, z))
         matrix = stamped_matrix(operator, z)
         assert_magnitude_exact(operator, matrix)
         x = random_state(system, rng)
         assert np.allclose(operator.full_solve(x), spsolve(matrix, x), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("fixture", ["rlc", "linear_coupled"])
+    def test_linear_circuit_stamps_nothing(self, fixture, request):
+        # without diodes no entry of the iteration matrix depends on the
+        # iterate: the stamp is empty, and one factorization serves the run
+        _parsed, _graph, system = request.getfixturevalue(fixture)
+        operator = StepOperator(system, 6.25e-4)
+        assert operator.cache.rows.size == operator.cache.cols.size == 0
+        assert operator.stamp(np.zeros(0)).size == 0
+        result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert sum(rec.newton.factorizations for rec in result.records) == 1
+
+    @pytest.mark.parametrize("netlist", [None, "V src 1 0 SIN(10 50)\nR rs 1 2 1\n"
+                                         "D d1 2 3 IS=1e-12 VT=0.025 RP=1e9\nR load 3 0 100\n"],
+                             ids=["rectifier", "series-resistor"])
+    def test_stamp_pattern_is_the_diode_pairs(self, rectifier, netlist):
+        # the stamped entries are the node pairs a diode joins, the nonzeros
+        # of |A_d||A_d|^T, and exactly the entries of the iteration matrix
+        # that change with the Newton iterate: on the rectifier, and behind
+        # a series resistor, whose pairs off the diode are not stamped
+        _parsed, graph, system = build_from_netlist(netlist) if netlist else rectifier
+        tau = 6.25e-4
+        cache = StepOperator(system, tau).cache
+        a_d = np.abs(system.diode_incidence)
+        assert np.array_equal(np.column_stack([cache.rows, cache.cols]), np.argwhere(a_d @ a_d.T))
+        pairs = {(i - 1, j - 1) for p, m in graph.branch_pairs["D"]
+                 for i in (p, m) for j in (p, m) if i and j}
+        assert set(zip(cache.rows.tolist(), cache.cols.tolist())) == pairs
+        rng = np.random.default_rng(7)
+        z1, z2 = (1e-3 * random_state(system, rng) for _ in range(2))
+        changed = (iteration_matrix(system, tau, z1).toarray()
+                   != iteration_matrix(system, tau, z2).toarray())
+        stamped = np.zeros_like(changed)
+        stamped[cache.rows, cache.cols] = True
+        assert np.array_equal(changed, stamped)
+
+    def test_magnitude_is_the_schur_magnitude_at_the_last_stamp(self, rectifier):
+        # operator.magnitude of every unit vector is the column of
+        # |J_cc| + |W| with the stamped entries the cache last factored, bit
+        # for bit: before the first refactor those of the step matrix, after
+        # each refactor those of its stamp, whatever full_magnitude wrote
+        _parsed, _graph, system = rectifier
+        tau = 6.25e-4
+        operator = StepOperator(system, tau)
+        k = operator.n_circuit
+        matrix = operator.matrix.tocsc()
+        v = factor_spd(matrix[k:, k:]).solve(matrix[:k, k:].T.toarray(), trans="T").T
+        abs_w = np.abs(v @ matrix[k:, :k])
+
+        def columns():
+            return np.column_stack([operator.magnitude(e) for e in np.eye(k)])
+
+        assert np.array_equal(columns(), abs(matrix[:k, :k]).toarray() + abs_w)
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            z = 1e-3 * random_state(system, rng)
+            operator.cache.refactor(stamp_at(operator, z))
+            stamped = stamped_matrix(operator, z)
+            assert_magnitude_exact(operator, stamped)
+            assert np.array_equal(columns(), abs(stamped[:k, :k]).toarray() + abs_w)
 
     def test_linear_transformer_takes_one_iteration_per_step(self):
         # the field unknowns come from one back-substitution, not as a

@@ -49,7 +49,6 @@ INIT_RESIDUAL_TOL = 1e-10
 # reach it, see :func:`newton_solve`) and its iteration limit
 NEWTON_TOL = 1e-12
 MAX_ITER = 50
-MAX_HALVINGS = 30  # step halvings per Newton line search
 # residual components within this many machine epsilons of their own term
 # magnitude count as solved: binary64 cannot represent anything smaller
 FLOOR_FACTOR = 4.0
@@ -100,7 +99,9 @@ class NewtonStats:
     """Work and outcome of one Newton solve.  In a step's record
     ``iterations`` includes the ``refinements``: the corrections with the
     carried factorization that finished a step whose circuit Newton missed
-    the full-space tolerance (:func:`midpoint_step`)."""
+    the full-space tolerance (:func:`midpoint_step`).  ``halvings`` counts
+    the full Newton steps that did not descend: the uphill ones taken and
+    the carried ones redone (:func:`newton_solve`)."""
 
     iterations: int = 0
     residual_norm: float = math.inf
@@ -374,57 +375,51 @@ def _refactor(operator: StepOperator, z_c: np.ndarray, slopes: np.ndarray,
     return _floored(scale, operator.magnitude(z_c) + terms)
 
 
-def _limited(limiter, z_c: np.ndarray, dz: np.ndarray):
-    """The step ``dz`` from ``z_c`` after the limiter, and whether the
-    limiter changed it.  The step is ``proposal - z_c`` even when the
-    limiter returns the proposal unchanged: ``(z_c + dz) - z_c`` rounds
-    differently from ``dz``."""
+def _limited(limiter, z_c: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """The step ``dz`` from ``z_c`` after the limiter.  The step is
+    ``proposal - z_c`` even when the limiter returns the proposal unchanged:
+    ``(z_c + dz) - z_c`` rounds differently from ``dz``."""
     if limiter is None:
-        return dz, False
-    z_new = z_c + dz
-    proposal = limiter(z_c, z_new)
-    return proposal - z_c, (proposal is not z_new and not np.array_equal(proposal, z_new))
+        return dz
+    return limiter(z_c, z_c + dz) - z_c
 
 
 def _newton_step(operator: StepOperator, c_hat: np.ndarray, z_c: np.ndarray, r: np.ndarray,
                  nrm: float, floored: np.ndarray, fresh: bool, stats: NewtonStats):
-    """One damped Newton step from the iterate z_c with the residual r and
-    its norm ``nrm`` under ``floored``, with the cache's factorization,
-    which is of this iterate if ``fresh`` and carried from an earlier one
-    if not; returns the next iterate with its residual, diode rows, slopes
-    and norm, or None where a carried factorization gives a non-finite
-    step or exhausts the line search (:func:`newton_solve`)."""
+    """The full Newton step after the junction limiter from the iterate z_c
+    with the residual r and its norm ``nrm`` under ``floored``, with the
+    cache's factorization, which is of this iterate if ``fresh`` and
+    carried from an earlier one if not; returns the next iterate with its
+    residual, diode rows, slopes and norm.  A step that neither descends
+    nor converges counts in ``stats.halvings``: from a fresh factorization
+    it is taken all the same unless it or its residual is non-finite, which
+    raises :class:`SolverError`, and from a carried one it gives None, the
+    iteration to redo (:func:`newton_solve`)."""
     dz = operator.cache.solve(-r)
     if not np.isfinite(dz).all():
+        if fresh:
+            raise SolverError("singular iteration matrix (non-finite Newton step)")
+        stats.halvings += 1
+        return None
+    z_new = z_c + _limited(operator.limiter, z_c, dz)
+    r_new, rows, slopes = operator.reduced_residual(z_new, c_hat)
+    n_new = _scaled_norm(r_new, floored)
+    if not (n_new < nrm or n_new <= NEWTON_TOL):
+        stats.halvings += 1
         if not fresh:
             return None
-        raise SolverError("singular iteration matrix (non-finite Newton step)")
-    dz, was_limited = _limited(operator.limiter, z_c, dz)
-    alpha = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        z_try = z_c + dz if alpha == 1.0 else z_c + alpha * dz
-        r_try, rows, slopes = operator.reduced_residual(z_try, c_hat)
-        n_try = _scaled_norm(r_try, floored)
-        if math.isfinite(n_try) and (n_try < nrm or n_try <= NEWTON_TOL
-                                     or (was_limited and fresh and alpha == 1.0)):
-            return z_try, r_try, rows, slopes, n_try
-        alpha *= 0.5
-        stats.halvings += 1
-    if not fresh:
-        return None
-    if not math.isfinite(n_try):
-        raise SolverError("non-finite residual after damping was exhausted")
-    # the overshoot guard is exhausted on a finite residual: take it
-    return z_try, r_try, rows, slopes, n_try
+        if not math.isfinite(n_new):
+            raise SolverError(f"non-finite residual after a Newton step (scaled norm {n_new})")
+    return z_new, r_new, rows, slopes, n_new
 
 
 def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude: np.ndarray,
                  z0: np.ndarray, scale: np.ndarray):
-    """Damped Newton on the circuit unknowns of a midpoint step with the
-    field eliminated; returns the whole increment z, the
-    :class:`NewtonStats` and the diode rows A_d i_d(A_d^T z_c/tau) at its
-    circuit part z_c, from the residual's own evaluation there.  The rows
-    belong to that z_c: a caller that changes z_c must drop them.
+    """Newton on the circuit unknowns of a midpoint step with the field
+    eliminated; returns the whole increment z, the :class:`NewtonStats` and
+    the diode rows A_d i_d(A_d^T z_c/tau) at its circuit part z_c, from the
+    residual's own evaluation there.  The rows belong to that z_c: a caller
+    that changes z_c must drop them.
 
     The field rows J_aa z_a + J_ac z_c + c_a of the step residual with the
     constant part c = ``const_part`` are linear, so their root is
@@ -440,19 +435,17 @@ def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude
     ``scale`` divides the residual componentwise before taking the max
     norm.  The first iteration reuses the cache's factorization (a linear
     step factors once over all steps); every later iteration refactors at
-    its iterate: exact Newton.  Where the carried factorization gives a
-    non-finite step or its line search fails, the iteration is redone once
-    from a factorization at the same iterate; the redo counts no new
-    iteration, and the halvings of both searches count.  Step halving (at
-    most :data:`MAX_HALVINGS` per line search, :func:`_newton_step`) guards
-    against overshoot; a step whose residual stays non-finite after all
-    halvings is a hard failure.  The operator's junction limiter may
-    reshape a proposed full step before the line search; a limited full
-    step from a fresh factorization is taken as long as it is finite, even
-    uphill, to get off switching plateaus.  The tolerance is
-    :data:`NEWTON_TOL`; past :data:`MAX_ITER` iterations the solve fails
-    with :class:`SolverError`, as it does at once on a non-finite starting
-    residual, whose NaN norm would otherwise pass for converged.
+    its iterate: exact Newton.  Every iteration takes the full step after
+    the operator's junction limiter, with no line search
+    (:func:`_newton_step`).  A step from a fresh factorization is taken
+    even uphill, to get off switching plateaus, unless its residual is
+    non-finite, which is a hard failure.  Where the carried factorization
+    gives a step that neither descends nor converges, the iteration is
+    redone once from a factorization at the same iterate; the redo counts
+    no new iteration.  The tolerance is :data:`NEWTON_TOL`; past
+    :data:`MAX_ITER` iterations the solve fails with :class:`SolverError`,
+    as it does at once on a non-finite starting residual, whose NaN norm
+    would otherwise pass for converged.
 
     A residual component assembled from terms of magnitude m cannot come out
     below a few eps * m in binary64, so after every refactorization the

@@ -1,11 +1,14 @@
-"""Shared builders: small circuits and a coarse-mesh rectifier system."""
+"""Shared builders: small circuits and a coarse-mesh rectifier system, and
+the oracles that tests compare the solver with."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from mona.circuit import build_incidence
+from mona.circuit import build_incidence, diode_law
 from mona.coupling import assemble_coupled
 from mona.demo import DEMO_NETLIST
 from mona.fem import TransformerParams, build_field_model, generate_transformer_mesh
@@ -70,13 +73,13 @@ def linear_coupled(coarse_field):
 
 
 def reference_newton(residual, jacobian, x0, scale=None, const_magnitude=0.0, limiter=None):
-    """The tests' reference solver: damped exact Newton on all unknowns, with
-    a sparse LU of ``jacobian(x)`` at every iterate.  Its tolerance, 1e-12
-    as the solver's, is on the max norm of the residual over ``scale`` (ones
-    by default), floored as the solver's at 4 eps (|J| |x| +
-    ``const_magnitude``) / 1e-12, where binary64 cannot reach it.  ``limiter(x, x + dx)`` may reshape a full
-    step, which is then taken as long as it is finite; any other step is
-    halved until the residual drops."""
+    """The tests' reference solver: exact Newton on all unknowns, with a
+    sparse LU of ``jacobian(x)`` at every iterate and no line search.  Its
+    tolerance, 1e-12 as the solver's, is on the max norm of the residual
+    over ``scale`` (ones by default), floored as the solver's at 4 eps
+    (|J| |x| + ``const_magnitude``) / 1e-12, where binary64 cannot reach
+    it.  ``limiter(x, x + dx)`` may reshape a full step; the step is taken,
+    uphill too, as long as its residual is finite."""
     tol = 1e-12
     x = np.array(x0, dtype=float)
     scale = np.ones_like(x) if scale is None else scale
@@ -88,18 +91,89 @@ def reference_newton(residual, jacobian, x0, scale=None, const_magnitude=0.0, li
         nrm = np.max(np.abs(r) / floored)
         if nrm <= tol:
             return x
-        dx = splu(jac).solve(-r)
-        proposal = x + dx if limiter is None else limiter(x, x + dx)
-        limited = not np.array_equal(proposal, x + dx)
-        dx = proposal - x
-        for halvings in range(31):
-            x_try = x + 0.5 ** halvings * dx
-            r_try = residual(x_try)
-            n_try = np.max(np.abs(r_try) / floored)
-            if np.isfinite(n_try) and (n_try < nrm or (limited and not halvings)):
-                break
-        x, r = x_try, r_try
+        x_new = x + splu(jac).solve(-r)
+        x = x_new if limiter is None else limiter(x, x_new)
+        r = residual(x)
+        if not np.isfinite(r).all():
+            raise AssertionError("reference Newton reached a non-finite residual")
     raise AssertionError("reference Newton did not converge in 50 iterations")
+
+
+def _rationals(values):
+    """Each binary64 value as the rational it is."""
+    return [Fraction(float(v)) for v in values]
+
+
+def _exact_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _exact_operator(matrix):
+    """x -> ``matrix @ x`` on lists of Fractions, with ``matrix``'s binary64
+    entries read as rationals and every product and sum exact."""
+    csr = sp.csr_matrix(matrix)
+    rows = [(csr.indices[lo:hi], _rationals(csr.data[lo:hi]))
+            for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:])]
+    return lambda x: [_exact_dot(data, [x[j] for j in cols]) for cols, data in rows]
+
+
+def exact_balance_defects(system, grid, states):
+    """The exact balance defect eps_H of each step of a run from rest on
+    ``grid``, from its stored binary64 ``states`` (the (n_steps, n) history
+    of :func:`state_probe`), in ``fractions.Fraction``: every binary64 value,
+    of a state, tau, the incidences, 1/L, C, G, coef, M, the conductances
+    and the source values at the step's midpoint time, is read as the
+    rational it is, and every sum, product and quotient of the identity
+    (H(y_next) - H(y_prev))/tau + losses + source powers is exact, with the
+    rate (y_next - y_prev)/tau exact too.  A diode current enters as the
+    binary64 value the law gives at the binary64 branch voltage that
+    :meth:`CoupledSystem.power_balance` forms; its pairing with the exact
+    voltage is exact.  Returns the defects as Fractions, one per step."""
+    g, lay, field = system.graph, system.layout, system.field
+    psi_sl, qc_sl, qv_sl, _qm_sl, a_sl = lay.slices
+    tau, half = Fraction(grid.tau), Fraction(1, 2)
+    inv_l, cap, conductance = (_rationals(v) for v in
+                               (g.inv_inductance, g.capacitance, g.conductance))
+    incidence_t = {kind: _exact_operator(g.incidence(kind).T) for kind in "LRDI"}
+    if field is not None:
+        coef, grad_op, mass_op = (_rationals(field.coef), _exact_operator(field.element_map),
+                                  _exact_operator(system.mass))
+
+    def energy(y):
+        phi = incidence_t["L"](y[psi_sl])
+        h = half * _exact_dot(inv_l, [p * p for p in phi])
+        h += half * sum((q * q / c for q, c in zip(y[qc_sl], cap)), Fraction(0))
+        if field is not None:
+            grad = grad_op(y[a_sl])
+            gx, gy = grad[:len(coef)], grad[len(coef):]
+            h += half * _exact_dot(coef, [x * x + z * z for x, z in zip(gx, gy)])
+        return h
+
+    y_prev = np.zeros(lay.size)
+    exact_prev = [Fraction(0)] * lay.size
+    h_prev = energy(exact_prev)
+    defects = []
+    for n, y_next in enumerate(states, start=1):
+        exact_next = _rationals(y_next)
+        h_next = energy(exact_next)
+        rate = [(b - a) / tau for a, b in zip(exact_prev, exact_next)]
+        psi_dot = rate[psi_sl]
+        sources = system.sources(grid.time(n - 1) + 0.5 * grid.tau)
+        # the diode currents as the law gives them at the audit's voltages
+        rate64 = y_next - y_prev
+        rate64 /= grid.tau
+        i_d = diode_law(g, g.incidence("D").T @ rate64[psi_sl])[0]
+        v_lin, v_d = incidence_t["R"](psi_dot), incidence_t["D"](psi_dot)
+        loss = _exact_dot(conductance, [v * v for v in v_lin])
+        loss += _exact_dot(_rationals(i_d), v_d)
+        if field is not None:
+            a_dot = rate[a_sl]
+            loss += _exact_dot(a_dot, mass_op(a_dot))
+        source = _exact_dot(incidence_t["I"](psi_dot), _rationals(sources.currents))
+        source += _exact_dot(_rationals(sources.voltages), rate[qv_sl])
+        defects.append((h_next - h_prev) / tau + loss + source)
+        y_prev, exact_prev, h_prev = y_next, exact_next, h_next
+    return defects
 
 
 def random_state(system, rng, amplitude=0.1):

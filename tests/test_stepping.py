@@ -4,13 +4,14 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
 from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_from_netlist,
-                      random_state, reference_newton, state_probe)
+                      exact_balance_defects, random_state, reference_newton, state_probe)
 import mona.circuit
 import mona.coupling
 import mona.stepping
@@ -143,11 +144,28 @@ class TestNewtonSolve:
         with pytest.raises(SolverError, match="matrix is exactly singular"):
             midpoint_step(operator, StepState(system, system.layout.zeros()), 0.0)
 
-    def test_damped_steps_converge(self, rectifier):
-        # at tau = 1.25e-3 two steps of the coarse rectifier halve a Newton
-        # step on the way; both still end within the tolerance
+    def test_damped_steps_converge(self, rectifier, monkeypatch):
+        # every Newton step is the full step after the limiter.  At tau =
+        # 1.25e-3 some steps of the coarse rectifier (three here) take one
+        # that does not descend: from a fresh factorization it is taken all
+        # the same, from the carried one it is redone, and halvings counts
+        # exactly those.  Each of the steps still ends within the tolerance
         _parsed, _graph, system = rectifier
+        newton_step, calls = mona.stepping._newton_step, []
+
+        def traced(operator, c_hat, z_c, r, nrm, floored, fresh, stats):
+            trial = newton_step(operator, c_hat, z_c, r, nrm, floored, fresh, stats)
+            calls.append((fresh, nrm, trial))
+            return trial
+
+        monkeypatch.setattr(mona.stepping, "_newton_step", traced)
         result = run_transient(system, TimeGrid(0.0, 0.05, 1.25e-3))
+        assert all(trial is not None for fresh, _nrm, trial in calls if fresh)
+        uphill = [trial for fresh, nrm, trial in calls
+                  if fresh and not (trial[4] < nrm or trial[4] <= NEWTON_TOL)]
+        redone = [trial for fresh, _nrm, trial in calls if not fresh and trial is None]
+        assert uphill
+        assert sum(rec.newton.halvings for rec in result.records) == len(uphill) + len(redone)
         damped = [rec.newton for rec in result.records if rec.newton.halvings]
         assert damped
         assert all(s.residual_norm <= NEWTON_TOL for s in damped)
@@ -158,13 +176,53 @@ class TestNewtonSolve:
         rng = np.random.default_rng(2)
         z, dz = rng.standard_normal(50), 1e-3 * rng.standard_normal(50)
         assert not np.array_equal((z + dz) - z, dz)
-        step, was_limited = mona.stepping._limited(lambda z_old, z_new: z_new, z, dz)
-        assert np.array_equal(step, (z + dz) - z) and not was_limited
+        step = mona.stepping._limited(lambda z_old, z_new: z_new, z, dz)
+        assert np.array_equal(step, (z + dz) - z)
         halved = z + 0.5 * dz
-        step, was_limited = mona.stepping._limited(lambda z_old, z_new: halved, z, dz)
-        assert np.array_equal(step, halved - z) and was_limited
-        step, was_limited = mona.stepping._limited(None, z, dz)
-        assert step is dz and not was_limited
+        assert np.array_equal(mona.stepping._limited(lambda z_old, z_new: halved, z, dz),
+                              halved - z)
+        assert mona.stepping._limited(None, z, dz) is dz
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "carried"])
+    @pytest.mark.parametrize("bad", ["uphill", "non-finite"])
+    def test_full_step_that_does_not_descend(self, rectifier, monkeypatch, fresh, bad):
+        # the rectifier's first Newton step from rest, reversed so that its
+        # residual rises, or with a non-finite residual.  From a fresh
+        # factorization the uphill full step is taken as the limiter left
+        # it, and a non-finite residual raises; from a carried one neither
+        # is taken (None: redo the iteration).  Either way it counts once
+        _parsed, _graph, system = rectifier
+        operator = StepOperator(system, 6.25e-4)
+        k = operator.n_circuit
+        const_part = -system.source_vector(0.5 * operator.tau)
+        c_hat = operator.condense(const_part)
+        z_c = np.zeros(k)
+        r, _rows, slopes = operator.reduced_residual(z_c, c_hat)
+        floored = np.ones(k)
+        nrm = mona.stepping._scaled_norm(r, floored)
+        assert nrm > NEWTON_TOL
+        operator.cache.refactor(operator.stamp(slopes))
+        solve, reduced_residual = operator.cache.solve, operator.reduced_residual
+        dz = -solve(-r)
+        monkeypatch.setattr(operator.cache, "solve", lambda b_c: -solve(b_c))
+        if bad == "non-finite":
+            monkeypatch.setattr(operator, "reduced_residual", lambda z, c: (
+                np.full(k, math.nan), *reduced_residual(z, c)[1:]))
+        stats = mona.stepping.NewtonStats()
+        if fresh and bad == "non-finite":
+            with pytest.raises(SolverError, match=r"^non-finite residual after a Newton step"):
+                mona.stepping._newton_step(operator, c_hat, z_c, r, nrm, floored, fresh, stats)
+        else:
+            trial = mona.stepping._newton_step(operator, c_hat, z_c, r, nrm, floored, fresh,
+                                               stats)
+            if fresh:
+                z_new, _r, _rows, _slopes, n_new = trial
+                assert n_new > nrm
+                assert np.array_equal(z_new, z_c + mona.stepping._limited(operator.limiter,
+                                                                          z_c, dz))
+            else:
+                assert trial is None
+        assert stats.halvings == 1
 
     def test_exact_newton_after_the_first_iteration(self, rectifier, monkeypatch):
         # a step's first iteration reuses the factorization the step before
@@ -220,16 +278,16 @@ class TestNewtonSolve:
             runs.append((*midpoint_step(op, start, 5 * tau, index=6), len(solves)))
         return runs
 
-    @pytest.mark.parametrize("carried, halvings", [
-        (lambda dz: np.full_like(dz, np.nan), 0),        # a non-finite step
-        (np.zeros_like, mona.stepping.MAX_HALVINGS + 1),  # no descent: search exhausted
-    ], ids=["non-finite-step", "exhausted-search"])
+    @pytest.mark.parametrize("carried", [
+        lambda dz: np.full_like(dz, np.nan),  # a non-finite step
+        np.zeros_like,                        # a step that does not descend
+    ], ids=["non-finite-step", "no-descent"])
     def test_failed_carried_factorization_redoes_the_iteration(self, rectifier, monkeypatch,
-                                                               carried, halvings):
+                                                               carried):
         # the first iteration is redone once from a factorization at the same
         # iterate: the step then is that of an operator with no factorization
         # to carry, with one solve more, the same iterations and
-        # factorizations, and the failed search's halvings added
+        # factorizations, and the one redone full step counted in halvings
         _parsed, _graph, system = rectifier
         (state, record, solves), (ref_state, ref, ref_solves) = (
             self.step_with_carried_solve(system, monkeypatch, carried))
@@ -238,11 +296,11 @@ class TestNewtonSolve:
         assert solves == ref_solves + 1
         assert record.newton.iterations == ref.newton.iterations
         assert record.newton.factorizations == ref.newton.factorizations
-        assert record.newton.halvings == ref.newton.halvings + halvings
+        assert record.newton.halvings == ref.newton.halvings + 1
 
     def test_half_wave_toy_needs_little_damping(self):
         # regression bound: stepping a half-wave rectifier through the source
-        # peak takes at most a few damping events per step
+        # peak, at most one full Newton step per time step fails to descend
         parsed = parse_netlist("""
             V src 1 0 SIN(10 50)
             D d1 1 2 IS=1e-14 VT=0.025 RP=1e12
@@ -251,7 +309,7 @@ class TestNewtonSolve:
         graph = build_incidence(parsed.elements, parsed.n_nodes)
         system = assemble_coupled(graph)
         result = run_transient(system, TimeGrid(0.0, 0.01, 2.5e-4))
-        assert max(rec.newton.halvings for rec in result.records) <= 3
+        assert max(rec.newton.halvings for rec in result.records) <= 1
 
 
 class TestMidpointStep:
@@ -1083,6 +1141,36 @@ class TestPowerAudit:
             h_prev = rec.energy
         assert np.array_equal(result.energies(), [rec.energy for rec in result.records])
 
+    @pytest.mark.parametrize("fixture", ["linear_coupled", "rectifier"])
+    def test_audit_matches_the_exact_balance(self, fixture, request):
+        # the binary64 audit against the exact balance of the same stored
+        # states (exact_balance_defects): over 20 coarse steps it errs by at
+        # most 1e-12 W, a hundredth of the certificate's absolute bound
+        # (measured: 6.7e-14 W on the transformer, 1.3e-13 W on the rectifier)
+        _parsed, _graph, system = request.getfixturevalue(fixture)
+        grid = TimeGrid(0.0, 20 * 6.25e-4, 6.25e-4)
+        result = run_transient(system, grid, probes={"y": state_probe})
+        exact = exact_balance_defects(system, grid, result.probe("y"))
+        assert len(exact) == len(result.records) == 20
+        assert max(abs(Fraction(rec.audit.residual) - eps)
+                   for rec, eps in zip(result.records, exact)) <= 1e-12
+
+    def test_exact_balance_sees_a_tampered_state(self, linear_coupled):
+        # the oracle is the balance of the states it is given: one field
+        # unknown of the third state moved by 1e-9 moves the exact defect of
+        # the two steps that state ends and starts past the certificate's
+        # absolute bound, and leaves the others' as they were
+        _parsed, _graph, system = linear_coupled
+        grid = TimeGrid(0.0, 5 * 6.25e-4, 6.25e-4)
+        states = run_transient(system, grid, probes={"y": state_probe}).probe("y")
+        clean = exact_balance_defects(system, grid, states)
+        states = states.copy()
+        states[2, -1] += 1e-9
+        tampered = exact_balance_defects(system, grid, states)
+        moved = [abs(float(a - b)) for a, b in zip(clean, tampered)]
+        assert moved[0] == moved[1] == moved[4] == 0.0
+        assert min(moved[2], moved[3]) > mona.stepping.EPS_H_ABS_BOUND
+
     def test_pure_dissipation_decays(self):
         system = rc_discharge_system()
         tau = 0.05
@@ -1203,11 +1291,39 @@ class TestRunTransient:
             state, rec = midpoint_step(operator, state, (n - 1) * 5e-4, index=n)
             assert rec.energy <= h_prev + 1e-12
 
+    @pytest.mark.parametrize("amplitude, tau, failed_at", [
+        ("160", 3.125e-4, 43),
+        ("1.6e5", 5e-3, 5),
+    ], ids=["160V-tau3.125e-4", "1.6e5V-tau5e-3"])
+    def test_sweep_runs_into_a_short_complete(self, coarse_field, amplitude, tau, failed_at):
+        # the rectifier of the benchmark's converge-coarse workload at
+        # h = 0.025 into a 0.01 ohm load.  While Newton halved its steps,
+        # these runs failed at the step given (Newton did not converge in 50
+        # iterations); with the limited full step they complete with finite
+        # outputs.  The certificate is printed as it comes out (pytest -rP
+        # shows it), not asserted: the 160 V run had 8 of 160 steps over (1.65e-10 W), and
+        # the 1.6e5 V run 10 of 10 (8.6e-6 W), where binary64 states fall
+        # short of the absolute bound at that power
+        text = DEMO_NETLIST.replace("SIN(160 60)", f"SIN({amplitude} 60)")
+        text = text.replace("R load 4 0 10\n", "R load 4 0 0.01\n")
+        assert f"SIN({amplitude} 60)" in text and "R load 4 0 0.01" in text
+        system = build_from_netlist(text, field=coarse_field)[2]
+        grid = TimeGrid(0.0, 0.05, tau)
+        result = run_transient(system, grid, probes={"y": state_probe})
+        assert len(result.records) == grid.n_steps > failed_at
+        assert np.isfinite(result.probe("y")).all()
+        assert np.isfinite(result.energies()).all()
+        assert np.isfinite(result.balance_residuals()).all()
+        print(f"{amplitude} V, tau = {tau}: {len(result.certificate_violations())} of "
+              f"{grid.n_steps} steps break the certificate, worst |eps_H| = "
+              f"{result.max_balance_residual():.3g} W")
+
     def test_diode_switching_steps_do_not_stall(self, rectifier):
         # regression bound: at tau = 7.8125e-5 the diode-switching steps once
         # took 36 iterations and the run 911 halvings, from limited steps
         # taken uphill with a stale Jacobian.  Each iteration after a step's
-        # first now refactors at its iterate.  A refinement reuses the
+        # first now refactors at its iterate, and hardly a full step fails
+        # to descend (halvings counts those).  A refinement reuses the
         # factorization the circuit Newton ended with, so the bound holds for
         # the circuit iterations; a refinement takes one correction, on a
         # step whose full-space residual misses tol by rounding only
@@ -1216,7 +1332,7 @@ class TestRunTransient:
         stats = [rec.newton for rec in result.records]
         assert len(stats) == 640
         assert max(s.iterations for s in stats) <= 12
-        assert sum(s.halvings for s in stats) <= 20
+        assert sum(s.halvings for s in stats) <= 5
         circuit = [s.iterations - s.refinements for s in stats]
         assert all(n - 1 <= s.factorizations <= n for n, s in zip(circuit, stats))
         refined = [s.refinements for s in stats if s.refinements]
@@ -1224,12 +1340,14 @@ class TestRunTransient:
 
     def test_debug_step_line_shows_the_work(self, rectifier, caplog):
         # MONA_LOG=debug prints each step's iterations, factorizations and
-        # halvings
+        # halvings, the full Newton steps that did not descend.  At tau =
+        # 1.25e-3 the first step takes one uphill from a fresh factorization
         _parsed, _graph, system = rectifier
         with caplog.at_level(logging.DEBUG, logger="mona.stepping"):
-            result = run_transient(system, TimeGrid(0.0, 0.005, 6.25e-4))
+            result = run_transient(system, TimeGrid(0.0, 0.01, 1.25e-3))
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")]
         assert len(lines) == len(result.records) == 8
+        assert " halv=1 " in lines[0]
         for line, rec in zip(lines, result.records):
             stats = rec.newton
             assert (f" iters={stats.iterations} fact={stats.factorizations} "

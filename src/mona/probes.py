@@ -20,6 +20,7 @@ import re
 
 from .circuit import diode_law
 from .coupling import CoupledSystem
+from .netlist import GROUND_NAMES
 
 __all__ = ["compile_probe", "parse_probe_spec", "default_state_probe"]
 
@@ -30,6 +31,8 @@ _CALL = re.compile(r"^\s*(psi|u|v|i)\s*\(\s*([^()\s]+)\s*\)\s*$", re.IGNORECASE)
 
 
 def _node_index(system: CoupledSystem, token: str, node_ids: dict | None) -> int:
+    if token.lower() in GROUND_NAMES:
+        return 0
     if node_ids is not None and token in node_ids:
         node = node_ids[token]
     else:

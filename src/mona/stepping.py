@@ -5,8 +5,11 @@ difference quotient of two consecutive states, at the interval midpoint in
 time.  Because the stored energy is a quadratic form, the energy difference
 between accepted states must equal the midpoint losses and source powers
 exactly; the audit recomputes that identity from the stored states and
-reports its defect, which stays at the Newton-tolerance scale unless a step
-was accepted with a state Newton did not solve, or one tampered with.
+reports its defect.  In binary64 the defect grows with the Newton residual
+a step is accepted with, on fine meshes at large steps, and with the
+rounding of the stored states, like 1/tau at small steps; the CLI names the
+steps over the certificate's bounds
+(:meth:`TransientResult.certificate_violations`) on one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ MAX_ITER = 50
 FLOOR_FACTOR = 4.0
 _FLOOR_EPS = FLOOR_FACTOR * np.finfo(float).eps
 # corrections with the carried factorization that may finish a step whose
-# circuit Newton missed the full-space tolerance (:func:`midpoint_step`)
+# circuit Newton missed the full-space tolerance (:func:`newton_solve`)
 MAX_REFINEMENTS = 3
 
 
@@ -96,12 +99,13 @@ class TimeGrid:
 
 @dataclass
 class NewtonStats:
-    """Work and outcome of one Newton solve.  In a step's record
+    """Work and outcome of one Newton solve (:func:`newton_solve`).
     ``iterations`` includes the ``refinements``: the corrections with the
     carried factorization that finished a step whose circuit Newton missed
-    the full-space tolerance (:func:`midpoint_step`).  ``halvings`` counts
-    the full Newton steps that did not descend: the uphill ones taken and
-    the carried ones redone (:func:`newton_solve`)."""
+    the full-space tolerance.  ``halvings`` counts the full Newton steps
+    that did not descend: the uphill ones taken and the carried ones
+    redone.  ``residual_norm`` is the scaled norm of the accepted step's
+    full-space residual."""
 
     iterations: int = 0
     residual_norm: float = math.inf
@@ -291,7 +295,7 @@ class StepOperator:
         diode currents A_d i_d(A_d^T z_c/tau) (:meth:`CoupledSystem.diode_rows`)
         in the circuit rows, with the per-step constant c = ``const_part``.
         ``diode_rows`` are those currents if the caller has them at this z_c,
-        as :func:`newton_solve` hands them back."""
+        as :func:`newton_solve` does from its last reduced residual."""
         k = self.n_circuit
         r = self.matrix @ z
         r += const_part
@@ -365,14 +369,17 @@ def _floored(scale: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.maximum(scale, (_FLOOR_EPS / NEWTON_TOL) * terms)
 
 
-def _refactor(operator: StepOperator, z_c: np.ndarray, slopes: np.ndarray,
-              scale: np.ndarray, terms: np.ndarray, stats: NewtonStats) -> np.ndarray:
-    """Factor S at the iterate z_c from its diode ``slopes`` and count it;
-    returns ``scale`` floored there for the residual terms of size
-    |S| |z_c| + ``terms``."""
-    operator.cache.refactor(operator.stamp(slopes))
-    stats.factorizations += 1
-    return _floored(scale, operator.magnitude(z_c) + terms)
+def _block_scale(layout: BlockLayout, magnitude: np.ndarray) -> np.ndarray:
+    """Per-component residual scaling, constant within each block.
+
+    ``magnitude`` is max(|f|, |r0|) componentwise, of the source vector f and
+    the initial residual r0.  Each block is scaled by max(1, its largest
+    magnitude), so one tolerance is meaningful across the differently scaled
+    current-law, voltage, and field equations.
+    """
+    starts, sizes = layout.nonempty_blocks
+    peaks = np.maximum.reduceat(magnitude, starts)
+    return np.repeat(np.maximum(peaks, 1.0), sizes)
 
 
 def _limited(limiter, z_c: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -413,53 +420,60 @@ def _newton_step(operator: StepOperator, c_hat: np.ndarray, z_c: np.ndarray, r: 
     return z_new, r_new, rows, slopes, n_new
 
 
-def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude: np.ndarray,
-                 z0: np.ndarray, scale: np.ndarray):
-    """Newton on the circuit unknowns of a midpoint step with the field
-    eliminated; returns the whole increment z, the :class:`NewtonStats` and
-    the diode rows A_d i_d(A_d^T z_c/tau) at its circuit part z_c, from the
-    residual's own evaluation there.  The rows belong to that z_c: a caller
-    that changes z_c must drop them.
+def newton_solve(operator: StepOperator, const_part: np.ndarray, source_vector: np.ndarray,
+                 z0: np.ndarray):
+    """Solve a midpoint step for its increment z; returns z and the
+    :class:`NewtonStats`.  ``const_part`` is the step residual's constant
+    part c, which includes the midpoint ``source_vector`` f, and Newton
+    starts from the circuit unknowns ``z0``.  Residuals are divided
+    componentwise by the block scale of max(|f|, |c|) (:func:`_block_scale`;
+    c is the residual of the zero increment) before the max norm is taken.
 
-    The field rows J_aa z_a + J_ac z_c + c_a of the step residual with the
-    constant part c = ``const_part`` are linear, so their root is
-    z_a = -J_aa^-1 (c_a + J_ac z_c).  The circuit rows there are
-    :meth:`StepOperator.reduced_residual`, L z_c + c_hat + A_d i_d, with
-    c_hat = c_c - V c_a formed once; their Jacobian, L plus the diode
-    stamp, is the S that the operator's cache factors.  Each iterate
-    evaluates the diode laws once, and a refactorization at it stamps the
-    slopes that came with its currents.  Newton starts at z_c = ``z0``, and
-    z_a takes one back-substitution at the end.  Without a field block
+    Newton runs on the circuit unknowns.  The field rows J_aa z_a + J_ac z_c
+    + c_a of the step residual are linear, with the root z_a = -J_aa^-1
+    (c_a + J_ac z_c), which takes one back-substitution at the end.  The
+    circuit rows there are :meth:`StepOperator.reduced_residual`,
+    L z_c + c_hat + A_d i_d with c_hat = c_c - V c_a; their Jacobian, L
+    plus the diode stamp, is the S that the operator's cache factors.  Each
+    iterate evaluates the diode laws once, and a refactorization at it
+    stamps the slopes that came with its currents.  Without a field block
     nothing is eliminated.
 
-    ``scale`` divides the residual componentwise before taking the max
-    norm.  The first iteration reuses the cache's factorization (a linear
-    step factors once over all steps); every later iteration refactors at
-    its iterate: exact Newton.  Every iteration takes the full step after
-    the operator's junction limiter, with no line search
-    (:func:`_newton_step`).  A step from a fresh factorization is taken
-    even uphill, to get off switching plateaus, unless its residual is
-    non-finite, which is a hard failure.  Where the carried factorization
-    gives a step that neither descends nor converges, the iteration is
-    redone once from a factorization at the same iterate; the redo counts
-    no new iteration.  The tolerance is :data:`NEWTON_TOL`; past
-    :data:`MAX_ITER` iterations the solve fails with :class:`SolverError`,
-    as it does at once on a non-finite starting residual, whose NaN norm
-    would otherwise pass for converged.
+    The first iteration reuses the cache's factorization (a linear step
+    factors once over all steps); every later one refactors at its iterate:
+    exact Newton.  Every iteration takes the full step after the junction
+    limiter, with no line search (:func:`_newton_step`): from a fresh
+    factorization even uphill, to get off switching plateaus, unless its
+    residual is non-finite; from the carried one only if it descends or
+    converges, else the iteration is redone from a fresh factorization and
+    counts no new iteration.  Past :data:`MAX_ITER` iterations, or at once
+    on a non-finite starting residual, whose NaN norm would pass for
+    converged, the solve fails with :class:`SolverError`.
 
     A residual component assembled from terms of magnitude m cannot come out
     below a few eps * m in binary64, so after every refactorization the
-    scale is floored at ``FLOOR_FACTOR * eps * (|S| |z_c| + |c_hat|) /
-    NEWTON_TOL``, with |c_hat| bounded by |c_c| + |V| |c_a| from
-    ``const_magnitude`` = |c|, formed at the solve's first refactorization;
-    this keeps the tolerance meaningful on equations whose residual is a
-    small difference of large terms instead of stalling on the last
-    unreachable bits.
+    circuit scale is floored at ``FLOOR_FACTOR * eps * (|S| |z_c| +
+    |c_hat|) / NEWTON_TOL``, with |c_hat| bounded by |c_c| + |V| |c_a|; the
+    tolerance stays meaningful where the residual is a small difference of
+    large terms.
+
+    z is accepted once the full-space residual r
+    (:meth:`StepOperator.residual`) meets :data:`NEWTON_TOL` under the
+    scale, or else under the scale floored with |J| |z| + |c|
+    (:meth:`StepOperator.full_magnitude`); the first r takes the diode rows
+    of Newton's last reduced residual, which was at z_c.  Failing that,
+    refinement z += J^-1 (-r) (:meth:`StepOperator.full_solve`) with the
+    factorization Newton left behind finishes the step, each correction
+    counted in ``refinements`` and ``iterations``; after
+    :data:`MAX_REFINEMENTS` of them the solve fails with :class:`SolverError`.
     """
     k = operator.n_circuit
+    const_magnitude = np.abs(const_part)
+    peak = np.abs(source_vector)
+    scale = _block_scale(operator.system.layout, np.maximum(peak, const_magnitude, out=peak))
     c_hat = operator.condense(const_part)
     c_hat_terms = None
-    scale = floored = scale[:k]
+    floored = scale[:k]
     stats = NewtonStats()
     z_c = np.array(z0, dtype=float)
     r, rows, slopes = operator.reduced_residual(z_c, c_hat)
@@ -477,11 +491,29 @@ def newton_solve(operator: StepOperator, const_part: np.ndarray, const_magnitude
         if trial is None:
             if c_hat_terms is None:
                 c_hat_terms = const_magnitude[:k] + operator.abs_v @ const_magnitude[k:]
-            floored = _refactor(operator, z_c, slopes, scale, c_hat_terms, stats)
+            operator.cache.refactor(operator.stamp(slopes))
+            stats.factorizations += 1
+            floored = _floored(scale[:k], operator.magnitude(z_c) + c_hat_terms)
             trial = _newton_step(operator, c_hat, z_c, r, nrm, floored, True, stats)
         z_c, r, rows, slopes, nrm = trial
-    stats.residual_norm = nrm
-    return np.concatenate([z_c, operator.back_substitute(-const_part[k:], z_c)]), stats, rows
+
+    z = np.concatenate([z_c, operator.back_substitute(-const_part[k:], z_c)])
+    while True:
+        r = operator.residual(z, const_part, rows)
+        nrm = _scaled_norm(r, scale)
+        if nrm > NEWTON_TOL:  # the floor can only lower it
+            nrm = _scaled_norm(r, _floored(scale, operator.full_magnitude(z) + const_magnitude))
+        if nrm <= NEWTON_TOL:
+            stats.residual_norm = nrm
+            return z, stats
+        if stats.refinements == MAX_REFINEMENTS:
+            raise SolverError(
+                f"refinement missed the tolerance after {MAX_REFINEMENTS} corrections "
+                f"(residual {nrm:.3e}, tol {NEWTON_TOL:.3e})")
+        z = z + operator.full_solve(-r)
+        rows = None
+        stats.refinements += 1
+        stats.iterations += 1
 
 
 # The balance certificate: a step's |eps_H| may exceed neither this many
@@ -625,19 +657,6 @@ def _diode_limiter(system: CoupledSystem, tau: float):
     return limiter
 
 
-def _block_scale(layout: BlockLayout, magnitude: np.ndarray) -> np.ndarray:
-    """Per-component residual scaling, constant within each block.
-
-    ``magnitude`` is max(|f|, |r0|) componentwise, of the source vector f and
-    the initial residual r0.  Each block is scaled by max(1, its largest
-    magnitude), so one tolerance is meaningful across the differently scaled
-    current-law, voltage, and field equations.
-    """
-    starts, sizes = layout.nonempty_blocks
-    peaks = np.maximum.reduceat(magnitude, starts)
-    return np.repeat(np.maximum(peaks, 1.0), sizes)
-
-
 def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index: int = 0):
     """Advance one implicit midpoint step from the state ``start``; returns
     the :class:`StepState` it reaches and its :class:`StepRecord`.
@@ -651,17 +670,9 @@ def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index
     branch voltages seen by the diode laws are not polluted by the magnitude
     of the accumulated states.
 
-    Newton runs on the circuit unknowns with the field eliminated
-    (:func:`newton_solve`), from ``start.increment`` if it is given and
-    finite.  Its result is accepted only if the full-space residual r meets
-    the tolerance under the full-space scale, or else under that scale
-    floored (:meth:`StepOperator.full_magnitude`); the first residual adds
-    the diode currents Newton evaluated at its result, so the diode laws run
-    once per iterate.  Otherwise iterative refinement finishes the step:
-    z += J^-1 (-r) (:meth:`StepOperator.full_solve`) with the factorization
-    Newton left behind, at most :data:`MAX_REFINEMENTS` times, after which
-    the step fails with :class:`SolverError`.  Linear systems converge in a
-    single iteration once a factorization exists.
+    The increment comes from :func:`newton_solve`, which starts from
+    ``start.increment`` if it is given and finite, and accepts it only once
+    the full-space residual meets the tolerance.
 
     The system, the step size, the step matrix, the diode limiter and the
     factorization carried between steps all come from ``operator``; the
@@ -677,33 +688,11 @@ def midpoint_step(operator: StepOperator, start: StepState, t_prev: float, index
     sources = system.sources(t_prev + 0.5 * tau)
     const_part = system.energy_gradient(y_prev, start.element_values)
     const_part -= sources.vector
-
-    # the step matrix and the diode currents vanish at zero, so const_part
-    # is the residual of the zero increment
-    const_magnitude = np.abs(const_part)
-    peak = np.abs(sources.vector)
-    scale = _block_scale(system.layout, np.maximum(peak, const_magnitude, out=peak))
     z0 = np.zeros(k)
     if start.increment is not None and np.isfinite(start.increment).all():
         z0 = start.increment
     try:
-        z, stats, diode_rows = newton_solve(operator, const_part, const_magnitude, z0, scale)
-        while True:
-            r = operator.residual(z, const_part, diode_rows)
-            stats.residual_norm = _scaled_norm(r, scale)
-            if stats.residual_norm > NEWTON_TOL:  # the floor can only lower it
-                stats.residual_norm = _scaled_norm(
-                    r, _floored(scale, operator.full_magnitude(z) + const_magnitude))
-            if stats.residual_norm <= NEWTON_TOL:
-                break
-            if stats.refinements == MAX_REFINEMENTS:
-                raise SolverError(
-                    f"refinement missed the tolerance after {MAX_REFINEMENTS} corrections "
-                    f"(residual {stats.residual_norm:.3e}, tol {NEWTON_TOL:.3e})")
-            z = z + operator.full_solve(-r)
-            diode_rows = None
-            stats.refinements += 1
-            stats.iterations += 1
+        z, stats = newton_solve(operator, const_part, sources.vector, z0)
     except SolverError as exc:
         raise SolverError(f"step {index} (t={t_prev:.6g}, tau={tau:.6g}): {exc}") from exc
 

@@ -195,6 +195,10 @@ BAD_NETLISTS = {
     "source-not-at-rest": ("V src 1 0 DC 5\nR r 1 0 10\n", [],
                            "zero initial state violates the algebraic constraints"),
     "directory-as-netlist": (None, [], "[Errno 21] Is a directory: "),
+    "mixed-field-refs": ("V src 1 0 SIN(1 60)\nM x 1 0 2 0 FIELD=builtin\n"
+                         "M y 3 0 4 0 FIELD=other.mesh\nR r1 2 0 1\nR r2 4 0 1\n", [],
+                         "all devices must share one FIELD reference, "
+                         "got ['builtin', 'other.mesh']"),
     # a value whose reciprocal overflows would reach the solver as inf
     "tiny-resistance": ("V a 1 0 SIN(1 50)\nR r1 1 0 1e-320\nR rx 1 0 1\n", [],
                         "line 2: r1: conductance inf or its reciprocal is not finite"),
@@ -313,6 +317,19 @@ class TestBadInput:
                 argv += ["--netlist", str(rlc_net)]
             assert run_cli(argv) == 1, command
             assert "File exists" in capsys.readouterr().err
+
+    def test_trace_path_is_a_directory(self, rlc_net, tmp_path, capsys):
+        # the transient runs, and writing its trace fails with the path named
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        argv = ["run", "--netlist", str(rlc_net), "--tau", "1e-3", "--t-end", "0.004",
+                "--out", str(out)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: cannot write {out / 'trace.csv'}: [Errno 21] Is a directory")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("command", ["run", "converge"])
     def test_probe_of_unknown_element(self, rlc_net, tmp_path, capsys, command):
@@ -694,6 +711,31 @@ class TestDemoRectifier:
             assert (via_builtin / name).read_bytes() == (demo_out / name).read_bytes()
         assert (via_builtin / "trace.csv").read_bytes() == \
             (via_file / "trace.csv").read_bytes()
+
+    def test_field_mesh_file_beside_the_netlist(self, tmp_path, monkeypatch, capsys):
+        # FIELD=transformer.mesh names a file in the netlist's directory,
+        # not in the working directory: the dumped netlist rewritten to it
+        # runs from elsewhere as with --mesh on that file
+        demo = tmp_path / "demo"
+        assert run_cli(["demo-rectifier", "--mesh-density", "0.025", "--tau", "1.25e-3",
+                        "--t-end", "0.005", "--out", str(demo)]) == 0
+        text = (demo / "demo.net").read_text()
+        assert "FIELD=builtin" in text
+        netlist = demo / "mesh.net"
+        netlist.write_text(text.replace("FIELD=builtin", "FIELD=transformer.mesh"))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        args = ["--netlist", str(netlist), "--tau", "1.25e-3", "--t-end", "0.005"]
+        assert run_cli(["check", "--netlist", str(netlist)]) == 0
+        assert run_cli(["run", *args, "--out", "via_ref"]) == 0
+        assert run_cli(["run", *args, "--mesh", str(demo / "transformer.mesh"),
+                        "--out", "via_mesh"]) == 0
+        assert "error" not in capsys.readouterr().err
+        for name in ("trace.csv", "audit.csv"):
+            assert (elsewhere / "via_ref" / name).read_bytes() == \
+                (elsewhere / "via_mesh" / name).read_bytes()
+        assert not (elsewhere / "transformer.mesh").exists()
 
 
 def test_tables_and_their_checks(tmp_path):

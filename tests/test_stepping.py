@@ -15,8 +15,8 @@ from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_f
 import mona.circuit
 import mona.coupling
 import mona.stepping
-from mona.circuit import (build_incidence, diode_critical_voltage, diode_voltage_limit,
-                          resistive_branch_current)
+from mona.circuit import (CircuitGraph, build_incidence, diode_critical_voltage,
+                          diode_voltage_limit, resistive_branch_current)
 from mona.coupling import CoupledSystem, assemble_coupled
 from mona.demo import DEMO_NETLIST, assemble_netlist
 from mona.errors import ConsistencyError, SolverError
@@ -129,9 +129,8 @@ class TestNewtonSolve:
         const_part[0 if where == "circuit" else -1] = math.nan
         with pytest.raises(SolverError, match=r"^non-finite residual at the Newton start "
                                               r"\(scaled norm nan\)$"):
-            mona.stepping.newton_solve(operator, const_part, np.abs(const_part),
-                                       np.zeros(operator.n_circuit),
-                                       np.ones(system.layout.size))
+            mona.stepping.newton_solve(operator, const_part, system.layout.zeros(),
+                                       np.zeros(operator.n_circuit))
 
     def test_singular_matrix(self, monkeypatch):
         # a current source into a diode: the iteration matrix is the one
@@ -228,23 +227,32 @@ class TestNewtonSolve:
         # a step's first iteration reuses the factorization the step before
         # left behind (the run's first step has none); every later one
         # refactors at its own iterate, from the very slopes its residual
-        # evaluation gave
+        # evaluation gave.  Each refactorization stamps the slopes, and its
+        # floor then takes the magnitude at the iterate
         _parsed, _graph, system = rectifier
-        refactor, reduced_residual = mona.stepping._refactor, StepOperator.reduced_residual
-        seen, asked = [], []
+        reduced_residual, stamp, magnitude = (StepOperator.reduced_residual, StepOperator.stamp,
+                                              StepOperator.magnitude)
+        seen, stamped, floored = [], [], []
 
         def counted_residual(self, z_c, c_hat):
             out = reduced_residual(self, z_c, c_hat)
             seen.append((z_c, out[2]))
             return out
 
-        def counted_refactor(operator, z_c, slopes, *args):
-            asked.append((z_c, slopes))
-            return refactor(operator, z_c, slopes, *args)
+        def counted_stamp(self, slopes):
+            stamped.append(slopes)
+            return stamp(self, slopes)
+
+        def counted_magnitude(self, z_c):
+            floored.append(z_c)
+            return magnitude(self, z_c)
 
         monkeypatch.setattr(StepOperator, "reduced_residual", counted_residual)
-        monkeypatch.setattr(mona.stepping, "_refactor", counted_refactor)
+        monkeypatch.setattr(StepOperator, "stamp", counted_stamp)
+        monkeypatch.setattr(StepOperator, "magnitude", counted_magnitude)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
+        assert len(stamped) == len(floored)
+        asked = list(zip(floored, stamped))
         stats = [rec.newton for rec in result.records]
         assert stats[0].factorizations == stats[0].iterations > 0
         assert all(s.factorizations == s.iterations - 1 for s in stats[1:])
@@ -632,24 +640,23 @@ class TestBlockElimination:
     def test_failed_full_space_check_is_refined(self, rectifier, monkeypatch, caplog):
         # a reduced solution whose field part misses the full-space tolerance
         # is finished by refinement with the carried factorization, to the
-        # state of an unforced run
+        # state of an unforced run.  The run's first back-substitution, the
+        # field part of its first step's Newton solution, is perturbed; the
+        # diode rows belong to z_c, which the perturbation keeps
         _parsed, _graph, system = rectifier
         grid = TimeGrid(0.0, 0.05, 6.25e-4)
         reference = run_transient(system, grid, probes={"y": state_probe})
-        newton_solve = mona.stepping.newton_solve
-        k = system.layout.n_circuit
+        back_substitute = StepOperator.back_substitute
         forced = []
 
-        def perturbed(*args):
-            # the diode rows belong to z[:k], which the perturbation keeps
-            z, stats, rows = newton_solve(*args)
+        def perturbed(operator, b_a, x_c):
+            x_a = back_substitute(operator, b_a, x_c)
             if not forced:
                 forced.append(True)
-                z = np.array(z)
-                z[k:] *= 1.0 + 1e-6
-            return z, stats, rows
+                x_a *= 1.0 + 1e-6
+            return x_a
 
-        monkeypatch.setattr(mona.stepping, "newton_solve", perturbed)
+        monkeypatch.setattr(StepOperator, "back_substitute", perturbed)
         with caplog.at_level(logging.DEBUG, logger="mona.stepping"):
             result = run_transient(system, grid, probes={"y": state_probe})
         refined = [rec for rec in result.records if rec.newton.refinements]
@@ -903,28 +910,28 @@ class TestStepConstants:
         assert all(n["law"] == n["residual"] + 1 for n in per_step)
         assert sum(n["residual"] for n in per_step) > 80
 
-    def test_diode_rows_handed_back_are_those_of_the_increment(self, rectifier,
-                                                               monkeypatch):
-        # the diode rows newton_solve returns are diode_rows at z_c / tau
-        # of the z it returns, bit for bit, so the acceptance residual built
-        # from them is the step residual itself
+    def test_acceptance_residual_takes_the_diode_rows_of_the_increment(self, rectifier,
+                                                                       monkeypatch):
+        # the diode rows the acceptance residual takes from Newton's last
+        # reduced residual are diode_rows at z_c / tau of the z it checks,
+        # bit for bit, so that residual is the step residual itself
         _parsed, _graph, system = rectifier
-        newton_solve = mona.stepping.newton_solve
+        residual = StepOperator.residual
         k = system.layout.n_circuit
         checked = []
 
-        def checked_newton(operator, const_part, *args):
-            z, stats, rows = newton_solve(operator, const_part, *args)
-            assert np.array_equal(rows, system.diode_rows(z[:k] / operator.tau)[0])
-            assert np.array_equal(operator.residual(z, const_part, rows),
-                                  operator.residual(z, const_part))
-            checked.append(stats.iterations)
-            return z, stats, rows
+        def checked_residual(operator, z, const_part, diode_rows=None):
+            r = residual(operator, z, const_part, diode_rows)
+            if diode_rows is not None:
+                assert np.array_equal(diode_rows, system.diode_rows(z[:k] / operator.tau)[0])
+                assert np.array_equal(r, residual(operator, z, const_part))
+                checked.append(z)
+            return r
 
-        monkeypatch.setattr(mona.stepping, "newton_solve", checked_newton)
+        monkeypatch.setattr(StepOperator, "residual", checked_residual)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert len(checked) == len(result.records) == 80
-        assert sum(checked) > 80
+        assert sum(rec.newton.iterations for rec in result.records) > 80
 
     def test_limiter_built_once_per_run(self, rectifier, monkeypatch):
         _parsed, _graph, system = rectifier
@@ -1450,6 +1457,59 @@ class TestProbes:
             "def": probe, "psi1": compile_probe(system, "psi(1)", parsed.node_ids)})
         # first linear resistor is r1 with plus node 1
         assert np.allclose(result.probe("def"), result.probe("psi1"))
+
+    def test_default_probe_without_a_resistor_is_the_first_state(self):
+        # no linear resistor to name a load: the probe reads y[0], here the
+        # potential of the one node; a system without states has no probe
+        parsed, _graph, system = build_from_netlist(SOURCE_CAPACITOR_NETLISTS[0])
+        assert system.graph.n_branches("R") == 0
+        result = run_transient(system, TimeGrid(0.0, 0.01, 1e-3), probes={
+            "def": default_state_probe(system), "y": state_probe,
+            "psi1": compile_probe(system, "psi(1)", parsed.node_ids)})
+        assert np.array_equal(result.probe("def"), result.probe("y")[:, 0])
+        assert np.array_equal(result.probe("def"), result.probe("psi1"))
+        assert np.ptp(result.probe("def")) > 0.0
+        with pytest.raises(ValueError, match=r"^system has no state to probe$"):
+            default_state_probe(assemble_coupled(CircuitGraph.empty()))
+
+    @pytest.mark.parametrize("token", ["0", "gnd", "GND", "Gnd"])
+    def test_ground_probes_read_zero(self, rlc, token):
+        # the netlist's ground names, in any case, are node 0 to a probe too
+        parsed, _graph, system = rlc
+        result = run_transient(system, TimeGrid(0.0, 0.004, 1e-3), probes={
+            fn: compile_probe(system, f"{fn}({token})", parsed.node_ids) for fn in ("u", "psi")})
+        assert result.probe("u").tolist() == result.probe("psi").tolist() == [0.0] * 4
+
+    def test_numeric_node_id(self):
+        # a token that names no node is read as a node id, which must be a
+        # node of the circuit or ground
+        parsed, _graph, system = build_from_netlist(
+            "V src in 0 SIN(10 50)\nR r1 in out 2\nC c1 out 0 1e-3\n")
+        assert parsed.node_ids == {"in": 1, "out": 2}
+        probes = {f"{fn}_{node}": compile_probe(system, f"{fn}({node})", parsed.node_ids)
+                  for fn in ("u", "psi") for node in ("out", "2")}
+        result = run_transient(system, TimeGrid(0.0, 0.004, 1e-3), probes=probes)
+        for fn in ("u", "psi"):
+            assert np.array_equal(result.probe(f"{fn}_2"), result.probe(f"{fn}_out"))
+            assert np.ptp(result.probe(f"{fn}_2")) > 0.0
+        for node_ids in (parsed.node_ids, None):
+            with pytest.raises(ValueError, match=r"^node id 9 out of range$"):
+                compile_probe(system, "u(9)", node_ids)
+
+    def test_current_source_probe_is_its_waveform_at_the_midpoint(self):
+        # i() of a current source is its waveform at the step's midpoint,
+        # which the capacitor it drives carries as its charge rate
+        parsed, graph, system = build_from_netlist(SOURCE_CAPACITOR_NETLISTS[0])
+        grid = TimeGrid(0.0, 0.01, 1e-3)
+        result = run_transient(system, grid, probes={
+            "i_src": compile_probe(system, "i(src)", parsed.node_ids),
+            "i_c": compile_probe(system, "i(c1)", parsed.node_ids)})
+        t_mid = grid.times()[:-1] + 0.5 * grid.tau
+        wave = graph.current_waveforms[0]
+        assert np.array_equal(result.probe("i_src"), [wave(t) for t in t_mid])
+        assert np.ptp(result.probe("i_src")) > 0.0
+        assert np.allclose(np.abs(result.probe("i_c")), np.abs(result.probe("i_src")),
+                           rtol=1e-12, atol=0.0)
 
 
 class TestConvergenceStudy:

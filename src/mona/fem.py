@@ -397,7 +397,8 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
     the mass M and the winding matrix.  Each array is formed from the
     triangles that contribute to it (M from those at a conducting vertex, see
     :func:`assemble_mass`), and each keeps the bits of the all-triangle
-    assembly: the same products, summed in the same order.
+    assembly: the same products, summed in the same order.  The stored
+    ``element_map`` is G without its exact zeros.
     """
     n, m = mesh.n_vertices, mesh.n_triangles
     free = np.ones(n, dtype=bool)
@@ -438,6 +439,9 @@ def build_field_model(mesh: TriMesh, materials: MaterialMap, windings) -> FieldM
                         f"area overflows on {bad.size} triangles, e.g. {bad[:10].tolist()}")
     mass = _mass(mesh, materials, dof_map)
     winding_matrix = assemble_winding(mesh, windings, materials)[interior]
+    # a third of G's entries on the built-in mesh are exact zeros: for a
+    # finite a each adds +-0 to a sum begun at +0, so G a keeps its bits
+    g.eliminate_zeros()
     return FieldModel(mesh=mesh, materials=materials, windings=list(windings),
                       element_map=g, coef=coef, gradient_map=gradient_map,
                       stiffness=stiffness, mass=mass, winding_matrix=winding_matrix,

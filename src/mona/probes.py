@@ -48,7 +48,8 @@ def _node_index(system: CoupledSystem, token: str, node_ids: dict | None) -> int
 def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None):
     """Turn a probe expression into a callable ``probe(state, t_mid)`` of the
     :class:`~mona.stepping.StepState` a step reached and its midpoint time
-    (:func:`~mona.stepping.run_transient`)."""
+    (:func:`~mona.stepping.run_transient`).  A field device of more than one
+    winding has no one branch for ``v()`` or ``i()`` to read."""
     text = expr.strip()
     if text.upper() == "H":
         return lambda state, t_mid: state.energy
@@ -68,8 +69,12 @@ def compile_probe(system: CoupledSystem, expr: str, node_ids: dict | None = None
             return lambda state, t_mid: float(state.y[off])
         return lambda state, t_mid: float(state.rate[off])
 
-    kind, col = system.graph.find_branch(arg)
     g = system.graph
+    kind, col = g.find_branch(arg)
+    windings = g.branch_names[kind].count(arg)
+    if windings > 1:
+        raise ValueError(f"probe {expr!r}: element {arg!r} has {windings} windings; "
+                         f"{fn}() reads a device of a single winding")
 
     incidence = g.incidence(kind)
     if fn == "v":

@@ -141,41 +141,21 @@ class _DenseLU:
 class FactorCache:
     """The dense LU of the circuit-sized Schur complement S of a Newton
     iteration matrix, carried from one Newton solve to the first iteration
-    of the next (:func:`newton_solve`).
+    of the next (:func:`newton_solve`).  :meth:`StepOperator.refactor`
+    forms each S and hands it to :meth:`refactor`; :meth:`solve` applies
+    S^-1.  A singular S raises :class:`SolverError`."""
 
-    S = J_cc - W, where J_cc is ``leading`` with its entries at (``rows``,
-    ``cols``), the stamped ones, set anew by each :meth:`refactor`, and W
-    is the dense ``w`` that eliminating a trailing block adds (zero when
-    nothing is eliminated, see :class:`StepOperator`).  ``reduced_matrix``
-    is L = ``leading`` - W, ``stamped`` the stamped entries of the matrix
-    last factored (of ``leading`` before the first refactor), and
-    :meth:`solve` applies S^-1.  A singular S raises :class:`SolverError`.
-    """
-
-    def __init__(self, leading: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-        self.rows, self.cols = rows, cols
-        self.reduced_matrix = leading - w
-        self._w_stamped = w[rows, cols]
-        self.stamped = leading[rows, cols]
+    def __init__(self):
         self._lu = None  # _DenseLU of S
 
     @property
     def ready(self) -> bool:
         return self._lu is not None
 
-    def schur_complement(self, stamped: np.ndarray) -> np.ndarray:
-        """S = J_cc - W, dense, with the stamped entries of J_cc set to
-        ``stamped``, the values at (``rows``, ``cols``) in that order."""
-        schur = self.reduced_matrix.copy()
-        schur[self.rows, self.cols] = stamped - self._w_stamped
-        return schur
-
-    def refactor(self, stamped: np.ndarray) -> None:
-        """Factor S with its stamped entries set to ``stamped``, the values
-        at (``rows``, ``cols``) in that order (:meth:`StepOperator.stamp`)."""
+    def refactor(self, schur: np.ndarray) -> None:
+        """Factor the dense S ``schur``."""
         self._lu = None
-        self._lu = _DenseLU(self.schur_complement(stamped))  # SolverError if singular
-        self.stamped = stamped
+        self._lu = _DenseLU(schur)  # SolverError if singular
 
     def solve(self, b_c: np.ndarray) -> np.ndarray:
         """S^-1 b_c for the matrix last factored."""
@@ -217,7 +197,8 @@ class StepState:
 
 class StepOperator:
     """Everything a midpoint step of size tau on one system needs besides
-    its state, built once.
+    its state, built once, and the owner of the iteration matrix S that
+    Newton solves with.
 
     ``matrix`` is the step matrix J_lin = 0.5*J_state + J_rate_lin/tau from
     the system's :attr:`~mona.coupling.CoupledSystem.constant_jacobians`,
@@ -229,19 +210,22 @@ class StepOperator:
     constructor factors J_aa in a symmetric fill-reducing ordering without
     pivoting off the diagonal and forms V = J_ca J_aa^-1 (``v``) and
     W = V J_ac; without a field block V is empty and W is zero.
-    ``cache`` is the :class:`FactorCache` of S = J_cc - W that carries the
-    factorization from step to step; its ``reduced_matrix`` is
-    L = J_lin_cc - W.  Only the diode conductances, in the ``psi``/``psi``
-    block, of the iteration matrix depend on the Newton iterate:
-    :meth:`stamp` gives that block's entries at the cache's (``rows``,
-    ``cols``), the node pairs that a diode joins, and a refactorization
-    writes only them; a circuit without diodes stamps nothing.
+
+    S = J_cc - W is the Schur complement of the iteration matrix, with
+    ``reduced_matrix`` L = J_lin_cc - W.  Only the diode conductances, in
+    the ``psi``/``psi`` block, of the iteration matrix depend on the Newton
+    iterate: at (``rows``, ``cols``), the node pairs that a diode joins,
+    and a circuit without diodes has none.  W has entries only in the
+    winding charges' rows and columns, so none there.  :meth:`refactor`
+    stamps them from the diode slopes into a copy of L, hands that S to
+    ``cache``, the :class:`FactorCache` that carries its LU from step to
+    step, and writes their magnitudes into |J_cc| and |J_cc| + |W|.
 
     On the circuit unknowns the step is :meth:`reduced_residual`, with the
     field eliminated by :meth:`condense` and recovered by
     :meth:`back_substitute`.  On all unknowns :meth:`full_solve` solves
-    with the matrix the cache last factored; :meth:`full_magnitude` is the
-    size of its terms, and :meth:`magnitude` that of the terms of S's.
+    with the matrix last factored; :meth:`full_magnitude` is the size of
+    its terms, and :meth:`magnitude` that of the terms of S's.
     """
 
     def __init__(self, system: CoupledSystem, tau: float):
@@ -256,7 +240,7 @@ class StepOperator:
         j_state, j_rate = system.constant_jacobians
         self.matrix = 0.5 * j_state + j_rate * weight
         a_d = system.diode_incidence
-        rows, cols = np.nonzero(np.abs(a_d) @ np.abs(a_d.T))
+        self.rows, self.cols = rows, cols = np.nonzero(np.abs(a_d) @ np.abs(a_d.T))
         base = self.matrix.tocsc()
         self.n_circuit = k = system.layout.n_circuit
         self._lu_aa = factor_spd(base[k:, k:])
@@ -278,16 +262,17 @@ class StepOperator:
         # J_cc, row-major: the layout fixes BLAS's summation order in the
         # products with J_cc - W, which every output byte depends on
         leading = base[:k, :k].toarray(order="C")
+        self.reduced_matrix = leading - w
+        self._linear_stamped = leading[rows, cols]
         self._off_abs = abs(j_ca), abs(j_ac), abs(base[k:, k:])
-        # |J_cc| and |J_cc| + |W|: each use writes the cache's stamp into them
+        # |J_cc| and |J_cc| + |W|, with J_lin's entries at the stamped
+        # positions until the first refactor writes its stamp
         self._abs_cc, abs_w = np.abs(leading), np.abs(w)
         self._abs_schur = self._abs_cc + abs_w
-        self._abs_w_stamped = abs_w[rows, cols]
-        self.cache = FactorCache(leading, w, rows, cols)
+        self.cache = FactorCache()
         # entry (i, j) of the diode stamp is sum_d A_d[i, d] A_d[j, d] g_d / tau;
         # the incidences are 0 or +-1, so weighting them first rounds alike
         self._diode_pairs = (a_d[rows] * a_d[cols]) * weight
-        self._linear_stamped = leading[rows, cols]
 
     def residual(self, z: np.ndarray, const_part: np.ndarray,
                  diode_rows: np.ndarray | None = None) -> np.ndarray:
@@ -310,15 +295,20 @@ class StepOperator:
         c_hat (:meth:`condense`); returns it with the diode rows A_d i_d and
         the diode slopes that came with them."""
         rows, slopes = self.system.diode_rows(z_c / self.tau)
-        return self.cache.reduced_matrix @ z_c + c_hat + rows, rows, slopes
+        return self.reduced_matrix @ z_c + c_hat + rows, rows, slopes
 
-    def stamp(self, slopes: np.ndarray) -> np.ndarray:
-        """The stamped entries of the iteration matrix, the ``psi``/``psi``
-        block at the cache's (``rows``, ``cols``), which
-        :meth:`FactorCache.refactor` takes: J_lin's entries plus the diode
-        stamp from ``slopes``, the diode slopes that
-        :meth:`CoupledSystem.diode_rows` gave with the currents."""
-        return self._linear_stamped + self._diode_pairs @ slopes
+    def refactor(self, slopes: np.ndarray) -> None:
+        """Factor the iteration matrix at the diode ``slopes`` that
+        :meth:`CoupledSystem.diode_rows` gave with the currents.  Its stamped
+        entries are J_lin's plus the diode stamp; S is L with them written
+        at (``rows``, ``cols``), and goes to ``cache``.  Once S is factored,
+        their magnitudes are written into |J_cc| and |J_cc| + |W|, which a
+        failed factorization leaves as they were."""
+        stamped = self._linear_stamped + self._diode_pairs @ slopes
+        schur = self.reduced_matrix.copy()
+        schur[self.rows, self.cols] = stamped
+        self.cache.refactor(schur)
+        self._abs_cc[self.rows, self.cols] = self._abs_schur[self.rows, self.cols] = np.abs(stamped)
 
     def condense(self, b: np.ndarray) -> np.ndarray:
         """b_c - V b_a: the circuit rows of ``b`` with the field eliminated."""
@@ -331,25 +321,22 @@ class StepOperator:
         return self._lu_aa.solve(b_a - self._j_ac @ x_c[self._ac_cols])
 
     def full_solve(self, b: np.ndarray) -> np.ndarray:
-        """J^-1 b on all unknowns, J the iteration matrix the cache last
-        factored: x_c = S^-1 (b_c - V b_a), then :meth:`back_substitute`."""
+        """J^-1 b on all unknowns, J the iteration matrix last factored:
+        x_c = S^-1 (b_c - V b_a), then :meth:`back_substitute`."""
         x_c = self.cache.solve(self.condense(b))
         return np.concatenate([x_c, self.back_substitute(b[self.n_circuit:], x_c)])
 
     def magnitude(self, z_c: np.ndarray) -> np.ndarray:
         """(|J_cc| + |W|) |z_c| on the circuit unknowns, the size of the
-        terms of S z_c for the S the cache last factored."""
-        cache = self.cache
-        self._abs_schur[cache.rows, cache.cols] = np.abs(cache.stamped) + self._abs_w_stamped
+        terms of S z_c for the S last factored."""
         return self._abs_schur @ np.abs(z_c)
 
     def full_magnitude(self, z: np.ndarray) -> np.ndarray:
-        """|J| |z| on all unknowns, J the iteration matrix the cache last
-        factored: blockwise from the exact entries, the dense |J_cc| with the
-        stamped entries written and the sparse |J_ca|, |J_ac| and |J_aa|."""
+        """|J| |z| on all unknowns, J the iteration matrix last factored:
+        blockwise from the exact entries, the dense |J_cc| and the sparse
+        |J_ca|, |J_ac| and |J_aa|."""
         x = np.abs(z)
         k = self.n_circuit
-        self._abs_cc[self.cache.rows, self.cache.cols] = np.abs(self.cache.stamped)
         abs_ca, abs_ac, abs_aa = self._off_abs
         return np.concatenate([self._abs_cc @ x[:k] + abs_ca @ x[k:],
                                abs_ac @ x[:k] + abs_aa @ x[k:]])
@@ -434,10 +421,10 @@ def newton_solve(operator: StepOperator, const_part: np.ndarray, source_vector: 
     (c_a + J_ac z_c), which takes one back-substitution at the end.  The
     circuit rows there are :meth:`StepOperator.reduced_residual`,
     L z_c + c_hat + A_d i_d with c_hat = c_c - V c_a; their Jacobian, L
-    plus the diode stamp, is the S that the operator's cache factors.  Each
-    iterate evaluates the diode laws once, and a refactorization at it
-    stamps the slopes that came with its currents.  Without a field block
-    nothing is eliminated.
+    plus the diode stamp, is the S that the operator owns: each
+    :meth:`StepOperator.refactor` forms and factors it, from the slopes
+    that came with the currents at its iterate, so each iterate evaluates
+    the diode laws once.  Without a field block nothing is eliminated.
 
     The first iteration reuses the cache's factorization (a linear step
     factors once over all steps); every later one refactors at its iterate:
@@ -491,7 +478,7 @@ def newton_solve(operator: StepOperator, const_part: np.ndarray, source_vector: 
         if trial is None:
             if c_hat_terms is None:
                 c_hat_terms = const_magnitude[:k] + operator.abs_v @ const_magnitude[k:]
-            operator.cache.refactor(operator.stamp(slopes))
+            operator.refactor(slopes)
             stats.factorizations += 1
             floored = _floored(scale[:k], operator.magnitude(z_c) + c_hat_terms)
             trial = _newton_step(operator, c_hat, z_c, r, nrm, floored, True, stats)

@@ -340,6 +340,21 @@ class TestBadInput:
         assert captured.err == "error: unknown element 'nope'\n"
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_probe_of_a_two_winding_device(self, tmp_path, capsys, command):
+        # v() of the demo's transformer once read its primary's voltage
+        # without a word; a device of two windings has no one branch
+        net = tmp_path / "demo.net"
+        net.write_text(DEMO_NETLIST)
+        argv = [command, "--netlist", str(net), "--mesh-density", "0.025", "--tau", "5e-3",
+                "--t-end", "0.01", "--out", str(tmp_path / "out"), "--probes", "a=v(xfmr)"]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: probe 'v(xfmr)': element 'xfmr' has 2 windings; "
+                                "v() reads a device of a single winding\n")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["t", "H", "eps_H"])
     def test_probe_named_like_a_trace_column(self, rlc_net, tmp_path, capsys, name):
         # trace.csv writes t, H and eps_H itself: a probe of the same name

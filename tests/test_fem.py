@@ -657,11 +657,31 @@ class TestAssemblyBits:
         assert np.array_equal(np.flatnonzero(model.dof_map >= 0), interior)
         assert np.array_equal(model.dof_map[interior], np.arange(interior.size))
         g, coef = _element_map(mesh, model.dof_map), mats.reluctivity * mesh.depth * mesh.areas
-        assert_same_bits(model.element_map, g)
+        stored = g.copy()
+        stored.eliminate_zeros()
+        assert_same_bits(model.element_map, stored)
         weighted = gradient_map_oracle(g, coef)
         assert_same_bits(model.gradient_map, weighted)
         assert_same_bits(model.stiffness, (weighted @ g).tocsr())
         assert_same_bits(model.mass, mass_oracle(mesh, mats)[interior][:, interior].tocsr())
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_element_map_stores_no_zeros(self, case):
+        # the stored G holds none of the exact zeros that the assembled one
+        # has, a third of its entries on the built-in mesh, and G a keeps
+        # the bits of the assembled product, signed zeros included
+        mesh, mats = assembly_case(case)
+        model = build_field_model(mesh, mats, [])
+        g = _element_map(mesh, model.dof_map)
+        assert np.all(model.element_map.data != 0.0)
+        assert model.element_map.nnz == np.count_nonzero(g.data)
+        if case.startswith("transformer_"):
+            assert 3 * (g.nnz - model.element_map.nnz) == g.nnz
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(model.n_dofs)
+        a[rng.random(a.size) < 0.5] = 0.0
+        for x in (a, -a, np.zeros(model.n_dofs), -np.zeros(model.n_dofs)):
+            assert (model.element_map @ x).tobytes() == (g @ x).tobytes()
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES)
     def test_interior_mass_matches_sliced_mass(self, case):

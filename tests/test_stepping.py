@@ -134,12 +134,15 @@ class TestNewtonSolve:
 
     def test_singular_matrix(self, monkeypatch):
         # a current source into a diode: the iteration matrix is the one
-        # stamped entry, the diode's pair, which a stamp of zero makes
-        # exactly singular
+        # stamped entry, the diode's pair, with nothing of J_lin in it, so a
+        # diode slope of zero makes it exactly singular
         system = build_from_netlist("I src 1 0 SIN(1 50)\nD d1 1 0 IS=1e-14 VT=0.025 RP=1e12\n")[2]
         operator = StepOperator(system, 1e-3)
-        assert operator.n_circuit == operator.cache.rows.size == 1
-        monkeypatch.setattr(StepOperator, "stamp", lambda self, slopes: np.zeros(1))
+        assert operator.n_circuit == operator.rows.size == 1
+        assert operator.matrix.nnz == 0
+        diode_rows = CoupledSystem.diode_rows
+        monkeypatch.setattr(CoupledSystem, "diode_rows", lambda self, v: (
+            diode_rows(self, v)[0], np.zeros(1)))
         with pytest.raises(SolverError, match="matrix is exactly singular"):
             midpoint_step(operator, StepState(system, system.layout.zeros()), 0.0)
 
@@ -200,7 +203,7 @@ class TestNewtonSolve:
         floored = np.ones(k)
         nrm = mona.stepping._scaled_norm(r, floored)
         assert nrm > NEWTON_TOL
-        operator.cache.refactor(operator.stamp(slopes))
+        operator.refactor(slopes)
         solve, reduced_residual = operator.cache.solve, operator.reduced_residual
         dz = -solve(-r)
         monkeypatch.setattr(operator.cache, "solve", lambda b_c: -solve(b_c))
@@ -230,8 +233,8 @@ class TestNewtonSolve:
         # evaluation gave.  Each refactorization stamps the slopes, and its
         # floor then takes the magnitude at the iterate
         _parsed, _graph, system = rectifier
-        reduced_residual, stamp, magnitude = (StepOperator.reduced_residual, StepOperator.stamp,
-                                              StepOperator.magnitude)
+        reduced_residual, refactor, magnitude = (StepOperator.reduced_residual,
+                                                 StepOperator.refactor, StepOperator.magnitude)
         seen, stamped, floored = [], [], []
 
         def counted_residual(self, z_c, c_hat):
@@ -239,16 +242,16 @@ class TestNewtonSolve:
             seen.append((z_c, out[2]))
             return out
 
-        def counted_stamp(self, slopes):
+        def counted_refactor(self, slopes):
             stamped.append(slopes)
-            return stamp(self, slopes)
+            return refactor(self, slopes)
 
         def counted_magnitude(self, z_c):
             floored.append(z_c)
             return magnitude(self, z_c)
 
         monkeypatch.setattr(StepOperator, "reduced_residual", counted_residual)
-        monkeypatch.setattr(StepOperator, "stamp", counted_stamp)
+        monkeypatch.setattr(StepOperator, "refactor", counted_refactor)
         monkeypatch.setattr(StepOperator, "magnitude", counted_magnitude)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert len(stamped) == len(floored)
@@ -438,19 +441,50 @@ def iteration_matrix(system, tau, z):
     return (0.5 * j_state + j_rate / tau).tocsc()
 
 
-def stamp_at(operator, z):
-    """The operator's stamp at the state increment z, from the diode slopes
-    there."""
+def slopes_at(operator, z):
+    """The diode slopes at the state increment z."""
     k = operator.n_circuit
-    return operator.stamp(operator.system.diode_rows(z[:k] / operator.tau)[1])
+    return operator.system.diode_rows(z[:k] / operator.tau)[1]
+
+
+def stamp_at(operator, z):
+    """The stamped entries of the iteration matrix at the state increment z,
+    at the operator's (rows, cols), from their definition: J_lin's entry
+    plus sum_d A_d[i, d] A_d[j, d] g_d / tau with the diode slopes g_d
+    there, the incidences weighted by 1/tau first as the operator does."""
+    rows, cols = operator.rows, operator.cols
+    a_d = operator.system.diode_incidence
+    pairs = (a_d[rows] * a_d[cols]) * (1.0 / operator.tau)
+    return operator.matrix.toarray()[rows, cols] + pairs @ slopes_at(operator, z)
 
 
 def stamped_matrix(operator, z):
     """The step matrix with the stamp at z written in: the iteration matrix
-    that the cache factors after ``refactor(stamp_at(operator, z))``."""
+    that the operator factors at the diode slopes there."""
     matrix = operator.matrix.tolil()
-    matrix[operator.cache.rows, operator.cache.cols] = stamp_at(operator, z)
+    matrix[operator.rows, operator.cols] = stamp_at(operator, z)
     return matrix.tocsc()
+
+
+class RecordingCache(FactorCache):
+    """A :class:`FactorCache` that keeps every S it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.handed = []
+
+    def refactor(self, schur):
+        self.handed.append(schur)
+        super().refactor(schur)
+
+
+def refactor_with(operator, slopes):
+    """Refactor the operator at the diode ``slopes``; returns the S that it
+    handed to its cache."""
+    if not isinstance(operator.cache, RecordingCache):
+        operator.cache = RecordingCache()
+    operator.refactor(slopes)
+    return operator.cache.handed[-1]
 
 
 def assert_magnitude_exact(operator, matrix):
@@ -499,34 +533,32 @@ class TestBlockElimination:
         system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
         tau = 6.25e-4
         operator = StepOperator(system, tau)
-        cache = operator.cache
         k = operator.n_circuit
         rng = np.random.default_rng(3)
         for _ in range(2):  # the second refactor reuses the field factorization
             z = 1e-3 * random_state(system, rng)
             matrix = iteration_matrix(system, tau, z)
-            cache.refactor(stamp_at(operator, z))
-            schur = cache.schur_complement(stamp_at(operator, z))
+            schur = refactor_with(operator, slopes_at(operator, z))
             for _ in range(3):
                 rhs = rng.standard_normal(system.layout.size)
                 x_ref = spsolve(matrix, rhs)
                 err = np.max(np.abs(operator.full_solve(rhs) - x_ref))
                 assert err <= 1e-12 * np.max(np.abs(x_ref))
-                x_c = cache.solve(rhs[:k])
+                x_c = operator.cache.solve(rhs[:k])
                 terms = np.max(np.abs(schur) @ np.abs(x_c))
                 assert np.max(np.abs(schur @ x_c - rhs[:k])) <= 1e-12 * terms
 
     def test_stamp_reproduces_the_jacobians(self):
-        # the dense Schur complement the cache factors, and the |J| of the
-        # Newton floor, equal those formed from the whole step matrix with
-        # the stamp written in, bit for bit; that matrix is the iteration
-        # matrix of system.jacobians, to rounding
+        # the dense Schur complement that the operator hands its cache, and
+        # the |J| of the Newton floor, equal those formed from the whole
+        # step matrix with the stamp of its definition written in, bit for
+        # bit, W included, which has no entry at the stamped ones; that
+        # matrix is the iteration matrix of system.jacobians, to rounding
         tau = 6.25e-4
         rng = np.random.default_rng(4)
         for h in (0.025, 0.0125):
             system = assemble_netlist(DEMO_NETLIST, mesh_density=h).system
             operator = StepOperator(system, tau)
-            cache = operator.cache
             k = system.layout.n_circuit
             for _ in range(2):  # both S share the field elimination
                 z = 1e-3 * random_state(system, rng)
@@ -534,9 +566,7 @@ class TestBlockElimination:
                 lu_aa = factor_spd(matrix[k:, k:])
                 v = lu_aa.solve(matrix[:k, k:].T.toarray(), trans="T").T
                 expected = matrix[:k, :k].toarray() - v @ matrix[k:, :k]
-                schur = cache.schur_complement(stamp_at(operator, z))
-                assert np.array_equal(schur, expected)
-                cache.refactor(stamp_at(operator, z))
+                assert np.array_equal(refactor_with(operator, slopes_at(operator, z)), expected)
                 assert_magnitude_exact(operator, matrix)
                 # on the circuit unknowns the magnitude is (|J_cc| + |W|) |x|
                 columns = np.column_stack([operator.magnitude(e) for e in np.eye(k)])
@@ -551,7 +581,6 @@ class TestBlockElimination:
         _parsed, _graph, system = rectifier
         tau = 6.25e-4
         operator = StepOperator(system, tau)
-        cache = operator.cache
         k = system.layout.n_circuit
         rng = np.random.default_rng(6)
         const_part = system.energy_gradient(random_state(system, rng)) - system.source_vector(0.01)
@@ -569,10 +598,14 @@ class TestBlockElimination:
             # the field rows are solved, to rounding
             assert np.max(np.abs(full[k:])) <= 1e-12 * terms
             # the stamp from the slopes that came with the diode currents is
-            # the psi/psi block of system.jacobians, to rounding
-            stamp = operator.stamp(slopes)
-            expected = iteration_matrix(system, tau, z)[cache.rows, cache.cols].A1
-            assert np.allclose(stamp, expected, rtol=0.0, atol=1e-14 * np.max(np.abs(expected)))
+            # the psi/psi block of system.jacobians, to rounding: S holds it
+            # at the stamped entries, where W has none, as it is
+            schur = refactor_with(operator, slopes)
+            rows, cols = operator.rows, operator.cols
+            assert not operator.v[rows].any()
+            expected = iteration_matrix(system, tau, z)[rows, cols].A1
+            assert np.allclose(schur[rows, cols], expected, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("fixture", ["rectifier", "linear_coupled", "vdrc"])
     def test_step_matrix_residual_is_the_definitional_residual(self, fixture, request):
@@ -596,23 +629,33 @@ class TestBlockElimination:
                      + np.abs(const_part) + np.abs(expected - operator.matrix @ z - const_part))
             assert np.all(np.abs(operator.residual(z, const_part) - expected) <= 1e-14 * terms)
 
-    @pytest.mark.parametrize("n_trailing", [0, 1])
-    def test_singular_circuit_block_raises(self, n_trailing):
-        # S = [[1.5, 2], [0.5, 1]] - W is exactly singular with
-        # W = [[0.5, 0], [0, 0]], which eliminating a trailing block [[2]]
-        # coupled to the first unknown by 1 adds
-        w = np.array([[0.5, 0.0], [0.0, 0.0]])
-        block = np.array([[1.5, 2.0], [0.5, 1.0]])
-        if not n_trailing:
-            w, block = np.zeros((2, 2)), block - w
-        rows, cols = np.indices((2, 2)).reshape(2, -1)
-        cache = FactorCache(np.zeros((2, 2)), w, rows, cols)
+    @pytest.mark.parametrize("factored", [False, True], ids=["fresh", "after-a-factor"])
+    def test_singular_circuit_block_raises(self, factored):
+        # a current source into a diode: S is the diode's stamp g/tau alone,
+        # which a slope of zero makes exactly singular.  A failed refactor
+        # leaves the cache without a factorization and both magnitudes at
+        # the stamp last factored, J_lin's before the first; the next
+        # refactor recovers
+        system = build_from_netlist("I src 1 0 SIN(1 50)\nD d1 1 0 IS=1e-14 VT=0.025 RP=1e12\n")[2]
+        tau = 1e-3
+        operator = StepOperator(system, tau)
+        one = np.ones(1)
+
+        def magnitudes():
+            return operator.magnitude(one).tolist() + operator.full_magnitude(one).tolist()
+
+        if factored:
+            operator.refactor(2.0 * one)
+        last = magnitudes()
+        assert last == [2.0 / tau if factored else 0.0] * 2
         with pytest.raises(SolverError, match="factorization failed: matrix is exactly singular"):
-            cache.refactor(block[rows, cols])
-        # a failed refactor keeps the stamp last factored, here the initial one
-        assert not cache.ready and np.array_equal(cache.stamped, np.zeros(4))
-        cache.refactor((block + np.eye(2))[rows, cols])
-        assert cache.ready
+            operator.refactor(np.zeros(1))
+        assert not operator.cache.ready
+        assert magnitudes() == last
+        operator.refactor(one)
+        assert operator.cache.ready
+        assert magnitudes() == [1.0 / tau] * 2
+        assert operator.cache.solve(one).tolist() == [tau]
 
     def test_one_refactor_call_per_factorization(self, rectifier, monkeypatch):
         # the benchmark's tracer counts factorizations by FactorCache.refactor
@@ -709,13 +752,13 @@ class TestBlockElimination:
                                     "D d1 1 2 IS=1e-14 VT=0.025 RP=1e12\nR r2 2 0 10\n")[2]
         tau = 6.25e-4
         operator = StepOperator(system, tau)
-        cache = operator.cache
-        assert np.count_nonzero(operator.matrix.toarray()[cache.rows, cache.cols] == -1.0) == 2
+        stamped = operator.matrix.toarray()[operator.rows, operator.cols]
+        assert np.count_nonzero(stamped == -1.0) == 2
         rng = np.random.default_rng(5)
         # diode voltages of a few tenths of a volt: the diode conducts, and
         # its conductance stays near the resistor's
         z = random_state(system, rng, amplitude=0.3 * tau)
-        cache.refactor(stamp_at(operator, z))
+        operator.refactor(slopes_at(operator, z))
         matrix = stamped_matrix(operator, z)
         assert_magnitude_exact(operator, matrix)
         x = random_state(system, rng)
@@ -724,11 +767,12 @@ class TestBlockElimination:
     @pytest.mark.parametrize("fixture", ["rlc", "linear_coupled"])
     def test_linear_circuit_stamps_nothing(self, fixture, request):
         # without diodes no entry of the iteration matrix depends on the
-        # iterate: the stamp is empty, and one factorization serves the run
+        # iterate: the stamp is empty, S is L as it is, and one
+        # factorization serves the run
         _parsed, _graph, system = request.getfixturevalue(fixture)
         operator = StepOperator(system, 6.25e-4)
-        assert operator.cache.rows.size == operator.cache.cols.size == 0
-        assert operator.stamp(np.zeros(0)).size == 0
+        assert operator.rows.size == operator.cols.size == 0
+        assert np.array_equal(refactor_with(operator, np.zeros(0)), operator.reduced_matrix)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
         assert sum(rec.newton.factorizations for rec in result.records) == 1
 
@@ -742,25 +786,26 @@ class TestBlockElimination:
         # a series resistor, whose pairs off the diode are not stamped
         _parsed, graph, system = build_from_netlist(netlist) if netlist else rectifier
         tau = 6.25e-4
-        cache = StepOperator(system, tau).cache
+        operator = StepOperator(system, tau)
         a_d = np.abs(system.diode_incidence)
-        assert np.array_equal(np.column_stack([cache.rows, cache.cols]), np.argwhere(a_d @ a_d.T))
+        assert np.array_equal(np.column_stack([operator.rows, operator.cols]),
+                              np.argwhere(a_d @ a_d.T))
         pairs = {(i - 1, j - 1) for p, m in graph.branch_pairs["D"]
                  for i in (p, m) for j in (p, m) if i and j}
-        assert set(zip(cache.rows.tolist(), cache.cols.tolist())) == pairs
+        assert set(zip(operator.rows.tolist(), operator.cols.tolist())) == pairs
         rng = np.random.default_rng(7)
         z1, z2 = (1e-3 * random_state(system, rng) for _ in range(2))
         changed = (iteration_matrix(system, tau, z1).toarray()
                    != iteration_matrix(system, tau, z2).toarray())
         stamped = np.zeros_like(changed)
-        stamped[cache.rows, cache.cols] = True
+        stamped[operator.rows, operator.cols] = True
         assert np.array_equal(changed, stamped)
 
     def test_magnitude_is_the_schur_magnitude_at_the_last_stamp(self, rectifier):
         # operator.magnitude of every unit vector is the column of
-        # |J_cc| + |W| with the stamped entries the cache last factored, bit
-        # for bit: before the first refactor those of the step matrix, after
-        # each refactor those of its stamp, whatever full_magnitude wrote
+        # |J_cc| + |W| with the stamped entries last factored, bit for bit:
+        # before the first refactor those of the step matrix, after each
+        # refactor those of its stamp
         _parsed, _graph, system = rectifier
         tau = 6.25e-4
         operator = StepOperator(system, tau)
@@ -776,7 +821,7 @@ class TestBlockElimination:
         rng = np.random.default_rng(8)
         for _ in range(2):
             z = 1e-3 * random_state(system, rng)
-            operator.cache.refactor(stamp_at(operator, z))
+            operator.refactor(slopes_at(operator, z))
             stamped = stamped_matrix(operator, z)
             assert_magnitude_exact(operator, stamped)
             assert np.array_equal(columns(), abs(stamped[:k, :k]).toarray() + abs_w)
@@ -1448,6 +1493,28 @@ class TestProbes:
             compile_probe(system, "flux[1]", parsed.node_ids)
         with pytest.raises(ValueError, match="unknown element 'nope'"):
             compile_probe(system, "v(nope)", parsed.node_ids)
+
+    def test_device_probe_needs_a_single_winding(self, coarse_field):
+        # v() and i() of a device read one winding: a transformer's two are
+        # rejected by name, where v() once read the primary's; the same
+        # windings as two devices of one each are read, beside the source
+        # and the load they are in parallel with
+        parsed, _graph, system = build_from_netlist(LINEAR_COUPLED_NETLIST, coarse_field)
+        for fn in "vi":
+            with pytest.raises(ValueError, match=rf"^probe '{fn}\(xfmr\)': element 'xfmr' has 2 "
+                                                 rf"windings; {fn}\(\) reads a device of a "
+                                                 rf"single winding$"):
+                compile_probe(system, f"{fn}(xfmr)", parsed.node_ids)
+        parsed, _graph, system = build_from_netlist(
+            "V src 1 0 SIN(160 60)\nM xp 1 0 FIELD=builtin\nM xs 2 0 FIELD=builtin\n"
+            "R load 2 0 10\n", coarse_field)
+        probes = {expr: compile_probe(system, expr, parsed.node_ids)
+                  for expr in ("v(xp)", "v(src)", "v(xs)", "v(load)", "i(xs)", "i(load)")}
+        result = run_transient(system, TimeGrid(0.0, 0.005, 1e-3), probes=probes)
+        assert np.array_equal(result.probe("v(xp)"), result.probe("v(src)"))
+        assert np.array_equal(result.probe("v(xs)"), result.probe("v(load)"))
+        assert np.ptp(result.probe("i(xs)")) > 0.0
+        assert np.allclose(result.probe("i(xs)"), -result.probe("i(load)"), rtol=1e-12, atol=0.0)
 
     def test_default_probe_targets_load_node(self, rlc):
         parsed, graph, system = rlc

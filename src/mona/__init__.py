@@ -13,7 +13,6 @@ from .circuit import (
     TopologyReport,
     build_incidence,
     circuit_energy,
-    resistive_branch_current,
     validate_topology,
 )
 from .coupling import (

@@ -34,7 +34,6 @@ __all__ = [
     "TopologyReport",
     "build_incidence",
     "validate_topology",
-    "resistive_branch_current",
     "diode_law",
     "diode_critical_voltage",
     "diode_voltage_limit",
@@ -140,8 +139,7 @@ class CircuitGraph:
     names ``branch_names[kind]``, one row per branch in element order (a
     field device has one row per winding).  Each kind's reduced incidence
     matrix is derived from its pairs once (:meth:`incidence`).  Linear
-    resistors (``R``) and diodes (``D``) are separate kinds; only
-    :attr:`a_r` joins them, linear columns first.
+    resistors (``R``) and diodes (``D``) are separate kinds.
     """
 
     n_nodes: int
@@ -160,14 +158,6 @@ class CircuitGraph:
         """The number of branches of one kind (windings for ``M``)."""
         return len(self.branch_pairs[kind])
 
-    @property
-    def n_linear_resistive(self) -> int:
-        return self.conductance.size
-
-    @property
-    def n_resistive(self) -> int:
-        return self.a_r.shape[1]
-
     @cached_property
     def _incidences(self) -> dict:
         return {kind: _incidence(pairs, self.n_nodes)
@@ -178,12 +168,6 @@ class CircuitGraph:
         +1 at the plus node and -1 at the minus node of each branch's
         column, the ground row eliminated."""
         return self._incidences[kind]
-
-    @cached_property
-    def a_r(self) -> np.ndarray:
-        """The resistive incidence ``[R | D]``: linear columns, then diodes,
-        the order of :func:`resistive_branch_current`'s voltages."""
-        return np.hstack([self.incidence("R"), self.incidence("D")])
 
     @cached_property
     def diode_exp_slope(self) -> np.ndarray:
@@ -441,23 +425,6 @@ def diode_law(graph: CircuitGraph, v: np.ndarray):
         e = growth = np.exp(x)
     return (graph.diode_saturation * (growth - 1.0) + v / graph.diode_parallel,
             graph.diode_exp_slope * e + graph.diode_parallel_conductance)
-
-
-def resistive_branch_current(graph: CircuitGraph, v_branch: np.ndarray) -> np.ndarray:
-    """Branch currents of the resistive partition.
-
-    ``v_branch`` concatenates linear branches first, diodes after.  Linear
-    branches obey i = G v, diodes :func:`diode_law`.
-    """
-    v_branch = np.asarray(v_branch, dtype=float)
-    if v_branch.shape != (graph.n_resistive,):
-        raise ValueError(f"expected {graph.n_resistive} branch voltages")
-    n_lin = graph.n_linear_resistive
-    i = np.empty_like(v_branch)
-    i[:n_lin] = graph.conductance * v_branch[:n_lin]
-    if v_branch.size > n_lin:
-        i[n_lin:] = diode_law(graph, v_branch[n_lin:])[0]
-    return i
 
 
 def diode_critical_voltage(thermal: np.ndarray, saturation: np.ndarray) -> np.ndarray:

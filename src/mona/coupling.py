@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .circuit import CircuitGraph, circuit_energy, diode_law, resistive_branch_current
+from .circuit import CircuitGraph, circuit_energy, diode_law
 from .errors import MeshError
 from .fem import FieldModel
 
@@ -156,9 +156,7 @@ class CoupledSystem:
                 raise MeshError(
                     f"device branch count ({n_m}) does not match winding count "
                     f"({field.n_windings})")
-            # column-major: the layout fixes BLAS's summation order in
-            # ``winding_matrix.T @ a``, which every output byte depends on
-            self.winding_matrix = np.asfortranarray(field.winding_matrix)
+            self.winding_matrix = field.winding_matrix
             self.mass = field.mass
             self.stiffness = field.stiffness
             n_a = field.n_dofs
@@ -347,16 +345,20 @@ class CoupledSystem:
                       sources: SourceValues) -> PowerBreakdown:
         """Losses and source powers of the rate ydot with the source values
         ``sources`` (:meth:`sources`), balanced against the energy rate dh_dt.
+        The resistive loss is one dot of the branch currents with their
+        voltages: the resistors' G v, then the diodes' :func:`diode_law`.
 
         A power past binary64 is inf, and the residual then inf or NaN,
         without a numpy warning: the certificate check names such steps."""
         g = self.graph
         psi_dot, _qc_dot, qv_dot, _qm_dot, a_dot = self.layout.split(ydot)
-        v_r = g.a_r.T @ psi_dot
-        i_r = resistive_branch_current(g, v_r)
+        v_lin = g.incidence("R").T @ psi_dot
+        v_dio = g.incidence("D").T @ psi_dot
+        i_lin = g.conductance * v_lin
+        i_dio = diode_law(g, v_dio)[0] if v_dio.size else v_dio
         with np.errstate(over="ignore", invalid="ignore"):
-            resistive = float(i_r @ v_r)
-            eddy = float(a_dot @ (self.mass @ a_dot)) if a_dot.size else 0.0
+            resistive = float(np.concatenate([i_lin, i_dio]) @ np.concatenate([v_lin, v_dio]))
+            eddy = float(a_dot @ (self.mass @ a_dot))
             source_i = float((g.incidence("I").T @ psi_dot) @ sources.currents)
             source_v = float(sources.voltages @ qv_dot)
         return PowerBreakdown(dh_dt=dh_dt, resistive_loss=resistive, eddy_loss=eddy,

@@ -357,8 +357,6 @@ class FieldModel:
         gradient of this same sum, :meth:`energy_gradient`, at a state.
         ``grad`` is G a where the caller has it."""
         if grad is None:
-            if self.n_dofs == 0 or not np.any(a):
-                return 0.0
             grad = self.element_map @ a
         gx, gy = grad[:self.coef.size], grad[self.coef.size:]
         return 0.5 * float(self.coef @ (gx * gx + gy * gy))

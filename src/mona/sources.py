@@ -15,7 +15,9 @@ class Waveform:
     Sinusoids are ``amplitude * sin(2*pi*frequency*t + phase)``.  An
     amplitude (the value of a constant) whose square is not finite in
     binary64, NaN or above about 1.34e154 in size, raises ``ValueError``:
-    the source's power, its value times a current, would overflow.
+    the source's power, its value times a current, would overflow.  So does
+    a frequency whose 2*pi*frequency is not finite, above about 2.86e307 in
+    size: the source's phase would overflow.
     """
 
     kind: str  # "dc" | "sin"
@@ -30,6 +32,9 @@ class Waveform:
             what = "DC value" if self.kind == "dc" else "amplitude"
             raise ValueError(f"{what} {self.amplitude!r}: its square is not finite in "
                              f"binary64, so the source's power would overflow")
+        if not math.isfinite(2.0 * math.pi * self.frequency):
+            raise ValueError(f"frequency {self.frequency!r}: 2*pi*frequency is not finite "
+                             f"in binary64, so the source's phase would overflow")
 
     @classmethod
     def dc(cls, value: float) -> "Waveform":

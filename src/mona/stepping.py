@@ -76,6 +76,8 @@ class TimeGrid:
         if not self.tau > 0.0:
             raise ValueError("step size must be positive")
         ratio = (self.t_end - self.t0) / self.tau
+        if not math.isfinite(ratio):
+            raise ValueError(f"(t_end - t0)/tau = {ratio!r} is not a finite number of steps")
         n = round(ratio)
         if n < 1:
             raise ValueError("grid must contain at least one step")

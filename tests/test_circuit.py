@@ -14,7 +14,6 @@ from mona.circuit import (
     diode_critical_voltage,
     diode_law,
     diode_voltage_limit,
-    resistive_branch_current,
     validate_topology,
 )
 from mona.coupling import assemble_coupled
@@ -37,7 +36,8 @@ class TestBuildIncidence:
     def test_rc_pair_stamps(self):
         graph = build_incidence(
             [el("R", "R1", 1, 2, value=0.1), el("C", "C1", 2, 0, value=1e-6)], 2)
-        assert np.array_equal(graph.a_r, [[1.0], [-1.0]])
+        assert np.array_equal(graph.incidence("R"), [[1.0], [-1.0]])
+        assert graph.incidence("D").shape == (2, 0)
         assert np.array_equal(graph.incidence("C"), [[0.0], [1.0]])
         assert np.array_equal(graph.conductance, [0.1])
         assert np.array_equal(graph.capacitance, [1e-6])
@@ -47,14 +47,15 @@ class TestBuildIncidence:
             [el("V", "V1", 1, 0, waveform=Waveform.dc(1.0)),
              el("R", "R1", 1, 0, value=0.1)], 1)
         assert np.array_equal(graph.incidence("V"), [[1.0]])
-        assert np.array_equal(graph.a_r, [[1.0]])
+        assert np.array_equal(graph.incidence("R"), [[1.0]])
 
     def test_rectifier_shape(self, rectifier):
         _parsed, graph, _system = rectifier
         assert graph.incidence("M").shape == (4, 2)
         assert graph.n_branches("D") == 4
-        assert graph.n_linear_resistive == 1
-        assert graph.a_r.shape == (4, 5)
+        assert graph.n_branches("R") == 1
+        assert graph.incidence("R").shape == (4, 1)
+        assert graph.incidence("D").shape == (4, 4)
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(TopologyError, match="duplicate"):
@@ -80,7 +81,7 @@ class TestBuildIncidence:
     def test_column_sums(self, rectifier):
         # ground-free columns sum to zero, grounded ones to +-1
         _parsed, graph, _system = rectifier
-        for kind_mat in (graph.a_r, *(graph.incidence(kind) for kind in "CLVIM")):
+        for kind_mat in (graph.incidence(kind) for kind in "RDCLVIM"):
             for col in kind_mat.T:
                 nnz = np.count_nonzero(col)
                 assert nnz in (1, 2)
@@ -138,27 +139,30 @@ def node_conductance(graph, psi_dot):
 
 
 class TestResistiveBranchLaw:
+    """The two resistive laws: i = G v for a linear resistor, diode_law's
+    current for a diode."""
+
     def one_diode_graph(self, extra=()):
         elements = [el("D", "D1", 1, 0, diode=DIODE)] + list(extra)
         return build_incidence(elements, 1)
 
     def test_diode_zero_voltage(self):
         graph = self.one_diode_graph()
-        i = resistive_branch_current(graph, np.array([0.0]))
+        i = diode_law(graph, np.array([0.0]))[0]
         assert i[0] == 0.0
 
     def test_diode_forward_value(self):
         # at v = V_th * ln 2 the exponential term contributes exactly I_s
         graph = self.one_diode_graph()
         v = 2.5e-2 * math.log(2.0)
-        i = resistive_branch_current(graph, np.array([v]))
+        i = diode_law(graph, np.array([v]))[0]
         expected = 1e-14 * (math.exp(v / 2.5e-2) - 1.0) + v / 1e12
         assert i[0] == pytest.approx(expected, rel=1e-15)
         assert i[0] == pytest.approx(2.733e-14, rel=1e-3)
 
     def test_linear_branch(self):
         graph = build_incidence([el("R", "load", 1, 0, value=0.1)], 1)
-        i = resistive_branch_current(graph, np.array([160.0]))
+        i = graph.conductance * np.array([160.0])
         assert i[0] == pytest.approx(16.0)
         assert node_conductance(graph, 160.0) == 0.1
 
@@ -168,13 +172,13 @@ class TestResistiveBranchLaw:
         rng = np.random.default_rng(7)
         h = 1e-7
         for v in rng.uniform(-1.0, 1.0, size=100):
-            vv = np.array([v, v])
-            ip = resistive_branch_current(graph, vv + h)
-            im = resistive_branch_current(graph, vv - h)
-            fd = (ip - im) / (2 * h)
-            didv = diode_law(graph, vv[1:])[1]
-            assert np.allclose(didv, fd[1:], rtol=1e-6, atol=1e-12)
-            assert np.isclose(node_conductance(graph, v), fd.sum(), rtol=1e-6, atol=1e-12)
+            vv = np.array([v])
+            fd_lin = (graph.conductance * (vv + h) - graph.conductance * (vv - h)) / (2 * h)
+            fd_dio = (diode_law(graph, vv + h)[0] - diode_law(graph, vv - h)[0]) / (2 * h)
+            didv = diode_law(graph, vv)[1]
+            assert np.allclose(didv, fd_dio, rtol=1e-6, atol=1e-12)
+            assert np.isclose(node_conductance(graph, v), fd_lin.sum() + fd_dio.sum(),
+                              rtol=1e-6, atol=1e-12)
 
     def test_dissipation_nonnegative(self):
         graph = build_incidence(
@@ -182,14 +186,13 @@ class TestResistiveBranchLaw:
         rng = np.random.default_rng(11)
         for _ in range(200):
             v = rng.uniform(-5.0, 2.0, size=2)
-            i = resistive_branch_current(graph, v)
+            i = np.concatenate([graph.conductance * v[:1], diode_law(graph, v[1:])[0]])
             assert i @ v >= 0.0
 
     def test_overflow_guard_finite(self):
         graph = self.one_diode_graph()
         v = np.array([50.0])  # 2000 V_th
-        i = resistive_branch_current(graph, v)
-        didv = diode_law(graph, v)[1]
+        i, didv = diode_law(graph, v)
         assert np.isfinite(i[0]) and np.isfinite(didv[0])
         assert np.isfinite(node_conductance(graph, v[0]))
         assert i[0] > 0
@@ -289,7 +292,7 @@ def test_empty_graph_shapes():
     graph = CircuitGraph.empty(n_devices=2)
     assert graph.n_nodes == 0
     assert graph.incidence("M").shape == (0, 2)
-    assert graph.n_resistive == 0
+    assert graph.incidence("R").shape == graph.incidence("D").shape == (0, 0)
     assert_branch_table_consistent(graph)
     assert graph.branch_pairs["M"].tolist() == [[0, 0], [0, 0]]
 
@@ -323,6 +326,3 @@ def test_incidences_are_those_of_the_branch_table():
         assert graph.n_branches(kind) > 0
         assert mat.dtype == np.float64 and mat.flags.c_contiguous
         assert np.array_equal(mat, dense_incidence(graph.branch_pairs[kind], 5))
-    assert graph.a_r.dtype == np.float64 and graph.a_r.flags.c_contiguous
-    assert np.array_equal(graph.a_r, np.hstack([
-        dense_incidence(graph.branch_pairs[kind], 5) for kind in "RD"]))

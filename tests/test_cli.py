@@ -181,6 +181,9 @@ BAD_NETLISTS = {
                          "line 1: amplitude: not a finite number: 'nan'"),
     "overflowing-source": ("V a 1 0 SIN(1e200 50)\nR r 1 0 1\n", [],
                            "line 1: amplitude 1e+200: its square is not finite in binary64"),
+    "overflowing-frequency": ("V a 1 0 SIN(1 1e308)\nR r 1 0 1\n", [],
+                              "line 1: frequency 1e+308: 2*pi*frequency is not finite "
+                              "in binary64"),
     "voltage-loop": (VLOOP, [], "loop of ideal voltage sources: {v1, v2}"),
     # several topology problems: one error: line each
     "loop-and-cutset": ("V a 1 0 SIN(1 50)\nV b 1 0 SIN(2 50)\nI i1 2 0 SIN(1 50)\n"
@@ -604,6 +607,21 @@ class TestConverge:
         assert code == 1
         assert f"--halvings must be at least 1, got {halvings}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("run", ["--tau", "1e-300", "--t-end", "1e10"]),
+        ("converge", ["--mesh-density", "0.025", "--tau", "5e-3", "--t-end", "0.01",
+                      "--halvings", "2000"]),
+    ])
+    def test_overflowing_step_count_named(self, rlc_net, tmp_path, capsys, command, options):
+        # run's step count, and converge's after 1023 of its halvings, is
+        # past binary64: a named error before any step is taken
+        argv = [command, *options, "--out", str(tmp_path / "out")]
+        if command == "run":
+            argv += ["--netlist", str(rlc_net)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: (t_end - t0)/tau = inf is not a finite number of steps\n"
 
     def test_broken_certificate_warns_per_leg(self, tmp_path, capsys):
         # at h = 0.004 and tau = 5e-3 both studied legs break the balance

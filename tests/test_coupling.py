@@ -17,7 +17,6 @@ from mona.circuit import (
     CircuitGraph,
     build_incidence,
     diode_law,
-    resistive_branch_current,
 )
 from mona.coupling import BlockLayout, assemble_coupled
 from mona.errors import MeshError
@@ -340,7 +339,7 @@ class TestBlockwiseEvaluators:
         k = lay.n_circuit
         x_mat = system.winding_matrix
         compact = system.compact_form()
-        a_lin = g.a_r[:, :g.n_linear_resistive]
+        a_lin = g.incidence("R")
         charges = np.hstack([g.incidence("C"), g.incidence("V"), g.incidence("M")])
         rate_matrix = np.block([[a_lin @ np.diag(g.conductance) @ a_lin.T, charges],
                                 [-charges.T, np.zeros((k - lay.n_nodes,) * 2)]])
@@ -348,7 +347,7 @@ class TestBlockwiseEvaluators:
         a_l = g.incidence("L")
         hessian[:lay.n_nodes, :lay.n_nodes] = a_l @ np.diag(g.inv_inductance) @ a_l.T
         hessian[lay.block_slice("q_c"), lay.block_slice("q_c")] = np.diag(1.0 / g.capacitance)
-        a_dio = np.vstack([g.a_r[:, g.n_linear_resistive:],
+        a_dio = np.vstack([g.incidence("D"),
                            np.zeros((k - lay.n_nodes, g.n_branches("D")))])
         assert np.array_equal(system.circuit_rate_matrix, rate_matrix)
         assert np.array_equal(system.circuit_hessian, hessian)
@@ -360,7 +359,7 @@ class TestBlockwiseEvaluators:
             t = float(rng.uniform(0.0, 0.05))
             a = y[k:]
             psi_d, _qc_d, _qv_d, qm_d, a_d = lay.split(ydot)
-            i_d = resistive_branch_current(g, g.a_r.T @ psi_d)[g.n_linear_resistive:]
+            i_d = diode_law(g, g.incidence("D").T @ psi_d)[0]
             circuit_rate = rate_matrix @ ydot[:k] + a_dio @ i_d
             circuit_rate[lay.block_slice("q_m")] += x_mat.T @ a_d
             rate = np.concatenate([circuit_rate, system.mass @ a_d - x_mat @ qm_d])

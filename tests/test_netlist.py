@@ -114,3 +114,13 @@ class TestErrors:
         for amplitude in (1.4e154, -1.4e154, math.inf, math.nan):
             with pytest.raises(ValueError, match="its square is not finite"):
                 make(amplitude)
+
+    def test_sine_frequency_must_have_a_finite_angular_frequency(self):
+        # 2*pi*f past binary64 would make the phase NaN at t = 0
+        assert math.isfinite(Waveform.sine(1.0, 2.8e307)(0.0))
+        for frequency in (2.9e307, 1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="2\\*pi\\*frequency is not finite"):
+                Waveform.sine(1.0, frequency)
+        with pytest.raises(NetlistError, match=r"^line 1: frequency 1e\+308: 2\*pi\*frequency "
+                                               r"is not finite in binary64"):
+            parse_netlist("V a 1 0 SIN(1 1e308)\nR r 1 0 1\n")

@@ -12,11 +12,10 @@ from scipy.sparse.linalg import spsolve
 
 from conftest import (LINEAR_COUPLED_NETLIST, SOURCE_CAPACITOR_NETLISTS, build_from_netlist,
                       exact_balance_defects, random_state, reference_newton, state_probe)
-import mona.circuit
 import mona.coupling
 import mona.stepping
-from mona.circuit import (CircuitGraph, build_incidence, diode_critical_voltage,
-                          diode_voltage_limit, resistive_branch_current)
+from mona.circuit import (CircuitGraph, build_incidence, diode_critical_voltage, diode_law,
+                          diode_voltage_limit)
 from mona.coupling import CoupledSystem, assemble_coupled
 from mona.demo import DEMO_NETLIST, assemble_netlist
 from mona.errors import ConsistencyError, SolverError
@@ -72,6 +71,22 @@ class TestTimeGrid:
     def test_halved(self):
         grid = TimeGrid(0.0, 0.04, 1e-3)
         assert grid.halved().n_steps == 80
+
+    @pytest.mark.parametrize("t0, t_end, tau", [(0.0, 1e10, 1e-300), (-1e308, 1e308, 1.0)])
+    def test_overflowing_step_count_rejected(self, t0, t_end, tau):
+        with pytest.raises(ValueError, match=r"^\(t_end - t0\)/tau = inf is not a finite "
+                                             r"number of steps$"):
+            TimeGrid(t0, t_end, tau)
+
+    def test_halving_into_overflow_rejected(self):
+        # 0.01 / (5e-3 / 2^k) is about 2^(k + 1) steps (tau is subnormal from
+        # k = 1015 on and loses bits): finite through k = 1022
+        grid = TimeGrid(0.0, 0.01, 5e-3)
+        for _ in range(1022):
+            grid = grid.halved()
+        assert 2 ** 1022 < grid.n_steps < 2 ** 1024
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            grid.halved()
 
 
 class TestNewtonSolve:
@@ -946,7 +961,6 @@ class TestStepConstants:
             return out
 
         monkeypatch.setattr(mona.coupling, "diode_law", counted_law)
-        monkeypatch.setattr(mona.circuit, "diode_law", counted_law)
         monkeypatch.setattr(StepOperator, "reduced_residual", counted_residual)
         monkeypatch.setattr(mona.stepping, "midpoint_step", counted_step)
         result = run_transient(system, TimeGrid(0.0, 0.05, 6.25e-4))
@@ -1027,7 +1041,7 @@ def reference_limiter(system, tau):
     written with the four-argument ``diode_voltage_limit``; returns the
     limited increment and which stages acted."""
     g = system.graph
-    a_dio = g.a_r[:, g.n_linear_resistive:]
+    a_dio = g.incidence("D")
     psi = system.layout.block_slice("psi")
 
     def voltages(z):
@@ -1089,7 +1103,7 @@ class TestDiodeLimiter:
         # the reference limiter's, bit for bit
         _parsed, graph, system = rectifier
         tau = 7.8125e-5
-        a_dio = graph.a_r[:, graph.n_linear_resistive:]
+        a_dio = graph.incidence("D")
         small = 2.0 * graph.diode_thermal
         psi = system.layout.block_slice("psi")
         reference = reference_limiter(system, tau)
@@ -1124,7 +1138,7 @@ class TestDiodeLimiter:
         _parsed, graph, system = rectifier
         tau = 6.25e-4
         limiter = StepOperator(system, tau).limiter
-        a_dio = graph.a_r[:, graph.n_linear_resistive:]
+        a_dio = graph.incidence("D")
         thermal = graph.diode_thermal
         v_crit = diode_critical_voltage(thermal, graph.diode_saturation)
         psi = system.layout.block_slice("psi")
@@ -1464,11 +1478,10 @@ class TestProbes:
         assert np.allclose(result.probe("v_src"), result.probe("u1"), rtol=1e-12)
         assert np.all(result.probe("h") >= 0.0)
 
-    def test_resistive_probes_read_the_joint_partition_bit_for_bit(self):
+    def test_resistive_probes_read_the_branch_laws_bit_for_bit(self):
         # v() and i() of a resistor or a diode read their own kind's
-        # incidence; they equal, bit for bit, the branch laws of
-        # resistive_branch_current on the joint voltages a_r^T u, where the
-        # diodes follow the linear resistors
+        # incidence; they equal, bit for bit, each kind's branch law on its
+        # voltages: G v for the resistors, diode_law's current for the diodes
         parsed, graph, system = build_from_netlist(
             "V src 1 0 SIN(10 50)\nR rs 1 2 0.5\nD d1 2 3 IS=1e-12 VT=0.025 RP=1e9\n"
             "D d2 0 2 IS=1e-12 VT=0.025 RP=1e9\nR load 3 0 100\nC c1 3 0 1e-4\n")
@@ -1477,15 +1490,15 @@ class TestProbes:
                   for fn in "vi" for name in names}
         probes["rate"] = lambda state, t_mid: state.rate
         result = run_transient(system, TimeGrid(0.0, 0.02, 5e-4), probes=probes)
-        psi = system.layout.block_slice("psi")
-        v_joint = result.probe("rate")[:, psi] @ graph.a_r
-        i_joint = np.array([resistive_branch_current(graph, v) for v in v_joint])
-        assert (i_joint[:, 2:].max(axis=0) > 1e-3).all()  # both diodes conduct
+        psi_dot = result.probe("rate")[:, system.layout.block_slice("psi")]
+        voltages = {kind: psi_dot @ graph.incidence(kind) for kind in "RD"}
+        currents = {"R": graph.conductance * voltages["R"],
+                    "D": np.array([diode_law(graph, v)[0] for v in voltages["D"]])}
+        assert (currents["D"].max(axis=0) > 1e-3).all()  # both diodes conduct
         for name in names:
             kind, col = graph.find_branch(name)
-            joint_col = col if kind == "R" else graph.n_linear_resistive + col
-            assert np.array_equal(result.probe(f"v_{name}"), v_joint[:, joint_col])
-            assert np.array_equal(result.probe(f"i_{name}"), i_joint[:, joint_col])
+            assert np.array_equal(result.probe(f"v_{name}"), voltages[kind][:, col])
+            assert np.array_equal(result.probe(f"i_{name}"), currents[kind][:, col])
 
     def test_bad_expression_rejected(self, rlc):
         parsed, _graph, system = rlc
